@@ -5,7 +5,8 @@ every state Running, Success or Failure.  Sequence and Fallback compose
 children by delegation: a Sequence hands the state to its first child not
 reporting Success (all Success: the last child answers), a Fallback to its
 first child not reporting Failure.  Evaluating the root at a state x yields
-the control that drives the plant at x plus the tree's status there.
+the tree's status there and the active leaf, whose controller drives the
+plant at x.
 """
 
 from __future__ import annotations
@@ -88,37 +89,38 @@ class Plant:
 
 
 def tick(node: BtNode, x) -> tuple:
-    """Evaluate the subtree at state x, returning (control, Status)."""
-    u, status, _leaf = _resolve(node, x)
-    return u, status
+    """Evaluate the subtree at state x, returning (control, Status).
+
+    Only the active leaf's controller runs.
+    """
+    status, leaf = _resolve(node, x)
+    return leaf.behavior.controller(x), status
 
 
 def root_status(node: BtNode, x) -> Status:
-    return _resolve(node, x)[1]
+    return _resolve(node, x)[0]
 
 
 def active_leaf(node: BtNode, x) -> int:
     """Id of the leaf the delegation chain lands on at x."""
-    return _resolve(node, x)[2]
+    return _resolve(node, x)[1].node_id
 
 
 def _resolve(node: BtNode, x):
-    """Delegation: walk the tree, return (control, status, leaf id)."""
+    """Delegation walk: (status, leaf node) at x, evaluating metadata only."""
     if isinstance(node, Leaf):
-        return node.behavior.controller(x), node.behavior.metadata(x), node.node_id
+        return node.behavior.metadata(x), node
     if isinstance(node, Sequence):
-        for child in node.children[:-1]:
-            out = _resolve(child, x)
-            if out[1] is not Status.SUCCESS:
-                return out
-        return _resolve(node.children[-1], x)
-    if isinstance(node, Fallback):
-        for child in node.children[:-1]:
-            out = _resolve(child, x)
-            if out[1] is not Status.FAILURE:
-                return out
-        return _resolve(node.children[-1], x)
-    raise UnknownNodeKind(f"not a behavior-tree node: {node!r}")
+        skip = Status.SUCCESS
+    elif isinstance(node, Fallback):
+        skip = Status.FAILURE
+    else:
+        raise UnknownNodeKind(f"not a behavior-tree node: {node!r}")
+    for child in node.children[:-1]:
+        out = _resolve(child, x)
+        if out[0] is not skip:
+            return out
+    return _resolve(node.children[-1], x)
 
 
 def composed_status(bt: "BehaviorTree", i: int, x) -> Status:
@@ -226,8 +228,13 @@ class BehaviorTree:
         return active_leaf(self.root, self.check_state(x))
 
     def resolve(self, x):
-        """(control, root status, active leaf id) in one walk, no revalidation."""
-        return _resolve(self.root, x)
+        """(root status, active leaf id) at x in one walk, no revalidation.
+
+        The walk evaluates leaf metadata only, never a controller; the
+        control at x is bt.behavior(leaf).controller(x).
+        """
+        status, leaf = _resolve(self.root, x)
+        return status, leaf.node_id
 
     def status(self, i: int, x) -> Status:
         """Status of the subtree rooted at i, by delegation semantics."""

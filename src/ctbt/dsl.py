@@ -22,6 +22,11 @@ comparison between two real expressions), and status expressions (R, S, F,
 or if-then-else over a predicate).  sgn(0) is 0; sat(v, L) clamps v to
 [-L, L].  Parsing is LL(1) recursive descent; every error carries the line
 and column of the offending token.
+
+lower() folds constants and compiles the plant field, each leaf controller
+and each leaf status to one flat generated Python function (see "code
+generation" below); evaluate_expr is the reference interpreter they match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -764,61 +769,153 @@ def fold_constants(e, consts: Mapping):
     raise ModelTypeError(f"cannot fold {e!r}")
 
 
-# -------------------------------------------------------------- compilation
+# ------------------------------------------------------------ code generation
+#
+# lower() turns each plant field, leaf controller and leaf status into one
+# flat Python function: the folded expression tree becomes a single Python
+# expression over the locals x0.., u0.., compiled once.  Operands run left
+# to right, except that a divisor is evaluated and tested for zero before
+# its dividend; every value is bit-identical to evaluate_expr's.
+#
+# The source text holds only what the generator makes itself: integer
+# indices and positions, operator symbols from the fixed tables below, and
+# names it creates.  Every number (inf, nan and -0.0 included) is bound by
+# name in the function's namespace, which holds nothing but the helpers the
+# function uses; no text from the .btm file reaches the source.
 
-def _compile_real(e, sx: Mapping, su: Mapping) -> Callable:
-    """Compile a folded real expression to a closure of (x, u)."""
-    if isinstance(e, Num):
-        v = e.value
-        return lambda x, u: v
-    if isinstance(e, Var):
-        if e.name in sx:
-            i = sx[e.name]
-            return lambda x, u: x[i]
-        j = su[e.name]
-        return lambda x, u: u[j]
-    if isinstance(e, Neg):
-        f = _compile_real(e.operand, sx, su)
-        return lambda x, u: -f(x, u)
-    if isinstance(e, Binary):
-        a = _compile_real(e.left, sx, su)
-        b = _compile_real(e.right, sx, su)
-        if e.op == "+":
-            return lambda x, u: a(x, u) + b(x, u)
-        if e.op == "-":
-            return lambda x, u: a(x, u) - b(x, u)
-        if e.op == "*":
-            return lambda x, u: a(x, u) * b(x, u)
-        pos = e.pos
+# binding strength of an emitted piece of source, loosest first
+_COND, _ADD, _MUL, _UNARY, _ATOM = range(5)
 
-        def divide(x, u, a=a, b=b, pos=pos):
-            den = b(x, u)
-            if den == 0.0:
-                raise DivisionByZero("division by zero", *pos)
-            return a(x, u) / den
-
-        return divide
-    if isinstance(e, Call):
-        fn = _FUNC_IMPLS[e.func]
-        args = [_compile_real(a, sx, su) for a in e.args]
-        if len(args) == 1:
-            g = args[0]
-            return lambda x, u: fn(g(x, u))
-        g1, g2 = args
-        return lambda x, u: fn(g1(x, u), g2(x, u))
-    raise ModelTypeError(f"cannot compile {e!r} as a real expression")
+_ARITH = {"+": (" + ", _ADD), "-": (" - ", _ADD), "*": (" * ", _MUL)}
+_COMPARE_SYMBOLS = {"<": " < ", "<=": " <= ", ">": " > ", ">=": " >= "}
+_HELPER_NAMES = {"sin": "_sin", "cos": "_cos", "sqrt": "_sqrt", "abs": "_abs",
+                 "sgn": "_sgn", "sat": "_sat"}
+_STATUS_NAMES = {Status.RUNNING: "_R", Status.SUCCESS: "_S", Status.FAILURE: "_F"}
 
 
-def _compile_status(s, sx: Mapping) -> Callable:
-    if isinstance(s, StatusLit):
-        v = s.value
-        return lambda x, u: v
-    cmp = _COMPARE_IMPLS[s.cond.op]
-    left = _compile_real(s.cond.left, sx, {})
-    right = _compile_real(s.cond.right, sx, {})
-    then = _compile_status(s.then, sx)
-    els = _compile_status(s.els, sx)
-    return lambda x, u: then(x, u) if cmp(left(x, u), right(x, u)) else els(x, u)
+def _division_by_zero(line: int, col: int):
+    raise DivisionByZero("division by zero", line, col)
+
+
+class _FunctionSource:
+    """Source text and namespace of one generated function."""
+
+    def __init__(self, sx: Mapping, su: Mapping):
+        self.sx = sx
+        self.su = su
+        self.ns: dict = {"__builtins__": {}}
+        self.uses_state = False
+        self.controls_used: set = set()
+        self.constants = 0
+        self.temps = 0
+        self.source = ""
+
+    def helper(self, name: str, value) -> str:
+        self.ns[name] = value
+        return name
+
+    def constant(self, value: float) -> str:
+        name = f"_k{self.constants:d}"
+        self.constants += 1
+        self.ns[name] = value
+        return name
+
+    def real(self, e, need: int = _COND) -> str:
+        """Source of a folded real expression, parenthesized unless it
+        binds at least as tightly as need."""
+        if isinstance(e, Num):
+            return self.constant(e.value)
+        if isinstance(e, Var):
+            if e.name in self.sx:
+                self.uses_state = True
+                return f"x{self.sx[e.name]:d}"
+            if e.name in self.su:
+                j = self.su[e.name]
+                self.controls_used.add(j)
+                return f"u{j:d}"
+            raise UnboundIdentifier(f"unbound identifier {e.name!r}", *e.pos)
+        if isinstance(e, Call):
+            fn = self.helper(_HELPER_NAMES[e.func], _FUNC_IMPLS[e.func])
+            return f"{fn}({', '.join(self.real(a) for a in e.args)})"
+        if isinstance(e, Neg):
+            text, strength = "-" + self.real(e.operand, _UNARY), _UNARY
+        elif isinstance(e, Binary) and e.op == "/":
+            text, strength = self.divide(e)
+        elif isinstance(e, Binary):
+            symbol, strength = _ARITH[e.op]
+            # the right operand binds one level tighter, so a - (b - c) and
+            # a + (b + c) keep their grouping
+            text = (self.real(e.left, strength) + symbol
+                    + self.real(e.right, strength + 1))
+        else:
+            raise ModelTypeError(f"cannot compile {e!r} as a real expression")
+        return text if strength >= need else f"({text})"
+
+    def divide(self, e: Binary) -> tuple:
+        """(source, binding strength) of a division."""
+        den = e.right
+        if isinstance(den, Num) and den.value != 0.0:
+            return self.real(e.left, _MUL) + " / " + self.constant(den.value), _MUL
+        fail = (f"{self.helper('_divz', _division_by_zero)}"
+                f"({int(e.pos[0]):d}, {int(e.pos[1]):d})")
+        if isinstance(den, Num):
+            return fail, _ATOM
+        t = f"_t{self.temps:d}"
+        self.temps += 1
+        return (f"{fail} if not ({t} := {self.real(den)}) "
+                f"else {self.real(e.left, _MUL)} / {t}"), _COND
+
+    def status(self, s, need: int = _COND) -> str:
+        """Source of a folded status expression, parenthesized like real."""
+        if isinstance(s, StatusLit):
+            return self.helper(_STATUS_NAMES[s.value], s.value)
+        c = s.cond
+        text = (f"{self.status(s.then, _ADD)} if {self.real(c.left, _ADD)}"
+                f"{_COMPARE_SYMBOLS[c.op]}{self.real(c.right, _ADD)} "
+                f"else {self.status(s.els)}")
+        return text if need == _COND else f"({text})"
+
+    def function(self, name: str, params: str, result: str) -> Callable:
+        """Compile `def name(params): <unpack used variables>; return result`."""
+        lines = [f"def {name}({params}):"]
+        if self.uses_state:
+            names = _tuple_items([f"x{k:d}" for k in range(len(self.sx))])
+            self.helper("_ndarray", np.ndarray)
+            lines.append(f"    {names} = x.tolist() if x.__class__ is _ndarray else x")
+        lines += [f"    u{j:d} = u[{j:d}]" for j in sorted(self.controls_used)]
+        lines.append(f"    return {result}")
+        self.source = "\n".join(lines) + "\n"
+        try:
+            code = compile(self.source, f"<btm {name}>", "exec")
+        except (SyntaxError, RecursionError) as err:
+            # Python caps the nesting depth of one expression (200 open
+            # parentheses in the tokenizer)
+            raise ModelTypeError(
+                f"a {name} expression nests too deeply to compile") from err
+        exec(code, self.ns)
+        return self.ns[name]
+
+
+def _tuple_items(items: list) -> str:
+    """Comma-joined items, with the trailing comma a single item needs."""
+    return items[0] + "," if len(items) == 1 else ", ".join(items)
+
+
+def _field_function(exprs, sx: Mapping, su: Mapping) -> Callable:
+    g = _FunctionSource(sx, su)
+    items = ", ".join(g.real(e) for e in exprs)
+    return g.function("field", "x, u", f"{g.helper('_array', np.array)}([{items}])")
+
+
+def _controller_function(exprs, sx: Mapping) -> Callable:
+    g = _FunctionSource(sx, {})
+    items = _tuple_items([g.real(e) for e in exprs])
+    return g.function("controller", "x", f"({items})")
+
+
+def _status_function(s, sx: Mapping) -> Callable:
+    g = _FunctionSource(sx, {})
+    return g.function("status", "x", g.status(s))
 
 
 @dataclass(frozen=True)
@@ -833,18 +930,16 @@ def lower(m: ModelFile) -> LoweredModel:
     """Compile a parsed model into a BehaviorTree plus Plant.
 
     Node ids are assigned depth-first from the root, matching the textbook
-    figures; constants are folded into every compiled expression.
+    figures.  Constants are folded, then the plant field, every leaf
+    controller and every leaf status become one generated function each.
     """
     consts = dict(m.constants)
     sx = {f"x{k}": k for k in range(m.state_dim)}
     su = {f"u{k}": k for k in range(m.control_dim)}
     decls = {d.name: d for d in m.nodes}
 
-    derivs = [_compile_real(fold_constants(e, consts), sx, su) for _, e in m.plant]
-
-    def plant_field(x, u, derivs=tuple(derivs)):
-        return np.array([d(x, u) for d in derivs])
-
+    plant_field = _field_function(
+        [fold_constants(e, consts) for _, e in m.plant], sx, su)
     plant = Plant(m.state_dim, m.control_dim, plant_field)
 
     counter = [0]
@@ -858,17 +953,10 @@ def lower(m: ModelFile) -> LoweredModel:
                 raise DimensionMismatch(
                     f"leaf {decl.name!r} defines {len(decl.controls)} control "
                     f"component(s), model declares {m.control_dim}")
-            ctrl = [_compile_real(fold_constants(e, consts), sx, {})
-                    for e in decl.controls]
-            status = _compile_status(fold_constants(decl.status, consts), sx)
-            if len(ctrl) == 1:
-                c0 = ctrl[0]
-                controller = lambda x, c0=c0: (c0(x, None),)
-            else:
-                controller = lambda x, cs=tuple(ctrl): tuple(c(x, None) for c in cs)
             behavior = LeafBehavior(
-                controller=controller,
-                metadata=lambda x, s=status: s(x, None),
+                controller=_controller_function(
+                    [fold_constants(e, consts) for e in decl.controls], sx),
+                metadata=_status_function(fold_constants(decl.status, consts), sx),
                 label=decl.name)
             return Leaf(nid, behavior)
         children = tuple(build(child) for child in decl.children)

@@ -1,17 +1,21 @@
 """Switched-system integrator for behavior trees over continuous plants.
 
 Between events the active leaf's control law is closed over the plant and
-integrated with classic RK4.  Any change of (active leaf, root status)
-inside a step is located by bisecting the step length down to event_tol, so
-switch times are resolved far below the step size.  If the recent switches
-toggle between exactly two leaves faster than the step rate, the integrator
-declares a sliding mode: it estimates the local surface normal from the
-recorded crossing points (SVD of the centered cloud; a field-difference
-fallback covers the degenerate startup), forms the convex field combination
-that cancels the normal component, and re-projects onto the surface after
-each step so the drifting solution cannot walk away from it.  Sliding ends
-when the combination coefficient leaves [0, 1] by more than sliding_eps or
-the state escapes to a third leaf.
+integrated with classic RK4.  The integrator keeps the (root status, active
+leaf) of its current state and walks the tree once per accepted step, at
+the step's end point; the walk evaluates status predicates only, and the
+active leaf's controller runs inside the field evaluations.  Any change of
+(active leaf, root status) inside a step is located by bisecting the step
+length down to event_tol, so switch times are resolved far below the step
+size.  If the recent switches toggle between exactly two leaves faster than
+the step rate, the integrator declares a sliding mode: it estimates the
+local surface normal from the recorded crossing points (SVD of the centered
+cloud; a field-difference fallback covers the degenerate startup), forms
+the convex field combination that cancels the normal component, and
+re-projects onto the surface after each step so the drifting solution
+cannot walk away from it.  Sliding ends when the combination coefficient
+leaves [0, 1] by more than sliding_eps or the state escapes to a third
+leaf.
 
 Everything is deterministic: fixed step grid t = k*dt, no wall clock, no
 hidden randomness, and JSON/CSV output built from repr'd floats, so a rerun
@@ -139,7 +143,10 @@ class _Integrator:
         self.plant = plant
         self.bt = bt
         self.cfg = cfg
+        # invariant: (status, leaf) is the tree's walk at x, updated together
+        # with x (see move_to), so no state is walked twice
         self.x = bt.check_state(x0)
+        self.status, self.leaf = bt.resolve(self.x)
         self.samples: list = []
         self.events: list = []
         self.switch_log: list = []  # (t, from leaf, to leaf)
@@ -173,6 +180,10 @@ class _Integrator:
             self._fields[leaf] = f
         return f
 
+    def move_to(self, x, status: Status, leaf: int) -> None:
+        """Make x the current state; (status, leaf) must be the walk at x."""
+        self.x, self.status, self.leaf = x, status, leaf
+
     def guard(self, x) -> None:
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _OVERFLOW:
             raise NonFiniteState(f"state diverged: {x!r}")
@@ -196,9 +207,8 @@ class _Integrator:
 
     def run(self) -> Trajectory:
         cfg = self.cfg
-        _, status, leaf = self.bt.resolve(self.x)
-        self.record(0.0, self.x, leaf, status)
-        self.note_status(0.0, status)
+        self.record(0.0, self.x, self.leaf, self.status)
+        self.note_status(0.0, self.status)
         n_steps = int(round(cfg.t_end / cfg.dt))
         k = 0
         while k < n_steps and not self.done:
@@ -209,8 +219,7 @@ class _Integrator:
             else:
                 self.slide_span(t0, cfg.dt)
             if not self.done and (not self.samples or self.samples[-1].t < t1 - 1e-15):
-                _, status, leaf = self.bt.resolve(self.x)
-                self.record(t1, self.x, leaf, status)
+                self.record(t1, self.x, self.leaf, self.status)
             k += 1
         return Trajectory(meta=self.meta, samples=self.samples, events=self.events)
 
@@ -220,14 +229,14 @@ class _Integrator:
         cfg = self.cfg
         t = t_start
         h_left = span
-        _, status, leaf = self.bt.resolve(self.x)
+        leaf, status = self.leaf, self.status
         while h_left > 1e-15 and not self.done:
             f = self.field_for(leaf)
             x_try = _rk4(f, self.x, h_left)
             self.guard(x_try)
-            _, st2, lf2 = self.bt.resolve(x_try)
+            st2, lf2 = self.bt.resolve(x_try)
             if (lf2, st2) == (leaf, status):
-                self.x = x_try
+                self.move_to(x_try, status, leaf)
                 return
             # locate the first change of (leaf, status) within (0, h_left]
             lo, hi = 0.0, h_left
@@ -235,7 +244,7 @@ class _Integrator:
             while hi - lo > cfg.event_tol:
                 mid = 0.5 * (lo + hi)
                 x_mid = _rk4(f, self.x, mid)
-                _, st_m, lf_m = self.bt.resolve(x_mid)
+                st_m, lf_m = self.bt.resolve(x_mid)
                 if (lf_m, st_m) == (leaf, status):
                     lo = mid
                 else:
@@ -244,12 +253,12 @@ class _Integrator:
             if lo > 0.0:
                 x_lo = _rk4(f, self.x, lo)
                 self.record(t + lo, x_lo, leaf, status)
-            _, st_new, lf_new = self.bt.resolve(x_hi)
+            st_new, lf_new = self.bt.resolve(x_hi)
             if (lf_new, st_new) == (leaf, status):
                 raise BisectionFailed(
                     f"no state change after bisection at t={t + hi}")
             t_event = t + hi
-            self.x = x_hi
+            self.move_to(x_hi, st_new, lf_new)
             self.guard(self.x)
             self.record(t_event, self.x, lf_new, st_new)
             if lf_new != leaf:
@@ -314,17 +323,13 @@ class _Integrator:
 
         x_new = _rk4(f, self.x, span)
         self.guard(x_new)
-        projected = self.project_to_surface(x_new, n)
+        projected, status, leaf = self.project_to_surface(x_new, n)
         t_end = t_start + span
         if projected is None:
-            self.x = x_new
+            self.move_to(x_new, status, leaf)
             self.exit_slide(t_end)
             return
-        self.x = projected
-        _, status, leaf = self.bt.resolve(self.x)
-        if leaf not in self.sliding:
-            self.exit_slide(t_end)
-            return
+        self.move_to(projected, status, leaf)
         self.surface_points.append(self.x.copy())
         if len(self.surface_points) > 8:
             self.surface_points.pop(0)
@@ -332,8 +337,7 @@ class _Integrator:
         self.note_status(t_end, status)
 
     def exit_slide(self, t: float) -> None:
-        _, status, leaf = self.bt.resolve(self.x)
-        self.event(t, "SlideExit", self.x, to=leaf)
+        self.event(t, "SlideExit", self.x, to=self.leaf)
         self.sliding = None
         self.surface_points = []
 
@@ -363,35 +367,42 @@ class _Integrator:
                 "degenerate crossing cloud")
         return np.asarray(field_diff, dtype=float) / norm
 
-    def project_to_surface(self, x, n) -> Optional[np.ndarray]:
-        """Pull x back onto the switching surface along +-n by bisection."""
+    def project_to_surface(self, x, n) -> tuple:
+        """Pull x back onto the switching surface along +-n by bisection.
+
+        Returns (projected point, status, leaf) with the walk at that point,
+        or (None, status, leaf) with the walk at x when x cannot be pulled
+        back.
+        """
         cfg = self.cfg
-        here = self.bt.resolve(x)[2]
+        status, here = self.bt.resolve(x)
         if here not in self.sliding:
-            return None
+            return None, status, here
         other = self.sliding[0] if here == self.sliding[1] else self.sliding[1]
         step = cfg.event_tol
         direction = None
         for _ in range(60):
-            if self.bt.resolve(x + step * n)[2] == other:
+            if self.bt.resolve(x + step * n)[1] == other:
                 direction = n
                 break
-            if self.bt.resolve(x - step * n)[2] == other:
+            if self.bt.resolve(x - step * n)[1] == other:
                 direction = -n
                 break
             step *= 2.0
             if step > 1e6:
-                return None
+                return None, status, here
         if direction is None:
-            return None
+            return None, status, here
         lo, hi = 0.0, step
         while hi - lo > cfg.event_tol:
             mid = 0.5 * (lo + hi)
-            if self.bt.resolve(x + mid * direction)[2] == here:
+            st_mid, lf_mid = self.bt.resolve(x + mid * direction)
+            if lf_mid == here:
                 lo = mid
+                status = st_mid
             else:
                 hi = mid
-        return x + lo * direction
+        return x + lo * direction, status, here
 
 
 def integrate(plant: Plant, bt: BehaviorTree, x0,
@@ -460,13 +471,13 @@ def check_transversality(plant: Plant, bt: BehaviorTree, pairs,
             failures.append(idx)
             continue
         n = n / nn
-        ua, _, la = bt.resolve(xa)
-        ub, _, lb = bt.resolve(xb)
+        la = bt.resolve(xa)[1]
+        lb = bt.resolve(xb)[1]
         if la == lb:
             failures.append(idx)
             continue
-        va = np.asarray(plant.field(xa, ua), dtype=float)
-        vb = np.asarray(plant.field(xb, ub), dtype=float)
+        va = np.asarray(plant.field(xa, bt.behavior(la).controller(xa)), dtype=float)
+        vb = np.asarray(plant.field(xb, bt.behavior(lb).controller(xb)), dtype=float)
         if float(n @ va) > min_component or float(n @ vb) < -min_component:
             ok += 1
         else:
@@ -494,8 +505,8 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int,
             break
         a = rng.uniform(lows, highs)
         b = rng.uniform(lows, highs)
-        la = bt.resolve(a)[2]
-        lb = bt.resolve(b)[2]
+        la = bt.resolve(a)[1]
+        lb = bt.resolve(b)[1]
         if la == lb:
             continue
         seg = b - a
@@ -503,13 +514,13 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int,
         lo, hi = 0.0, 1.0
         while (hi - lo) * length > tol:
             mid = 0.5 * (lo + hi)
-            if bt.resolve(a + mid * seg)[2] == la:
+            if bt.resolve(a + mid * seg)[1] == la:
                 lo = mid
             else:
                 hi = mid
         xa = a + lo * seg
         xb = a + hi * seg
-        if bt.resolve(xa)[2] != bt.resolve(xb)[2]:
+        if bt.resolve(xa)[1] != bt.resolve(xb)[1]:
             pairs.append((xa, xb))
     if not pairs:
         raise EmptySampler(

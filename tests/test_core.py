@@ -129,6 +129,49 @@ def test_composed_status_matches_delegation_on_random_trees():
                     assert composed_status(bt, i, x) is bt.status(i, x)
 
 
+def _counting_controllers(bt):
+    """A copy of bt whose leaf controllers log their node id on each call."""
+    calls = []
+
+    def copy(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+
+            def controller(x, fn=b.controller, nid=node.node_id):
+                calls.append(nid)
+                return fn(x)
+
+            return Leaf(node.node_id, LeafBehavior(controller, b.metadata, b.label))
+        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
+
+    return BehaviorTree(copy(bt.root), state_dim=bt.state_dim), calls
+
+
+DELEGATION_CORPUS = [
+    ("thermostat", thermostat_bt, [(SETPOINT - 5.0, SETPOINT + 5.0)]),
+    ("kitchen", kitchen_bt, [(-2.0, 2.0)] * 2),
+] + [(f"random{seed}", lambda seed=seed: random_bt(seed), [(-3.0, 3.0)] * 2)
+     for seed in range(25)]
+
+
+@pytest.mark.parametrize("name,build,box", DELEGATION_CORPUS,
+                         ids=[c[0] for c in DELEGATION_CORPUS])
+def test_one_walk_gives_status_leaf_and_one_control(name, build, box):
+    """resolve is one status-only walk; tick runs the active leaf's
+    controller and no other."""
+    bt, calls = _counting_controllers(build())
+    lo, hi = np.array(box).T
+    for x in np.random.default_rng(len(name)).uniform(lo, hi, size=(200, len(box))):
+        status, leaf = bt.resolve(x)
+        assert (status, leaf) == (bt.root_status(x), bt.active_leaf(x))
+        assert calls == []
+        u, tick_status = bt.tick(x)
+        assert calls == [leaf]
+        assert tick_status is status
+        assert u == bt.behavior(leaf).controller(x)
+        calls.clear()
+
+
 def test_composed_status_rejects_leaves():
     bt = thermostat_bt()
     with pytest.raises(NotComposite):

@@ -333,6 +333,290 @@ def test_lower_control_dimension_checked():
         dsl.lower(dsl.parse(src))
 
 
+# ----------------------------------------------------------- generated code
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _outcome(fn, *args):
+    """Result of fn, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as err:
+        return (type(err).__name__, str(err))
+
+
+def _random_expr(rng, names, depth):
+    """Random real-expression source over names, using every operator."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return str(rng.choice(names))
+        return repr(round(float(rng.uniform(0.1, 3.0)), 3))
+    kind = int(rng.integers(7))
+    a = _random_expr(rng, names, depth - 1)
+    b = _random_expr(rng, names, depth - 1)
+    if kind < 4:
+        return f"({a} {'+-*/'[kind]} {b})"
+    if kind == 4:
+        return f"-{a}"
+    if kind == 5:
+        return f"{rng.choice(['sin', 'cos', 'sqrt', 'abs', 'sgn'])}({a})"
+    return f"sat({a}, {b})"
+
+
+def random_expression_btm(rng, n_leaves: int) -> str:
+    """A two-state model whose plant, controls and statuses are random
+    expressions; the leaves hang off a Fallback under a Sequence."""
+    names = ["x0", "x1", "k", "m"]
+    leaves = []
+    for i in range(n_leaves):
+        s0, s1, s2 = (str(v) for v in rng.permutation(["R", "S", "F"]))
+        leaves.append(
+            f"  leaf l{i} {{ u = [{_random_expr(rng, names, 3)}, "
+            f"{_random_expr(rng, names, 3)}]; "
+            f"status = if {_random_expr(rng, names, 2)} < -0.5 then {s0} "
+            f"else if {_random_expr(rng, names, 2)} >= 0.5 then {s1} else {s2}; }}")
+    plant_names = names + ["u0", "u1"]
+    kids = ", ".join(f"l{i}" for i in range(1, n_leaves))
+    return "\n".join([
+        'model "random" {', "  state 2;", "  control 2;",
+        "  const k = 1.5;", "  const m = -0.75;",
+        f"  plant {{ dx0 = {_random_expr(rng, plant_names, 3)}; "
+        f"dx1 = {_random_expr(rng, plant_names, 3)}; }}",
+        *leaves,
+        f"  fal rest = [{kids}];", "  seq top = [l0, rest];", "  root = top;", "}", ""])
+
+
+def slab_tree_btm(rng, n_leaves: int) -> str:
+    """A random Sequence/Fallback tree of three-slab leaves, as .btm text."""
+    leaves, composites = [], []
+
+    def build(n):
+        if n == 1:
+            name = f"l{len(leaves)}"
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            a0, a1 = math.cos(theta), math.sin(theta)
+            b1, b2 = sorted(float(v) for v in rng.uniform(-2.0, 2.0, size=2))
+            s0, s1, s2 = (str(v) for v in rng.permutation(["R", "S", "F"]))
+            proj = f"{a0!r} * x0 {'+' if a1 >= 0 else '-'} {abs(a1)!r} * x1"
+            leaves.append(f"  leaf {name} {{ u = [{a0!r}]; status = if {proj} < {b1!r} "
+                          f"then {s0} else if {proj} < {b2!r} then {s1} else {s2}; }}")
+            return name
+        k = int(rng.integers(2, min(4, n) + 1))
+        cuts = sorted(int(v) for v in rng.choice(np.arange(1, n), size=k - 1, replace=False))
+        kids = [build(b - a) for a, b in zip([0, *cuts], [*cuts, n])]
+        name = f"n{len(composites)}"
+        kind = "seq" if rng.random() < 0.5 else "fal"
+        composites.append(f"  {kind} {name} = [{', '.join(kids)}];")
+        return name
+
+    root = build(n_leaves)
+    return "\n".join(['model "slabs" {', "  state 2;", "  control 1;",
+                      "  plant { dx0 = u0; dx1 = 0.0; }", *leaves, *composites,
+                      f"  root = {root};", "}", ""])
+
+
+def _equivalence_corpus():
+    rng = np.random.default_rng(2109)
+    corpus = [bundled(n) for n in ("thermostat.btm", "kitchen_lamp.btm", "pendulum.btm")]
+    corpus += [slab_tree_btm(rng, n) for n in (3, 8, 20)]
+    for n in (2, 4, 6):
+        # folding rejects some draws, such as sqrt of a negative constant
+        while True:
+            text = random_expression_btm(rng, n)
+            try:
+                dsl.lower(dsl.parse(text))
+            except ValueError:
+                continue
+            corpus.append(text)
+            break
+    return corpus
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_generated_code_matches_interpreter(index):
+    """Plant field, every controller and every status agree bit for bit
+    with evaluate_expr on 200 seeded states, errors included."""
+    m = dsl.parse(_equivalence_corpus()[index])
+    lowered = dsl.lower(m)
+    decls = {d.name: d for d in m.nodes}
+    consts = dict(m.constants)
+    rng = np.random.default_rng(index)
+    states = rng.uniform(-3.0, 3.0, size=(200, m.state_dim))
+    controls = rng.uniform(-2.0, 2.0, size=(200, m.control_dim))
+    for x, u in zip(states, controls):
+        env = {**consts, **{f"x{k}": v for k, v in enumerate(x)}}
+        u = tuple(float(v) for v in u)
+        full = {**env, **{f"u{k}": v for k, v in enumerate(u)}}
+        got = _outcome(lowered.plant.field, x, u)
+        want = _outcome(lambda: [dsl.evaluate_expr(e, full) for _, e in m.plant])
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert _bits(got) == _bits(want)
+        for i in lowered.bt.leaf_ids:
+            behavior = lowered.bt.behavior(i)
+            decl = decls[behavior.label]
+            got = _outcome(behavior.controller, x)
+            want = _outcome(lambda: tuple(dsl.evaluate_expr(e, env) for e in decl.controls))
+            if isinstance(want[0], str):
+                assert got == want
+            else:
+                assert isinstance(got, tuple) and _bits(got) == _bits(want)
+            assert (_outcome(behavior.metadata, x)
+                    == _outcome(dsl.evaluate_expr, decl.status, env))
+
+
+def test_generated_code_accepts_plain_sequences():
+    lowered = dsl.load(dsl.bundled_model_dir() / "pendulum.btm")
+    x = np.array([0.7, -1.3])
+    for i in lowered.bt.leaf_ids:
+        b = lowered.bt.behavior(i)
+        assert b.controller(x) == b.controller([0.7, -1.3]) == b.controller((0.7, -1.3))
+        assert b.metadata(x) is b.metadata([0.7, -1.3])
+    assert _bits(lowered.plant.field(x, (0.2,))) == _bits(lowered.plant.field([0.7, -1.3], [0.2]))
+
+
+def _slash_position(source: str, needle: str):
+    """(line, column) of the '/' inside the first occurrence of needle."""
+    for line_no, line in enumerate(source.splitlines(), start=1):
+        if needle in line:
+            return line_no, line.index(needle) + needle.index("/") + 1
+    raise AssertionError(f"{needle!r} not in source")
+
+
+def test_runtime_division_by_zero_names_the_operator():
+    src = MINI.replace("dx0 = u0;", "dx0 = u0 + 1.0 / x0;") \
+              .replace("u = [1.0]", "u = [2.0 * (x0 + 1.0) / (x0 - 1.0)]") \
+              .replace("if x0 >= 1.0", "if 1.0 / (x0 + 2.0) >= 1.0")
+    lowered = dsl.lower(dsl.parse(src))
+    behavior = lowered.bt.behavior(0)
+    cases = [
+        (lambda: lowered.plant.field(np.array([0.0]), (1.0,)), "1.0 / x0"),
+        (lambda: behavior.controller(np.array([1.0])), ") / (x0 - 1.0)"),
+        (lambda: behavior.metadata(np.array([-2.0])), "1.0 / (x0 + 2.0)"),
+    ]
+    for call, needle in cases:
+        with pytest.raises(DivisionByZero) as e:
+            call()
+        assert (e.value.line, e.value.col) == _slash_position(src, needle)
+    # a literal zero divisor lowers, and raises with its position when evaluated
+    src = MINI.replace("dx0 = u0;", "dx0 = x0 / 0.0;")
+    lowered = dsl.lower(dsl.parse(src))
+    with pytest.raises(DivisionByZero) as e:
+        lowered.plant.field(np.array([3.0]), (1.0,))
+    assert (e.value.line, e.value.col) == _slash_position(src, "x0 / 0.0")
+
+
+def test_divisor_is_tested_before_the_dividend_runs():
+    src = MINI.replace("dx0 = u0;", "dx0 = sqrt(x0) / (x0 + 1.0);")
+    field = dsl.lower(dsl.parse(src)).plant.field
+    with pytest.raises(DivisionByZero):
+        field(np.array([-1.0]), (0.0,))
+    with pytest.raises(ValueError, match="math domain"):
+        field(np.array([-2.0]), (0.0,))
+
+
+def test_non_finite_folded_constants():
+    src = MINI.replace("control 1;", "control 3;\n  const big = 1e308;\n  const z = -0.0;") \
+              .replace("dx0 = u0;", "dx0 = u0 + big * 10.0 * x0;") \
+              .replace("u = [1.0]", "u = [big * 10.0, big * 10.0 - big * 10.0, z]") \
+              .replace("if x0 >= 1.0", "if x0 >= -(big * 10.0)")
+    lowered = dsl.lower(dsl.parse(src))
+    behavior = lowered.bt.behavior(0)
+    u = behavior.controller(np.array([1.0]))
+    assert u[0] == math.inf
+    assert math.isnan(u[1])
+    assert u[2] == 0.0 and math.copysign(1.0, u[2]) == -1.0
+    assert behavior.metadata(np.array([-1e300])) is Status.SUCCESS
+    assert lowered.plant.field(np.array([2.0]), (1.0, 0.0, 0.0))[0] == math.inf
+
+
+def test_sgn_sat_abs_through_lower():
+    src = MINI.replace("control 1;", "control 3;") \
+              .replace("dx0 = u0;", "dx0 = u0 + u1 + u2;") \
+              .replace("u = [1.0]", "u = [sgn(x0), sat(x0, 0.5), abs(x0)]") \
+              .replace("if x0 >= 1.0", "if sat(abs(x0), 1.0) * sgn(x0) >= 1.0")
+    behavior = dsl.lower(dsl.parse(src)).bt.behavior(0)
+    table = {
+        -2.0: ((-1.0, -0.5, 2.0), Status.RUNNING),
+        -0.25: ((-1.0, -0.25, 0.25), Status.RUNNING),
+        0.0: ((0.0, 0.0, 0.0), Status.RUNNING),
+        0.25: ((1.0, 0.25, 0.25), Status.RUNNING),
+        3.0: ((1.0, 0.5, 3.0), Status.SUCCESS),
+    }
+    for xv, (u, status) in table.items():
+        assert behavior.controller(np.array([xv])) == u
+        assert behavior.metadata(np.array([xv])) is status
+
+
+def test_long_chains_compile_and_deep_nesting_is_a_model_error():
+    chain = " + ".join(["x0"] * 600)
+    lowered = dsl.lower(dsl.parse(MINI.replace("u = [1.0]", f"u = [{chain}]")))
+    assert lowered.bt.behavior(0).controller(np.array([0.5])) == (300.0,)
+    nested = "sin(" * 230 + "x0" + ")" * 230
+    with pytest.raises(ModelTypeError, match="nests too deeply"):
+        dsl.lower(dsl.parse(MINI.replace("u = [1.0]", f"u = [{nested}]")))
+
+
+HOSTILE = """\
+model "__import__('os').system('true')" {
+  state 2;
+  control 1;
+  const __import__ = 2.5;
+  const exec_ = 1e308;
+  plant { dx0 = u0 * __import__; dx1 = x0 / exec_; }
+  leaf os_system { u = [sat(x1, __import__) / (x0 - 0.125)];
+                   status = if x0 * exec_ * 10.0 < 0.0 then S else F; }
+  leaf eval_ { u = [-__import__]; status = R; }
+  fal builtins_ = [os_system, eval_];
+  root = builtins_;
+}
+"""
+
+
+def test_generated_source_holds_no_model_text(monkeypatch):
+    """Only generator-made tokens reach the source: its own names, integer
+    indices and positions, and operators.  Numbers live in the namespace."""
+    import ast
+    import io
+    import re
+    import tokenize
+
+    seen = []
+    compile_function = dsl._FunctionSource.function
+
+    def spy(self, *args):
+        fn = compile_function(self, *args)
+        seen.append((self.source, dict(self.ns)))
+        return fn
+
+    monkeypatch.setattr(dsl._FunctionSource, "function", spy)
+    dsl.lower(dsl.parse(HOSTILE))
+    assert len(seen) == 5
+    keywords = {"def", "return", "if", "else", "not", "is", "x", "u", "tolist",
+                "__class__", "field", "controller", "status"}
+    made = re.compile(r"(x|u|_k|_t)\d+|_(sin|cos|sqrt|abs|sgn|sat|divz|array|ndarray|R|S|F)")
+    layout = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    for text, ns in seen:
+        ast.parse(text, feature_version=(3, 10))  # the oldest supported Python
+        for name in ("import", "exec_", "os", "eval_", "builtins_", "system"):
+            assert name not in text
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                assert tok.string in keywords or made.fullmatch(tok.string), tok
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+            elif tok.type == tokenize.OP:
+                assert tok.string in {*"()[],.:=+-*/<>", "<=", ">=", ":="}, tok
+            else:
+                assert tok.type in layout, tok
+        assert ns.pop("__builtins__") == {}
+        assert all(made.fullmatch(k) or k in keywords for k in ns)
+
+
 def test_resolve_model_path(tmp_path):
     p = tmp_path / "local.btm"
     p.write_text(MINI)

@@ -310,6 +310,37 @@ def test_pendulum_stop_flag_off_keeps_integrating(pendulum):
     assert traj.events_of("RootSuccess")
 
 
+def test_one_walk_per_grid_step(pendulum):
+    """Without a switch or status change the tree is walked once per grid
+    step plus once at the start, and every control feeds a field call."""
+    counts = {"resolve": 0, "controller": 0, "field": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def copy(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, LeafBehavior(
+                counted("controller", b.controller), b.metadata, b.label))
+        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
+
+    bt = BehaviorTree(copy(pendulum.bt.root), state_dim=pendulum.bt.state_dim)
+    bt.resolve = counted("resolve", bt.resolve)
+    plant = Plant(2, 1, counted("field", pendulum.plant.field))
+    cfg = IntegratorConfig(dt=0.004, t_end=0.4)
+    traj = integrate(plant, bt, [2.0, 0.0], cfg)
+    steps = round(cfg.t_end / cfg.dt)
+    assert traj.events == []
+    assert len(traj.samples) == steps + 1
+    assert {(s.leaf, s.status) for s in traj.samples} == {(1, Status.RUNNING)}
+    assert counts["resolve"] == steps + 1
+    assert counts["controller"] == counts["field"] == 4 * steps
+
+
 # ------------------------------------------------------------- serialization
 
 def test_serialization_deterministic():
@@ -420,7 +451,7 @@ def test_boundary_sampler_properties():
     for (a, b), (c, d) in zip(pairs, again):
         assert np.array_equal(a, c) and np.array_equal(b, d)
     for xa, xb in pairs:
-        assert bt.resolve(xa)[2] != bt.resolve(xb)[2]
+        assert bt.resolve(xa)[1] != bt.resolve(xb)[1]
         assert abs(float(xa[0]) - SETPOINT) < 1e-5
         assert np.linalg.norm(xb - xa) <= 1e-5
 
