@@ -148,15 +148,16 @@ def _composed(node: BtNode, x) -> Status:
         gate, flow = Status.FAILURE, Status.SUCCESS
     else:
         raise UnknownNodeKind(f"not a behavior-tree node: {node!r}")
-    # membership in each of the three composed regions, evaluated separately
-    in_gate = all(s is gate for s in child)
-    in_flow = any(
-        s is flow and all(t is gate for t in child[:j]) for j, s in enumerate(child)
-    )
-    in_run = any(
-        s is Status.RUNNING and all(t is gate for t in child[:j])
-        for j, s in enumerate(child)
-    )
+    # membership in each of the three composed regions, evaluated separately:
+    # the flow and Running regions are unions over j of child j's region
+    # intersected with the gate regions of every child before j (prefix)
+    in_flow = in_run = False
+    prefix = True
+    for s in child:
+        in_flow = in_flow or (prefix and s is flow)
+        in_run = in_run or (prefix and s is Status.RUNNING)
+        prefix = prefix and s is gate
+    in_gate = prefix
     picked = [
         st
         for st, hit in ((gate, in_gate), (flow, in_flow), (Status.RUNNING, in_run))
@@ -207,6 +208,7 @@ class BehaviorTree:
         self.kinds = tuple(_kind(n) for n in self.nodes)
         self.leaf_ids = tuple(i for i, k in enumerate(self.kinds) if k == "leaf")
         self._pathways = None  # filled lazily by regions.pathways
+        self._region_plan = None  # filled lazily by regions._plan
 
     def check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

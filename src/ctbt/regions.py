@@ -68,35 +68,77 @@ def pathway_sets(bt: BehaviorTree) -> PathwaySets:
     return bt._pathways
 
 
+# Status every child must share for the composite to share it; a left uncle
+# under a parent of this kind must hold it for execution to pass on.
+_GATE = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
+_FLOW = {Status.SUCCESS: Status.FAILURE, Status.FAILURE: Status.SUCCESS}
+
+
+@dataclass(frozen=True)
+class _RegionPlan:
+    """Per-tree tables the region predicates read, built once per tree.
+
+    steps: (node id, leaf metadata or None, gate status, child ids) in
+    post-order, so every child precedes its parent.  influence: for each
+    node id, its (left uncle, required status) preconditions.
+    """
+
+    steps: tuple
+    influence: tuple
+
+
+def _plan(bt: BehaviorTree) -> _RegionPlan:
+    """_RegionPlan of bt, cached on the instance."""
+    if bt._region_plan is None:
+        steps = []
+
+        def visit(node):
+            if isinstance(node, Leaf):
+                steps.append((node.node_id, node.behavior.metadata, None, ()))
+                return
+            for c in node.children:
+                visit(c)
+            steps.append((node.node_id, None, _GATE[bt.kinds[node.node_id]],
+                          tuple(c.node_id for c in node.children)))
+
+        visit(bt.root)
+        influence = tuple(
+            tuple((j, _GATE[bt.kinds[bt.tree.parent_of(j)]])
+                  for j in bt.tree.left_uncles(i))
+            for i in range(len(bt.nodes))
+        )
+        bt._region_plan = _RegionPlan(steps=tuple(steps), influence=influence)
+    return bt._region_plan
+
+
 def _status_table(bt: BehaviorTree, x) -> list:
     """Status of every node at x via the composed-region algebra (one pass)."""
     table = [None] * len(bt.nodes)
-
-    def fill(node):
-        if isinstance(node, Leaf):
-            table[node.node_id] = node.behavior.metadata(x)
+    for i, metadata, gate, kids in _plan(bt).steps:
+        if metadata is not None:
+            table[i] = metadata(x)
         else:
-            for c in node.children:
-                fill(c)
-            table[node.node_id] = _composed_from(node, table)
-
-    fill(bt.root)
+            table[i] = _composed_from(gate, [table[c] for c in kids])
     return table
 
 
-def _composed_from(node, table) -> Status:
+def _composed_from(gate: Status, child: list) -> Status:
     """Composite status from already-computed child statuses (region algebra).
 
-    Evaluates the three composed-region membership predicates literally, the
-    same way core._composed does, rather than short-circuiting like tick.
+    Evaluates the composed-region membership predicates literally, the same
+    way core._composed does, rather than delegating like tick: the gate
+    region is the intersection of the children's gate regions, the flow
+    region the union over j of child j's flow region intersected with the
+    gate regions of every child before j.
     """
-    child = [table[c.node_id] for c in node.children]
-    gate = Status.SUCCESS if node.__class__.__name__ == "Sequence" else Status.FAILURE
-    flow = Status.FAILURE if gate is Status.SUCCESS else Status.SUCCESS
-    if all(s is gate for s in child):
+    if child.count(gate) == len(child):
         return gate
-    if any(s is flow and all(t is gate for t in child[:j]) for j, s in enumerate(child)):
-        return flow
+    flow = _FLOW[gate]
+    prefix = True  # x lies in the gate region of every child before this one
+    for s in child:
+        if prefix and s is flow:
+            return flow
+        prefix = prefix and s is gate
     return Status.RUNNING
 
 
@@ -107,11 +149,20 @@ def in_influence_region(bt: BehaviorTree, i: int, x, _table=None) -> bool:
     left uncle under a Fallback parent in Failure.
     """
     table = _status_table(bt, x) if _table is None else _table
-    for j in bt.tree.left_uncles(i):
-        want = Status.SUCCESS if bt.kinds[bt.tree.parent_of(j)] == "seq" else Status.FAILURE
-        if table[j] is not want:
-            return False
-    return True
+    return all(table[j] is want for j, want in _plan(bt).influence[i])
+
+
+_KEEP = {
+    (True, True): tuple(Status),
+    (True, False): (Status.RUNNING, Status.SUCCESS),
+    (False, True): (Status.RUNNING, Status.FAILURE),
+    (False, False): (Status.RUNNING,),
+}
+
+
+def _keeping(i: int, pw: PathwaySets) -> tuple:
+    """Statuses at node i that keep execution at i (the module doc's case split)."""
+    return _KEEP[i in pw.success, i in pw.failure]
 
 
 def in_operating_region(bt: BehaviorTree, i: int, x, pw: PathwaySets | None = None,
@@ -119,26 +170,28 @@ def in_operating_region(bt: BehaviorTree, i: int, x, pw: PathwaySets | None = No
     """Is x inside node i's operating region (the case split in the module doc)?"""
     pw = pw or pathway_sets(bt)
     table = _status_table(bt, x) if _table is None else _table
-    if not in_influence_region(bt, i, x, _table=table):
-        return False
-    on_s, on_f = i in pw.success, i in pw.failure
-    if on_s and on_f:
-        return True
-    status = table[i]
-    if on_s:
-        return status in (Status.RUNNING, Status.SUCCESS)
-    if on_f:
-        return status in (Status.RUNNING, Status.FAILURE)
-    return status is Status.RUNNING
+    return (in_influence_region(bt, i, x, _table=table)
+            and table[i] in _keeping(i, pw))
+
+
+def _owner_tests(bt: BehaviorTree, pw: PathwaySets) -> tuple:
+    """(leaf id, influence preconditions, keeping statuses) for every leaf."""
+    influence = _plan(bt).influence
+    return tuple((i, influence[i], _keeping(i, pw)) for i in bt.leaf_ids)
+
+
+def _owners(table: list, tests: tuple) -> list:
+    """Leaves of tests whose operating region holds the point of table."""
+    return [
+        i for i, conds, keep in tests
+        if table[i] in keep and all(table[j] is want for j, want in conds)
+    ]
 
 
 def operating_owners(bt: BehaviorTree, x, pw: PathwaySets | None = None) -> list:
     """All leaves whose operating region contains x (should be exactly one)."""
     pw = pw or pathway_sets(bt)
-    table = _status_table(bt, x)
-    return [
-        i for i in bt.leaf_ids if in_operating_region(bt, i, x, pw, _table=table)
-    ]
+    return _owners(_status_table(bt, x), _owner_tests(bt, pw))
 
 
 @dataclass(frozen=True)
@@ -158,18 +211,15 @@ def subsystem_leaves(bt: BehaviorTree, points) -> SubsystemLeaves:
     points = _as_points(points)
     pw = pathway_sets(bt)
     seen = set()
-    remaining = set(bt.leaf_ids)
+    remaining = _owner_tests(bt, pw)
     for x in points:
         if not remaining:
             break
-        table = _status_table(bt, x)
-        for i in tuple(remaining):
-            if in_operating_region(bt, i, x, pw, _table=table):
-                seen.add(i)
-                remaining.discard(i)
+        seen.update(_owners(_status_table(bt, x), remaining))
+        remaining = tuple(t for t in remaining if t[0] not in seen)
     return SubsystemLeaves(
         witnessed=frozenset(seen),
-        possibly_empty=frozenset(remaining),
+        possibly_empty=frozenset(t[0] for t in remaining),
         samples_tested=len(points),
     )
 
@@ -221,11 +271,12 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
     canonically so reports are reproducible regardless of evaluation order.
     """
     points = _as_points(points)
-    pw = pathway_sets(bt)
+    _check_states(bt, points)
+    tests = _owner_tests(bt, pathway_sets(bt))
     report = RegionReport(samples_tested=len(points))
     for x in points:
-        owners = operating_owners(bt, x, pw)
-        active = bt.active_leaf(x)
+        owners = _owners(_status_table(bt, x), tests)
+        active = bt.resolve(x)[1]
         if len(owners) > 1:
             report.disjointness_violations.append((tuple(x), tuple(owners)))
         elif not owners:
@@ -279,6 +330,12 @@ def grid_points(box: Seq, per_axis: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _check_states(bt: BehaviorTree, points: np.ndarray) -> None:
+    """bt.check_state on the whole batch: the first non-finite row, else row 0."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    bt.check_state(points[bad[0] if bad.size else 0])
 
 
 def _as_points(points) -> np.ndarray:
