@@ -136,7 +136,6 @@ def cmd_regions(args) -> int:
     bt = model.bt
     if args.x0 is not None:
         x = _parse_x0(args.x0, bt.state_dim)
-        pw = regions.pathway_sets(bt)
         doc = {
             "x": list(x),
             "active_leaf": bt.active_leaf(x),
@@ -146,7 +145,7 @@ def cmd_regions(args) -> int:
                     "id": i,
                     "label": bt.behavior(i).label,
                     "influence": regions.in_influence_region(bt, i, x),
-                    "operating": regions.in_operating_region(bt, i, x, pw),
+                    "operating": regions.in_operating_region(bt, i, x),
                 }
                 for i in bt.leaf_ids
             ],

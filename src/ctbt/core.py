@@ -97,15 +97,6 @@ def tick(node: BtNode, x) -> tuple:
     return leaf.behavior.controller(x), status
 
 
-def root_status(node: BtNode, x) -> Status:
-    return _resolve(node, x)[0]
-
-
-def active_leaf(node: BtNode, x) -> int:
-    """Id of the leaf the delegation chain lands on at x."""
-    return _resolve(node, x)[1].node_id
-
-
 def _resolve(node: BtNode, x):
     """Delegation walk: (status, leaf node) at x, evaluating metadata only."""
     if isinstance(node, Leaf):
@@ -126,48 +117,58 @@ def _resolve(node: BtNode, x):
 def composed_status(bt: "BehaviorTree", i: int, x) -> Status:
     """Status of composite i at x computed from the closed-form region algebra.
 
-    Independent of the delegation in tick: children are all evaluated and the
-    Sequence/Fallback region formulas are applied literally (Success of a
-    Sequence is the intersection of child Successes; its Running/Failure
-    regions are unions of child regions gated by all earlier Successes; dual
-    for Fallback).  Exactly one of the three must hold.
+    Independent of the delegation in tick: every node of i's subtree is
+    evaluated and the Sequence/Fallback region formulas are applied literally
+    (Success of a Sequence is the intersection of child Successes; its
+    Running/Failure regions are unions of child regions gated by all earlier
+    Successes; dual for Fallback).  Exactly one of the three must hold.  The
+    region route in ctbt.regions evaluates the same algebra.
     """
-    node = bt.nodes[i]
-    if isinstance(node, Leaf):
+    if isinstance(bt.nodes[i], Leaf):
         raise NotComposite(f"node {i} is a leaf")
-    return _composed(node, x)
+    return _status_table(bt, x, i)[i]
 
 
-def _composed(node: BtNode, x) -> Status:
-    if isinstance(node, Leaf):
-        return node.behavior.metadata(x)
-    child = [_composed(c, x) for c in node.children]
-    if isinstance(node, Sequence):
-        gate, flow = Status.SUCCESS, Status.FAILURE
-    elif isinstance(node, Fallback):
-        gate, flow = Status.FAILURE, Status.SUCCESS
-    else:
-        raise UnknownNodeKind(f"not a behavior-tree node: {node!r}")
-    # membership in each of the three composed regions, evaluated separately:
-    # the flow and Running regions are unions over j of child j's region
-    # intersected with the gate regions of every child before j (prefix)
-    in_flow = in_run = False
-    prefix = True
-    for s in child:
-        in_flow = in_flow or (prefix and s is flow)
-        in_run = in_run or (prefix and s is Status.RUNNING)
-        prefix = prefix and s is gate
-    in_gate = prefix
-    picked = [
-        st
-        for st, hit in ((gate, in_gate), (flow, in_flow), (Status.RUNNING, in_run))
-        if hit
-    ]
-    if len(picked) != 1:
-        raise AssertionError(
-            f"composed regions of node {node.node_id} do not partition at {x!r}: {picked}"
-        )
-    return picked[0]
+# Status every child must share for the composite to share it; a left uncle
+# under a parent of this kind must hold it for execution to pass on.
+_GATE = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
+
+
+def _compose(node_id: int, gate: Status, child_statuses, x) -> Status:
+    """Composite status from its children's statuses by the region algebra.
+
+    The gate region is the intersection of the children's gate regions; the
+    flow (Running) region is the union over j of child j's flow (Running)
+    region intersected with the gate regions of every child before j.  So x
+    lies in the region of the first child status that is not the gate
+    status, or in the gate region if there is none.  Exactly one of the three
+    regions must hold: a consulted child status that is not a Status puts x
+    in none of them.
+    """
+    for s in child_statuses:
+        if s is not gate:
+            if isinstance(s, Status):
+                return s
+            raise AssertionError(
+                f"composed regions of node {node_id} do not partition at {x!r}: "
+                f"child status {s!r}"
+            )
+    return gate
+
+
+def _status_table(bt: "BehaviorTree", x, i: int = 0) -> list:
+    """Status at x of every node in i's subtree via the region algebra.
+
+    One pass over the post-order steps of i's subtree, so every child is
+    evaluated before its parent; entries outside the subtree stay None.
+    """
+    table = [None] * len(bt.nodes)
+    for j, metadata, gate, kids in bt._steps[bt._subtree[i]]:
+        if metadata is not None:
+            table[j] = metadata(x)
+        else:
+            table[j] = _compose(j, gate, [table[c] for c in kids], x)
+    return table
 
 
 class BehaviorTree:
@@ -182,19 +183,27 @@ class BehaviorTree:
     def __init__(self, root: BtNode, state_dim: int | None = None):
         nodes: dict = {}
         edges = []
+        steps = []  # (node id, leaf metadata or None, gate status, child ids)
+        subtree = {}  # node id -> slice of steps covering its subtree
 
         def collect(node: BtNode):
             if node.node_id in nodes:
                 raise ValueError(f"node id {node.node_id} used twice")
             nodes[node.node_id] = node
+            first = len(steps)
             if isinstance(node, (Sequence, Fallback)):
                 if not node.children:
                     raise ValueError(f"composite {node.node_id} has no children")
-                edges.append((node.node_id, [c.node_id for c in node.children]))
+                kids = tuple(c.node_id for c in node.children)
+                edges.append((node.node_id, kids))
                 for c in node.children:
                     collect(c)
-            elif not isinstance(node, Leaf):
+                steps.append((node.node_id, None, _GATE[_kind(node)], kids))
+            elif isinstance(node, Leaf):
+                steps.append((node.node_id, node.behavior.metadata, None, ()))
+            else:
                 raise UnknownNodeKind(f"not a behavior-tree node: {node!r}")
+            subtree[node.node_id] = slice(first, len(steps))
 
         collect(root)
         if root.node_id != 0:
@@ -207,7 +216,10 @@ class BehaviorTree:
         self.nodes = tuple(nodes[i] for i in range(len(nodes)))
         self.kinds = tuple(_kind(n) for n in self.nodes)
         self.leaf_ids = tuple(i for i, k in enumerate(self.kinds) if k == "leaf")
-        self._pathways = None  # filled lazily by regions.pathways
+        # post-order status steps: a node's subtree is a contiguous slice
+        # ending at its own step, every child before its parent
+        self._steps = tuple(steps)
+        self._subtree = tuple(subtree[i] for i in range(len(nodes)))
         self._region_plan = None  # filled lazily by regions._plan
 
     def check_state(self, x) -> np.ndarray:
@@ -224,10 +236,11 @@ class BehaviorTree:
         return tick(self.root, self.check_state(x))
 
     def root_status(self, x) -> Status:
-        return root_status(self.root, self.check_state(x))
+        return _resolve(self.root, self.check_state(x))[0]
 
     def active_leaf(self, x) -> int:
-        return active_leaf(self.root, self.check_state(x))
+        """Id of the leaf the delegation chain lands on at x."""
+        return _resolve(self.root, self.check_state(x))[1].node_id
 
     def resolve(self, x):
         """(root status, active leaf id) at x in one walk, no revalidation.
@@ -240,7 +253,7 @@ class BehaviorTree:
 
     def status(self, i: int, x) -> Status:
         """Status of the subtree rooted at i, by delegation semantics."""
-        return root_status(self.nodes[i], x)
+        return _resolve(self.nodes[i], x)[0]
 
     def behavior(self, i: int) -> LeafBehavior:
         node = self.nodes[i]

@@ -1023,25 +1023,25 @@ def _num(v: float) -> str:
     return text
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def format_expr(e, parent_prec: int = 0) -> str:
+def format_expr(e, parent_prec: int = _COND) -> str:
+    """Source text of e, parenthesized unless it binds at least as tightly as
+    parent_prec (the code generator's binding strengths)."""
     if isinstance(e, Num):
         if e.value < 0:
             inner = f"-{_num(-e.value)}"
-            return f"({inner})" if parent_prec >= 3 else inner
+            return f"({inner})" if parent_prec >= _UNARY else inner
         return _num(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        inner = f"-{format_expr(e.operand, 3)}"
-        return f"({inner})" if parent_prec >= 3 else inner
+        inner = f"-{format_expr(e.operand, _UNARY)}"
+        return f"({inner})" if parent_prec >= _UNARY else inner
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = _MUL if e.op in "*/" else _ADD
         left = format_expr(e.left, prec)
-        # right operand of - and / needs parens at equal precedence
-        right = format_expr(e.right, prec + (0 if e.op in "+*" else 1))
+        # the right operand binds one level tighter, as in the code
+        # generator, so a - (b - c) and a + (b + c) keep their grouping
+        right = format_expr(e.right, prec + 1)
         text = f"{left} {e.op} {right}"
         return f"({text})" if parent_prec > prec else text
     if isinstance(e, Call):

@@ -16,8 +16,8 @@ the statuses that keep execution at i:
 Sibling operating regions partition the parent's, so leaf operating regions
 partition the whole state space; the leaf owning x is exactly the leaf tick
 delegates to at x.  Everything here is evaluated through the closed-form
-status algebra (core._composed), never through tick's delegation, so the two
-routes stay independently testable.
+status algebra (core._compose, the one composed_status uses), never through
+tick's delegation, so the two routes stay independently testable.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence as Seq
 
 import numpy as np
 
-from .core import BehaviorTree, Leaf, Status, UnknownNodeKind
+from .core import _GATE, BehaviorTree, Status, UnknownNodeKind, _status_table
 from .tree import OrderedTree
 
 
@@ -63,93 +63,7 @@ def pathways(tree: OrderedTree, node_kinds: Mapping) -> PathwaySets:
 
 def pathway_sets(bt: BehaviorTree) -> PathwaySets:
     """pathways() over a BehaviorTree, cached on the instance."""
-    if bt._pathways is None:
-        bt._pathways = pathways(bt.tree, bt.kinds)
-    return bt._pathways
-
-
-# Status every child must share for the composite to share it; a left uncle
-# under a parent of this kind must hold it for execution to pass on.
-_GATE = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
-_FLOW = {Status.SUCCESS: Status.FAILURE, Status.FAILURE: Status.SUCCESS}
-
-
-@dataclass(frozen=True)
-class _RegionPlan:
-    """Per-tree tables the region predicates read, built once per tree.
-
-    steps: (node id, leaf metadata or None, gate status, child ids) in
-    post-order, so every child precedes its parent.  influence: for each
-    node id, its (left uncle, required status) preconditions.
-    """
-
-    steps: tuple
-    influence: tuple
-
-
-def _plan(bt: BehaviorTree) -> _RegionPlan:
-    """_RegionPlan of bt, cached on the instance."""
-    if bt._region_plan is None:
-        steps = []
-
-        def visit(node):
-            if isinstance(node, Leaf):
-                steps.append((node.node_id, node.behavior.metadata, None, ()))
-                return
-            for c in node.children:
-                visit(c)
-            steps.append((node.node_id, None, _GATE[bt.kinds[node.node_id]],
-                          tuple(c.node_id for c in node.children)))
-
-        visit(bt.root)
-        influence = tuple(
-            tuple((j, _GATE[bt.kinds[bt.tree.parent_of(j)]])
-                  for j in bt.tree.left_uncles(i))
-            for i in range(len(bt.nodes))
-        )
-        bt._region_plan = _RegionPlan(steps=tuple(steps), influence=influence)
-    return bt._region_plan
-
-
-def _status_table(bt: BehaviorTree, x) -> list:
-    """Status of every node at x via the composed-region algebra (one pass)."""
-    table = [None] * len(bt.nodes)
-    for i, metadata, gate, kids in _plan(bt).steps:
-        if metadata is not None:
-            table[i] = metadata(x)
-        else:
-            table[i] = _composed_from(gate, [table[c] for c in kids])
-    return table
-
-
-def _composed_from(gate: Status, child: list) -> Status:
-    """Composite status from already-computed child statuses (region algebra).
-
-    Evaluates the composed-region membership predicates literally, the same
-    way core._composed does, rather than delegating like tick: the gate
-    region is the intersection of the children's gate regions, the flow
-    region the union over j of child j's flow region intersected with the
-    gate regions of every child before j.
-    """
-    if child.count(gate) == len(child):
-        return gate
-    flow = _FLOW[gate]
-    prefix = True  # x lies in the gate region of every child before this one
-    for s in child:
-        if prefix and s is flow:
-            return flow
-        prefix = prefix and s is gate
-    return Status.RUNNING
-
-
-def in_influence_region(bt: BehaviorTree, i: int, x, _table=None) -> bool:
-    """Is x inside node i's influence region?
-
-    Every left uncle under a Sequence parent must be in Success at x, every
-    left uncle under a Fallback parent in Failure.
-    """
-    table = _status_table(bt, x) if _table is None else _table
-    return all(table[j] is want for j, want in _plan(bt).influence[i])
+    return _plan(bt).pathways
 
 
 _KEEP = {
@@ -165,19 +79,50 @@ def _keeping(i: int, pw: PathwaySets) -> tuple:
     return _KEEP[i in pw.success, i in pw.failure]
 
 
-def in_operating_region(bt: BehaviorTree, i: int, x, pw: PathwaySets | None = None,
-                        _table=None) -> bool:
+@dataclass(frozen=True)
+class _RegionPlan:
+    """Per-tree tables the region predicates read, built once per tree.
+
+    influence: for each node id, its (left uncle, required status)
+    preconditions.  owner_tests: (leaf id, influence preconditions, keeping
+    statuses) for every leaf.
+    """
+
+    influence: tuple
+    pathways: PathwaySets
+    owner_tests: tuple
+
+
+def _plan(bt: BehaviorTree) -> _RegionPlan:
+    """_RegionPlan of bt, cached on the instance."""
+    if bt._region_plan is None:
+        influence = tuple(
+            tuple((j, _GATE[bt.kinds[bt.tree.parent_of(j)]])
+                  for j in bt.tree.left_uncles(i))
+            for i in range(len(bt.nodes))
+        )
+        pw = pathways(bt.tree, bt.kinds)
+        owner_tests = tuple((i, influence[i], _keeping(i, pw)) for i in bt.leaf_ids)
+        bt._region_plan = _RegionPlan(influence, pw, owner_tests)
+    return bt._region_plan
+
+
+def in_influence_region(bt: BehaviorTree, i: int, x) -> bool:
+    """Is x inside node i's influence region?
+
+    Every left uncle under a Sequence parent must be in Success at x, every
+    left uncle under a Fallback parent in Failure.
+    """
+    table = _status_table(bt, x)
+    return all(table[j] is want for j, want in _plan(bt).influence[i])
+
+
+def in_operating_region(bt: BehaviorTree, i: int, x) -> bool:
     """Is x inside node i's operating region (the case split in the module doc)?"""
-    pw = pw or pathway_sets(bt)
-    table = _status_table(bt, x) if _table is None else _table
-    return (in_influence_region(bt, i, x, _table=table)
-            and table[i] in _keeping(i, pw))
-
-
-def _owner_tests(bt: BehaviorTree, pw: PathwaySets) -> tuple:
-    """(leaf id, influence preconditions, keeping statuses) for every leaf."""
-    influence = _plan(bt).influence
-    return tuple((i, influence[i], _keeping(i, pw)) for i in bt.leaf_ids)
+    plan = _plan(bt)
+    table = _status_table(bt, x)
+    return (all(table[j] is want for j, want in plan.influence[i])
+            and table[i] in _keeping(i, plan.pathways))
 
 
 def _owners(table: list, tests: tuple) -> list:
@@ -188,10 +133,9 @@ def _owners(table: list, tests: tuple) -> list:
     ]
 
 
-def operating_owners(bt: BehaviorTree, x, pw: PathwaySets | None = None) -> list:
+def operating_owners(bt: BehaviorTree, x) -> list:
     """All leaves whose operating region contains x (should be exactly one)."""
-    pw = pw or pathway_sets(bt)
-    return _owners(_status_table(bt, x), _owner_tests(bt, pw))
+    return _owners(_status_table(bt, x), _plan(bt).owner_tests)
 
 
 @dataclass(frozen=True)
@@ -209,9 +153,8 @@ class SubsystemLeaves:
 
 def subsystem_leaves(bt: BehaviorTree, points) -> SubsystemLeaves:
     points = _as_points(points)
-    pw = pathway_sets(bt)
     seen = set()
-    remaining = _owner_tests(bt, pw)
+    remaining = _plan(bt).owner_tests
     for x in points:
         if not remaining:
             break
@@ -272,7 +215,7 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
     """
     points = _as_points(points)
     _check_states(bt, points)
-    tests = _owner_tests(bt, pathway_sets(bt))
+    tests = _plan(bt).owner_tests
     report = RegionReport(samples_tested=len(points))
     for x in points:
         owners = _owners(_status_table(bt, x), tests)
@@ -292,10 +235,9 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
 def region_table(bt: BehaviorTree, points) -> list:
     """Rows (x..., owner leaf id, root status letter) for a CSV dump."""
     points = _as_points(points)
-    pw = pathway_sets(bt)
     rows = []
     for x in points:
-        owners = operating_owners(bt, x, pw)
+        owners = operating_owners(bt, x)
         owner = owners[0] if len(owners) == 1 else -1
         rows.append((*x, owner, bt.root_status(x).value))
     return rows

@@ -646,6 +646,18 @@ def test_round_trip_tricky_expressions():
     assert dsl.parse(dsl.format_model(m)) == m
 
 
+def test_round_trip_random_expressions():
+    """format_model keeps every grouping: a + (b + c) and a * (b * c) are
+    different float computations from (a + b) + c and (a * b) * c."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        m = dsl.parse(random_expression_btm(rng, int(rng.integers(2, 5))))
+        text = dsl.format_model(m)
+        again = dsl.parse(text)
+        assert again == m, seed
+        assert dsl.format_model(again) == text, seed
+
+
 def test_format_preserves_declaration_order():
     m = dsl.parse(bundled("thermostat.btm"))
     text = dsl.format_model(m)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import kitchen_bt, random_bt, thermostat_bt
 
-from ctbt.core import BehaviorTree, Leaf, LeafBehavior, Sequence, Status
+from ctbt.core import BehaviorTree, Leaf, LeafBehavior, Sequence, Status, composed_status
 from ctbt.regions import (
     EmptySampler,
     check_partition,
@@ -113,14 +113,13 @@ def test_sibling_operating_regions_partition_parent():
     """Children's operating regions tile the parent's, for every composite."""
     for seed in range(12):
         bt = random_bt(seed)
-        pw = pathway_sets(bt)
         composites = [i for i, k in enumerate(bt.kinds) if k != "leaf"]
         for x in uniform_points([(-3, 3), (-3, 3)], 150, seed=500 + seed):
             for c in composites:
-                inside = in_operating_region(bt, c, x, pw)
+                inside = in_operating_region(bt, c, x)
                 owners = [
                     k.node_id for k in bt.nodes[c].children
-                    if in_operating_region(bt, k.node_id, x, pw)
+                    if in_operating_region(bt, k.node_id, x)
                 ]
                 assert len(owners) == (1 if inside else 0)
 
@@ -175,6 +174,21 @@ def test_impure_metadata_is_caught_and_sorted():
     assert total > 0
     assert report.coverage_violations == sorted(report.coverage_violations)
     assert report.equivalence_violations == sorted(report.equivalence_violations)
+
+
+def test_malformed_metadata_fails_alike_in_both_routes():
+    """A leaf status that is not a Status puts x in none of its parent's
+    composed regions; composed_status and the partition audit both say so."""
+    bad = Leaf(1, LeafBehavior(lambda x: (0.0,), lambda x: "S", "letter"))
+    steady = Leaf(2, LeafBehavior(lambda x: (0.0,), lambda x: Status.RUNNING, "steady"))
+    bt = BehaviorTree(Sequence(0, (bad, steady)), state_dim=1)
+    points = np.zeros((1, 1))
+    with pytest.raises(AssertionError, match="composed regions of node 0 do not "
+                                             "partition") as direct:
+        composed_status(bt, 0, points[0])
+    with pytest.raises(AssertionError) as audit:
+        check_partition(bt, points)
+    assert str(audit.value) == str(direct.value)
 
 
 def test_uniform_points_deterministic_and_bounded():
