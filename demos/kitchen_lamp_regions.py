@@ -13,7 +13,6 @@ from ctbt import (
     check_partition,
     dsl,
     in_influence_region,
-    in_operating_region,
     operating_owners,
     pathway_sets,
     uniform_points,
@@ -49,7 +48,7 @@ def main():
     # the gate leaf's success region is the only door to the lamp subtree
     for x in [(-0.5, 0.0), (1.5, 0.0), (1.5, 1.5)]:
         gates = [i for i in bt.leaf_ids if in_influence_region(bt, i, x)]
-        owner = [i for i in bt.leaf_ids if in_operating_region(bt, i, x)]
+        owner = operating_owners(bt, x)
         print(f"x = {x}: influence open for leaves {gates}, owner {owner}")
     print()
 

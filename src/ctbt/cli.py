@@ -136,6 +136,7 @@ def cmd_regions(args) -> int:
     bt = model.bt
     if args.x0 is not None:
         x = _parse_x0(args.x0, bt.state_dim)
+        owners = regions.operating_owners(bt, x)
         doc = {
             "x": list(x),
             "active_leaf": bt.active_leaf(x),
@@ -145,7 +146,7 @@ def cmd_regions(args) -> int:
                     "id": i,
                     "label": bt.behavior(i).label,
                     "influence": regions.in_influence_region(bt, i, x),
-                    "operating": regions.in_operating_region(bt, i, x),
+                    "operating": i in owners,
                 }
                 for i in bt.leaf_ids
             ],

@@ -32,9 +32,11 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -95,6 +97,10 @@ class DivisionByZero(ModelError):
 
 class UnboundIdentifier(ModelError):
     pass
+
+
+class _ControlCountMismatch(ModelError, DimensionMismatch):
+    """A leaf's control vector does not match the declared control count."""
 
 
 # ---------------------------------------------------------------- expressions
@@ -201,8 +207,7 @@ COMPARATORS = ("<=", ">=", "<", ">")
 
 # ---------------------------------------------------------------------- lexer
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUMBER IDENT KEYWORD STRING OP EOF
     text: str
     line: int
@@ -214,82 +219,46 @@ class Token:
         return (self.line, self.col)
 
 
+# One alternative per token class, tried in order; the lower-case classes
+# are layout or errors.  Digits are ASCII only.
+_LEXEME = re.compile(r"""
+    (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<malformed>[0-9]+(?:\.(?![0-9])|(?:\.[0-9]+)?[eE](?![+-]?[0-9])))
+  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | "(?P<STRING>[^"\n]*)"
+  | (?P<unterminated>")
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<OP><=|>=|[<>=+\-*/()\[\]{},;])
+  | (?P<unexpected>.)
+""", re.VERBOSE)
+
+_LEX_ERRORS = {"malformed": "malformed number", "unterminated": "unterminated string",
+               "unexpected": "unexpected character {!r}"}
+
+
 def tokenize(source: str) -> list:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise LexError("unterminated string", start_line, start_col)
-            tokens.append(Token("STRING", source[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                if j >= n or not source[j].isdigit():
-                    raise LexError("malformed number", start_line, start_col)
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                j += 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j >= n or not source[j].isdigit():
-                    raise LexError("malformed number", start_line, start_col)
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            tokens.append(Token("NUMBER", text, start_line, start_col, float(text)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in ("<=", ">="):
-            tokens.append(Token("OP", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in "<>=+-*/()[]{},;":
-            tokens.append(Token("OP", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        text, col = m[kind], m.start() - line_start + 1
+        if kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
+            kind, text = "unexpected", text[0]  # a numeral such as '²'
+        elif kind == "IDENT" and text in KEYWORDS:
+            kind = "KEYWORD"
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in _LEX_ERRORS:
+            raise LexError(_LEX_ERRORS[kind].format(text), line, col)
+        elif kind == "NUMBER":
+            value = float(text)
+            if value == math.inf:
+                raise LexError("number out of range", line, col)
+            tokens.append(Token(kind, text, line, col, value))
+        elif kind != "skip":
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -330,8 +299,8 @@ class _Parser:
         self.expect("OP", "{")
         consts, nodes, plant_entries = [], [], []
         state_dim = control_dim = None
-        root = None
-        seen: dict = {}
+        root = plant_tok = None
+        seen: dict = {}  # declared name -> position
         while not self.at("OP", "}"):
             tok = self.peek()
             if tok.kind != "KEYWORD":
@@ -347,6 +316,7 @@ class _Parser:
             elif tok.text == "plant":
                 if plant_entries:
                     raise DuplicateDefinition("plant defined twice", tok.line, tok.col)
+                plant_tok = tok
                 plant_entries = self.plant_decl()
             elif tok.text == "leaf":
                 nodes.append(self.leaf_decl(seen))
@@ -374,6 +344,8 @@ class _Parser:
         if control_dim is None:
             raise ParseError("model never declares its control dimension",
                              name_tok.line, name_tok.col)
+        if not plant_entries:
+            raise ParseError("model has no plant block", close.line, close.col)
         if root is None:
             raise MissingRoot("model has no root declaration", close.line, close.col)
         return _validate(ModelFile(
@@ -384,7 +356,7 @@ class _Parser:
             plant=tuple(plant_entries),
             nodes=tuple(nodes),
             root=root.text,
-        ), root_pos=root.pos)
+        ), root_pos=root.pos, plant_pos=plant_tok.pos, positions=seen)
 
     def const_decl(self, seen):
         self.advance()
@@ -473,7 +445,7 @@ class _Parser:
         if name.text in seen:
             raise DuplicateDefinition(f"{name.text!r} is already defined",
                                       name.line, name.col)
-        seen[name.text] = what
+        seen[name.text] = name.pos
         return name
 
     # ---- expressions (precedence: additive < multiplicative < unary < atom)
@@ -569,13 +541,14 @@ def parse(source: str) -> ModelFile:
 
 # ------------------------------------------------------- semantic validation
 
-def _validate(m: ModelFile, root_pos) -> ModelFile:
+def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
     state_vars = {f"x{k}": k for k in range(m.state_dim)}
     control_vars = {f"u{k}": k for k in range(m.control_dim)}
     consts = dict(m.constants)
     for name in consts:
         if name in state_vars or name in control_vars:
-            raise DuplicateDefinition(f"{name!r} collides with a model variable")
+            raise DuplicateDefinition(f"{name!r} collides with a model variable",
+                                      *positions[name])
 
     decls = {d.name: d for d in m.nodes}
     for d in m.nodes:
@@ -598,11 +571,9 @@ def _validate(m: ModelFile, root_pos) -> ModelFile:
         seen_targets[var] = (target, expr)
         _check_expr(expr, state_vars, control_vars, consts, allow_control=True)
         plant_entries.append((var, expr))
-    if not m.plant:
-        raise ParseError("model has no plant block")
     for var in state_vars:
         if var not in seen_targets:
-            raise ParseError(f"plant never defines d{var}")
+            raise ParseError(f"plant never defines d{var}", *plant_pos)
     plant_entries.sort(key=lambda pair: state_vars[pair[0]])
 
     # leaves and composites
@@ -755,7 +726,12 @@ def fold_constants(e, consts: Mapping):
     if isinstance(e, Call):
         args = tuple(fold_constants(a, consts) for a in e.args)
         if all(isinstance(a, Num) for a in args):
-            return Num(float(_FUNC_IMPLS[e.func](*(a.value for a in args))), pos=e.pos)
+            try:
+                value = _FUNC_IMPLS[e.func](*(a.value for a in args))
+            except ValueError as err:  # math domain error, e.g. sqrt(-1.0)
+                raise ModelError(f"{e.func} of a constant outside its domain",
+                                 *e.pos) from err
+            return Num(float(value), pos=e.pos)
         return Call(e.func, args, pos=e.pos)
     if isinstance(e, Compare):
         return Compare(e.op, fold_constants(e.left, consts),
@@ -808,6 +784,7 @@ class _FunctionSource:
         self.controls_used: set = set()
         self.constants = 0
         self.temps = 0
+        self.tops: list = []  # (source, position) of each whole expression
         self.source = ""
 
     def helper(self, name: str, value) -> str:
@@ -875,6 +852,12 @@ class _FunctionSource:
                 f"else {self.status(s.els)}")
         return text if need == _COND else f"({text})"
 
+    def top(self, e) -> str:
+        """Source of one whole real or status expression of the function."""
+        text = self.status(e) if isinstance(e, (StatusLit, IfStatus)) else self.real(e)
+        self.tops.append((text, e.pos))
+        return text
+
     def function(self, name: str, params: str, result: str) -> Callable:
         """Compile `def name(params): <unpack used variables>; return result`."""
         lines = [f"def {name}({params}):"]
@@ -889,9 +872,11 @@ class _FunctionSource:
             code = compile(self.source, f"<btm {name}>", "exec")
         except (SyntaxError, RecursionError) as err:
             # Python caps the nesting depth of one expression (200 open
-            # parentheses in the tokenizer)
+            # parentheses in the tokenizer); blame the most deeply nested one
+            _, pos = max(self.tops, key=lambda top: max(
+                accumulate((c == "(") - (c == ")") for c in top[0])))
             raise ModelTypeError(
-                f"a {name} expression nests too deeply to compile") from err
+                f"a {name} expression nests too deeply to compile", *pos) from err
         exec(code, self.ns)
         return self.ns[name]
 
@@ -903,19 +888,19 @@ def _tuple_items(items: list) -> str:
 
 def _field_function(exprs, sx: Mapping, su: Mapping) -> Callable:
     g = _FunctionSource(sx, su)
-    items = ", ".join(g.real(e) for e in exprs)
+    items = ", ".join(g.top(e) for e in exprs)
     return g.function("field", "x, u", f"{g.helper('_array', np.array)}([{items}])")
 
 
 def _controller_function(exprs, sx: Mapping) -> Callable:
     g = _FunctionSource(sx, {})
-    items = _tuple_items([g.real(e) for e in exprs])
+    items = _tuple_items([g.top(e) for e in exprs])
     return g.function("controller", "x", f"({items})")
 
 
 def _status_function(s, sx: Mapping) -> Callable:
     g = _FunctionSource(sx, {})
-    return g.function("status", "x", g.status(s))
+    return g.function("status", "x", g.top(s))
 
 
 @dataclass(frozen=True)
@@ -950,9 +935,9 @@ def lower(m: ModelFile) -> LoweredModel:
         counter[0] += 1
         if isinstance(decl, LeafDecl):
             if len(decl.controls) != m.control_dim:
-                raise DimensionMismatch(
+                raise _ControlCountMismatch(
                     f"leaf {decl.name!r} defines {len(decl.controls)} control "
-                    f"component(s), model declares {m.control_dim}")
+                    f"component(s), model declares {m.control_dim}", *decl.pos)
             behavior = LeafBehavior(
                 controller=_controller_function(
                     [fold_constants(e, consts) for e in decl.controls], sx),

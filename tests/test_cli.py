@@ -53,6 +53,17 @@ def test_validate_reports_error_location(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_validate_reports_control_count_location(tmp_path, capsys):
+    bad = tmp_path / "bad.btm"
+    bad.write_text('model "bad" {\n  state 1;\n  control 2;\n'
+                   '  plant { dx0 = u0 + u1; }\n'
+                   '  leaf a { u = [0.0]; status = R; }\n'
+                   '  root = a;\n}\n')
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert "line 5" in err
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "no_such_model.btm")
     assert code == 1

@@ -63,6 +63,45 @@ def test_lex_errors():
         dsl.tokenize("x = 3.;")
     with pytest.raises(LexError):
         dsl.tokenize("x = 1e;")
+    # digits are ASCII: other numerals are unexpected characters
+    for source, col in (("x = 2\u00b2;", 6), ("x = \u0663;", 5)):
+        with pytest.raises(LexError, match="unexpected character") as e:
+            dsl.tokenize(source)
+        assert (e.value.line, e.value.col) == (1, col)
+
+
+def test_number_out_of_range():
+    src = MINI.replace("control 1;", "control 1;\n  const T = 1e400;")
+    with pytest.raises(LexError, match="number out of range") as e:
+        dsl.parse(src)
+    assert (e.value.line, e.value.col) == (4, 13)
+    # the largest literals stay in range and survive the canonical form
+    m = dsl.parse(src.replace("1e400", "1e308"))
+    assert dsl.parse(dsl.format_model(m)) == m
+
+
+LEX_ALPHABET = [*"abxu_09.eE+-*/<>=(){}[],;\"# \t\r\n$", "<=", ">=", "model",
+                "if", "2.5", "1e3", "1e400", "\u00b2", "\u0663", "\u00e9"]
+
+
+def test_token_positions_point_at_their_text():
+    """Every token's text starts at its line and column, and every lexer
+    error lies inside the input."""
+    rng = np.random.default_rng(2109)
+    for _ in range(2000):
+        source = "".join(rng.choice(LEX_ALPHABET, size=int(rng.integers(0, 30))))
+        lines = source.split("\n")
+        try:
+            tokens = dsl.tokenize(source)
+        except LexError as err:
+            assert 1 <= err.line <= len(lines), source
+            assert 1 <= err.col <= len(lines[err.line - 1]), source
+            continue
+        for tok in tokens:
+            line = lines[tok.line - 1]
+            assert 1 <= tok.col <= len(line) + 1, (source, tok)
+            text = f'"{tok.text}"' if tok.kind == "STRING" else tok.text
+            assert line[tok.col - 1:].startswith(text), (source, tok)
 
 
 # ------------------------------------------------------------------ parsing
@@ -324,6 +363,32 @@ def test_lower_ids_are_depth_first():
     assert bt.behavior(1).label == "a"
     assert bt.behavior(3).label == "b"
     assert bt.behavior(4).label == "c"
+
+
+DEEP = "x0"
+for _ in range(230):
+    DEEP = f"x0 - ({DEEP})"
+
+LATE_ERRORS = [
+    # (source, line, col): errors found once the model body has been read,
+    # by validation, folding, lowering or compiling
+    (MINI.replace("control 1;", "control 1;\n  const x0 = 1.0;"), 4, 9),
+    (MINI.replace("  plant { dx0 = u0; }\n", ""), 6, 1),
+    (MINI.replace("state 1;", "state 2;"), 4, 3),
+    (MINI.replace("control 1;", "control 2;").replace("dx0 = u0;", "dx0 = u0 + u1;"),
+     5, 8),
+    (MINI.replace("u = [1.0]", "u = [sqrt(0.0 - 1.0)]"), 5, 18),
+    (MINI.replace("u = [1.0]", f"u = [{DEEP}]"), 5, 21),
+]
+
+
+@pytest.mark.parametrize("source,line,col", LATE_ERRORS,
+                         ids=["const-collision", "no-plant", "missing-derivative",
+                              "control-count", "constant-domain", "deep-nesting"])
+def test_every_model_error_has_a_position(source, line, col):
+    with pytest.raises(dsl.ModelError) as e:
+        dsl.lower(dsl.parse(source))
+    assert (e.value.line, e.value.col) == (line, col), str(e.value)
 
 
 def test_lower_control_dimension_checked():

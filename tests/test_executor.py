@@ -225,6 +225,37 @@ def test_triple_point_chatter_is_rejected():
         integrate(integrator_plant(2), bt, [0.001, 0.0], cfg)
 
 
+def test_root_failure_is_recorded_once_and_the_run_goes_on():
+    fails_past_one = LeafBehavior(
+        lambda x: (1.0,),
+        lambda x: Status.FAILURE if x[0] > 1.0 else Status.RUNNING)
+    bt = BehaviorTree(Leaf(0, fails_past_one), state_dim=1)
+    traj = integrate(integrator_plant(1), bt, [0.0],
+                     IntegratorConfig(dt=0.01, t_end=2.0))
+    failures = traj.events_of("RootFailure")
+    assert len(failures) == 1
+    assert failures[0].t == pytest.approx(1.0, abs=1e-5)
+    assert traj.duration == pytest.approx(2.0)
+    assert traj.samples[-1].status is Status.FAILURE
+
+
+def test_switches_spread_over_many_steps_do_not_slide():
+    # a harmonic oscillator crosses x0 = 0 every pi seconds: the chatter
+    # check sees max_chatter switches, but far more than one step apart
+    a = Leaf(1, LeafBehavior(
+        lambda x: (0.0,),
+        lambda x: Status.RUNNING if x[0] > 0.0 else Status.FAILURE, label="a"))
+    b = Leaf(2, LeafBehavior(lambda x: (0.0,), lambda x: Status.RUNNING, label="b"))
+    bt = BehaviorTree(Fallback(0, (a, b)), state_dim=2)
+    oscillator = Plant(2, 1, lambda x, u: np.array([x[1], -x[0]]))
+    traj = integrate(oscillator, bt, [1.0, 0.0], IntegratorConfig(dt=0.01, t_end=15.0))
+    times = [e.t for e in traj.events_of("Switch")]
+    assert len(times) == 5
+    assert times[0] == pytest.approx(0.5 * math.pi, abs=1e-4)
+    assert np.diff(times) == pytest.approx([math.pi] * 4, abs=1e-4)
+    assert not traj.events_of("SlideEnter")
+
+
 # ------------------------------------------------------------ accuracy
 
 def single_leaf_bt(controller, dim):
