@@ -89,8 +89,10 @@ def _load(model_arg: str) -> dsl.LoweredModel:
 
 
 def _config(args) -> IntegratorConfig:
-    return IntegratorConfig(dt=args.dt, t_end=args.t_end,
-                            event_tol=args.event_tol)
+    try:
+        return IntegratorConfig(dt=args.dt, t_end=args.t_end, event_tol=args.event_tol)
+    except ValueError as err:
+        raise CliError(str(err))
 
 
 def _emit(text: str, output) -> None:

@@ -150,8 +150,8 @@ def _compose(node_id: int, gate: Status, child_statuses, x) -> Status:
             if isinstance(s, Status):
                 return s
             raise AssertionError(
-                f"composed regions of node {node_id} do not partition at {x!r}: "
-                f"child status {s!r}"
+                f"composed regions of node {node_id} do not partition at "
+                f"{tuple(float(v) for v in x)!r}: child status {s!r}"
             )
     return gate
 
@@ -222,7 +222,8 @@ class BehaviorTree:
         self._subtree = tuple(subtree[i] for i in range(len(nodes)))
         self._region_plan = None  # filled lazily by regions._plan
 
-    def check_state(self, x) -> np.ndarray:
+    def check_state(self, x) -> tuple:
+        """x in the package's one state format, a tuple of Python floats."""
         x = np.asarray(x, dtype=float)
         if self.state_dim is not None and x.shape != (self.state_dim,):
             raise DimensionMismatch(
@@ -230,7 +231,7 @@ class BehaviorTree:
             )
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(f"state is not finite: {x!r}")
-        return x
+        return tuple(x.tolist())
 
     def tick(self, x):
         return tick(self.root, self.check_state(x))

@@ -38,8 +38,6 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Union
 
-import numpy as np
-
 from .core import (
     BehaviorTree,
     DimensionMismatch,
@@ -536,7 +534,11 @@ class _Parser:
 
 def parse(source: str) -> ModelFile:
     """Parse .btm source into a ModelFile, validating names and structure."""
-    return _Parser(tokenize(source)).model()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.model()
+    except RecursionError:  # the descent takes Python frames per nesting level
+        raise ModelTypeError("expression nests too deeply", *parser.peek().pos) from None
 
 
 # ------------------------------------------------------- semantic validation
@@ -579,9 +581,8 @@ def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
     # leaves and composites
     for d in m.nodes:
         if isinstance(d, LeafDecl):
-            for e in d.controls:
+            for e in (*d.controls, d.status):
                 _check_expr(e, state_vars, control_vars, consts, allow_control=False)
-            _check_status(d.status, state_vars, control_vars, consts)
         else:
             for child, pos in zip(d.children, d.child_positions):
                 if child not in decls:
@@ -606,40 +607,39 @@ def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
         root=m.root)
 
 
-def _check_expr(e: Expr, sx, su, consts, allow_control: bool) -> None:
-    if isinstance(e, Num):
-        return
-    if isinstance(e, Var):
-        if e.name in sx or e.name in consts:
-            return
-        if e.name in su:
-            if allow_control:
-                return
-            raise UndeclaredIdentifier(
-                f"control variable {e.name!r} is only available in plant "
-                "equations", *e.pos)
-        raise UndeclaredIdentifier(f"undeclared identifier {e.name!r}", *e.pos)
-    if isinstance(e, Neg):
-        _check_expr(e.operand, sx, su, consts, allow_control)
-        return
-    if isinstance(e, Binary):
-        _check_expr(e.left, sx, su, consts, allow_control)
-        _check_expr(e.right, sx, su, consts, allow_control)
-        return
-    if isinstance(e, Call):
-        for a in e.args:
-            _check_expr(a, sx, su, consts, allow_control)
-        return
-    raise ModelTypeError(f"not a real expression: {e!r}")
+# Nesting levels an expression may have: lowering and formatting walk it
+# recursively, about one Python frame per level, under Python's default
+# recursion limit of 1000.
+_MAX_DEPTH = 900
 
 
-def _check_status(s: StatusExpr, sx, su, consts) -> None:
-    if isinstance(s, StatusLit):
-        return
-    _check_expr(s.cond.left, sx, su, consts, allow_control=False)
-    _check_expr(s.cond.right, sx, su, consts, allow_control=False)
-    _check_status(s.then, sx, su, consts)
-    _check_status(s.els, sx, su, consts)
+def _check_expr(e, sx, su, consts, allow_control: bool) -> None:
+    """Check the names of a real or status expression and cap its nesting.
+
+    Walks an explicit stack in source order, so it cannot overflow itself."""
+    stack = [(e, 1)]
+    while stack:
+        e, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ModelTypeError(
+                f"expression nests more than {_MAX_DEPTH} levels deep", *e.pos)
+        kids = ()
+        if isinstance(e, Var):
+            if e.name in su and not allow_control:
+                raise UndeclaredIdentifier(
+                    f"control variable {e.name!r} is only available in plant "
+                    "equations", *e.pos)
+            if not (e.name in sx or e.name in su or e.name in consts):
+                raise UndeclaredIdentifier(f"undeclared identifier {e.name!r}", *e.pos)
+        elif isinstance(e, Neg):
+            kids = (e.operand,)
+        elif isinstance(e, (Binary, Compare)):
+            kids = (e.left, e.right)
+        elif isinstance(e, Call):
+            kids = e.args
+        elif isinstance(e, IfStatus):
+            kids = (e.cond, e.then, e.els)
+        stack += [(k, depth + 1) for k in reversed(kids)]
 
 
 # ---------------------------------------------------- evaluation and folding
@@ -749,9 +749,11 @@ def fold_constants(e, consts: Mapping):
 #
 # lower() turns each plant field, leaf controller and leaf status into one
 # flat Python function: the folded expression tree becomes a single Python
-# expression over the locals x0.., u0.., compiled once.  Operands run left
-# to right, except that a divisor is evaluated and tested for zero before
-# its dividend; every value is bit-identical to evaluate_expr's.
+# expression over the locals x0.., u0.., compiled once.  The state arrives
+# as a tuple of floats (any sequence works) and is unpacked in one line;
+# the field returns a tuple.  Operands run left to right, except that a
+# divisor is evaluated and tested for zero before its dividend; every value
+# is bit-identical to evaluate_expr's.
 #
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
@@ -854,7 +856,12 @@ class _FunctionSource:
 
     def top(self, e) -> str:
         """Source of one whole real or status expression of the function."""
-        text = self.status(e) if isinstance(e, (StatusLit, IfStatus)) else self.real(e)
+        generate = self.status if isinstance(e, (StatusLit, IfStatus)) else self.real
+        try:
+            text = generate(e)
+        except RecursionError:  # a division takes two frames per level
+            raise ModelTypeError(
+                "expression nests too deeply to compile", *e.pos) from None
         self.tops.append((text, e.pos))
         return text
 
@@ -863,8 +870,7 @@ class _FunctionSource:
         lines = [f"def {name}({params}):"]
         if self.uses_state:
             names = _tuple_items([f"x{k:d}" for k in range(len(self.sx))])
-            self.helper("_ndarray", np.ndarray)
-            lines.append(f"    {names} = x.tolist() if x.__class__ is _ndarray else x")
+            lines.append(f"    {names} = x")
         lines += [f"    u{j:d} = u[{j:d}]" for j in sorted(self.controls_used)]
         lines.append(f"    return {result}")
         self.source = "\n".join(lines) + "\n"
@@ -886,16 +892,10 @@ def _tuple_items(items: list) -> str:
     return items[0] + "," if len(items) == 1 else ", ".join(items)
 
 
-def _field_function(exprs, sx: Mapping, su: Mapping) -> Callable:
+def _tuple_function(name: str, params: str, exprs, sx: Mapping, su: Mapping) -> Callable:
+    """A generated function returning the tuple of exprs: field or controller."""
     g = _FunctionSource(sx, su)
-    items = ", ".join(g.top(e) for e in exprs)
-    return g.function("field", "x, u", f"{g.helper('_array', np.array)}([{items}])")
-
-
-def _controller_function(exprs, sx: Mapping) -> Callable:
-    g = _FunctionSource(sx, {})
-    items = _tuple_items([g.top(e) for e in exprs])
-    return g.function("controller", "x", f"({items})")
+    return g.function(name, params, f"({_tuple_items([g.top(e) for e in exprs])})")
 
 
 def _status_function(s, sx: Mapping) -> Callable:
@@ -923,8 +923,8 @@ def lower(m: ModelFile) -> LoweredModel:
     su = {f"u{k}": k for k in range(m.control_dim)}
     decls = {d.name: d for d in m.nodes}
 
-    plant_field = _field_function(
-        [fold_constants(e, consts) for _, e in m.plant], sx, su)
+    plant_field = _tuple_function(
+        "field", "x, u", [fold_constants(e, consts) for _, e in m.plant], sx, su)
     plant = Plant(m.state_dim, m.control_dim, plant_field)
 
     counter = [0]
@@ -939,8 +939,8 @@ def lower(m: ModelFile) -> LoweredModel:
                     f"leaf {decl.name!r} defines {len(decl.controls)} control "
                     f"component(s), model declares {m.control_dim}", *decl.pos)
             behavior = LeafBehavior(
-                controller=_controller_function(
-                    [fold_constants(e, consts) for e in decl.controls], sx),
+                controller=_tuple_function("controller", "x", [
+                    fold_constants(e, consts) for e in decl.controls], sx, {}),
                 metadata=_status_function(fold_constants(decl.status, consts), sx),
                 label=decl.name)
             return Leaf(nid, behavior)

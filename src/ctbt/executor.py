@@ -1,21 +1,24 @@
 """Switched-system integrator for behavior trees over continuous plants.
 
 Between events the active leaf's control law is closed over the plant and
-integrated with classic RK4.  The integrator keeps the (root status, active
-leaf) of its current state and walks the tree once per accepted step, at
-the step's end point; the walk evaluates status predicates only, and the
-active leaf's controller runs inside the field evaluations.  Any change of
-(active leaf, root status) inside a step is located by bisecting the step
-length down to event_tol, so switch times are resolved far below the step
-size.  If the recent switches toggle between exactly two leaves faster than
-the step rate, the integrator declares a sliding mode: it estimates the
-local surface normal from the recorded crossing points (SVD of the centered
-cloud; a field-difference fallback covers the degenerate startup), forms
-the convex field combination that cancels the normal component, and
-re-projects onto the surface after each step so the drifting solution
-cannot walk away from it.  Sliding ends when the combination coefficient
-leaves [0, 1] by more than sliding_eps or the state escapes to a third
-leaf.
+integrated with classic RK4 on tuples of floats, the state format
+BehaviorTree.check_state produces; the plant field may return any sequence.
+Regular mode makes no numpy call: numpy is left to the linear algebra of
+sliding mode and to the boundary tools at the end.  The integrator keeps
+the (root status, active leaf) of its current state and walks the tree once
+per accepted step, at the step's end point; the walk evaluates status
+predicates only, and the active leaf's controller runs inside the field
+evaluations.  Any change of (active leaf, root status) inside a step is
+located by bisecting the step length down to event_tol, so switch times are
+resolved far below the step size.  If the recent switches toggle between
+exactly two leaves faster than the step rate, the integrator declares a
+sliding mode: it estimates the local surface normal from the recorded
+crossing points (SVD of the centered cloud; a field-difference fallback
+covers the degenerate startup), forms the convex field combination that
+cancels the normal component, and re-projects onto the surface after each
+step so the drifting solution cannot walk away from it.  Sliding ends when
+the combination coefficient leaves [0, 1] by more than sliding_eps or the
+state escapes to a third leaf.
 
 Everything is deterministic: fixed step grid t = k*dt, no wall clock, no
 hidden randomness, and JSON/CSV output built from repr'd floats, so a rerun
@@ -25,6 +28,7 @@ serializes byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,6 +63,14 @@ class IntegratorConfig:
     sliding_eps: float = 1e-3
     max_chatter: int = 4
     stop_on_root_success: bool = True
+
+    def __post_init__(self):
+        for name, rule, ok in (("dt", "> 0", 0.0 < self.dt < math.inf),
+                               ("event_tol", "> 0", 0.0 < self.event_tol < math.inf),
+                               ("t_end", ">= 0", 0.0 <= self.t_end < math.inf)):
+            if not ok:
+                raise ValueError(f"IntegratorConfig.{name} must be finite and {rule}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -129,12 +141,18 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+def _along(x, s, v) -> tuple:
+    """x + s*v componentwise, in numpy's operand order."""
+    return tuple(a + s * b for a, b in zip(x, v))
+
+
 def _rk4(f, x, h):
     k1 = f(x)
-    k2 = f(x + (0.5 * h) * k1)
-    k3 = f(x + (0.5 * h) * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(_along(x, 0.5 * h, k1))
+    k3 = f(_along(x, 0.5 * h, k2))
+    k4 = f(_along(x, h, k3))
+    return _along(x, h / 6.0, [a + 2.0 * b + 2.0 * c + d
+                               for a, b, c, d in zip(k1, k2, k3, k4)])
 
 
 class _Integrator:
@@ -154,10 +172,9 @@ class _Integrator:
         self.surface_points: list = []
         self.failed = False
         self.done = False
-        self._fields: dict = {}
         self.meta = {
             "model": model_name,
-            "x0": [float(v) for v in self.x],
+            "x0": list(self.x),
             "dt": cfg.dt,
             "t_end": cfg.t_end,
             "event_tol": cfg.event_tol,
@@ -169,24 +186,16 @@ class _Integrator:
     # ---- plumbing
 
     def field_for(self, leaf: int):
-        f = self._fields.get(leaf)
-        if f is None:
-            controller = self.bt.behavior(leaf).controller
-            plant_field = self.plant.field
-
-            def f(y, controller=controller, plant_field=plant_field):
-                return np.asarray(plant_field(y, controller(y)), dtype=float)
-
-            self._fields[leaf] = f
-        return f
+        field, controller = self.plant.field, self.bt.behavior(leaf).controller
+        return lambda y: field(y, controller(y))
 
     def move_to(self, x, status: Status, leaf: int) -> None:
         """Make x the current state; (status, leaf) must be the walk at x."""
         self.x, self.status, self.leaf = x, status, leaf
 
     def guard(self, x) -> None:
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _OVERFLOW:
-            raise NonFiniteState(f"state diverged: {x!r}")
+        if not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):  # nan fails too
+            raise NonFiniteState(f"state diverged: {tuple(float(v) for v in x)!r}")
 
     def record(self, t: float, x, leaf: int, status: Status) -> None:
         self.samples.append(Sample(float(t), tuple(float(v) for v in x), leaf, status))
@@ -292,7 +301,7 @@ class _Integrator:
                 f"near t={t_now}")
         pair = tuple(sorted(leaves))
         self.sliding = pair
-        self.surface_points = [self.x.copy()]
+        self.surface_points = [self.x]
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
 
@@ -303,8 +312,7 @@ class _Integrator:
         a_leaf, b_leaf = self.sliding
         fa = self.field_for(a_leaf)
         fb = self.field_for(b_leaf)
-        va = fa(self.x)
-        vb = fb(self.x)
+        va, vb = np.array(fa(self.x), dtype=float), np.array(fb(self.x), dtype=float)
         n = self.surface_normal(vb - va)
         den = float(n @ (vb - va))
         scale = max(1.0, float(np.linalg.norm(va)), float(np.linalg.norm(vb)))
@@ -319,7 +327,7 @@ class _Integrator:
         w = min(max(alpha, 0.0), 1.0)
 
         def f(y):
-            return w * fa(y) + (1.0 - w) * fb(y)
+            return tuple(w * a + (1.0 - w) * b for a, b in zip(fa(y), fb(y)))
 
         x_new = _rk4(f, self.x, span)
         self.guard(x_new)
@@ -330,7 +338,7 @@ class _Integrator:
             self.exit_slide(t_end)
             return
         self.move_to(projected, status, leaf)
-        self.surface_points.append(self.x.copy())
+        self.surface_points.append(self.x)
         if len(self.surface_points) > 8:
             self.surface_points.pop(0)
         self.record(t_end, self.x, leaf, status)
@@ -365,7 +373,7 @@ class _Integrator:
             raise ZeroDenominatorInSliding(
                 "cannot estimate a surface normal: identical fields and "
                 "degenerate crossing cloud")
-        return np.asarray(field_diff, dtype=float) / norm
+        return field_diff / norm
 
     def project_to_surface(self, x, n) -> tuple:
         """Pull x back onto the switching surface along +-n by bisection.
@@ -379,30 +387,28 @@ class _Integrator:
         if here not in self.sliding:
             return None, status, here
         other = self.sliding[0] if here == self.sliding[1] else self.sliding[1]
+        n = n.tolist()
         step = cfg.event_tol
-        direction = None
         for _ in range(60):
-            if self.bt.resolve(x + step * n)[1] == other:
-                direction = n
-                break
-            if self.bt.resolve(x - step * n)[1] == other:
-                direction = -n
+            sign = next((s for s in (1.0, -1.0)
+                         if self.bt.resolve(_along(x, s * step, n))[1] == other), None)
+            if sign is not None:
                 break
             step *= 2.0
             if step > 1e6:
                 return None, status, here
-        if direction is None:
+        else:
             return None, status, here
         lo, hi = 0.0, step
         while hi - lo > cfg.event_tol:
             mid = 0.5 * (lo + hi)
-            st_mid, lf_mid = self.bt.resolve(x + mid * direction)
+            st_mid, lf_mid = self.bt.resolve(_along(x, sign * mid, n))
             if lf_mid == here:
                 lo = mid
                 status = st_mid
             else:
                 hi = mid
-        return x + lo * direction, status, here
+        return _along(x, sign * lo, n), status, here
 
 
 def integrate(plant: Plant, bt: BehaviorTree, x0,
@@ -463,19 +469,14 @@ def check_transversality(plant: Plant, bt: BehaviorTree, pairs,
     failures = []
     ok = 0
     for idx, (xa, xb) in enumerate(pairs):
-        xa = np.asarray(xa, dtype=float)
-        xb = np.asarray(xb, dtype=float)
-        n = xb - xa
+        xa, xb = tuple(map(float, xa)), tuple(map(float, xb))
+        la, lb = bt.resolve(xa)[1], bt.resolve(xb)[1]
+        n = np.subtract(xb, xa)
         nn = float(np.linalg.norm(n))
-        if nn == 0.0:
+        if nn == 0.0 or la == lb:
             failures.append(idx)
             continue
         n = n / nn
-        la = bt.resolve(xa)[1]
-        lb = bt.resolve(xb)[1]
-        if la == lb:
-            failures.append(idx)
-            continue
         va = np.asarray(plant.field(xa, bt.behavior(la).controller(xa)), dtype=float)
         vb = np.asarray(plant.field(xb, bt.behavior(lb).controller(xb)), dtype=float)
         if float(n @ va) > min_component or float(n @ vb) < -min_component:
@@ -503,25 +504,24 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int,
     for _ in range(budget):
         if len(pairs) >= count:
             break
-        a = rng.uniform(lows, highs)
-        b = rng.uniform(lows, highs)
+        a = tuple(rng.uniform(lows, highs).tolist())
+        b = tuple(rng.uniform(lows, highs).tolist())
         la = bt.resolve(a)[1]
-        lb = bt.resolve(b)[1]
-        if la == lb:
+        if bt.resolve(b)[1] == la:
             continue
-        seg = b - a
+        seg = _along(b, -1.0, a)
         length = float(np.linalg.norm(seg))
         lo, hi = 0.0, 1.0
         while (hi - lo) * length > tol:
             mid = 0.5 * (lo + hi)
-            if bt.resolve(a + mid * seg)[1] == la:
+            if bt.resolve(_along(a, mid, seg))[1] == la:
                 lo = mid
             else:
                 hi = mid
-        xa = a + lo * seg
-        xb = a + hi * seg
+        xa = _along(a, lo, seg)
+        xb = _along(a, hi, seg)
         if bt.resolve(xa)[1] != bt.resolve(xb)[1]:
-            pairs.append((xa, xb))
+            pairs.append((np.array(xa), np.array(xb)))
     if not pairs:
         raise EmptySampler(
             f"no leaf-region boundary found in the box after {budget} draws")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence as Seq
 
@@ -152,7 +153,7 @@ class SubsystemLeaves:
 
 
 def subsystem_leaves(bt: BehaviorTree, points) -> SubsystemLeaves:
-    points = _as_points(points)
+    points = _states(points)
     seen = set()
     remaining = _plan(bt).owner_tests
     for x in points:
@@ -213,19 +214,21 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
     route (tick) are computed independently per point.  Violations are sorted
     canonically so reports are reproducible regardless of evaluation order.
     """
-    points = _as_points(points)
-    _check_states(bt, points)
+    points = _states(points)
+    # bt.check_state on the first non-finite row, else row 0
+    bad = (x for x in points if not all(map(math.isfinite, x)))
+    bt.check_state(next(bad, points[0]))
     tests = _plan(bt).owner_tests
     report = RegionReport(samples_tested=len(points))
     for x in points:
         owners = _owners(_status_table(bt, x), tests)
         active = bt.resolve(x)[1]
         if len(owners) > 1:
-            report.disjointness_violations.append((tuple(x), tuple(owners)))
+            report.disjointness_violations.append((x, tuple(owners)))
         elif not owners:
-            report.coverage_violations.append(tuple(x))
+            report.coverage_violations.append(x)
         elif owners[0] != active:
-            report.equivalence_violations.append((tuple(x), active, owners[0]))
+            report.equivalence_violations.append((x, active, owners[0]))
     report.disjointness_violations.sort()
     report.coverage_violations.sort()
     report.equivalence_violations.sort()
@@ -234,9 +237,8 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
 
 def region_table(bt: BehaviorTree, points) -> list:
     """Rows (x..., owner leaf id, root status letter) for a CSV dump."""
-    points = _as_points(points)
     rows = []
-    for x in points:
+    for x in _states(points):
         owners = operating_owners(bt, x)
         owner = owners[0] if len(owners) == 1 else -1
         rows.append((*x, owner, bt.root_status(x).value))
@@ -244,13 +246,13 @@ def region_table(bt: BehaviorTree, points) -> list:
 
 
 def region_csv(bt: BehaviorTree, points) -> str:
-    points = _as_points(points)
-    n = points.shape[1] if len(points) else 0
+    rows = region_table(bt, points)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"x{k}" for k in range(n)] + ["owner_leaf_id", "root_status"])
-    for row in region_table(bt, points):
-        w.writerow([repr(float(v)) for v in row[:-2]] + [row[-2], row[-1]])
+    header = [f"x{k}" for k in range(len(rows[0]) - 2)]
+    w.writerow(header + ["owner_leaf_id", "root_status"])
+    for row in rows:
+        w.writerow([repr(v) for v in row[:-2]] + [row[-2], row[-1]])
     return buf.getvalue()
 
 
@@ -274,16 +276,11 @@ def grid_points(box: Seq, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _check_states(bt: BehaviorTree, points: np.ndarray) -> None:
-    """bt.check_state on the whole batch: the first non-finite row, else row 0."""
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    bt.check_state(points[bad[0] if bad.size else 0])
-
-
-def _as_points(points) -> np.ndarray:
+def _states(points) -> list:
+    """A point batch (one point, or rows of them) as states: tuples of floats."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.size == 0:
         raise EmptySampler("no sample points supplied")
-    return pts
+    return [tuple(x) for x in pts.tolist()]

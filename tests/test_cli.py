@@ -64,6 +64,17 @@ def test_validate_reports_control_count_location(tmp_path, capsys):
     assert "line 5" in err
 
 
+@pytest.mark.parametrize("expr", ["(" * 300 + "x0" + ")" * 300, "-" * 1000 + "x0",
+                                  " + ".join(["x0"] * 1200)])
+def test_validate_reports_deep_nesting_location(tmp_path, capsys, expr):
+    deep = tmp_path / "deep.btm"
+    deep.write_text('model "deep" {\n  state 1;\n  control 1;\n  plant { dx0 = u0; }\n'
+                    f'  leaf a {{ u = [{expr}]; status = R; }}\n  root = a;\n}}\n')
+    code, out, err = run(capsys, "validate", str(deep))
+    assert code == 1
+    assert "line 5" in err and "Traceback" not in err
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "no_such_model.btm")
     assert code == 1
@@ -112,6 +123,14 @@ def test_simulate_unparseable_x0(capsys):
     code, out, err = run(capsys, "simulate", "pendulum.btm", "--x0", "1,apple")
     assert code == 1
     assert "--x0" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_zero_step_is_a_usage_error(capsys, command):
+    argv = [command, "thermostat.btm", "--dt", "0", "--t-end", "1"]
+    code, out, err = run(capsys, *argv, *(["--x0", "19"] if command == "simulate" else []))
+    assert code == 1 and out == ""
+    assert err == "error: IntegratorConfig.dt must be finite and > 0, got 0.0\n"
 
 
 def test_simulate_divergence_exits_two(tmp_path, capsys):

@@ -196,6 +196,14 @@ def test_state_validation():
         bt.tick([float("inf")])
 
 
+def test_check_state_returns_a_tuple_of_floats():
+    bt = kitchen_bt()
+    for x in (np.array([0.5, -2.0]), [0.5, -2], (np.float32(0.5), -2.0), range(0, 2)):
+        state = bt.check_state(x)
+        assert type(state) is tuple and all(type(v) is float for v in state)
+    assert bt.check_state(np.array([0.5, -2.0])) == (0.5, -2.0)
+
+
 def test_tree_validation_errors():
     with pytest.raises(ValueError, match="id 0"):
         BehaviorTree(const_leaf(1, 0, Status.RUNNING))

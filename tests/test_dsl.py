@@ -625,6 +625,48 @@ def test_long_chains_compile_and_deep_nesting_is_a_model_error():
         dsl.lower(dsl.parse(MINI.replace("u = [1.0]", f"u = [{nested}]")))
 
 
+DEEP_OK = {  # name: (expression, its value at x0 = 0.5)
+    "220 parentheses": ("(" * 220 + "x0" + ")" * 220, 0.5),
+    "400 unary minuses": ("-" * 400 + "x0", 0.5),
+    "900-term chain": (" + ".join(["x0"] * 900), 450.0),
+}
+DEEP_BAD = {
+    "300 parentheses": "(" * 300 + "x0" + ")" * 300,
+    "1000 unary minuses": "-" * 1000 + "x0",
+    "1200-term chain": " + ".join(["x0"] * 1200),
+    "1200-term chain in a status": "if " + " + ".join(["x0"] * 1200) + " > 0.0 then S else R",
+}
+
+
+def _deep(expr: str) -> str:
+    if expr.startswith("if "):
+        return MINI.replace("if x0 >= 1.0 then S else R", expr)
+    return MINI.replace("u = [1.0]", f"u = [{expr}]")
+
+
+@pytest.mark.parametrize("name", DEEP_OK)
+def test_deep_models_that_fit_parse_lower_and_format(name):
+    expr, value = DEEP_OK[name]
+    m = dsl.parse(_deep(expr))
+    assert dsl.lower(m).bt.behavior(0).controller((0.5,)) == (value,)
+    assert dsl.format_model(m).startswith('model "mini"')
+
+
+@pytest.mark.parametrize("name", DEEP_BAD)
+def test_too_deep_models_are_positioned_model_errors(name):
+    with pytest.raises(ModelTypeError, match="nests") as e:
+        dsl.parse(_deep(DEEP_BAD[name]))
+    assert e.value.line == 5 and e.value.col > 1
+
+
+def test_deep_division_chain_is_a_positioned_model_error():
+    """A division takes two frames per level in code generation."""
+    chain = " / ".join(["x0"] * 800)
+    with pytest.raises(ModelTypeError, match="nests too deeply") as e:
+        dsl.lower(dsl.parse(_deep(chain)))
+    assert e.value.line == 5
+
+
 HOSTILE = """\
 model "__import__('os').system('true')" {
   state 2;
@@ -660,9 +702,9 @@ def test_generated_source_holds_no_model_text(monkeypatch):
     monkeypatch.setattr(dsl._FunctionSource, "function", spy)
     dsl.lower(dsl.parse(HOSTILE))
     assert len(seen) == 5
-    keywords = {"def", "return", "if", "else", "not", "is", "x", "u", "tolist",
-                "__class__", "field", "controller", "status"}
-    made = re.compile(r"(x|u|_k|_t)\d+|_(sin|cos|sqrt|abs|sgn|sat|divz|array|ndarray|R|S|F)")
+    keywords = {"def", "return", "if", "else", "not", "x", "u",
+                "field", "controller", "status"}
+    made = re.compile(r"(x|u|_k|_t)\d+|_(sin|cos|sqrt|abs|sgn|sat|divz|R|S|F)")
     layout = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
               tokenize.ENDMARKER}
     for text, ns in seen:

@@ -413,6 +413,33 @@ def test_default_config_echoed_in_meta():
     assert traj.duration == 0.0  # immediate root success
 
 
+def test_ndarray_field_still_gives_plain_floats():
+    """thermostat_plant's field returns an ndarray; samples, events and the
+    serialized forms still hold plain Python floats."""
+    traj = thermostat_run(SETPOINT - 2.0, t_end=3.0)
+    assert traj.events_of("SlideEnter")
+    values = [*traj.meta["x0"], *(v for s in traj.samples for v in s.x),
+              *(v for e in traj.events for v in e.x)]
+    assert all(type(v) is float for v in values)
+    for text in (traj.to_csv(), traj.to_json()):
+        assert "float64" not in text and "array" not in text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0.0), ("dt", -0.01), ("dt", math.nan), ("dt", math.inf),
+    ("event_tol", 0.0), ("event_tol", -1e-6), ("event_tol", math.nan),
+    ("t_end", -1.0), ("t_end", math.nan), ("t_end", math.inf),
+])
+def test_config_rejects_bad_steps_and_horizons(field, value):
+    with pytest.raises(ValueError, match=f"IntegratorConfig.{field} must be finite"):
+        IntegratorConfig(**{field: value})
+
+
+def test_config_accepts_a_zero_horizon():
+    traj = thermostat_run(SETPOINT - 2.0, t_end=0.0)
+    assert [s.t for s in traj.samples] == [0.0]
+
+
 # ------------------------------------------------------------------ batching
 
 def test_batch_isolates_failures():
@@ -432,7 +459,7 @@ def test_divergent_run_reports_nonfinite():
     bt = single_leaf_bt(lambda x: (x[0] * x[0],), dim=1)
     plant = Plant(1, 1, lambda x, u: np.array([u[0]]))
     cfg = IntegratorConfig(dt=0.01, t_end=2.0)
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(NonFiniteState, match=r"^state diverged: \(\d"):
         integrate(plant, bt, [1.0], cfg)
     runs = batch_integrate(plant, bt, [[1.0]], cfg)
     assert isinstance(runs[0], FailedRun)
@@ -491,3 +518,54 @@ def test_boundary_sampler_empty():
     bt = thermostat_bt()
     with pytest.raises(EmptySampler):
         sample_boundary_pairs(bt, [(0.0, 1.0)], count=5, seed=1)
+
+
+# ------------------------------------------------------------ state format
+
+def _recording(model):
+    """Copies of a lowered model's plant and tree whose field, controllers
+    and status functions append their state argument to a list."""
+    seen = []
+
+    def rec(fn):
+        def recorded(x, *rest):
+            seen.append(x)
+            return fn(x, *rest)
+        return recorded
+
+    def copy(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, LeafBehavior(rec(b.controller), rec(b.metadata), b.label))
+        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
+
+    bt = BehaviorTree(copy(model.bt.root), state_dim=model.bt.state_dim)
+    plant = Plant(model.plant.state_dim, model.plant.control_dim, rec(model.plant.field))
+    return plant, bt, seen
+
+
+def test_every_callable_receives_a_tuple_of_floats():
+    from ctbt.regions import check_partition, region_table, subsystem_leaves
+
+    plant, bt, seen = _recording(dsl.load(dsl.bundled_model_dir() / "thermostat.btm"))
+    box = [(SETPOINT - 5, SETPOINT + 5)]
+    grid = np.linspace(SETPOINT - 2, SETPOINT + 2, 9).reshape(-1, 1)
+    pairs = sample_boundary_pairs(bt, box, count=5, seed=3)
+    routes = {
+        "integrate": lambda: integrate(plant, bt, np.array([SETPOINT - 1.0]),
+                                       IntegratorConfig(dt=0.01, t_end=3.0)),
+        "tick": lambda: bt.tick(np.array([SETPOINT + 0.5])),
+        "check_partition": lambda: check_partition(bt, grid),
+        "subsystem_leaves": lambda: subsystem_leaves(bt, grid),
+        "region_table": lambda: region_table(bt, grid),
+        "sample_boundary_pairs": lambda: sample_boundary_pairs(bt, box, count=5, seed=3),
+        "check_transversality": lambda: check_transversality(plant, bt, pairs),
+    }
+    for name, route in routes.items():
+        seen.clear()
+        out = route()
+        assert seen, name
+        wrong = [x for x in seen if type(x) is not tuple or any(type(v) is not float for v in x)]
+        assert not wrong, (name, wrong[:3])
+        if name == "integrate":  # regular steps first, then the slide
+            assert out.events_of("Switch") and out.events_of("SlideEnter")
