@@ -278,7 +278,7 @@ class ConvergenceCertificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def certify(runs, note: str = DEFAULT_NOTE) -> ConvergenceCertificate:
+def certify(runs) -> ConvergenceCertificate:
     """Build the full certificate for a batch of executions.
 
     Passing requires: at least one assessed run and no unassessed ones, an
@@ -310,4 +310,4 @@ def certify(runs, note: str = DEFAULT_NOTE) -> ConvergenceCertificate:
         lambda_violations=violations, dwell=dwell,
         chain_length=chain_n, settle_time_bound=settle,
         assessed=len(trajs), unassessed=failures,
-        passed=passed, note=note)
+        passed=passed, note=DEFAULT_NOTE)

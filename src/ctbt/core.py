@@ -88,25 +88,11 @@ class Plant:
     field: Callable
 
 
-def tick(node: BtNode, x) -> tuple:
-    """Evaluate the subtree at state x, returning (control, Status).
-
-    Only the active leaf's controller runs.
-    """
-    status, leaf = _resolve(node, x)
-    return leaf.behavior.controller(x), status
-
-
 def _resolve(node: BtNode, x):
     """Delegation walk: (status, leaf node) at x, evaluating metadata only."""
     if isinstance(node, Leaf):
         return node.behavior.metadata(x), node
-    if isinstance(node, Sequence):
-        skip = Status.SUCCESS
-    elif isinstance(node, Fallback):
-        skip = Status.FAILURE
-    else:
-        raise UnknownNodeKind(f"not a behavior-tree node: {node!r}")
+    skip = Status.SUCCESS if isinstance(node, Sequence) else Status.FAILURE
     for child in node.children[:-1]:
         out = _resolve(child, x)
         if out[0] is not skip:
@@ -180,29 +166,28 @@ class BehaviorTree:
     immutable.
     """
 
-    def __init__(self, root: BtNode, state_dim: int | None = None):
+    def __init__(self, root: BtNode, state_dim: int):
         nodes: dict = {}
         edges = []
         steps = []  # (node id, leaf metadata or None, gate status, child ids)
         subtree = {}  # node id -> slice of steps covering its subtree
 
         def collect(node: BtNode):
+            kind = _kind(node)  # before any field of node is read
             if node.node_id in nodes:
                 raise ValueError(f"node id {node.node_id} used twice")
             nodes[node.node_id] = node
             first = len(steps)
-            if isinstance(node, (Sequence, Fallback)):
-                if not node.children:
-                    raise ValueError(f"composite {node.node_id} has no children")
-                kids = tuple(c.node_id for c in node.children)
-                edges.append((node.node_id, kids))
-                for c in node.children:
-                    collect(c)
-                steps.append((node.node_id, None, _GATE[_kind(node)], kids))
-            elif isinstance(node, Leaf):
+            if kind == "leaf":
                 steps.append((node.node_id, node.behavior.metadata, None, ()))
             else:
-                raise UnknownNodeKind(f"not a behavior-tree node: {node!r}")
+                if not node.children:
+                    raise ValueError(f"composite {node.node_id} has no children")
+                for c in node.children:
+                    collect(c)
+                kids = tuple(c.node_id for c in node.children)
+                edges.append((node.node_id, kids))
+                steps.append((node.node_id, None, _GATE[kind], kids))
             subtree[node.node_id] = slice(first, len(steps))
 
         collect(root)
@@ -225,7 +210,7 @@ class BehaviorTree:
     def check_state(self, x) -> tuple:
         """x in the package's one state format, a tuple of Python floats."""
         x = np.asarray(x, dtype=float)
-        if self.state_dim is not None and x.shape != (self.state_dim,):
+        if x.shape != (self.state_dim,):
             raise DimensionMismatch(
                 f"state has shape {x.shape}, expected ({self.state_dim},)"
             )
@@ -233,8 +218,11 @@ class BehaviorTree:
             raise NonFiniteState(f"state is not finite: {x!r}")
         return tuple(x.tolist())
 
-    def tick(self, x):
-        return tick(self.root, self.check_state(x))
+    def tick(self, x) -> tuple:
+        """(control, root status) at x; only the active leaf's controller runs."""
+        x = self.check_state(x)
+        status, leaf = _resolve(self.root, x)
+        return leaf.behavior.controller(x), status
 
     def root_status(self, x) -> Status:
         return _resolve(self.root, self.check_state(x))[0]

@@ -546,17 +546,12 @@ def parse(source: str) -> ModelFile:
 def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
     state_vars = {f"x{k}": k for k in range(m.state_dim)}
     control_vars = {f"u{k}": k for k in range(m.control_dim)}
-    consts = dict(m.constants)
-    for name in consts:
+    # positions holds every declared constant and node name, each once
+    for name, pos in positions.items():
         if name in state_vars or name in control_vars:
-            raise DuplicateDefinition(f"{name!r} collides with a model variable",
-                                      *positions[name])
-
+            raise DuplicateDefinition(f"{name!r} collides with a model variable", *pos)
+    consts = dict(m.constants)
     decls = {d.name: d for d in m.nodes}
-    for d in m.nodes:
-        if d.name in state_vars or d.name in control_vars or d.name in consts:
-            raise DuplicateDefinition(
-                f"{d.name!r} collides with another definition", *d.pos)
 
     # plant: exactly one derivative per state variable, d-prefixed targets
     seen_targets = {}
@@ -1019,7 +1014,10 @@ def format_expr(e, parent_prec: int = _COND) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        inner = f"-{format_expr(e.operand, _UNARY)}"
+        # a minus right under a minus needs no parentheses: --x0 parses as
+        # two minuses
+        nested = isinstance(e.operand, Neg)
+        inner = f"-{format_expr(e.operand, _COND if nested else _UNARY)}"
         return f"({inner})" if parent_prec >= _UNARY else inner
     if isinstance(e, Binary):
         prec = _MUL if e.op in "*/" else _ADD

@@ -17,8 +17,10 @@ crossing points (SVD of the centered cloud; a field-difference fallback
 covers the degenerate startup), forms the convex field combination that
 cancels the normal component, and re-projects onto the surface after each
 step so the drifting solution cannot walk away from it.  Sliding ends when
-the combination coefficient leaves [0, 1] by more than sliding_eps or the
-state escapes to a third leaf.
+the combination coefficient leaves [0, 1] by more than _SLIDING_EPS or the
+state escapes to a third leaf.  A run ends at its first root Success.  The
+chatter count, the slack on the coefficient and the stop at Success are
+fixed parts of the construction, not options.
 
 Everything is deterministic: fixed step grid t = k*dt, no wall clock, no
 hidden randomness, and JSON/CSV output built from repr'd floats, so a rerun
@@ -37,6 +39,10 @@ import numpy as np
 from .core import BehaviorTree, NonFiniteState, Plant, Status
 
 _OVERFLOW = 1e12
+_SLIDING_EPS = 1e-3  # slack on the Filippov coefficient before a slide ends
+_MAX_CHATTER = 4  # switches within one step that start a slide
+_MIN_COMPONENT = 1e-9  # normal field component that counts as a crossing
+_BOUNDARY_TOL = 1e-6  # length of a bisected boundary pair
 
 
 class ExecutionError(RuntimeError):
@@ -60,9 +66,6 @@ class IntegratorConfig:
     dt: float = 0.001
     t_end: float = 30.0
     event_tol: float = 1e-6
-    sliding_eps: float = 1e-3
-    max_chatter: int = 4
-    stop_on_root_success: bool = True
 
     def __post_init__(self):
         for name, rule, ok in (("dt", "> 0", 0.0 < self.dt < math.inf),
@@ -178,9 +181,9 @@ class _Integrator:
             "dt": cfg.dt,
             "t_end": cfg.t_end,
             "event_tol": cfg.event_tol,
-            "sliding_eps": cfg.sliding_eps,
-            "max_chatter": cfg.max_chatter,
-            "stop_on_root_success": cfg.stop_on_root_success,
+            "sliding_eps": _SLIDING_EPS,
+            "max_chatter": _MAX_CHATTER,
+            "stop_on_root_success": True,
         }
 
     # ---- plumbing
@@ -206,8 +209,7 @@ class _Integrator:
     def note_status(self, t: float, status: Status) -> None:
         if status is Status.SUCCESS:
             self.event(t, "RootSuccess", self.x)
-            if self.cfg.stop_on_root_success:
-                self.done = True
+            self.done = True
         elif status is Status.FAILURE and not self.failed:
             self.failed = True
             self.event(t, "RootFailure", self.x)
@@ -288,11 +290,10 @@ class _Integrator:
 
     def chatter_check(self, t_now: float) -> bool:
         """Detect rapid toggling; enter sliding or reject a triple point."""
-        cfg = self.cfg
-        if len(self.switch_log) < cfg.max_chatter:
+        if len(self.switch_log) < _MAX_CHATTER:
             return False
-        recent = self.switch_log[-cfg.max_chatter:]
-        if t_now - recent[0][0] > cfg.dt:
+        recent = self.switch_log[-_MAX_CHATTER:]
+        if t_now - recent[0][0] > self.cfg.dt:
             return False
         leaves = {r[1] for r in recent} | {r[2] for r in recent}
         if len(leaves) > 2:
@@ -308,7 +309,6 @@ class _Integrator:
     # ---- sliding mode
 
     def slide_span(self, t_start: float, span: float) -> None:
-        cfg = self.cfg
         a_leaf, b_leaf = self.sliding
         fa = self.field_for(a_leaf)
         fb = self.field_for(b_leaf)
@@ -320,7 +320,7 @@ class _Integrator:
             raise ZeroDenominatorInSliding(
                 f"fields do not separate across the surface near t={t_start}")
         alpha = float(n @ vb) / den
-        if alpha < -cfg.sliding_eps or alpha > 1.0 + cfg.sliding_eps:
+        if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
             self.exit_slide(t_start)
             self.regular_span(t_start, span)
             return
@@ -450,8 +450,8 @@ class TransversalityReport:
         return self.ok / self.total if self.total else 0.0
 
 
-def check_transversality(plant: Plant, bt: BehaviorTree, pairs,
-                         min_component: float = 1e-9) -> TransversalityReport:
+def check_transversality(plant: Plant, bt: BehaviorTree,
+                         pairs) -> TransversalityReport:
     """Check that switching surfaces are met decisively, not grazed.
 
     Each pair (xa, xb) must straddle a surface: different active leaves a
@@ -479,20 +479,20 @@ def check_transversality(plant: Plant, bt: BehaviorTree, pairs,
         n = n / nn
         va = np.asarray(plant.field(xa, bt.behavior(la).controller(xa)), dtype=float)
         vb = np.asarray(plant.field(xb, bt.behavior(lb).controller(xb)), dtype=float)
-        if float(n @ va) > min_component or float(n @ vb) < -min_component:
+        if float(n @ va) > _MIN_COMPONENT or float(n @ vb) < -_MIN_COMPONENT:
             ok += 1
         else:
             failures.append(idx)
     return TransversalityReport(total=len(pairs), ok=ok, failures=tuple(failures))
 
 
-def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int,
-                          tol: float = 1e-6) -> list:
+def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int) -> list:
     """Find straddling pairs across leaf-region boundaries inside a box.
 
     Draws random segments, keeps those whose endpoints live in different
-    leaf regions, and bisects each down to length tol.  Deterministic in
-    seed.  Raises EmptySampler if the budget of draws finds no boundary.
+    leaf regions, and bisects each down to length _BOUNDARY_TOL.
+    Deterministic in seed.  Raises EmptySampler if the budget of draws finds
+    no boundary.
     """
     from .regions import EmptySampler
 
@@ -512,7 +512,7 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int,
         seg = _along(b, -1.0, a)
         length = float(np.linalg.norm(seg))
         lo, hi = 0.0, 1.0
-        while (hi - lo) * length > tol:
+        while (hi - lo) * length > _BOUNDARY_TOL:
             mid = 0.5 * (lo + hi)
             if bt.resolve(_along(a, mid, seg))[1] == la:
                 lo = mid

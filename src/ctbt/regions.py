@@ -26,12 +26,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence as Seq
+from typing import Sequence as Seq
 
 import numpy as np
 
-from .core import _GATE, BehaviorTree, Status, UnknownNodeKind, _status_table
-from .tree import OrderedTree
+from .core import _GATE, BehaviorTree, Status, _status_table
 
 
 class EmptySampler(ValueError):
@@ -44,26 +43,8 @@ class PathwaySets:
     failure: frozenset
 
 
-def pathways(tree: OrderedTree, node_kinds: Mapping) -> PathwaySets:
-    """Success/failure pathway node sets for a tree with tagged composites.
-
-    node_kinds maps every node id to "seq", "fal" or "leaf".
-    """
-    for i in range(tree.node_count):
-        if node_kinds[i] not in ("seq", "fal", "leaf"):
-            raise UnknownNodeKind(f"node {i} has kind {node_kinds[i]!r}")
-    success, failure = set(), set()
-    for i in range(tree.node_count):
-        uncles = tree.right_uncles(i)
-        if not any(node_kinds[tree.parent_of(j)] == "seq" for j in uncles):
-            success.add(i)
-        if not any(node_kinds[tree.parent_of(j)] == "fal" for j in uncles):
-            failure.add(i)
-    return PathwaySets(success=frozenset(success), failure=frozenset(failure))
-
-
 def pathway_sets(bt: BehaviorTree) -> PathwaySets:
-    """pathways() over a BehaviorTree, cached on the instance."""
+    """Success/failure pathway node sets of bt, cached on the instance."""
     return _plan(bt).pathways
 
 
@@ -97,12 +78,18 @@ class _RegionPlan:
 def _plan(bt: BehaviorTree) -> _RegionPlan:
     """_RegionPlan of bt, cached on the instance."""
     if bt._region_plan is None:
+        tree, kinds = bt.tree, bt.kinds
         influence = tuple(
-            tuple((j, _GATE[bt.kinds[bt.tree.parent_of(j)]])
-                  for j in bt.tree.left_uncles(i))
+            tuple((j, _GATE[kinds[tree.parent_of(j)]]) for j in tree.left_uncles(i))
             for i in range(len(bt.nodes))
         )
-        pw = pathways(bt.tree, bt.kinds)
+        # i is on the success (failure) pathway unless a right uncle under a
+        # Sequence (Fallback) parent takes over from it
+        takeover = [{kinds[tree.parent_of(j)] for j in tree.right_uncles(i)}
+                    for i in range(len(bt.nodes))]
+        pw = PathwaySets(
+            success=frozenset(i for i, t in enumerate(takeover) if "seq" not in t),
+            failure=frozenset(i for i, t in enumerate(takeover) if "fal" not in t))
         owner_tests = tuple((i, influence[i], _keeping(i, pw)) for i in bt.leaf_ids)
         bt._region_plan = _RegionPlan(influence, pw, owner_tests)
     return bt._region_plan
@@ -153,7 +140,7 @@ class SubsystemLeaves:
 
 
 def subsystem_leaves(bt: BehaviorTree, points) -> SubsystemLeaves:
-    points = _states(points)
+    points = _states(bt, points)
     seen = set()
     remaining = _plan(bt).owner_tests
     for x in points:
@@ -214,10 +201,7 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
     route (tick) are computed independently per point.  Violations are sorted
     canonically so reports are reproducible regardless of evaluation order.
     """
-    points = _states(points)
-    # bt.check_state on the first non-finite row, else row 0
-    bad = (x for x in points if not all(map(math.isfinite, x)))
-    bt.check_state(next(bad, points[0]))
+    points = _states(bt, points)
     tests = _plan(bt).owner_tests
     report = RegionReport(samples_tested=len(points))
     for x in points:
@@ -238,10 +222,10 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
 def region_table(bt: BehaviorTree, points) -> list:
     """Rows (x..., owner leaf id, root status letter) for a CSV dump."""
     rows = []
-    for x in _states(points):
+    for x in _states(bt, points):
         owners = operating_owners(bt, x)
         owner = owners[0] if len(owners) == 1 else -1
-        rows.append((*x, owner, bt.root_status(x).value))
+        rows.append((*x, owner, bt.resolve(x)[0].value))
     return rows
 
 
@@ -276,11 +260,16 @@ def grid_points(box: Seq, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _states(points) -> list:
-    """A point batch (one point, or rows of them) as states: tuples of floats."""
+def _states(bt: BehaviorTree, points) -> list:
+    """A point batch (one point, or rows of them) as states of bt: tuples of
+    floats, validated once by bt.check_state (shape, then finiteness)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.size == 0:
         raise EmptySampler("no sample points supplied")
-    return [tuple(x) for x in pts.tolist()]
+    states = [tuple(x) for x in pts.tolist()]
+    # check row 0 for the shape every row shares, or the first non-finite row
+    bad = (x for x in states if not all(map(math.isfinite, x)))
+    bt.check_state(next(bad, states[0]))
+    return states

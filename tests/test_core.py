@@ -15,8 +15,8 @@ from ctbt.core import (
     NotComposite,
     Sequence,
     Status,
+    UnknownNodeKind,
     composed_status,
-    tick,
 )
 
 
@@ -51,7 +51,7 @@ def test_sequence_delegates_to_first_non_success():
         const_leaf(2, 20, Status.RUNNING),
         const_leaf(3, 30, Status.FAILURE),
     ))
-    u, status = tick(seq, np.zeros(1))
+    u, status = BehaviorTree(seq, 1).tick(np.zeros(1))
     assert (u[0], status) == (20.0, Status.RUNNING)
 
 
@@ -60,7 +60,7 @@ def test_sequence_all_success_returns_last_child():
         const_leaf(1, 10, Status.SUCCESS),
         const_leaf(2, 20, Status.SUCCESS),
     ))
-    u, status = tick(seq, np.zeros(1))
+    u, status = BehaviorTree(seq, 1).tick(np.zeros(1))
     assert (u[0], status) == (20.0, Status.SUCCESS)
 
 
@@ -70,19 +70,20 @@ def test_fallback_delegates_to_first_non_failure():
         const_leaf(2, 20, Status.FAILURE),
         const_leaf(3, 30, Status.RUNNING),
     ))
-    u, status = tick(fal, np.zeros(1))
+    u, status = BehaviorTree(fal, 1).tick(np.zeros(1))
     assert (u[0], status) == (30.0, Status.RUNNING)
     all_fail = Fallback(0, (
         const_leaf(1, 10, Status.FAILURE),
         const_leaf(2, 20, Status.FAILURE),
     ))
-    u, status = tick(all_fail, np.zeros(1))
+    u, status = BehaviorTree(all_fail, 1).tick(np.zeros(1))
     assert (u[0], status) == (20.0, Status.FAILURE)
 
 
 def test_single_child_composites_are_transparent():
     for wrap in (Sequence, Fallback):
-        bt = BehaviorTree(wrap(0, (slab_leaf(1, 0.0, Status.RUNNING, Status.SUCCESS),)))
+        leaf = slab_leaf(1, 0.0, Status.RUNNING, Status.SUCCESS)
+        bt = BehaviorTree(wrap(0, (leaf,)), 1)
         for v in (-1.0, 1.0):
             u, status = bt.tick([v])
             assert u[0] == 1.0
@@ -106,9 +107,9 @@ def test_pairwise_reduction_identity():
                     for k in range(3)
                 ]
             a, b, c = leaves([1, 2, 3])
-            flat = BehaviorTree(comp(0, (a, b, c)))
+            flat = BehaviorTree(comp(0, (a, b, c)), 1)
             a2, b2, c2 = leaves([1, 3, 4])
-            nested = BehaviorTree(comp(0, (a2, comp(2, (b2, c2)))))
+            nested = BehaviorTree(comp(0, (a2, comp(2, (b2, c2)))), 1)
             for x in rng.uniform(-2, 2, size=(25, 1)):
                 out_flat = flat.tick(x)
                 out_nested = nested.tick(x)
@@ -206,14 +207,18 @@ def test_check_state_returns_a_tuple_of_floats():
 
 def test_tree_validation_errors():
     with pytest.raises(ValueError, match="id 0"):
-        BehaviorTree(const_leaf(1, 0, Status.RUNNING))
+        BehaviorTree(const_leaf(1, 0, Status.RUNNING), 1)
     with pytest.raises(ValueError, match="dense"):
-        BehaviorTree(Sequence(0, (const_leaf(5, 0, Status.RUNNING),)))
+        BehaviorTree(Sequence(0, (const_leaf(5, 0, Status.RUNNING),)), 1)
     with pytest.raises(ValueError, match="twice"):
         leaf = const_leaf(1, 0, Status.RUNNING)
-        BehaviorTree(Sequence(0, (leaf, leaf)))
+        BehaviorTree(Sequence(0, (leaf, leaf)), 1)
     with pytest.raises(ValueError, match="no children"):
-        BehaviorTree(Sequence(0, ()))
+        BehaviorTree(Sequence(0, ()), 1)
+    with pytest.raises(UnknownNodeKind, match="'widget'"):
+        BehaviorTree(Sequence(0, ("widget",)), 1)
+    with pytest.raises(UnknownNodeKind, match="None"):
+        BehaviorTree(None, 1)
 
 
 def test_leaf_root_tree():

@@ -216,6 +216,18 @@ def test_malformed_models(source, err, line, col):
     assert excinfo.value.col == col, str(excinfo.value)
 
 
+@pytest.mark.parametrize("decl, col", [
+    ("leaf x0 { u = [0.0]; status = R; }", 8),
+    ("seq u0 = [go];", 7),
+    ("const x0 = 1.0;", 9),
+], ids=["leaf", "seq", "const"])
+def test_names_colliding_with_model_variables(decl, col):
+    src = MINI.replace("  root = go;", f"  {decl}\n  root = go;")
+    with pytest.raises(DuplicateDefinition, match="collides with a model variable") as e:
+        dsl.parse(src)
+    assert (e.value.line, e.value.col) == (6, col)
+
+
 def test_root_names_unknown_node():
     src = MINI.replace("root = go;", "root = nope;")
     with pytest.raises(UndeclaredIdentifier):
@@ -646,10 +658,14 @@ def _deep(expr: str) -> str:
 
 @pytest.mark.parametrize("name", DEEP_OK)
 def test_deep_models_that_fit_parse_lower_and_format(name):
+    """The canonical text parses back to itself.  Compared as text: dataclass
+    equality on a 400-level tree would overflow the stack."""
     expr, value = DEEP_OK[name]
     m = dsl.parse(_deep(expr))
     assert dsl.lower(m).bt.behavior(0).controller((0.5,)) == (value,)
-    assert dsl.format_model(m).startswith('model "mini"')
+    text = dsl.format_model(m)
+    assert text.startswith('model "mini"')
+    assert dsl.format_model(dsl.parse(text)) == text
 
 
 @pytest.mark.parametrize("name", DEEP_BAD)

@@ -241,7 +241,7 @@ def test_root_failure_is_recorded_once_and_the_run_goes_on():
 
 def test_switches_spread_over_many_steps_do_not_slide():
     # a harmonic oscillator crosses x0 = 0 every pi seconds: the chatter
-    # check sees max_chatter switches, but far more than one step apart
+    # check sees its four switches, but far more than one step apart
     a = Leaf(1, LeafBehavior(
         lambda x: (0.0,),
         lambda x: Status.RUNNING if x[0] > 0.0 else Status.FAILURE, label="a"))
@@ -332,13 +332,6 @@ def test_pendulum_started_upright_succeeds_at_once(pendulum):
     assert traj.events_of("RootSuccess")[0].t == 0.0
     assert traj.duration == 0.0
     assert not traj.events_of("Switch")
-
-
-def test_pendulum_stop_flag_off_keeps_integrating(pendulum):
-    cfg = IntegratorConfig(dt=0.004, t_end=12.0, stop_on_root_success=False)
-    traj = integrate(pendulum.plant, pendulum.bt, [2.0, 0.0], cfg)
-    assert traj.duration == pytest.approx(12.0)
-    assert traj.events_of("RootSuccess")
 
 
 def test_one_walk_per_grid_step(pendulum):
@@ -438,6 +431,20 @@ def test_config_rejects_bad_steps_and_horizons(field, value):
 def test_config_accepts_a_zero_horizon():
     traj = thermostat_run(SETPOINT - 2.0, t_end=0.0)
     assert [s.t for s in traj.samples] == [0.0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntegratorConfig(max_chatter=0),
+    lambda: IntegratorConfig(sliding_eps=-1.0),
+    lambda: IntegratorConfig(stop_on_root_success=False),
+    lambda: BehaviorTree(Leaf(0, LeafBehavior(lambda x: (0.0,),
+                                              lambda x: Status.RUNNING))),
+], ids=["max_chatter", "sliding_eps", "stop_on_root_success", "no_state_dim"])
+def test_fixed_construction_parts_are_not_options(build):
+    """The chatter count, the coefficient slack and the stop at root Success
+    are constants of the executor, and a tree needs its state dimension."""
+    with pytest.raises(TypeError):
+        build()
 
 
 # ------------------------------------------------------------------ batching

@@ -5,7 +5,17 @@ import pytest
 
 from conftest import kitchen_bt, random_bt, thermostat_bt
 
-from ctbt.core import BehaviorTree, Leaf, LeafBehavior, Sequence, Status, composed_status
+from ctbt import dsl
+from ctbt.core import (
+    BehaviorTree,
+    DimensionMismatch,
+    Leaf,
+    LeafBehavior,
+    NonFiniteState,
+    Sequence,
+    Status,
+    composed_status,
+)
 from ctbt.regions import (
     EmptySampler,
     check_partition,
@@ -14,13 +24,11 @@ from ctbt.regions import (
     in_operating_region,
     operating_owners,
     pathway_sets,
-    pathways,
     region_csv,
+    region_table,
     subsystem_leaves,
     uniform_points,
 )
-from ctbt.tree import build_tree
-from ctbt.core import UnknownNodeKind
 
 
 def kitchen_samples():
@@ -40,12 +48,6 @@ def test_thermostat_pathways():
     pw = pathway_sets(thermostat_bt())
     assert set(pw.success) == {0, 4}
     assert set(pw.failure) == {0, 1, 3, 4}
-
-
-def test_unknown_node_kind():
-    t = build_tree([(0, [1])])
-    with pytest.raises(UnknownNodeKind):
-        pathways(t, {0: "seq", 1: "widget"})
 
 
 def test_kitchen_influence_regions_closed_forms():
@@ -217,6 +219,19 @@ def test_empty_sampler_errors():
         grid_points([(0, 1)], 0)
     with pytest.raises(EmptySampler):
         check_partition(thermostat_bt(), np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("audit", [check_partition, subsystem_leaves, region_table])
+@pytest.mark.parametrize("points, error", [
+    ([[0.0, 0.0, 0.0]], DimensionMismatch),
+    ([[0.0, 0.0], [0.0, float("nan")]], NonFiniteState),
+], ids=["wrong_dimension", "nan"])
+def test_point_batches_are_validated(audit, points, error):
+    """Generated code would unpack a 3-vector into a raw ValueError, and a
+    non-finite row must not pass silently."""
+    bt = dsl.load(dsl.bundled_model_dir() / "kitchen_lamp.btm").bt
+    with pytest.raises(error):
+        audit(bt, points)
 
 
 def test_region_csv_round_trip():

@@ -13,7 +13,9 @@ one per output:
   region_audit bank tree on the seed-1, pass-0 points;
 - cli/...: exit code, stdout and stderr of `ctbt validate`, `validate
   --print`, `check-partition`, `regions --x0`, a `regions` grid and
-  `simulate` on the bundled models;
+  `simulate` on the bundled models, and `certify` on two of them;
+- boundary/<model>: `sample_boundary_pairs` and `check_transversality` on
+  the bundled thermostat and kitchen_lamp models;
 - demo/<file>: exit code and stdout of every script in demos/.
 
 To show that a change keeps its outputs, run this on the change and on its
@@ -48,6 +50,8 @@ CLI_CASES = {
         ["regions", "--grid", "9", "--box=-3:3,-2:2"],
         *(["regions", f"--x0={x}"] for x in
           ("3,0", "0.3,0.1", "0.01,0.01", "-2,1", "0,0", "0.5,0", "-0.04,0.03")),
+        ["certify", "--inits", "grid", "--count", "9", "--dt", "0.004", "--t-end", "20",
+         "--box=-3:3,-2:2"],
     ],
     "thermostat": [
         ["check-partition", "--seed", "1", "--samples", "400", "--box", "19:23"],
@@ -55,7 +59,15 @@ CLI_CASES = {
         *(["regions", f"--x0={x}"] for x in ("18", "21", "21.000001", "22.5", "-3")),
         ["simulate", "--x0=18", "--t-end", "5", "--dt", "0.01"],
         ["simulate", "--x0=23", "--t-end", "5", "--dt", "0.01", "--format", "csv"],
+        ["certify", "--inits", "grid", "--count", "5", "--dt", "0.01", "--t-end", "5",
+         "--box", "18:24"],
     ],
+}
+
+# bundled model: (box, pair count) for the boundary sampler, seed 1
+BOUNDARY_CASES = {
+    "thermostat": ([(19.0, 23.0)], 20),
+    "kitchen_lamp": ([(-2.0, 2.0), (-2.0, 2.0)], 40),
 }
 
 
@@ -108,6 +120,19 @@ def cli_digests() -> list:
     return lines
 
 
+def boundary_digests() -> list:
+    from ctbt import check_transversality, dsl, sample_boundary_pairs
+
+    lines = []
+    for model, (box, count) in BOUNDARY_CASES.items():
+        lowered = dsl.load(dsl.bundled_model_dir() / f"{model}.btm")
+        pairs = sample_boundary_pairs(lowered.bt, box, count, seed=1)
+        report = check_transversality(lowered.plant, lowered.bt, pairs)
+        text = repr([(a.tolist(), b.tolist()) for a, b in pairs]) + "\n" + repr(report)
+        lines.append((sha(text), f"boundary/{model}"))
+    return lines
+
+
 def demo_digests(root: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
@@ -135,7 +160,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     lines = (bank_digests(workloads) + region_digests(workloads)
-             + cli_digests() + demo_digests(root))
+             + cli_digests() + boundary_digests() + demo_digests(root))
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
