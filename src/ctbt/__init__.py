@@ -58,7 +58,7 @@ from .regions import (
     subsystem_leaves,
     uniform_points,
 )
-from .tree import OrderedTree, build_tree
+from .tree import OrderedTree
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "TriplePointChatter",
     "batch_integrate",
     "build_prepares_graph",
-    "build_tree",
     "certify",
     "check_acyclic",
     "check_lambda_invariance",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,10 +37,13 @@ class CliError(Exception):
 
 def _floats(text: str, what: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise CliError(f"could not parse {what} {text!r}: "
-                       "expected comma-separated numbers")
+        pass
+    raise CliError(f"could not parse {what} {text!r}: "
+                   "expected comma-separated finite numbers")
 
 
 def _parse_x0(text: str, state_dim: int) -> tuple:

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .tree import OrderedTree, build_tree
+from .tree import OrderedTree
 
 
 class Status(enum.Enum):
@@ -110,7 +110,7 @@ def composed_status(bt: "BehaviorTree", i: int, x) -> Status:
     Successes; dual for Fallback).  Exactly one of the three must hold.  The
     region route in ctbt.regions evaluates the same algebra.
     """
-    if isinstance(bt.nodes[i], Leaf):
+    if isinstance(bt.nodes[bt.tree._check_id(i)], Leaf):
         raise NotComposite(f"node {i} is a leaf")
     return _status_table(bt, x, i)[i]
 
@@ -160,51 +160,57 @@ def _status_table(bt: "BehaviorTree", x, i: int = 0) -> list:
 class BehaviorTree:
     """A validated behavior tree bound to its ordered-tree skeleton.
 
-    Node ids must be dense 0..N-1 with the root id 0 (builders normally
-    assign them depth-first).  Derived structure (ordered tree, node index,
-    kind map, leaf list) is computed once; instances are treated as
-    immutable.
+    The one place a tree's shape is checked: node ids must be dense ints
+    0..N-1 with the root id 0 (builders normally assign them depth-first),
+    each node attached once, every composite with children.  Derived
+    structure (ordered tree, node index, kind map, leaf list) is computed
+    once; instances are treated as immutable.
     """
 
     def __init__(self, root: BtNode, state_dim: int):
         nodes: dict = {}
-        edges = []
+        parent: dict = {}
+        children: dict = {}
         steps = []  # (node id, leaf metadata or None, gate status, child ids)
         subtree = {}  # node id -> slice of steps covering its subtree
 
-        def collect(node: BtNode):
+        def collect(node: BtNode, up):
             kind = _kind(node)  # before any field of node is read
-            if node.node_id in nodes:
-                raise ValueError(f"node id {node.node_id} used twice")
-            nodes[node.node_id] = node
+            i = node.node_id
+            if i in nodes:
+                raise ValueError(f"node id {i} used twice")
+            nodes[i], parent[i] = node, up
             first = len(steps)
             if kind == "leaf":
-                steps.append((node.node_id, node.behavior.metadata, None, ()))
+                kids = ()
+                steps.append((i, node.behavior.metadata, None, kids))
             else:
                 if not node.children:
-                    raise ValueError(f"composite {node.node_id} has no children")
+                    raise ValueError(f"composite {i} has no children")
                 for c in node.children:
-                    collect(c)
+                    collect(c, i)
                 kids = tuple(c.node_id for c in node.children)
-                edges.append((node.node_id, kids))
-                steps.append((node.node_id, None, _GATE[kind], kids))
-            subtree[node.node_id] = slice(first, len(steps))
+                steps.append((i, None, _GATE[kind], kids))
+            children[i] = kids
+            subtree[i] = slice(first, len(steps))
 
-        collect(root)
+        collect(root, None)
         if root.node_id != 0:
             raise ValueError("root node must have id 0")
-        if sorted(nodes) != list(range(len(nodes))):
+        ids = range(len(nodes))
+        if not all(type(i) is int for i in nodes) or sorted(nodes) != list(ids):
             raise ValueError("node ids must be dense 0..N-1")
         self.root = root
         self.state_dim = state_dim
-        self.tree: OrderedTree = build_tree(edges)
-        self.nodes = tuple(nodes[i] for i in range(len(nodes)))
+        self.tree = OrderedTree(tuple(parent[i] for i in ids),
+                                tuple(children[i] for i in ids))
+        self.nodes = tuple(nodes[i] for i in ids)
         self.kinds = tuple(_kind(n) for n in self.nodes)
         self.leaf_ids = tuple(i for i, k in enumerate(self.kinds) if k == "leaf")
         # post-order status steps: a node's subtree is a contiguous slice
         # ending at its own step, every child before its parent
         self._steps = tuple(steps)
-        self._subtree = tuple(subtree[i] for i in range(len(nodes)))
+        self._subtree = tuple(subtree[i] for i in ids)
         self._region_plan = None  # filled lazily by regions._plan
 
     def check_state(self, x) -> tuple:
@@ -242,10 +248,10 @@ class BehaviorTree:
 
     def status(self, i: int, x) -> Status:
         """Status of the subtree rooted at i, by delegation semantics."""
-        return _resolve(self.nodes[i], x)[0]
+        return _resolve(self.nodes[self.tree._check_id(i)], x)[0]
 
     def behavior(self, i: int) -> LeafBehavior:
-        node = self.nodes[i]
+        node = self.nodes[self.tree._check_id(i)]
         if not isinstance(node, Leaf):
             raise ValueError(f"node {i} is not a leaf")
         return node.behavior

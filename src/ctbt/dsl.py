@@ -596,11 +596,31 @@ def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
                         f"node {child!r} is attached to the tree twice", *pos)
                 referenced[child] = pos
 
+    # cap the tree's depth, walking it from the root on an explicit stack;
+    # the check above makes the part reachable from the root a tree, so the
+    # walk ends
+    stack = [(m.root, 1)]
+    while stack:
+        name, depth = stack.pop()
+        d = decls[name]
+        if isinstance(d, CompositeDecl):
+            if depth == _MAX_TREE_DEPTH:
+                raise ModelTypeError(
+                    f"tree nests more than {_MAX_TREE_DEPTH} levels deep",
+                    *d.child_positions[0])
+            stack += [(child, depth + 1) for child in d.children]
+
     return ModelFile(
         name=m.name, state_dim=m.state_dim, control_dim=m.control_dim,
         constants=m.constants, plant=tuple(plant_entries), nodes=m.nodes,
         root=m.root)
 
+
+# Levels a model tree may have, root to deepest leaf: lower takes two Python
+# frames per level, BehaviorTree and the delegation walk one each, and 200
+# levels leave over half of Python's default recursion limit of 1000 to
+# their callers.
+_MAX_TREE_DEPTH = 200
 
 # Nesting levels an expression may have: lowering and formatting walk it
 # recursively, about one Python frame per level, under Python's default

@@ -189,7 +189,7 @@ class _Integrator:
     # ---- plumbing
 
     def field_for(self, leaf: int):
-        field, controller = self.plant.field, self.bt.behavior(leaf).controller
+        field, controller = self.plant.field, self.bt.nodes[leaf].behavior.controller
         return lambda y: field(y, controller(y))
 
     def move_to(self, x, status: Status, leaf: int) -> None:
@@ -464,12 +464,13 @@ def check_transversality(plant: Plant, bt: BehaviorTree,
     sharpest when the pair is aligned with the surface normal.  In one
     state dimension any straddling pair is normal-aligned; in higher
     dimensions, build pairs from known geometry when grazing must be
-    distinguished from oblique crossing.
+    distinguished from oblique crossing.  Every endpoint must pass
+    bt.check_state.
     """
     failures = []
     ok = 0
     for idx, (xa, xb) in enumerate(pairs):
-        xa, xb = tuple(map(float, xa)), tuple(map(float, xb))
+        xa, xb = bt.check_state(xa), bt.check_state(xb)
         la, lb = bt.resolve(xa)[1], bt.resolve(xb)[1]
         n = np.subtract(xb, xa)
         nn = float(np.linalg.norm(n))
@@ -491,14 +492,19 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int) -> list:
 
     Draws random segments, keeps those whose endpoints live in different
     leaf regions, and bisects each down to length _BOUNDARY_TOL.
-    Deterministic in seed.  Raises EmptySampler if the budget of draws finds
-    no boundary.
+    Deterministic in seed.  The box's low and high corners must pass
+    bt.check_state.  Raises EmptySampler if count is below 1 or the budget of
+    draws finds no boundary.
     """
     from .regions import EmptySampler
 
+    if count < 1:
+        raise EmptySampler("sample count must be positive")
     rng = np.random.default_rng(seed)
     box = np.asarray(box, dtype=float)
     lows, highs = box[:, 0], box[:, 1]
+    for corner in (lows, highs):  # shape and finiteness, as for any state
+        bt.check_state(corner)
     pairs = []
     budget = 400 * count
     for _ in range(budget):

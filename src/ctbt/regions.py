@@ -80,12 +80,12 @@ def _plan(bt: BehaviorTree) -> _RegionPlan:
     if bt._region_plan is None:
         tree, kinds = bt.tree, bt.kinds
         influence = tuple(
-            tuple((j, _GATE[kinds[tree.parent_of(j)]]) for j in tree.left_uncles(i))
+            tuple((j, _GATE[kinds[tree.parent[j]]]) for j in tree.left_uncles(i))
             for i in range(len(bt.nodes))
         )
         # i is on the success (failure) pathway unless a right uncle under a
         # Sequence (Fallback) parent takes over from it
-        takeover = [{kinds[tree.parent_of(j)] for j in tree.right_uncles(i)}
+        takeover = [{kinds[tree.parent[j]] for j in tree.right_uncles(i)}
                     for i in range(len(bt.nodes))]
         pw = PathwaySets(
             success=frozenset(i for i, t in enumerate(takeover) if "seq" not in t),
@@ -101,12 +101,14 @@ def in_influence_region(bt: BehaviorTree, i: int, x) -> bool:
     Every left uncle under a Sequence parent must be in Success at x, every
     left uncle under a Fallback parent in Failure.
     """
+    i = bt.tree._check_id(i)
     table = _status_table(bt, x)
     return all(table[j] is want for j, want in _plan(bt).influence[i])
 
 
 def in_operating_region(bt: BehaviorTree, i: int, x) -> bool:
     """Is x inside node i's operating region (the case split in the module doc)?"""
+    i = bt.tree._check_id(i)
     plan = _plan(bt)
     table = _status_table(bt, x)
     return (all(table[j] is want for j, want in plan.influence[i])

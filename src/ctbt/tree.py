@@ -1,105 +1,52 @@
-"""Rooted ordered trees and the partial orders a behavior tree hangs off.
+"""Uncle relations on the ordered skeleton of a behavior tree.
 
-A tree over dense node ids 0..N-1 (root is always 0) carries two partial
-orders: the parent order (ancestor-or-self) and the sibling order (same
-parent, left to right).  Composing them gives the left/right "uncle"
-relations: j is a left uncle of i when j is a strict left sibling of some
-ancestor-or-self of i.  Uncles are what decide which other subtrees must
-have already succeeded or failed for node i to be reached.
+BehaviorTree validates its node graph and builds this skeleton: node ids
+are dense 0..N-1 with the root 0, and each node's children are kept left
+to right.  Two orders hang off it: the parent order (ancestor-or-self) and
+the strict sibling order (same parent, left to right).  Composing them
+gives the left/right "uncle" relations: j is a left uncle of i when j is a
+strict left sibling of some ancestor-or-self of i.  Uncles are what decide
+which other subtrees must have already succeeded or failed for node i to
+be reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
-class TreeError(ValueError):
-    """Edge list does not describe a rooted ordered tree."""
+class InvalidNodeId(ValueError):
+    """A node id that is not an int in 0..N-1 for its tree."""
 
-    def __init__(self, message: str, node_id: int):
-        super().__init__(f"{message} (node {node_id})")
+    def __init__(self, node_id):
+        super().__init__(f"node id out of range (node {node_id!r})")
         self.node_id = node_id
-
-
-class CycleDetected(TreeError):
-    pass
-
-
-class MultipleRoots(TreeError):
-    pass
-
-
-class DuplicateChild(TreeError):
-    pass
-
-
-class OrphanNode(TreeError):
-    pass
-
-
-class InvalidNodeId(TreeError):
-    pass
 
 
 @dataclass(frozen=True)
 class OrderedTree:
-    """Immutable rooted ordered tree.
+    """Immutable rooted ordered tree, built by BehaviorTree.
 
     parent[i] is the parent id of node i (None for the root).
     children[i] is the tuple of i's children, left to right.
-    Construct through build_tree, which validates the shape.
     """
 
     parent: tuple
     children: tuple
 
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
-
     def _check_id(self, i) -> int:
+        """i itself if it is a node id of this tree, else InvalidNodeId."""
         if not isinstance(i, int) or isinstance(i, bool) or not (0 <= i < len(self.parent)):
-            raise InvalidNodeId("node id out of range", i)
+            raise InvalidNodeId(i)
         return i
-
-    def parent_of(self, i: int):
-        return self.parent[self._check_id(i)]
-
-    def children_of(self, i: int) -> tuple:
-        return self.children[self._check_id(i)]
-
-    def is_leaf(self, i: int) -> bool:
-        return not self.children[self._check_id(i)]
 
     def ancestors_or_self(self, i: int) -> Iterator[int]:
         """Yield i, parent(i), ..., root."""
-        self._check_id(i)
-        node = i
+        node = self._check_id(i)
         while node is not None:
             yield node
             node = self.parent[node]
-
-    def leq_p(self, a: int, b: int) -> bool:
-        """Parent order: is a an ancestor of b, or equal to it?"""
-        self._check_id(a)
-        return any(node == a for node in self.ancestors_or_self(b))
-
-    def lt_s(self, a: int, b: int) -> bool:
-        """Strict sibling order: same parent, a strictly to the left of b."""
-        self._check_id(a)
-        self._check_id(b)
-        if a == b:
-            return False
-        pa, pb = self.parent[a], self.parent[b]
-        if pa is None or pa != pb:
-            return False
-        sibs = self.children[pa]
-        return sibs.index(a) < sibs.index(b)
-
-    def leq_s(self, a: int, b: int) -> bool:
-        """Sibling order with reflexivity."""
-        return a == self._check_id(b) or self.lt_s(a, b)
 
     def left_uncles(self, i: int) -> tuple:
         """Nodes j with j a strict left sibling of some ancestor-or-self of i.
@@ -127,63 +74,3 @@ class OrderedTree:
             sibs = self.children[p]
             out.update(sibs[sibs.index(a) + 1 :])
         return tuple(sorted(out))
-
-
-def build_tree(edges: Iterable) -> OrderedTree:
-    """Build and validate an OrderedTree from (parent, children) pairs.
-
-    edges is an iterable of (parent_id, [child ids left to right]).  Ids must
-    be dense 0..N-1 with node 0 the root.  Raises DuplicateChild,
-    CycleDetected, MultipleRoots or OrphanNode naming the offending node.
-    """
-    child_lists: dict = {}
-    parent_map: dict = {}
-    mentioned = {0}
-    for p, kids in edges:
-        _require_id(p)
-        mentioned.add(p)
-        if p in child_lists:
-            # second child list for the same parent: treat as duplicate listing
-            raise DuplicateChild("parent listed twice", p)
-        kids = list(kids)
-        child_lists[p] = kids
-        for c in kids:
-            _require_id(c)
-            mentioned.add(c)
-            if c in parent_map or kids.count(c) > 1:
-                raise DuplicateChild("child attached more than once", c)
-            parent_map[c] = p
-
-    count = max(mentioned) + 1
-
-    # cycle check: follow parents from every node; a walk longer than the
-    # node count must have revisited something.
-    for start in range(count):
-        seen = set()
-        node = start
-        while node in parent_map:
-            if node in seen:
-                raise CycleDetected("parent chain revisits node", node)
-            seen.add(node)
-            node = parent_map[node]
-
-    roots = [i for i in range(count) if i not in parent_map]
-    for r in roots:
-        if r != 0 and r not in child_lists:
-            # never mentioned as a parent or a child: a dangling id gap
-            raise OrphanNode("node is not attached to the tree", r)
-    extra = [r for r in roots if r != 0]
-    if 0 in parent_map:
-        # acyclic, so some other node is parentless and would be the root
-        raise MultipleRoots("root must be node 0, found another root", extra[0])
-    if extra:
-        raise MultipleRoots("more than one parentless node", extra[0])
-
-    parent = tuple(parent_map.get(i) for i in range(count))
-    children = tuple(tuple(child_lists.get(i, ())) for i in range(count))
-    return OrderedTree(parent=parent, children=children)
-
-
-def _require_id(i) -> None:
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise InvalidNodeId("node ids must be non-negative integers", i)

@@ -125,6 +125,22 @@ def test_simulate_unparseable_x0(capsys):
     assert "--x0" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "thermostat.btm", "--x0", "nan"], "--x0"),
+    (["check-partition", "thermostat.btm", "--seed", "1", "--box", "18:inf"], "--box"),
+    (["regions", "thermostat.btm", "--box=-inf:1"], "--box"),
+    (["certify", "thermostat.btm", "--box", "18:inf"], "--box"),
+    (["certify", "thermostat.btm", "--exclude", "21:nan"], "--exclude radius"),
+    (["certify", "thermostat.btm", "--exclude", "nan:1"], "--exclude center"),
+], ids=["x0-nan", "partition-box-inf", "regions-box-neg-inf", "certify-box-inf",
+        "exclude-radius-nan", "exclude-center-nan"])
+def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: could not parse {flag} ")
+    assert "finite numbers" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 def test_zero_step_is_a_usage_error(capsys, command):
     argv = [command, "thermostat.btm", "--dt", "0", "--t-end", "1"]

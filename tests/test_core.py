@@ -210,6 +210,8 @@ def test_tree_validation_errors():
         BehaviorTree(const_leaf(1, 0, Status.RUNNING), 1)
     with pytest.raises(ValueError, match="dense"):
         BehaviorTree(Sequence(0, (const_leaf(5, 0, Status.RUNNING),)), 1)
+    with pytest.raises(ValueError, match="dense"):
+        BehaviorTree(Sequence(0, (const_leaf(True, 0, Status.RUNNING),)), 1)
     with pytest.raises(ValueError, match="twice"):
         leaf = const_leaf(1, 0, Status.RUNNING)
         BehaviorTree(Sequence(0, (leaf, leaf)), 1)

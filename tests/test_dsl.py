@@ -16,6 +16,8 @@ from ctbt.dsl import (
     UnboundIdentifier,
     UndeclaredIdentifier,
 )
+from ctbt.executor import IntegratorConfig, integrate
+from ctbt.regions import check_partition, uniform_points
 
 from conftest import SETPOINT, kitchen_bt, thermostat_bt
 
@@ -681,6 +683,34 @@ def test_deep_division_chain_is_a_positioned_model_error():
     with pytest.raises(ModelTypeError, match="nests too deeply") as e:
         dsl.lower(dsl.parse(_deep(chain)))
     assert e.value.line == 5
+
+
+def _nested_seqs(levels: int) -> str:
+    """A model whose tree is levels deep: one-child seqs over one leaf."""
+    lines = ['model "deep" {', "  state 1;", "  control 1;", "  plant { dx0 = u0; }",
+             "  leaf bottom { u = [-1.0]; status = if x0 > 0.0 then R else S; }"]
+    child = "bottom"
+    for k in range(levels - 1):
+        lines.append(f"  seq s{k} = [{child}];")
+        child = f"s{k}"
+    return "\n".join(lines + [f"  root = {child};", "}"]) + "\n"
+
+
+def test_tree_at_the_depth_cap_lowers_resolves_integrates_and_partitions():
+    levels = dsl._MAX_TREE_DEPTH
+    lowered = dsl.lower(dsl.parse(_nested_seqs(levels)))
+    bt = lowered.bt
+    assert bt.resolve((1.0,)) == (Status.RUNNING, levels - 1)
+    traj = integrate(lowered.plant, bt, (1.0,), IntegratorConfig(dt=0.01, t_end=3.0))
+    assert traj.samples[-1].status is Status.SUCCESS
+    assert check_partition(bt, uniform_points([(-1.0, 1.0)], 50, seed=1)).passed
+
+
+def test_tree_past_the_depth_cap_is_a_positioned_model_error():
+    with pytest.raises(ModelTypeError, match="tree nests more than") as e:
+        dsl.parse(_nested_seqs(dsl._MAX_TREE_DEPTH + 1))
+    # the reference that crosses the cap: the leaf under the deepest seq
+    assert (e.value.line, e.value.col) == (6, 13)
 
 
 HOSTILE = """\

@@ -6,6 +6,7 @@ import pytest
 from ctbt import dsl
 from ctbt.core import (
     BehaviorTree,
+    DimensionMismatch,
     Fallback,
     Leaf,
     LeafBehavior,
@@ -525,6 +526,31 @@ def test_boundary_sampler_empty():
     bt = thermostat_bt()
     with pytest.raises(EmptySampler):
         sample_boundary_pairs(bt, [(0.0, 1.0)], count=5, seed=1)
+
+
+_LAMP_BOX = [(-3.0, 3.0), (-3.0, 3.0)]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda bt, m: sample_boundary_pairs(bt, _LAMP_BOX + [(0.0, 1.0)], 5, 1),
+     DimensionMismatch, "shape"),
+    (lambda bt, m: check_transversality(
+        m.plant, bt, [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))]), DimensionMismatch, "shape"),
+    (lambda bt, m: sample_boundary_pairs(bt, [(-3.0, math.nan), (-3.0, 3.0)], 5, 1),
+     NonFiniteState, "not finite"),
+    (lambda bt, m: sample_boundary_pairs(bt, _LAMP_BOX, 0, 1),
+     EmptySampler, "count must be positive"),
+    (lambda bt, m: sample_boundary_pairs(bt, _LAMP_BOX, -1, 1),
+     EmptySampler, "count must be positive"),
+    (lambda bt, m: check_transversality(
+        m.plant, bt, [((math.nan, 0.0), (1.0, 0.0))]), NonFiniteState, "not finite"),
+], ids=["box-3-axes", "pair-3-components", "box-nan", "count-0", "count-neg",
+        "pair-nan"])
+def test_boundary_tools_validate_their_input(call, error, match):
+    """Boxes and pairs are states of the tree: the one state check applies."""
+    model = dsl.load(dsl.resolve_model_path("kitchen_lamp.btm"))
+    with pytest.raises(error, match=match):
+        call(model.bt, model)
 
 
 # ------------------------------------------------------------ state format

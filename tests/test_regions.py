@@ -29,6 +29,7 @@ from ctbt.regions import (
     subsystem_leaves,
     uniform_points,
 )
+from ctbt.tree import InvalidNodeId
 
 
 def kitchen_samples():
@@ -130,8 +131,8 @@ def test_pathways_upward_closed():
     for seed in range(30):
         bt = random_bt(seed)
         pw = pathway_sets(bt)
-        for i in range(1, bt.tree.node_count):
-            p = bt.tree.parent_of(i)
+        for i in range(1, len(bt.nodes)):
+            p = bt.tree.parent[i]
             if i in pw.success:
                 assert p in pw.success
             if i in pw.failure:
@@ -142,9 +143,25 @@ def test_influence_regions_nest_upward():
     for seed in range(12):
         bt = random_bt(seed)
         for x in uniform_points([(-3, 3), (-3, 3)], 100, seed=seed):
-            for i in range(1, bt.tree.node_count):
+            for i in range(1, len(bt.nodes)):
                 if in_influence_region(bt, i, x):
-                    assert in_influence_region(bt, bt.tree.parent_of(i), x)
+                    assert in_influence_region(bt, bt.tree.parent[i], x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bt, x: bt.behavior(-1),
+    lambda bt, x: bt.behavior(True),
+    lambda bt, x: bt.status(-1, x),
+    lambda bt, x: composed_status(bt, 99, x),
+    lambda bt, x: in_influence_region(bt, -1, x),
+    lambda bt, x: in_operating_region(bt, 99, x),
+], ids=["behavior-neg", "behavior-bool", "status-neg", "composed-99",
+        "influence-neg", "operating-99"])
+def test_public_node_id_arguments_pass_the_id_check(call):
+    """A bool, negative or too-large id is refused, not read as a list index."""
+    bt = dsl.load(dsl.resolve_model_path("kitchen_lamp.btm")).bt
+    with pytest.raises(InvalidNodeId):
+        call(bt, (0.0, 0.0))
 
 
 def test_root_operating_region_is_everywhere():

@@ -1,17 +1,12 @@
-"""Ordered-tree orders and uncle relations, checked exhaustively on small trees."""
-
-import itertools
+"""Uncle relations of the skeleton BehaviorTree builds, checked exhaustively
+on small trees against the paper's definitions."""
 
 import pytest
 
-from ctbt.tree import (
-    CycleDetected,
-    DuplicateChild,
-    InvalidNodeId,
-    MultipleRoots,
-    OrphanNode,
-    build_tree,
-)
+from ctbt.core import BehaviorTree, Leaf, LeafBehavior, Sequence, Status
+from ctbt.tree import InvalidNodeId
+
+_IDLE = LeafBehavior(lambda x: (0.0,), lambda x: Status.RUNNING)
 
 
 def forests(total):
@@ -32,20 +27,17 @@ def shapes(n):
 
 
 def to_tree(shape):
-    """Assign preorder ids and build the OrderedTree."""
-    edges = []
+    """Assign preorder ids, build the BehaviorTree, return its OrderedTree."""
     counter = [0]
 
     def walk(s):
         nid = counter[0]
         counter[0] += 1
-        kids = [walk(c) for c in s]
-        if kids:
-            edges.append((nid, kids))
-        return nid
+        if not s:
+            return Leaf(nid, _IDLE)
+        return Sequence(nid, tuple(walk(c) for c in s))
 
-    walk(shape)
-    return build_tree(edges)
+    return BehaviorTree(walk(shape), state_dim=1).tree
 
 
 def all_trees(max_nodes=8):
@@ -58,47 +50,34 @@ def test_shape_counts_are_catalan():
     assert [sum(1 for _ in shapes(n)) for n in range(1, 7)] == [1, 1, 2, 5, 14, 42]
 
 
-def test_parent_order_is_a_partial_order_exhaustive():
-    for t in all_trees(7):
-        ids = range(t.node_count)
-        for a in ids:
-            assert t.leq_p(a, a)
-        for a, b in itertools.permutations(ids, 2):
-            if t.leq_p(a, b) and t.leq_p(b, a):
-                pytest.fail(f"antisymmetry broken at ({a},{b}) in {t.children}")
-        for a, b, c in itertools.product(ids, repeat=3):
-            if t.leq_p(a, b) and t.leq_p(b, c):
-                assert t.leq_p(a, c)
+def leq_p(t, a, b):
+    """Parent order: a is b or an ancestor of b."""
+    while b is not None and b != a:
+        b = t.parent[b]
+    return b == a
 
 
-def test_sibling_order_properties_exhaustive():
-    for t in all_trees(7):
-        ids = range(t.node_count)
-        for a in ids:
-            assert not t.lt_s(a, a)
-            assert t.leq_s(a, a)
-        for a, b in itertools.permutations(ids, 2):
-            if t.lt_s(a, b):
-                assert t.parent_of(a) == t.parent_of(b)
-                assert not t.lt_s(b, a)
+def lt_s(t, a, b):
+    """Strict sibling order: same parent, a strictly to the left of b."""
+    p = t.parent[a]
+    return (a != b and p is not None and p == t.parent[b]
+            and t.children[p].index(a) < t.children[p].index(b))
 
 
 def brute_left_uncles(t, i):
-    return tuple(sorted(
-        j for j in range(t.node_count)
-        if any(t.lt_s(j, y) and t.leq_p(y, i) for y in range(t.node_count))))
+    ids = range(len(t.parent))
+    return tuple(j for j in ids if any(lt_s(t, j, y) and leq_p(t, y, i) for y in ids))
 
 
 def brute_right_uncles(t, i):
-    return tuple(sorted(
-        j for j in range(t.node_count)
-        if any(t.lt_s(y, j) and t.leq_p(y, i) for y in range(t.node_count))))
+    ids = range(len(t.parent))
+    return tuple(j for j in ids if any(lt_s(t, y, j) and leq_p(t, y, i) for y in ids))
 
 
 def test_uncles_match_bruteforce_on_all_small_trees():
     checked = 0
     for t in all_trees(8):
-        for i in range(t.node_count):
+        for i in range(len(t.parent)):
             assert t.left_uncles(i) == brute_left_uncles(t, i)
             assert t.right_uncles(i) == brute_right_uncles(t, i)
             checked += 1
@@ -106,7 +85,8 @@ def test_uncles_match_bruteforce_on_all_small_trees():
 
 
 def test_thermostat_shape_uncles():
-    t = build_tree([(0, [1, 4]), (1, [2, 3])])
+    t = to_tree((((), ()), ()))
+    assert t.children == ((1, 4), (2, 3), (), (), ())
     assert t.right_uncles(2) == (3, 4)
     assert t.right_uncles(3) == (4,)
     assert t.right_uncles(4) == ()
@@ -116,7 +96,7 @@ def test_thermostat_shape_uncles():
 
 
 def test_kitchen_shape_uncles():
-    t = build_tree([(0, [1, 2]), (2, [3, 4])])
+    t = to_tree(((), ((), ())))
     assert t.left_uncles(3) == (1,)
     assert t.left_uncles(4) == (1, 3)
     assert t.right_uncles(1) == (2,)
@@ -125,51 +105,23 @@ def test_kitchen_shape_uncles():
 
 
 def test_ancestors_or_self_walks_to_root():
-    t = build_tree([(0, [1, 2]), (2, [3, 4])])
+    t = to_tree(((), ((), ())))
     assert list(t.ancestors_or_self(4)) == [4, 2, 0]
     assert list(t.ancestors_or_self(0)) == [0]
 
 
-def test_cycle_detected():
-    with pytest.raises(CycleDetected):
-        build_tree([(0, [1]), (1, [0])])
-
-
-def test_duplicate_child():
-    with pytest.raises(DuplicateChild) as err:
-        build_tree([(0, [1, 1])])
-    assert err.value.node_id == 1
-    with pytest.raises(DuplicateChild):
-        build_tree([(0, [1, 2]), (2, [1])])
-
-
-def test_multiple_roots():
-    with pytest.raises(MultipleRoots) as err:
-        build_tree([(0, [1]), (2, [3])])
-    assert err.value.node_id == 2
-    with pytest.raises(MultipleRoots):
-        build_tree([(1, [0])])
-
-
-def test_orphan_node_gap():
-    with pytest.raises(OrphanNode) as err:
-        build_tree([(0, [2])])
-    assert err.value.node_id == 1
-
-
 def test_invalid_node_id():
-    t = build_tree([(0, [1])])
-    with pytest.raises(InvalidNodeId):
-        t.leq_p(0, 5)
-    with pytest.raises(InvalidNodeId):
-        t.left_uncles(-1)
-    with pytest.raises(InvalidNodeId):
-        build_tree([(0, [-3])])
+    t = to_tree(((),))
+    for bad in (-1, 2, True, 1.0, "1"):
+        with pytest.raises(InvalidNodeId) as err:
+            t.left_uncles(bad)
+        assert err.value.node_id is bad
+    assert t._check_id(1) == 1
 
 
 def test_single_node_tree():
-    t = build_tree([])
-    assert t.node_count == 1
+    t = to_tree(())
+    assert t.parent == (None,)
+    assert t.children == ((),)
     assert t.left_uncles(0) == ()
     assert t.right_uncles(0) == ()
-    assert t.is_leaf(0)
