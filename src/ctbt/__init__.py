@@ -32,7 +32,6 @@ from .core import (
     Plant,
     Sequence,
     Status,
-    composed_status,
 )
 from .dsl import LoweredModel, ModelError, load, parse, resolve_model_path
 from .executor import (
@@ -50,6 +49,7 @@ from .regions import (
     EmptySampler,
     RegionReport,
     check_partition,
+    composed_status,
     grid_points,
     in_influence_region,
     in_operating_region,

@@ -6,12 +6,15 @@ children by delegation: a Sequence hands the state to its first child not
 reporting Success (all Success: the last child answers), a Fallback to its
 first child not reporting Failure.  Evaluating the root at a state x yields
 the tree's status there and the active leaf, whose controller drives the
-plant at x.
+plant at x.  This module owns that delegation walk only; the closed-form
+region algebra that recomputes every status independently is in
+ctbt.regions.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -100,63 +103,6 @@ def _resolve(node: BtNode, x):
     return _resolve(node.children[-1], x)
 
 
-def composed_status(bt: "BehaviorTree", i: int, x) -> Status:
-    """Status of composite i at x computed from the closed-form region algebra.
-
-    Independent of the delegation in tick: every node of i's subtree is
-    evaluated and the Sequence/Fallback region formulas are applied literally
-    (Success of a Sequence is the intersection of child Successes; its
-    Running/Failure regions are unions of child regions gated by all earlier
-    Successes; dual for Fallback).  Exactly one of the three must hold.  The
-    region route in ctbt.regions evaluates the same algebra.
-    """
-    if isinstance(bt.nodes[bt.tree._check_id(i)], Leaf):
-        raise NotComposite(f"node {i} is a leaf")
-    return _status_table(bt, x, i)[i]
-
-
-# Status every child must share for the composite to share it; a left uncle
-# under a parent of this kind must hold it for execution to pass on.
-_GATE = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
-
-
-def _compose(node_id: int, gate: Status, child_statuses, x) -> Status:
-    """Composite status from its children's statuses by the region algebra.
-
-    The gate region is the intersection of the children's gate regions; the
-    flow (Running) region is the union over j of child j's flow (Running)
-    region intersected with the gate regions of every child before j.  So x
-    lies in the region of the first child status that is not the gate
-    status, or in the gate region if there is none.  Exactly one of the three
-    regions must hold: a consulted child status that is not a Status puts x
-    in none of them.
-    """
-    for s in child_statuses:
-        if s is not gate:
-            if isinstance(s, Status):
-                return s
-            raise AssertionError(
-                f"composed regions of node {node_id} do not partition at "
-                f"{tuple(float(v) for v in x)!r}: child status {s!r}"
-            )
-    return gate
-
-
-def _status_table(bt: "BehaviorTree", x, i: int = 0) -> list:
-    """Status at x of every node in i's subtree via the region algebra.
-
-    One pass over the post-order steps of i's subtree, so every child is
-    evaluated before its parent; entries outside the subtree stay None.
-    """
-    table = [None] * len(bt.nodes)
-    for j, metadata, gate, kids in bt._steps[bt._subtree[i]]:
-        if metadata is not None:
-            table[j] = metadata(x)
-        else:
-            table[j] = _compose(j, gate, [table[c] for c in kids], x)
-    return table
-
-
 class BehaviorTree:
     """A validated behavior tree bound to its ordered-tree skeleton.
 
@@ -171,8 +117,6 @@ class BehaviorTree:
         nodes: dict = {}
         parent: dict = {}
         children: dict = {}
-        steps = []  # (node id, leaf metadata or None, gate status, child ids)
-        subtree = {}  # node id -> slice of steps covering its subtree
 
         def collect(node: BtNode, up):
             kind = _kind(node)  # before any field of node is read
@@ -180,19 +124,14 @@ class BehaviorTree:
             if i in nodes:
                 raise ValueError(f"node id {i} used twice")
             nodes[i], parent[i] = node, up
-            first = len(steps)
             if kind == "leaf":
-                kids = ()
-                steps.append((i, node.behavior.metadata, None, kids))
-            else:
-                if not node.children:
-                    raise ValueError(f"composite {i} has no children")
-                for c in node.children:
-                    collect(c, i)
-                kids = tuple(c.node_id for c in node.children)
-                steps.append((i, None, _GATE[kind], kids))
-            children[i] = kids
-            subtree[i] = slice(first, len(steps))
+                children[i] = ()
+                return
+            if not node.children:
+                raise ValueError(f"composite {i} has no children")
+            for c in node.children:
+                collect(c, i)
+            children[i] = tuple(c.node_id for c in node.children)
 
         collect(root, None)
         if root.node_id != 0:
@@ -207,10 +146,6 @@ class BehaviorTree:
         self.nodes = tuple(nodes[i] for i in ids)
         self.kinds = tuple(_kind(n) for n in self.nodes)
         self.leaf_ids = tuple(i for i, k in enumerate(self.kinds) if k == "leaf")
-        # post-order status steps: a node's subtree is a contiguous slice
-        # ending at its own step, every child before its parent
-        self._steps = tuple(steps)
-        self._subtree = tuple(subtree[i] for i in ids)
         self._region_plan = None  # filled lazily by regions._plan
 
     def check_state(self, x) -> tuple:
@@ -220,9 +155,10 @@ class BehaviorTree:
             raise DimensionMismatch(
                 f"state has shape {x.shape}, expected ({self.state_dim},)"
             )
-        if not np.all(np.isfinite(x)):
+        x = tuple(x.tolist())
+        if not all(map(math.isfinite, x)):
             raise NonFiniteState(f"state is not finite: {x!r}")
-        return tuple(x.tolist())
+        return x
 
     def tick(self, x) -> tuple:
         """(control, root status) at x; only the active leaf's controller runs."""
@@ -248,7 +184,7 @@ class BehaviorTree:
 
     def status(self, i: int, x) -> Status:
         """Status of the subtree rooted at i, by delegation semantics."""
-        return _resolve(self.nodes[self.tree._check_id(i)], x)[0]
+        return _resolve(self.nodes[self.tree._check_id(i)], self.check_state(x))[0]
 
     def behavior(self, i: int) -> LeafBehavior:
         node = self.nodes[self.tree._check_id(i)]

@@ -16,8 +16,8 @@ the statuses that keep execution at i:
 Sibling operating regions partition the parent's, so leaf operating regions
 partition the whole state space; the leaf owning x is exactly the leaf tick
 delegates to at x.  Everything here is evaluated through the closed-form
-status algebra (core._compose, the one composed_status uses), never through
-tick's delegation, so the two routes stay independently testable.
+status algebra (_compose, the one composed_status uses), never through
+core's delegation walk, so the two routes stay independently testable.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence as Seq
 
 import numpy as np
 
-from .core import _GATE, BehaviorTree, Status, _status_table
+from .core import BehaviorTree, NotComposite, Status
 
 
 class EmptySampler(ValueError):
@@ -48,51 +48,116 @@ def pathway_sets(bt: BehaviorTree) -> PathwaySets:
     return _plan(bt).pathways
 
 
-_KEEP = {
-    (True, True): tuple(Status),
-    (True, False): (Status.RUNNING, Status.SUCCESS),
-    (False, True): (Status.RUNNING, Status.FAILURE),
-    (False, False): (Status.RUNNING,),
-}
-
-
-def _keeping(i: int, pw: PathwaySets) -> tuple:
-    """Statuses at node i that keep execution at i (the module doc's case split)."""
-    return _KEEP[i in pw.success, i in pw.failure]
+# Status every child must share for the composite to share it; a left uncle
+# under a parent of this kind must hold it for execution to pass on.
+_GATE = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
 
 
 @dataclass(frozen=True)
 class _RegionPlan:
-    """Per-tree tables the region predicates read, built once per tree.
+    """Per-tree tables the region route reads, built once per tree.
 
-    influence: for each node id, its (left uncle, required status)
-    preconditions.  owner_tests: (leaf id, influence preconditions, keeping
-    statuses) for every leaf.
+    steps: post-order (node id, leaf metadata or None, gate status, child
+    ids); subtree[i]: the contiguous slice of steps covering i's subtree.
+    tests: (i, influence preconditions as (left uncle, required status)
+    pairs, keeping statuses) for each node id i; owner_tests: the leaves'.
     """
 
-    influence: tuple
+    steps: tuple
+    subtree: tuple
     pathways: PathwaySets
+    tests: tuple
     owner_tests: tuple
 
 
 def _plan(bt: BehaviorTree) -> _RegionPlan:
     """_RegionPlan of bt, cached on the instance."""
     if bt._region_plan is None:
-        tree, kinds = bt.tree, bt.kinds
-        influence = tuple(
-            tuple((j, _GATE[kinds[tree.parent[j]]]) for j in tree.left_uncles(i))
-            for i in range(len(bt.nodes))
-        )
+        tree, kinds, n = bt.tree, bt.kinds, len(bt.nodes)
+        steps, subtree = [], [None] * n
+
+        def visit(i: int):  # post-order: children left to right, then i
+            first = len(steps)
+            for c in tree.children[i]:
+                visit(c)
+            metadata = bt.nodes[i].behavior.metadata if kinds[i] == "leaf" else None
+            steps.append((i, metadata, _GATE.get(kinds[i]), tree.children[i]))
+            subtree[i] = slice(first, len(steps))
+
+        visit(0)
         # i is on the success (failure) pathway unless a right uncle under a
         # Sequence (Fallback) parent takes over from it
         takeover = [{kinds[tree.parent[j]] for j in tree.right_uncles(i)}
-                    for i in range(len(bt.nodes))]
+                    for i in range(n)]
         pw = PathwaySets(
             success=frozenset(i for i, t in enumerate(takeover) if "seq" not in t),
             failure=frozenset(i for i, t in enumerate(takeover) if "fal" not in t))
-        owner_tests = tuple((i, influence[i], _keeping(i, pw)) for i in bt.leaf_ids)
-        bt._region_plan = _RegionPlan(influence, pw, owner_tests)
+        tests = []
+        for i in range(n):
+            conds = tuple((j, _GATE[kinds[tree.parent[j]]]) for j in tree.left_uncles(i))
+            # the statuses at i that keep execution at i (the module doc's cases)
+            keep = [Status.RUNNING]
+            if i in pw.success:
+                keep.append(Status.SUCCESS)
+            if i in pw.failure:
+                keep.append(Status.FAILURE)
+            tests.append((i, conds, tuple(keep)))
+        bt._region_plan = _RegionPlan(
+            tuple(steps), tuple(subtree), pw, tuple(tests),
+            tuple(tests[i] for i in bt.leaf_ids))
     return bt._region_plan
+
+
+def _compose(node_id: int, gate: Status, child_statuses, x) -> Status:
+    """Composite status from its children's statuses by the region algebra.
+
+    The gate region is the intersection of the children's gate regions; the
+    flow (Running) region is the union over j of child j's flow (Running)
+    region intersected with the gate regions of every child before j.  So x
+    lies in the region of the first child status that is not the gate
+    status, or in the gate region if there is none.  Exactly one of the three
+    regions must hold: a consulted child status that is not a Status puts x
+    in none of them.
+    """
+    for s in child_statuses:
+        if s is not gate:
+            if isinstance(s, Status):
+                return s
+            raise AssertionError(
+                f"composed regions of node {node_id} do not partition at "
+                f"{tuple(float(v) for v in x)!r}: child status {s!r}"
+            )
+    return gate
+
+
+def _status_table(bt: BehaviorTree, x, i: int = 0) -> list:
+    """Status at x of every node in i's subtree via the region algebra.
+
+    One pass over the post-order steps of i's subtree, so every child is
+    evaluated before its parent; entries outside the subtree stay None.
+    """
+    plan = _plan(bt)
+    table = [None] * len(bt.nodes)
+    for j, metadata, gate, kids in plan.steps[plan.subtree[i]]:
+        if metadata is not None:
+            table[j] = metadata(x)
+        else:
+            table[j] = _compose(j, gate, [table[c] for c in kids], x)
+    return table
+
+
+def composed_status(bt: BehaviorTree, i: int, x) -> Status:
+    """Status of composite i at x computed from the closed-form region algebra.
+
+    Independent of core's delegation walk: every node of i's subtree is
+    evaluated and the Sequence/Fallback region formulas are applied literally
+    (Success of a Sequence is the intersection of child Successes; its
+    Running/Failure regions are unions of child regions gated by all earlier
+    Successes; dual for Fallback).  Exactly one of the three must hold.
+    """
+    if bt.kinds[bt.tree._check_id(i)] == "leaf":
+        raise NotComposite(f"node {i} is a leaf")
+    return _status_table(bt, bt.check_state(x), i)[i]
 
 
 def in_influence_region(bt: BehaviorTree, i: int, x) -> bool:
@@ -101,22 +166,19 @@ def in_influence_region(bt: BehaviorTree, i: int, x) -> bool:
     Every left uncle under a Sequence parent must be in Success at x, every
     left uncle under a Fallback parent in Failure.
     """
-    i = bt.tree._check_id(i)
-    table = _status_table(bt, x)
-    return all(table[j] is want for j, want in _plan(bt).influence[i])
+    _, conds, _ = _plan(bt).tests[bt.tree._check_id(i)]
+    table = _status_table(bt, bt.check_state(x))
+    return all(table[j] is want for j, want in conds)
 
 
 def in_operating_region(bt: BehaviorTree, i: int, x) -> bool:
     """Is x inside node i's operating region (the case split in the module doc)?"""
-    i = bt.tree._check_id(i)
-    plan = _plan(bt)
-    table = _status_table(bt, x)
-    return (all(table[j] is want for j, want in plan.influence[i])
-            and table[i] in _keeping(i, plan.pathways))
+    test = _plan(bt).tests[bt.tree._check_id(i)]
+    return bool(_owners(_status_table(bt, bt.check_state(x)), (test,)))
 
 
 def _owners(table: list, tests: tuple) -> list:
-    """Leaves of tests whose operating region holds the point of table."""
+    """Nodes of tests whose operating region holds the point of table."""
     return [
         i for i, conds, keep in tests
         if table[i] in keep and all(table[j] is want for j, want in conds)
@@ -125,7 +187,7 @@ def _owners(table: list, tests: tuple) -> list:
 
 def operating_owners(bt: BehaviorTree, x) -> list:
     """All leaves whose operating region contains x (should be exactly one)."""
-    return _owners(_status_table(bt, x), _plan(bt).owner_tests)
+    return _owners(_status_table(bt, bt.check_state(x)), _plan(bt).owner_tests)
 
 
 @dataclass(frozen=True)
@@ -223,9 +285,10 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
 
 def region_table(bt: BehaviorTree, points) -> list:
     """Rows (x..., owner leaf id, root status letter) for a CSV dump."""
+    tests = _plan(bt).owner_tests
     rows = []
     for x in _states(bt, points):
-        owners = operating_owners(bt, x)
+        owners = _owners(_status_table(bt, x), tests)
         owner = owners[0] if len(owners) == 1 else -1
         rows.append((*x, owner, bt.resolve(x)[0].value))
     return rows

@@ -19,7 +19,7 @@ from conftest import SETPOINT, random_bt, thermostat_bt, thermostat_plant
 
 from ctbt import dsl
 from ctbt.convergence import certify
-from ctbt.core import Status, composed_status
+from ctbt.core import Status
 from ctbt.dsl import (
     DuplicateDefinition,
     LexError,
@@ -39,6 +39,7 @@ from ctbt.executor import (
 )
 from ctbt.regions import (
     check_partition,
+    composed_status,
     grid_points,
     in_influence_region,
     in_operating_region,

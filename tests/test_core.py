@@ -16,8 +16,8 @@ from ctbt.core import (
     Sequence,
     Status,
     UnknownNodeKind,
-    composed_status,
 )
+from ctbt.regions import composed_status
 
 
 def const_leaf(nid, u, status, label=""):

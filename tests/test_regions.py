@@ -14,11 +14,11 @@ from ctbt.core import (
     NonFiniteState,
     Sequence,
     Status,
-    composed_status,
 )
 from ctbt.regions import (
     EmptySampler,
     check_partition,
+    composed_status,
     grid_points,
     in_influence_region,
     in_operating_region,
@@ -139,6 +139,38 @@ def test_pathways_upward_closed():
                 assert p in pw.failure
 
 
+def test_pathways_and_keeping_statuses_match_the_definition_on_random_trees():
+    """Brute force from parent and children, without the uncle relations: a
+    node is on the success (failure) pathway when no ancestor-or-self of it
+    is a non-last child of a Sequence (Fallback).  Running always keeps
+    execution at a node, Success only on the success pathway, Failure only
+    on the failure pathway."""
+    for seed in range(30):
+        bt = random_bt(seed)
+        parent, children = bt.tree.parent, bt.tree.children
+
+        def on_pathway(i, kind):
+            while parent[i] is not None:
+                p = parent[i]
+                if bt.kinds[p] == kind and children[p][-1] != i:
+                    return False
+                i = p
+            return True
+
+        nodes = range(len(bt.nodes))
+        success = {i for i in nodes if on_pathway(i, "seq")}
+        failure = {i for i in nodes if on_pathway(i, "fal")}
+        pw = pathway_sets(bt)
+        assert (pw.success, pw.failure) == (success, failure), f"tree seed {seed}"
+        for x in uniform_points([(-3, 3), (-3, 3)], 40, seed=700 + seed):
+            for i in nodes:
+                keep = {Status.RUNNING}
+                keep |= {Status.SUCCESS} if i in success else set()
+                keep |= {Status.FAILURE} if i in failure else set()
+                expected = in_influence_region(bt, i, x) and bt.status(i, x) in keep
+                assert in_operating_region(bt, i, x) == expected
+
+
 def test_influence_regions_nest_upward():
     for seed in range(12):
         bt = random_bt(seed)
@@ -162,6 +194,25 @@ def test_public_node_id_arguments_pass_the_id_check(call):
     bt = dsl.load(dsl.resolve_model_path("kitchen_lamp.btm")).bt
     with pytest.raises(InvalidNodeId):
         call(bt, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    ((0.0, 0.0, 0.0), DimensionMismatch, r"state has shape \(3,\), expected \(2,\)$"),
+    ((float("nan"), 0.0), NonFiniteState, r"state is not finite: \(nan, 0\.0\)$"),
+], ids=["three-components", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda bt, x: bt.status(0, x),
+    lambda bt, x: composed_status(bt, 0, x),
+    lambda bt, x: in_influence_region(bt, 1, x),
+    lambda bt, x: in_operating_region(bt, 1, x),
+    lambda bt, x: operating_owners(bt, x),
+], ids=["status", "composed", "influence", "operating", "owners"])
+def test_point_queries_validate_the_state(call, bad, error, message):
+    """A state of the wrong shape or with a non-finite component is refused
+    by the one state check, never answered or passed to generated code."""
+    bt = dsl.load(dsl.resolve_model_path("kitchen_lamp.btm")).bt
+    with pytest.raises(error, match=message):
+        call(bt, bad)
 
 
 def test_root_operating_region_is_everywhere():

@@ -10,7 +10,11 @@ one per output:
   the pendulum_certify and slide_hold banks (a run that raises is digested
   as its FailedRun repr);
 - region/<key>: `check_partition(...).to_dict()` and `region_csv` of every
-  region_audit bank tree on the seed-1, pass-0 points;
+  region_audit bank tree on the seed-1, pass-0 points, and its predicates:
+  `pathway_sets`; `in_influence_region`, `in_operating_region` and
+  `bt.status` of every node, `composed_status` of every composite and
+  `operating_owners`, on the workload's 16 probe points; `subsystem_leaves`
+  on the seed-1, pass-0 points;
 - cli/...: exit code, stdout and stderr of `ctbt validate`, `validate
   --print`, `check-partition`, `regions --x0`, a `regions` grid and
   `simulate` on the bundled models, and `certify` on two of them;
@@ -90,6 +94,28 @@ def bank_digests(workloads) -> list:
     return lines
 
 
+def predicate_text(bt, probes, points) -> str:
+    """Every region predicate of bt: per-probe answers, then the samples'."""
+    from ctbt import (composed_status, in_influence_region, in_operating_region,
+                      operating_owners, pathway_sets, subsystem_leaves)
+
+    ids = range(len(bt.nodes))
+    composites = [i for i in ids if bt.kinds[i] != "leaf"]
+    pw = pathway_sets(bt)
+    rows = [repr((sorted(pw.success), sorted(pw.failure)))]
+    for x in probes:
+        rows.append(repr((
+            [in_influence_region(bt, i, x) for i in ids],
+            [in_operating_region(bt, i, x) for i in ids],
+            [bt.status(i, x).value for i in ids],
+            [composed_status(bt, i, x).value for i in composites],
+            operating_owners(bt, x))))
+    sub = subsystem_leaves(bt, points)
+    rows.append(repr((sorted(sub.witnessed), sorted(sub.possibly_empty),
+                      sub.samples_tested)))
+    return "\n".join(rows)
+
+
 def region_digests(workloads) -> list:
     from ctbt import check_partition, dsl
     from ctbt.regions import region_csv
@@ -102,6 +128,8 @@ def region_digests(workloads) -> list:
         report = check_partition(model.bt, points)
         lines.append((sha(json.dumps(report.to_dict())), f"region/{key}/report"))
         lines.append((sha(region_csv(model.bt, points)), f"region/{key}/csv"))
+        lines.append((sha(predicate_text(model.bt, wl.PROBES, points)),
+                      f"region/{key}/predicates"))
     return lines
 
 
