@@ -18,9 +18,11 @@ covers the degenerate startup), forms the convex field combination that
 cancels the normal component, and re-projects onto the surface after each
 step so the drifting solution cannot walk away from it.  Sliding ends when
 the combination coefficient leaves [0, 1] by more than _SLIDING_EPS or the
-state escapes to a third leaf.  A run ends at its first root Success.  The
-chatter count, the slack on the coefficient and the stop at Success are
-fixed parts of the construction, not options.
+state escapes to a third leaf.  `run` holds the one loop over a grid step:
+a span of either mode that changes mode mid-step hands the time left back
+to that loop, which goes on in the other mode.  A run ends at its first
+root Success.  The chatter count, the slack on the coefficient and the
+stop at Success are fixed parts of the construction, not options.
 
 Everything is deterministic: fixed step grid t = k*dt, no wall clock, no
 hidden randomness, and JSON/CSV output built from repr'd floats, so a rerun
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -170,9 +173,10 @@ class _Integrator:
         self.status, self.leaf = bt.resolve(self.x)
         self.samples: list = []
         self.events: list = []
-        self.switch_log: list = []  # (t, from leaf, to leaf)
+        # only what chatter_check and surface_normal read is kept
+        self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
         self.sliding: Optional[tuple] = None  # (leaf a, leaf b)
-        self.surface_points: list = []
+        self.surface_points = deque(maxlen=8)
         self.failed = False
         self.done = False
         self.meta = {
@@ -223,20 +227,21 @@ class _Integrator:
         n_steps = int(round(cfg.t_end / cfg.dt))
         k = 0
         while k < n_steps and not self.done:
-            t0 = k * cfg.dt
             t1 = (k + 1) * cfg.dt
-            if self.sliding is None:
-                self.regular_span(t0, cfg.dt)
-            else:
-                self.slide_span(t0, cfg.dt)
-            if not self.done and (not self.samples or self.samples[-1].t < t1 - 1e-15):
+            # a span returns None once the step is done, or the (t, h) it
+            # leaves to the other mode
+            handoff = (k * cfg.dt, cfg.dt)
+            while handoff is not None:
+                span = self.regular_span if self.sliding is None else self.slide_span
+                handoff = span(*handoff)
+            if not self.done and self.samples[-1].t < t1 - 1e-15:
                 self.record(t1, self.x, self.leaf, self.status)
             k += 1
         return Trajectory(meta=self.meta, samples=self.samples, events=self.events)
 
     # ---- regular mode
 
-    def regular_span(self, t_start: float, span: float) -> None:
+    def regular_span(self, t_start: float, span: float) -> Optional[tuple]:
         cfg = self.cfg
         t = t_start
         h_left = span
@@ -248,7 +253,7 @@ class _Integrator:
             st2, lf2 = self.bt.resolve(x_try)
             if (lf2, st2) == (leaf, status):
                 self.move_to(x_try, status, leaf)
-                return
+                return None
             # locate the first change of (leaf, status) within (0, h_left]
             lo, hi = 0.0, h_left
             x_hi = x_try
@@ -277,23 +282,19 @@ class _Integrator:
                 self.switch_log.append((t_event, leaf, lf_new))
                 if self.chatter_check(t_event):
                     remaining = t_start + span - t_event
-                    if remaining > 1e-15 and not self.done:
-                        self.slide_span(t_event, remaining)
-                    return
+                    handoff = remaining > 1e-15 and not self.done
+                    return (t_event, remaining) if handoff else None
             if st_new != status:
-                self.note_status(t_event, st_new)
-                if self.done:
-                    return
+                self.note_status(t_event, st_new)  # may end the run
             h_left -= hi
             t = t_event
             leaf, status = lf_new, st_new
+        return None
 
     def chatter_check(self, t_now: float) -> bool:
         """Detect rapid toggling; enter sliding or reject a triple point."""
-        if len(self.switch_log) < _MAX_CHATTER:
-            return False
-        recent = self.switch_log[-_MAX_CHATTER:]
-        if t_now - recent[0][0] > self.cfg.dt:
+        recent = self.switch_log
+        if len(recent) < _MAX_CHATTER or t_now - recent[0][0] > self.cfg.dt:
             return False
         leaves = {r[1] for r in recent} | {r[2] for r in recent}
         if len(leaves) > 2:
@@ -302,13 +303,13 @@ class _Integrator:
                 f"near t={t_now}")
         pair = tuple(sorted(leaves))
         self.sliding = pair
-        self.surface_points = [self.x]
+        self.surface_points.append(self.x)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
 
     # ---- sliding mode
 
-    def slide_span(self, t_start: float, span: float) -> None:
+    def slide_span(self, t_start: float, span: float) -> Optional[tuple]:
         a_leaf, b_leaf = self.sliding
         fa = self.field_for(a_leaf)
         fb = self.field_for(b_leaf)
@@ -322,8 +323,7 @@ class _Integrator:
         alpha = float(n @ vb) / den
         if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
             self.exit_slide(t_start)
-            self.regular_span(t_start, span)
-            return
+            return t_start, span
         w = min(max(alpha, 0.0), 1.0)
 
         def f(y):
@@ -336,18 +336,17 @@ class _Integrator:
         if projected is None:
             self.move_to(x_new, status, leaf)
             self.exit_slide(t_end)
-            return
+            return None
         self.move_to(projected, status, leaf)
         self.surface_points.append(self.x)
-        if len(self.surface_points) > 8:
-            self.surface_points.pop(0)
         self.record(t_end, self.x, leaf, status)
         self.note_status(t_end, status)
+        return None
 
     def exit_slide(self, t: float) -> None:
         self.event(t, "SlideExit", self.x, to=self.leaf)
         self.sliding = None
-        self.surface_points = []
+        self.surface_points.clear()
 
     def surface_normal(self, field_diff) -> np.ndarray:
         """Unit normal of the sliding surface at the current point.
@@ -424,8 +423,9 @@ def batch_integrate(plant: Plant, bt: BehaviorTree, initial_states,
                     model_name: str = "") -> list:
     """Integrate every initial state in order.
 
-    A run that raises is recorded as a FailedRun in its slot; the remaining
-    runs still execute.
+    A run that raises ExecutionError or ValueError is recorded as a
+    FailedRun in its slot, and the remaining runs still execute; any other
+    exception propagates.
     """
     out = []
     for idx, x0 in enumerate(initial_states):

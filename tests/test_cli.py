@@ -113,6 +113,37 @@ def test_simulate_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["meta"]["model"] == "thermostat"
 
 
+SHEAR_BTM = """model "shear" {
+  state 2;
+  control 2;
+  plant {
+    dx0 = u0;
+    dx1 = u1;
+  }
+  leaf left {
+    u = [1.0, 10.0];
+    status = if x0 < 0.0 then R else F;
+  }
+  leaf right {
+    u = [-1.0, 10.5];
+    status = R;
+  }
+  fal pick = [left, right];
+  root = pick;
+}
+"""
+
+
+def test_simulate_handoff_heavy_slide(tmp_path, capsys):
+    # a slide that hands each step back to regular mode hundreds of times
+    model = tmp_path / "shear.btm"
+    model.write_text(SHEAR_BTM)
+    code, out, err = run(capsys, "simulate", str(model), "--x0=-0.01,0",
+                         "--dt", "0.001", "--t-end", "0.011")
+    assert code == 0, err
+    assert json.loads(out)["samples"][-1]["t"] == 0.011
+
+
 def test_simulate_wrong_state_dimension(capsys):
     code, out, err = run(capsys, "simulate", "pendulum.btm", "--x0", "1,2,3")
     assert code == 1

@@ -196,6 +196,28 @@ def test_slide_exit_when_surface_stops_attracting():
     assert not [e for e in traj.events_of("SlideEnter") if e.t > t_exit]
 
 
+def shear_bt():
+    """fal(left, right) on x0 = 0: both fields point into the surface, and
+    differ along it, so the entry normal is far from the true one."""
+    def left_status(x):
+        return Status.RUNNING if x[0] < 0.0 else Status.FAILURE
+
+    left = Leaf(1, LeafBehavior(lambda x: (1.0, 10.0), left_status, label="left"))
+    right = Leaf(2, LeafBehavior(lambda x: (-1.0, 10.5), lambda x: Status.RUNNING,
+                                 label="right"))
+    return BehaviorTree(Fallback(0, (left, right)), state_dim=2)
+
+
+def test_handoff_heavy_slide_keeps_the_stack_flat():
+    # every slide entered here ends at once by its coefficient and hands
+    # the step back to regular mode, hundreds of times per step
+    cfg = IntegratorConfig(dt=0.001, t_end=0.011)
+    (run,) = batch_integrate(integrator_plant(2), shear_bt(), [(-0.01, 0.0)], cfg)
+    assert not isinstance(run, FailedRun)
+    assert run.samples[-1].t == 0.011
+    assert run.events_of("SlideEnter") and run.events_of("SlideExit")
+
+
 def test_triple_point_chatter_is_rejected():
     # three sector regions meeting at the origin, each with a constant
     # field aimed into the next sector; an orbit started close to the

@@ -20,6 +20,10 @@ one per output:
   `simulate` on the bundled models, and `certify` on two of them;
 - boundary/<model>: `sample_boundary_pairs` and `check_transversality` on
   the bundled thermostat and kitchen_lamp models;
+- slide/<case>: `to_json` of one integrate run on a hand-built tree over
+  the plant dx = u whose slides end by their Filippov coefficient and hand
+  the rest of the step back to regular mode: once (`stops_attracting`)
+  or at once after each of 1,361 entries (`shear`);
 - demo/<file>: exit code and stdout of every script in demos/.
 
 To show that a change keeps its outputs, run this on the change and on its
@@ -161,6 +165,41 @@ def boundary_digests() -> list:
     return lines
 
 
+def slide_digests() -> list:
+    from ctbt import (BehaviorTree, Fallback, IntegratorConfig, Leaf, LeafBehavior,
+                      Plant, Sequence, Status, integrate)
+
+    def leaf(i, control, status):
+        return Leaf(i, LeafBehavior(control, status, label=f"leaf{i}"))
+
+    def running(x):
+        return Status.RUNNING
+
+    # the pull-back field weakens with x1 and reverses past x1 = 1
+    gate = leaf(2, lambda x: (0.0, 0.0),
+                lambda x: Status.SUCCESS if x[0] > 0.0 else Status.FAILURE)
+    stops_attracting = Sequence(0, (
+        Fallback(1, (gate, leaf(3, lambda x: (1.0, 0.5), running))),
+        leaf(4, lambda x: (x[1] - 1.0, 0.5), running)))
+    # both fields point into x0 = 0 and differ along it
+    shear = Fallback(0, (
+        leaf(1, lambda x: (1.0, 10.0),
+             lambda x: Status.RUNNING if x[0] < 0.0 else Status.FAILURE),
+        leaf(2, lambda x: (-1.0, 10.5), running)))
+    cases = {
+        "stops_attracting": (stops_attracting, (-0.25, 0.0),
+                             IntegratorConfig(dt=0.01, t_end=4.0)),
+        "shear": (shear, (-0.01, 0.0),
+                  IntegratorConfig(dt=0.001, t_end=0.02, event_tol=1e-5)),
+    }
+    plant = Plant(2, 2, lambda x, u: u)
+    lines = []
+    for name, (root, x0, cfg) in cases.items():
+        run = integrate(plant, BehaviorTree(root, state_dim=2), x0, cfg, model_name=name)
+        lines.append((sha(run.to_json()), f"slide/{name}"))
+    return lines
+
+
 def demo_digests(root: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
@@ -188,7 +227,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     lines = (bank_digests(workloads) + region_digests(workloads)
-             + cli_digests() + boundary_digests() + demo_digests(root))
+             + cli_digests() + boundary_digests() + slide_digests()
+             + demo_digests(root))
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
