@@ -182,6 +182,8 @@ def cmd_check_partition(args) -> int:
 
 def _initial_states(args, box, state_dim) -> tuple:
     """Grid or seeded-uniform initial states, minus the excluded balls."""
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1; got {args.count}")
     if args.inits == "grid":
         per_axis = round(args.count ** (1.0 / state_dim))
         if per_axis ** state_dim != args.count:
@@ -232,6 +234,18 @@ def cmd_certify(args) -> int:
 
 
 # ------------------------------------------------------------------ parser
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return value
+
 
 def _add_common(p, x0_required=False, want_x0=True):
     p.add_argument("model", help="model file path or bundled model name")
@@ -286,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", help="axis intervals lo:hi,lo:hi "
                                  "(default -1:1 per axis)")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_check_partition)
 
     p = sub.add_parser("certify",
@@ -297,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default -1:1 per axis)")
     p.add_argument("--inits", choices=("grid", "random"), default="grid")
     p.add_argument("--count", type=int, default=25)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--exclude", action="append",
                    help="ball c1,..,cn:r of initial states to skip; "
                         "repeatable")

@@ -6,9 +6,17 @@ children by delegation: a Sequence hands the state to its first child not
 reporting Success (all Success: the last child answers), a Fallback to its
 first child not reporting Failure.  Evaluating the root at a state x yields
 the tree's status there and the active leaf, whose controller drives the
-plant at x.  This module owns that delegation walk only; the closed-form
-region algebra that recomputes every status independently is in
-ctbt.regions.
+plant at x.
+
+After leaf l reports Success or Failure, the next leaf delegation visits
+depends only on (l, status): it is the first leaf of the right sibling at
+l's nearest ancestor whose gate that status opens (Success for a Sequence,
+Failure for a Fallback), or none, and then the status is the root's.  So
+BehaviorTree lays its leaves out once, left to right, as a jump table, and
+one flat loop, _walk, evaluates a row's metadata and jumps.  Every subtree
+owns a contiguous slice of rows, so the same loop gives any node's status.
+This module owns that delegation walk only; the closed-form region algebra
+that recomputes every status independently is in ctbt.regions.
 """
 
 from __future__ import annotations
@@ -91,16 +99,27 @@ class Plant:
     field: Callable
 
 
-def _resolve(node: BtNode, x):
-    """Delegation walk: (status, leaf node) at x, evaluating metadata only."""
-    if isinstance(node, Leaf):
-        return node.behavior.metadata(x), node
-    skip = Status.SUCCESS if isinstance(node, Sequence) else Status.FAILURE
-    for child in node.children[:-1]:
-        out = _resolve(child, x)
-        if out[0] is not skip:
-            return out
-    return _resolve(node.children[-1], x)
+_SUCCESS, _FAILURE = Status.SUCCESS, Status.FAILURE
+
+
+def _walk(rows, x, row: int, stop: int):
+    """(status, leaf id) of the subtree whose leaf rows are row..stop-1, at x.
+
+    Each row is (metadata, next row on Success, next row on Failure, leaf
+    id).  The walk ends on Running, on a value that is not a Status, or on a
+    jump out of the slice; the last leaf evaluated answers.
+    """
+    while True:
+        metadata, on_success, on_failure, leaf = rows[row]
+        status = metadata(x)
+        if status is _SUCCESS:
+            row = on_success
+        elif status is _FAILURE:
+            row = on_failure
+        else:
+            return status, leaf
+        if row >= stop:
+            return status, leaf
 
 
 class BehaviorTree:
@@ -109,14 +128,22 @@ class BehaviorTree:
     The one place a tree's shape is checked: node ids must be dense ints
     0..N-1 with the root id 0 (builders normally assign them depth-first),
     each node attached once, every composite with children.  Derived
-    structure (ordered tree, node index, kind map, leaf list) is computed
-    once; instances are treated as immutable.
+    structure (ordered tree, node index, kind map, leaf list, leaf table)
+    is computed once; instances are treated as immutable.
+
+    The leaf table has one row per leaf in left-to-right order, not id
+    order: (metadata, next row on Success, next row on Failure, leaf id),
+    where the next row is past the end when that status reaches the root.
+    Node i's leaves are the rows spans[i] = (first, stop), so resolve,
+    tick, root_status, active_leaf and status(i, x) are all one _walk.
     """
 
     def __init__(self, root: BtNode, state_dim: int):
         nodes: dict = {}
         parent: dict = {}
         children: dict = {}
+        spans: dict = {}  # node id -> (first, stop) of its leaf rows
+        leaves = [0]
 
         def collect(node: BtNode, up):
             kind = _kind(node)  # before any field of node is read
@@ -124,14 +151,17 @@ class BehaviorTree:
             if i in nodes:
                 raise ValueError(f"node id {i} used twice")
             nodes[i], parent[i] = node, up
+            first = leaves[0]
             if kind == "leaf":
                 children[i] = ()
-                return
-            if not node.children:
+                leaves[0] += 1
+            elif not node.children:
                 raise ValueError(f"composite {i} has no children")
-            for c in node.children:
-                collect(c, i)
-            children[i] = tuple(c.node_id for c in node.children)
+            else:
+                for c in node.children:
+                    collect(c, i)
+                children[i] = tuple(c.node_id for c in node.children)
+            spans[i] = (first, leaves[0])
 
         collect(root, None)
         if root.node_id != 0:
@@ -146,6 +176,27 @@ class BehaviorTree:
         self.nodes = tuple(nodes[i] for i in ids)
         self.kinds = tuple(_kind(n) for n in self.nodes)
         self.leaf_ids = tuple(i for i, k in enumerate(self.kinds) if k == "leaf")
+
+        rows = []  # appended left to right, so row k is spans' leaf k
+
+        def lay(node: BtNode, on_success: int, on_failure: int):
+            """Rows of node's leaves; on_* is where node's own status jumps."""
+            if isinstance(node, Leaf):
+                rows.append((node.behavior.metadata, on_success, on_failure,
+                             node.node_id))
+                return
+            gate_on_success = isinstance(node, Sequence)
+            for child, after in zip(node.children, node.children[1:]):
+                nxt = spans[after.node_id][0]
+                if gate_on_success:
+                    lay(child, nxt, on_failure)
+                else:
+                    lay(child, on_success, nxt)
+            lay(node.children[-1], on_success, on_failure)
+
+        lay(root, leaves[0], leaves[0])
+        self._rows = tuple(rows)
+        self._spans = tuple(spans[i] for i in ids)
         self._region_plan = None  # filled lazily by regions._plan
 
     def check_state(self, x) -> tuple:
@@ -163,15 +214,15 @@ class BehaviorTree:
     def tick(self, x) -> tuple:
         """(control, root status) at x; only the active leaf's controller runs."""
         x = self.check_state(x)
-        status, leaf = _resolve(self.root, x)
-        return leaf.behavior.controller(x), status
+        status, leaf = _walk(self._rows, x, 0, len(self._rows))
+        return self.nodes[leaf].behavior.controller(x), status
 
     def root_status(self, x) -> Status:
-        return _resolve(self.root, self.check_state(x))[0]
+        return _walk(self._rows, self.check_state(x), 0, len(self._rows))[0]
 
     def active_leaf(self, x) -> int:
         """Id of the leaf the delegation chain lands on at x."""
-        return _resolve(self.root, self.check_state(x))[1].node_id
+        return _walk(self._rows, self.check_state(x), 0, len(self._rows))[1]
 
     def resolve(self, x):
         """(root status, active leaf id) at x in one walk, no revalidation.
@@ -179,12 +230,12 @@ class BehaviorTree:
         The walk evaluates leaf metadata only, never a controller; the
         control at x is bt.behavior(leaf).controller(x).
         """
-        status, leaf = _resolve(self.root, x)
-        return status, leaf.node_id
+        return _walk(self._rows, x, 0, len(self._rows))
 
     def status(self, i: int, x) -> Status:
         """Status of the subtree rooted at i, by delegation semantics."""
-        return _resolve(self.nodes[self.tree._check_id(i)], self.check_state(x))[0]
+        first, stop = self._spans[self.tree._check_id(i)]
+        return _walk(self._rows, self.check_state(x), first, stop)[0]
 
     def behavior(self, i: int) -> LeafBehavior:
         node = self.nodes[self.tree._check_id(i)]

@@ -121,15 +121,29 @@ def _random_shape(rng, depth, leaves_left, max_depth):
     return (kind, kids)
 
 
-def random_bt(seed, state_dim=2, max_depth=4, max_leaves=10) -> BehaviorTree:
-    """Seeded random behavior tree with slab-predicate leaf metadata."""
+def _count_nodes(shape) -> int:
+    return 1 if shape == "leaf" else 1 + sum(_count_nodes(k) for k in shape[1])
+
+
+def random_bt(seed, state_dim=2, max_depth=4, max_leaves=10,
+              permute_ids=False) -> BehaviorTree:
+    """Seeded random behavior tree with slab-predicate leaf metadata.
+
+    Ids follow depth-first order unless permute_ids: then the root keeps 0
+    and the other nodes get a seeded shuffle of 1..N-1, so id order and
+    left-to-right leaf order differ while shape and metadata stay the same.
+    """
     rng = np.random.default_rng(seed)
     leaves_left = [int(rng.integers(1, max_leaves + 1))]
     shape = _random_shape(rng, 0, leaves_left, max_depth)
+    n = _count_nodes(shape)
+    ids = list(range(n))
+    if permute_ids:
+        ids[1:] = (1 + np.random.default_rng(10_000 + seed).permutation(n - 1)).tolist()
     counter = [0]
 
     def build(s):
-        nid = counter[0]
+        nid = ids[counter[0]]
         counter[0] += 1
         if s == "leaf":
             behavior = LeafBehavior(

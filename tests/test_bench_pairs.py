@@ -1,0 +1,55 @@
+"""The paired-run tool's statistics and its refusal to compare unlike harnesses."""
+
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def result(ops, p50, failed=0, attempted=10):
+    return {"correct": True, "failed": failed, "attempted": attempted, "metrics": {
+        "ops_per_s": {"value": ops, "unit": "1/s"},
+        "op_p50_ms": {"value": p50, "unit": "ms"}}}
+
+
+METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "op_p50_ms", "better": "lower"}]
+
+
+def test_wins_count_the_better_direction_and_ties_count_for_neither():
+    runs = {"parent": [result(10.0, 100.0), result(10.2, 98.0), result(9.9, 101.0),
+                       result(10.1, 99.0)],
+            "change": [result(12.0, 100.0), result(12.1, 90.0), result(10.0, 103.0),
+                       result(12.2, 91.0)]}
+    rows = {r[0]: r for r in bench_pairs.summarize(METRICS, runs)}
+    name, unit, parent, change, wins, holds = rows["ops_per_s"]
+    assert unit == "1/s" and wins == 4
+    assert parent == (9.975, 10.05, 10.125)
+    assert holds  # 4/4 wins and a median gain of 2.0 > the parent's 0.15 spread
+    assert rows["op_p50_ms"][4] == 2  # one tie, one loss
+    assert not rows["op_p50_ms"][5]
+
+
+def test_gain_rule_needs_nine_tenths_of_the_pairs():
+    parent = [result(10.0 + 0.01 * k, 100.0) for k in range(10)]
+    change = [result(12.0, 100.0) for _ in range(8)] + [result(9.0, 100.0)] * 2
+    row = bench_pairs.summarize(METRICS, {"parent": parent, "change": change})[0]
+    assert row[4] == 8 and not row[5]
+
+
+def test_bench_trees_are_compared_byte_for_byte_caches_aside(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "bench" / "__pycache__").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("print(1)\n")
+    (change / "bench" / "__pycache__" / "run.cpython.pyc").write_bytes(b"\0")
+    assert bench_pairs.bench_difference(parent, change) == []
+    (change / "bench" / "run.py").write_text("print(2)\n")
+    (parent / "bench" / "extra.json").write_text("{}")
+    assert bench_pairs.bench_difference(parent, change) == ["extra.json", "run.py"]
+    code = bench_pairs.main([str(parent), str(change), "--workload", "slide_hold",
+                             "--seed", "1", "--pairs", "1", "--seconds", "1"])
+    assert code == 2
+    assert "refusing" in capsys.readouterr().err

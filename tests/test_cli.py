@@ -324,6 +324,26 @@ def test_certify_grid_count_must_be_perfect_power(capsys):
     assert "perfect" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_certify_count_below_one_is_a_usage_error(capsys, count):
+    for inits in ("grid", "random"):
+        code, out, err = run(capsys, "certify", "pendulum.btm", "--inits", inits,
+                             "--count", count, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: --count must be at least 1; got {count}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-partition", "thermostat.btm", "--seed", "-1", "--box", "19:23"],
+    ["certify", "pendulum.btm", "--inits", "random", "--count", "4", "--seed", "-3"],
+], ids=["check-partition", "certify"])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "argument --seed: seed must be a non-negative integer" in err
+    assert "Traceback" not in err
+
+
 def test_certify_exclude_ball(capsys):
     code, out, err = run(capsys, "certify", "kitchen_lamp.btm",
                          "--inits", "grid", "--count", "9", "--seed", "0",

@@ -1,5 +1,7 @@
 """Delegation semantics, composed-status algebra, and tree validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,8 +123,8 @@ def test_pairwise_reduction_identity():
 
 
 def test_composed_status_matches_delegation_on_random_trees():
-    for seed in range(25):
-        bt = random_bt(seed)
+    for seed, permute_ids in itertools.product(range(25), (False, True)):
+        bt = random_bt(seed, permute_ids=permute_ids)
         pts = np.random.default_rng(1000 + seed).uniform(-3, 3, size=(200, 2))
         for x in pts:
             for i, kind in enumerate(bt.kinds):
@@ -152,6 +154,9 @@ DELEGATION_CORPUS = [
     ("thermostat", thermostat_bt, [(SETPOINT - 5.0, SETPOINT + 5.0)]),
     ("kitchen", kitchen_bt, [(-2.0, 2.0)] * 2),
 ] + [(f"random{seed}", lambda seed=seed: random_bt(seed), [(-3.0, 3.0)] * 2)
+     for seed in range(25)
+] + [(f"random{seed}-permuted", lambda seed=seed: random_bt(seed, permute_ids=True),
+      [(-3.0, 3.0)] * 2)
      for seed in range(25)]
 
 
@@ -171,6 +176,47 @@ def test_one_walk_gives_status_leaf_and_one_control(name, build, box):
         assert tick_status is status
         assert u == bt.behavior(leaf).controller(x)
         calls.clear()
+
+
+def _leaves_left_to_right(node):
+    if isinstance(node, Leaf):
+        return [node.node_id]
+    return [i for c in node.children for i in _leaves_left_to_right(c)]
+
+
+def test_permuted_random_trees_number_leaves_out_of_order():
+    """The permuted corpus really exercises leaf-table order != id order."""
+    shuffled = 0
+    for seed in range(25):
+        bt = random_bt(seed, permute_ids=True)
+        order = _leaves_left_to_right(bt.root)
+        assert sorted(order) == list(bt.leaf_ids)
+        shuffled += order != sorted(order)
+    assert shuffled >= 10
+
+
+def _delegate(node, x):
+    """Reference delegation by recursion over the node objects."""
+    if isinstance(node, Leaf):
+        return node.behavior.metadata(x), node.node_id
+    skip = Status.SUCCESS if isinstance(node, Sequence) else Status.FAILURE
+    for child in node.children[:-1]:
+        out = _delegate(child, x)
+        if out[0] is not skip:
+            return out
+    return _delegate(node.children[-1], x)
+
+
+@pytest.mark.parametrize("permute_ids", [False, True], ids=["dfs-ids", "permuted-ids"])
+def test_leaf_table_walk_matches_recursive_delegation(permute_ids):
+    """resolve and status(i, x) of every node agree with the recursive
+    definition of delegation, on trees whose ids need not follow leaf order."""
+    for seed in range(25):
+        bt = random_bt(seed, max_depth=5, max_leaves=14, permute_ids=permute_ids)
+        for x in np.random.default_rng(2000 + seed).uniform(-3, 3, size=(60, 2)):
+            assert bt.resolve(x) == _delegate(bt.root, x)
+            for node in bt.nodes:
+                assert bt.status(node.node_id, x) is _delegate(node, x)[0]
 
 
 def test_composed_status_rejects_leaves():

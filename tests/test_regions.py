@@ -1,5 +1,7 @@
 """Pathways, influence/operating regions, partition audits, samplers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -105,11 +107,11 @@ def test_kitchen_partition_report_passes():
 
 
 def test_partition_and_owner_equivalence_on_random_trees():
-    for seed in range(20):
-        bt = random_bt(seed)
+    for seed, permute_ids in itertools.product(range(20), (False, True)):
+        bt = random_bt(seed, permute_ids=permute_ids)
         pts = uniform_points([(-3, 3), (-3, 3)], 300, seed=900 + seed)
         report = check_partition(bt, pts)
-        assert report.passed, f"tree seed {seed}: {report.to_dict()}"
+        assert report.passed, f"tree seed {seed} ({permute_ids=}): {report.to_dict()}"
 
 
 def test_sibling_operating_regions_partition_parent():
@@ -248,11 +250,14 @@ def test_impure_metadata_is_caught_and_sorted():
 
 def test_malformed_metadata_fails_alike_in_both_routes():
     """A leaf status that is not a Status puts x in none of its parent's
-    composed regions; composed_status and the partition audit both say so."""
+    composed regions; composed_status and the partition audit both say so.
+    The delegation walk ends at such a value and hands it up unchanged."""
     bad = Leaf(1, LeafBehavior(lambda x: (0.0,), lambda x: "S", "letter"))
     steady = Leaf(2, LeafBehavior(lambda x: (0.0,), lambda x: Status.RUNNING, "steady"))
     bt = BehaviorTree(Sequence(0, (bad, steady)), state_dim=1)
     points = np.zeros((1, 1))
+    assert bt.resolve(points[0]) == ("S", 1)
+    assert bt.status(1, points[0]) == "S"
     with pytest.raises(AssertionError, match="composed regions of node 0 do not "
                                              "partition") as direct:
         composed_status(bt, 0, points[0])
