@@ -15,9 +15,16 @@ the statuses that keep execution at i:
 
 Sibling operating regions partition the parent's, so leaf operating regions
 partition the whole state space; the leaf owning x is exactly the leaf tick
-delegates to at x.  Everything here is evaluated through the closed-form
-status algebra (_compose, the one composed_status uses), never through
-core's delegation walk, so the two routes stay independently testable.
+delegates to at x.
+
+Every region here is a set of sample indices: a Python int whose bit p is
+set when point p of the batch lies in the region.  One function,
+_region_masks, evaluates the leaves' metadata at every point and then
+builds each composite's Running, Success and Failure sets from its
+children's by set algebra, the way the paper defines them; every query,
+down to the one-point composed_status, reads its statuses from there and
+never from core's delegation walk, so the two routes stay independently
+testable.
 """
 
 from __future__ import annotations
@@ -26,11 +33,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence as Seq
 
 import numpy as np
 
-from .core import BehaviorTree, NotComposite, Status
+from .core import BehaviorTree, DimensionMismatch, NotComposite, Status
 
 
 class EmptySampler(ValueError):
@@ -48,23 +56,35 @@ def pathway_sets(bt: BehaviorTree) -> PathwaySets:
     return _plan(bt).pathways
 
 
-# Status every child must share for the composite to share it; a left uncle
-# under a parent of this kind must hold it for execution to pass on.
-_GATE = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
+# A node's masks are indexed like _STATUSES: [running, success, failure].
+_STATUSES = (Status.RUNNING, Status.SUCCESS, Status.FAILURE)
+# Index of the status every child must share for the composite to share it;
+# a left uncle under a parent of this kind must hold it for execution to
+# pass on.  The other index that is not Running is the composite's exit.
+_GATE = {"seq": 1, "fal": 2}
+_EXIT = {"seq": 2, "fal": 1}
+# Leaf statuses are coded by identity as their _STATUSES index, any other
+# value as _MALFORMED; _BITS[k] translates code k to "1", the rest to "0".
+_MALFORMED = 3
+_BITS = tuple(b"0" * k + b"1" + b"0" * (255 - k) for k in range(4))
 
 
 @dataclass(frozen=True)
 class _RegionPlan:
     """Per-tree tables the region route reads, built once per tree.
 
-    steps: post-order (node id, leaf metadata or None, gate status, child
-    ids); subtree[i]: the contiguous slice of steps covering i's subtree.
-    tests: (i, influence preconditions as (left uncle, required status)
-    pairs, keeping statuses) for each node id i; owner_tests: the leaves'.
+    leaf_ids, metadata: the leaves left to right.  composites: post-order
+    (node id, gate index, exit index, child ids).  spans[i]: (first leaf,
+    stop leaf, first composite, stop composite) of i's subtree, slices of
+    the two.  tests: (i, influence preconditions as (left uncle, required
+    status index) pairs, keeping status indices) for each node id i;
+    owner_tests: the leaves', in id order.
     """
 
-    steps: tuple
-    subtree: tuple
+    leaf_ids: tuple
+    metadata: tuple
+    composites: tuple
+    spans: tuple
     pathways: PathwaySets
     tests: tuple
     owner_tests: tuple
@@ -74,15 +94,18 @@ def _plan(bt: BehaviorTree) -> _RegionPlan:
     """_RegionPlan of bt, cached on the instance."""
     if bt._region_plan is None:
         tree, kinds, n = bt.tree, bt.kinds, len(bt.nodes)
-        steps, subtree = [], [None] * n
+        leaf_ids, metadata, composites, spans = [], [], [], [None] * n
 
         def visit(i: int):  # post-order: children left to right, then i
-            first = len(steps)
+            first = len(leaf_ids), len(composites)
             for c in tree.children[i]:
                 visit(c)
-            metadata = bt.nodes[i].behavior.metadata if kinds[i] == "leaf" else None
-            steps.append((i, metadata, _GATE.get(kinds[i]), tree.children[i]))
-            subtree[i] = slice(first, len(steps))
+            if kinds[i] == "leaf":
+                leaf_ids.append(i)
+                metadata.append(bt.nodes[i].behavior.metadata)
+            else:
+                composites.append((i, _GATE[kinds[i]], _EXIT[kinds[i]], tree.children[i]))
+            spans[i] = (first[0], len(leaf_ids), first[1], len(composites))
 
         visit(0)
         # i is on the success (failure) pathway unless a right uncle under a
@@ -96,60 +119,162 @@ def _plan(bt: BehaviorTree) -> _RegionPlan:
         for i in range(n):
             conds = tuple((j, _GATE[kinds[tree.parent[j]]]) for j in tree.left_uncles(i))
             # the statuses at i that keep execution at i (the module doc's cases)
-            keep = [Status.RUNNING]
+            keep = [0]
             if i in pw.success:
-                keep.append(Status.SUCCESS)
+                keep.append(1)
             if i in pw.failure:
-                keep.append(Status.FAILURE)
+                keep.append(2)
             tests.append((i, conds, tuple(keep)))
         bt._region_plan = _RegionPlan(
-            tuple(steps), tuple(subtree), pw, tuple(tests),
+            tuple(leaf_ids), tuple(metadata), tuple(composites), tuple(spans), pw, tuple(tests),
             tuple(tests[i] for i in bt.leaf_ids))
     return bt._region_plan
 
 
-def _compose(node_id: int, gate: Status, child_statuses, x) -> Status:
-    """Composite status from its children's statuses by the region algebra.
+def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False):
+    """Running, Success and Failure masks of every node in i's subtree.
 
-    The gate region is the intersection of the children's gate regions; the
-    flow (Running) region is the union over j of child j's flow (Running)
-    region intersected with the gate regions of every child before j.  So x
-    lies in the region of the first child status that is not the gate
-    status, or in the gate region if there is none.  Exactly one of the three
-    regions must hold: a consulted child status that is not a Status puts x
-    in none of them.
-    """
-    for s in child_statuses:
-        if s is not gate:
-            if isinstance(s, Status):
-                return s
-            raise AssertionError(
-                f"composed regions of node {node_id} do not partition at "
-                f"{tuple(float(v) for v in x)!r}: child status {s!r}"
-            )
-    return gate
+    Returns (masks, walks): masks[j] = [running, success, failure] for each
+    node j of the subtree (None elsewhere), bit p set when states[p] lies
+    in that region of j; walks[p] = bt.resolve(states[p]) when walk is set,
+    else walks is empty.
 
-
-def _status_table(bt: BehaviorTree, x, i: int = 0) -> list:
-    """Status at x of every node in i's subtree via the region algebra.
-
-    One pass over the post-order steps of i's subtree, so every child is
-    evaluated before its parent; entries outside the subtree stay None.
+    Metadata is called point by point: the subtree's leaves left to right,
+    then the delegation walk if asked.  Only then is the algebra applied,
+    composites in post-order: for each child in turn, the child's Running
+    region and its exit region (Failure under a Sequence, Success under a
+    Fallback) within the points that passed every earlier child's gate
+    join the composite's, and the passed set shrinks to the child's gate
+    region; what passes every child is the composite's gate region.
+    Exactly one of the three regions must hold, so a consulted child status
+    that is not a Status raises AssertionError.  When several points have
+    one, the error names the lowest-index such point and, at it, the first
+    composite in post-order, as composed_status at that point alone would.
     """
     plan = _plan(bt)
-    table = [None] * len(bt.nodes)
-    for j, metadata, gate, kids in plan.steps[plan.subtree[i]]:
-        if metadata is not None:
-            table[j] = metadata(x)
-        else:
-            table[j] = _compose(j, gate, [table[c] for c in kids], x)
-    return table
+    first, stop, cfirst, cstop = plan.spans[i]
+    metadata = plan.metadata[first:stop]
+    rows, walks = [], []
+    for x in states:
+        rows.append([m(x) for m in metadata])
+        if walk:
+            walks.append(bt.resolve(x))
+    n, full = len(states), (1 << len(states)) - 1
+    run, succ, fail = _STATUSES
+    masks = [None] * len(bt.nodes)
+    malformed = {}  # leaf id -> points where its status is not a Status
+    codes = bytes([0 if v is run else 1 if v is succ else 2 if v is fail else _MALFORMED
+                   for v in chain.from_iterable(zip(*rows))])[::-1]
+    run_plane = int(codes.translate(_BITS[0]), 2)
+    succ_plane = int(codes.translate(_BITS[1]), 2)
+    fail_plane = int(codes.translate(_BITS[2]), 2)
+    bad_plane = int(codes.translate(_BITS[_MALFORMED]), 2) if _MALFORMED in codes else 0
+    for k, leaf in enumerate(plan.leaf_ids[first:stop]):
+        shift = k * n
+        masks[leaf] = [run_plane >> shift & full, succ_plane >> shift & full,
+                       fail_plane >> shift & full]
+        if bad_plane >> shift & full:
+            malformed[leaf] = bad_plane >> shift & full
+    error = None  # (point, composite, child) of the first malformed status consulted
+    for j, gate, exit_, kids in plan.composites[cfirst:cstop]:
+        passed, running, exits = full, 0, 0
+        for c in kids:
+            hit = malformed.get(c, 0) & passed if malformed else 0
+            if hit:
+                p = (hit & -hit).bit_length() - 1  # its lowest point
+                if error is None or p < error[0]:
+                    error = (p, j, c)
+            m = masks[c]
+            running |= m[0] & passed
+            exits |= m[exit_] & passed
+            passed &= m[gate]
+            if not passed:
+                break
+        out = [running, 0, 0]
+        out[gate], out[exit_] = passed, exits
+        masks[j] = out
+    if error is not None:
+        p, j, c = error
+        x = states[p]
+        raise AssertionError(
+            f"composed regions of node {j} do not partition at "
+            f"{tuple(float(v) for v in x)!r}: child status "
+            f"{rows[p][plan.leaf_ids.index(c) - first]!r}"
+        )
+    return masks, walks
+
+
+def _operating_mask(masks: list, test: tuple) -> int:
+    """Points of the batch inside the operating region of test's node:
+    its keeping statuses, within every influence precondition."""
+    i, conds, keep = test
+    mask = 0
+    for k in keep:
+        mask |= masks[i][k]
+    for j, want in conds:
+        mask &= masks[j][want]
+    return mask
+
+
+def _owner_masks(bt: BehaviorTree, masks: list) -> list:
+    """(leaf id, operating mask) of every leaf, in id order."""
+    return [(t[0], _operating_mask(masks, t)) for t in _plan(bt).owner_tests]
+
+
+def _points(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit 0 first, without the "0b"
+    p = bits.find("1")
+    while p >= 0:
+        yield p
+        p = bits.find("1", p + 1)
+
+
+def _sole_owner(owned: list, n: int):
+    """(sole, shared, covered) for leaf operating masks over n points: sole[p]
+    is the one leaf owning point p, or -1 when none or several do; shared
+    and covered are the points two or more leaves, or any leaf, own."""
+    shared = covered = 0
+    for _, mask in owned:
+        shared |= covered & mask
+        covered |= mask
+    sole = [-1] * n
+    for leaf, mask in owned:
+        for p in _points(mask & ~shared):
+            sole[p] = leaf
+    return sole, shared, covered
+
+
+def _point_masks(bt: BehaviorTree, x, i: int = 0) -> list:
+    """Masks of i's subtree at the single validated state x."""
+    return _region_masks(bt, [bt.check_state(x)], i)[0]
+
+
+# Points per _region_masks call in the batch audits.  A call holds every
+# leaf status of its points (about 1 KB per point at 44 leaves) and shifts
+# bit planes whose width is points times leaves, so a run bounds both; the
+# region_audit bench's 256 points per tree are one run.
+_RUN = 4096
+
+
+def _runs(bt: BehaviorTree, states: list, walk: bool = False, grow: bool = False):
+    """(states, masks, walks) of the batch in order, _RUN points at a time,
+    or with grow set, 1, 2, 4, ... points at a time up to _RUN, so a caller
+    that stops early evaluates fewer than twice the points it needed.
+
+    An error in one run ends the audit there, so it still names the
+    batch's lowest-index malformed point."""
+    k, size = 0, 1 if grow else _RUN
+    while k < len(states):
+        run = states[k:k + size]
+        yield (run, *_region_masks(bt, run, walk=walk))
+        k, size = k + size, min(2 * size, _RUN)
 
 
 def composed_status(bt: BehaviorTree, i: int, x) -> Status:
     """Status of composite i at x computed from the closed-form region algebra.
 
-    Independent of core's delegation walk: every node of i's subtree is
+    Independent of core's delegation walk: every leaf of i's subtree is
     evaluated and the Sequence/Fallback region formulas are applied literally
     (Success of a Sequence is the intersection of child Successes; its
     Running/Failure regions are unions of child regions gated by all earlier
@@ -157,7 +282,7 @@ def composed_status(bt: BehaviorTree, i: int, x) -> Status:
     """
     if bt.kinds[bt.tree._check_id(i)] == "leaf":
         raise NotComposite(f"node {i} is a leaf")
-    return _status_table(bt, bt.check_state(x), i)[i]
+    return _STATUSES[_point_masks(bt, x, i)[i].index(1)]
 
 
 def in_influence_region(bt: BehaviorTree, i: int, x) -> bool:
@@ -167,27 +292,19 @@ def in_influence_region(bt: BehaviorTree, i: int, x) -> bool:
     left uncle under a Fallback parent in Failure.
     """
     _, conds, _ = _plan(bt).tests[bt.tree._check_id(i)]
-    table = _status_table(bt, bt.check_state(x))
-    return all(table[j] is want for j, want in conds)
+    masks = _point_masks(bt, x)
+    return all(masks[j][want] for j, want in conds)
 
 
 def in_operating_region(bt: BehaviorTree, i: int, x) -> bool:
     """Is x inside node i's operating region (the case split in the module doc)?"""
     test = _plan(bt).tests[bt.tree._check_id(i)]
-    return bool(_owners(_status_table(bt, bt.check_state(x)), (test,)))
-
-
-def _owners(table: list, tests: tuple) -> list:
-    """Nodes of tests whose operating region holds the point of table."""
-    return [
-        i for i, conds, keep in tests
-        if table[i] in keep and all(table[j] is want for j, want in conds)
-    ]
+    return bool(_operating_mask(_point_masks(bt, x), test))
 
 
 def operating_owners(bt: BehaviorTree, x) -> list:
     """All leaves whose operating region contains x (should be exactly one)."""
-    return _owners(_status_table(bt, bt.check_state(x)), _plan(bt).owner_tests)
+    return [leaf for leaf, mask in _owner_masks(bt, _point_masks(bt, x)) if mask]
 
 
 @dataclass(frozen=True)
@@ -204,18 +321,18 @@ class SubsystemLeaves:
 
 
 def subsystem_leaves(bt: BehaviorTree, points) -> SubsystemLeaves:
-    points = _states(bt, points)
+    states = _states(bt, points)
     seen = set()
-    remaining = _plan(bt).owner_tests
-    for x in points:
-        if not remaining:
+    # stop after the run that witnesses the last leaf; runs start at one
+    # point, so a batch whose first point witnesses every leaf costs one
+    for _, masks, _ in _runs(bt, states, grow=True):
+        seen.update(leaf for leaf, mask in _owner_masks(bt, masks) if mask)
+        if len(seen) == len(bt.leaf_ids):
             break
-        seen.update(_owners(_status_table(bt, x), remaining))
-        remaining = tuple(t for t in remaining if t[0] not in seen)
     return SubsystemLeaves(
         witnessed=frozenset(seen),
-        possibly_empty=frozenset(t[0] for t in remaining),
-        samples_tested=len(points),
+        possibly_empty=frozenset(bt.leaf_ids) - seen,
+        samples_tested=len(states),
     )
 
 
@@ -265,18 +382,19 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
     route (tick) are computed independently per point.  Violations are sorted
     canonically so reports are reproducible regardless of evaluation order.
     """
-    points = _states(bt, points)
-    tests = _plan(bt).owner_tests
-    report = RegionReport(samples_tested=len(points))
-    for x in points:
-        owners = _owners(_status_table(bt, x), tests)
-        active = bt.resolve(x)[1]
-        if len(owners) > 1:
-            report.disjointness_violations.append((x, tuple(owners)))
-        elif not owners:
-            report.coverage_violations.append(x)
-        elif owners[0] != active:
-            report.equivalence_violations.append((x, active, owners[0]))
+    states = _states(bt, points)
+    report = RegionReport(samples_tested=len(states))
+    for run, masks, walks in _runs(bt, states, walk=True):
+        owned = _owner_masks(bt, masks)
+        sole, shared, covered = _sole_owner(owned, len(run))
+        for p in _points(shared):
+            report.disjointness_violations.append(
+                (run[p], tuple(leaf for leaf, mask in owned if mask >> p & 1)))
+        for p in _points(~covered & ((1 << len(run)) - 1)):
+            report.coverage_violations.append(run[p])
+        for x, owner, (_, active) in zip(run, sole, walks):
+            if owner >= 0 and owner != active:
+                report.equivalence_violations.append((x, active, owner))
     report.disjointness_violations.sort()
     report.coverage_violations.sort()
     report.equivalence_violations.sort()
@@ -285,12 +403,10 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
 
 def region_table(bt: BehaviorTree, points) -> list:
     """Rows (x..., owner leaf id, root status letter) for a CSV dump."""
-    tests = _plan(bt).owner_tests
     rows = []
-    for x in _states(bt, points):
-        owners = _owners(_status_table(bt, x), tests)
-        owner = owners[0] if len(owners) == 1 else -1
-        rows.append((*x, owner, bt.resolve(x)[0].value))
+    for run, masks, walks in _runs(bt, _states(bt, points), walk=True):
+        sole = _sole_owner(_owner_masks(bt, masks), len(run))[0]
+        rows += [(*x, owner, status.value) for x, owner, (status, _) in zip(run, sole, walks)]
     return rows
 
 
@@ -305,11 +421,20 @@ def region_csv(bt: BehaviorTree, points) -> str:
     return buf.getvalue()
 
 
+def _finite_box(box: Seq) -> list:
+    """box as [(lo, hi), ...] floats; a non-finite bound is a ValueError."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    for axis, bounds in enumerate(box):
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"box axis {axis} has a non-finite bound: {bounds!r}")
+    return box
+
+
 def uniform_points(box: Seq, count: int, seed: int) -> np.ndarray:
     """count points uniform over the axis-aligned box [(lo, hi), ...]."""
     if count <= 0:
         raise EmptySampler("sample count must be positive")
-    box = [(float(lo), float(hi)) for lo, hi in box]
+    box = _finite_box(box)
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -320,7 +445,7 @@ def grid_points(box: Seq, per_axis: int) -> np.ndarray:
     """Regular grid with per_axis points on each axis, row-major order."""
     if per_axis <= 0:
         raise EmptySampler("grid resolution must be positive")
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in _finite_box(box)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -329,6 +454,9 @@ def _states(bt: BehaviorTree, points) -> list:
     """A point batch (one point, or rows of them) as states of bt: tuples of
     floats, validated once by bt.check_state (shape, then finiteness)."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim > 2:
+        raise DimensionMismatch(
+            f"point batch has shape {pts.shape}, expected (count, {bt.state_dim})")
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.size == 0:

@@ -1,16 +1,18 @@
 """Pathways, influence/operating regions, partition audits, samplers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import kitchen_bt, random_bt, thermostat_bt
 
-from ctbt import dsl
+from ctbt import dsl, regions
 from ctbt.core import (
     BehaviorTree,
     DimensionMismatch,
+    Fallback,
     Leaf,
     LeafBehavior,
     NonFiniteState,
@@ -19,6 +21,9 @@ from ctbt.core import (
 )
 from ctbt.regions import (
     EmptySampler,
+    PathwaySets,
+    RegionReport,
+    SubsystemLeaves,
     check_partition,
     composed_status,
     grid_points,
@@ -298,10 +303,12 @@ def test_empty_sampler_errors():
 @pytest.mark.parametrize("points, error", [
     ([[0.0, 0.0, 0.0]], DimensionMismatch),
     ([[0.0, 0.0], [0.0, float("nan")]], NonFiniteState),
-], ids=["wrong_dimension", "nan"])
+    ([[[0.0, 0.0]]], DimensionMismatch),
+], ids=["wrong_dimension", "nan", "three_axes"])
 def test_point_batches_are_validated(audit, points, error):
-    """Generated code would unpack a 3-vector into a raw ValueError, and a
-    non-finite row must not pass silently."""
+    """Generated code would unpack a 3-vector into a raw ValueError, a
+    non-finite row must not pass silently, and a batch with a third axis
+    is refused as a shape error rather than read row by row."""
     bt = dsl.load(dsl.bundled_model_dir() / "kitchen_lamp.btm").bt
     with pytest.raises(error):
         audit(bt, points)
@@ -315,3 +322,315 @@ def test_region_csv_round_trip():
     assert len(lines) == 6
     assert lines[1].endswith(",3,R")
     assert lines[-1].endswith(",4,R")
+
+
+@pytest.mark.parametrize("sample", [
+    lambda box: uniform_points(box, 3, seed=0),
+    lambda box: grid_points(box, 3),
+], ids=["uniform", "grid"])
+@pytest.mark.parametrize("box, axis", [
+    ([(-math.inf, 1.0), (-1.0, 1.0)], 0),
+    ([(0.0, 1.0), (-1.0, math.nan)], 1),
+], ids=["inf-low", "nan-high"])
+def test_samplers_reject_non_finite_bounds(sample, box, axis):
+    """A box bound that is not finite names its axis instead of giving
+    NaN points and a numpy warning."""
+    with pytest.raises(ValueError, match=rf"^box axis {axis} has a non-finite bound"):
+        sample(box)
+
+
+# ---------------------------------------------------------------------------
+# The region route against a per-point reference.  The reference applies
+# the paper's definitions literally, one point and one node at a time: a
+# composite takes the first child status that is not its gate status (else
+# the gate status), the influence region reads the left siblings of every
+# ancestor-or-self, and the keeping statuses follow from the right ones.
+
+BATCH_SIZES = (1, 63, 64, 65, 257)  # across the 64-bit word boundaries of a mask
+_GATES = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
+
+
+def _reference_statuses(bt, x) -> dict:
+    """Status of every node at x, leaves evaluated left to right."""
+    out = {}
+
+    def visit(node):
+        if isinstance(node, Leaf):
+            out[node.node_id] = node.behavior.metadata(x)
+            return
+        for child in node.children:
+            visit(child)
+        gate = Status.SUCCESS if isinstance(node, Sequence) else Status.FAILURE
+        out[node.node_id] = next(
+            (out[c.node_id] for c in node.children if out[c.node_id] is not gate), gate)
+
+    visit(bt.root)
+    return out
+
+
+def _reference_regions(bt, statuses) -> tuple:
+    """(influence, operating, success pathway, failure pathway) flags per node."""
+    parent, children, kinds = bt.tree.parent, bt.tree.children, bt.kinds
+    influence, operating, success, failure = {}, {}, set(), set()
+    for i in range(len(bt.nodes)):
+        inside = on_success = on_failure = True
+        a = i
+        while parent[a] is not None:
+            p = parent[a]
+            sibs = children[p]
+            pos = sibs.index(a)
+            inside &= all(statuses[j] is _GATES[kinds[p]] for j in sibs[:pos])
+            if pos < len(sibs) - 1:
+                on_success &= kinds[p] != "seq"
+                on_failure &= kinds[p] != "fal"
+            a = p
+        keep = {Status.RUNNING}
+        if on_success:
+            success.add(i)
+            keep.add(Status.SUCCESS)
+        if on_failure:
+            failure.add(i)
+            keep.add(Status.FAILURE)
+        influence[i] = inside
+        operating[i] = inside and any(statuses[i] is s for s in keep)
+    return influence, operating, success, failure
+
+
+def _reference_owners(bt, x) -> tuple:
+    operating = _reference_regions(bt, _reference_statuses(bt, x))[1]
+    return tuple(i for i in bt.leaf_ids if operating[i])
+
+
+def _reference_audit(bt, points) -> tuple:
+    """check_partition's report dict and region_table's rows, point by
+    point in the audit's call order: the leaves, then the delegation walk."""
+    report, rows = RegionReport(samples_tested=len(points)), []
+    for x in points:
+        x = tuple(float(v) for v in x)
+        owners = _reference_owners(bt, x)
+        status, active = bt.resolve(x)
+        if len(owners) > 1:
+            report.disjointness_violations.append((x, owners))
+        elif not owners:
+            report.coverage_violations.append(x)
+        elif owners[0] != active:
+            report.equivalence_violations.append((x, active, owners[0]))
+        rows.append((*x, owners[0] if len(owners) == 1 else -1, getattr(status, "value", None)))
+    report.disjointness_violations.sort()
+    report.coverage_violations.sort()
+    report.equivalence_violations.sort()
+    return report.to_dict(), rows
+
+
+def _flaky_copy(bt, every=5) -> BehaviorTree:
+    """bt with impure metadata: every every-th metadata call of the tree
+    answers the status after the true one (R -> S -> F -> R).  Two copies
+    called in the same order answer alike, so audits of such trees, whose
+    delegation walk disagrees with the region owner at many points, can be
+    compared with the reference."""
+    calls = [0]
+    after = {Status.RUNNING: Status.SUCCESS, Status.SUCCESS: Status.FAILURE,
+             Status.FAILURE: Status.RUNNING}
+
+    def copy(node):
+        if isinstance(node, Leaf):
+            def flaky(x, metadata=node.behavior.metadata):
+                calls[0] += 1
+                status = metadata(x)
+                return after[status] if calls[0] % every == 0 else status
+
+            return Leaf(node.node_id, LeafBehavior(node.behavior.controller, flaky))
+        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
+
+    return BehaviorTree(copy(bt.root), state_dim=bt.state_dim)
+
+
+@pytest.mark.parametrize("run", [None, 64], ids=["one-run", "runs-of-64"])
+@pytest.mark.parametrize("permute_ids", [False, True], ids=["dfs-ids", "permuted-ids"])
+def test_batch_audits_match_the_per_point_reference(permute_ids, run, monkeypatch):
+    """check_partition, region_table and subsystem_leaves against the
+    reference, on pure trees and on impure copies whose audits fail, with
+    the batch evaluated whole or in runs of 64 points.  A partition
+    violation needs impure metadata or a status that is not a Status: the
+    algebra partitions any one consistent status table."""
+    if run is not None:
+        monkeypatch.setattr(regions, "_RUN", run)
+    kinds_seen = set()
+    for seed in range(8):
+        bt = random_bt(seed, permute_ids=permute_ids)
+        for size in BATCH_SIZES:
+            points = uniform_points([(-3, 3), (-3, 3)], size, seed=[seed, size])
+            report, rows = _reference_audit(bt, points)
+            assert check_partition(bt, points).to_dict() == report
+            assert region_table(bt, points) == rows
+            owned = [_reference_owners(bt, tuple(x)) for x in points.tolist()]
+            witnessed = {i for owners in owned for i in owners}
+            assert subsystem_leaves(bt, points) == SubsystemLeaves(
+                frozenset(witnessed), frozenset(bt.leaf_ids) - witnessed, size)
+            report, rows = _reference_audit(_flaky_copy(bt), points)
+            assert check_partition(_flaky_copy(bt), points).to_dict() == report, (seed, size)
+            assert region_table(_flaky_copy(bt), points) == rows, (seed, size)
+            kinds_seen.update(k for k, v in report.items() if k.endswith("violations") and v)
+    # a root leaf whose status is not a Status at some points owns none of them
+    bt = BehaviorTree(Leaf(0, LeafBehavior(
+        lambda x: (0.0,), lambda x: None if x[0] > 1.0 else Status.RUNNING)), state_dim=2)
+    for size in BATCH_SIZES[1:]:
+        points = uniform_points([(-3, 3), (-3, 3)], size, seed=size)
+        report = _reference_audit(bt, points)[0]
+        assert check_partition(bt, points).to_dict() == report
+        kinds_seen.update(k for k, v in report.items() if k.endswith("violations") and v)
+    # one status table always partitions; only the walk's second look at
+    # impure metadata, or a status no composite consults, can disagree
+    assert kinds_seen == {"equivalence_violations", "coverage_violations"}
+
+
+@pytest.mark.parametrize("permute_ids", [False, True], ids=["dfs-ids", "permuted-ids"])
+def test_point_queries_match_the_per_point_reference(permute_ids):
+    """pathway_sets, composed_status, in_influence_region,
+    in_operating_region and operating_owners against the reference."""
+    for seed in range(12):
+        bt = random_bt(seed, permute_ids=permute_ids)
+        nodes = range(len(bt.nodes))
+        composites = [i for i in nodes if bt.kinds[i] != "leaf"]
+        for x in uniform_points([(-3, 3), (-3, 3)], 25, seed=[seed, 1]).tolist():
+            statuses = _reference_statuses(bt, x)
+            influence, operating, success, failure = _reference_regions(bt, statuses)
+            assert pathway_sets(bt) == PathwaySets(frozenset(success), frozenset(failure))
+            assert [composed_status(bt, i, x) for i in composites] == [
+                statuses[i] for i in composites]
+            assert [in_influence_region(bt, i, x) for i in nodes] == [
+                influence[i] for i in nodes]
+            assert [in_operating_region(bt, i, x) for i in nodes] == [
+                operating[i] for i in nodes]
+            assert operating_owners(bt, x) == [i for i in bt.leaf_ids if operating[i]]
+
+
+def _delegation_visits(node, x) -> tuple:
+    """(status, leaf ids whose metadata delegation evaluates, in order)."""
+    if isinstance(node, Leaf):
+        return node.behavior.metadata(x), [node.node_id]
+    skip = Status.SUCCESS if isinstance(node, Sequence) else Status.FAILURE
+    visits = []
+    for child in node.children:
+        status, seen = _delegation_visits(child, x)
+        visits += seen
+        if status is not skip:
+            break
+    return status, visits
+
+
+def test_check_partition_calls_metadata_point_by_point_then_walks():
+    """Per point: every leaf's metadata left to right (not in id order),
+    then the delegation walk; impure-metadata audits depend on this order."""
+    log = []
+
+    def leaf(i, a, b):
+        def metadata(x):
+            log.append((i, x))
+            v = a * x[0] + b * x[1]
+            return Status.SUCCESS if v > 0.5 else Status.FAILURE if v < -0.5 else Status.RUNNING
+
+        return Leaf(i, LeafBehavior(lambda x: (0.0,), metadata, f"leaf{i}"))
+
+    root = Fallback(0, (
+        Sequence(4, (leaf(6, 1.0, 0.0), leaf(2, 0.0, 1.0))),
+        leaf(5, 1.0, 1.0),
+        Sequence(1, (leaf(7, -1.0, 0.0), leaf(3, 0.0, -1.0)))))
+    bt = BehaviorTree(root, state_dim=2)
+    walk = bt.resolve
+
+    def logged_walk(x):
+        log.append(("walk", x))
+        return walk(x)
+
+    bt.resolve = logged_walk
+    points = uniform_points([(-2, 2), (-2, 2)], 65, seed=3)
+    check_partition(bt, points)
+    calls, expected = list(log), []
+    for x in points.tolist():
+        x = tuple(x)
+        expected += [(i, x) for i in (6, 2, 5, 7, 3)] + [("walk", x)]
+        expected += [(i, x) for i in _delegation_visits(root, x)[1]]
+    assert calls == expected
+
+
+def test_subsystem_leaves_stops_soon_after_every_leaf_is_witnessed():
+    """A batch whose first point witnesses every leaf costs one metadata
+    call per leaf; one whose last leaf is witnessed at point p costs fewer
+    than 2 (p + 1) calls per leaf, not one per point of the batch."""
+    calls = []
+
+    def counted(status_of):
+        def metadata(x):
+            calls.append(x)
+            return status_of(x)
+
+        return metadata
+
+    lone = BehaviorTree(Leaf(0, LeafBehavior(
+        lambda x: (0.0,), counted(lambda x: Status.RUNNING))), state_dim=1)
+    out = subsystem_leaves(lone, [[0.0]] * 5000)
+    assert (out.witnessed, out.samples_tested, len(calls)) == (frozenset({0}), 5000, 1)
+    # leaf 1 owns x < 0, leaf 2 the rest; only point p has x >= 0
+    two = BehaviorTree(Fallback(0, (
+        Leaf(1, LeafBehavior(lambda x: (0.0,), counted(
+            lambda x: Status.RUNNING if x[0] < 0 else Status.FAILURE))),
+        Leaf(2, LeafBehavior(lambda x: (0.0,), counted(lambda x: Status.RUNNING))))),
+        state_dim=1)
+    for p in (1, 5, 6, 7, 100, 5000):
+        calls.clear()
+        points = [[-1.0]] * 6000
+        points[p] = [1.0]
+        assert subsystem_leaves(two, points).witnessed == frozenset({1, 2})
+        assert p + 1 <= len(calls) / 2 < 2 * (p + 1), p
+
+
+def _switching_leaf(i, bad_at, fallback_status):
+    """A leaf answering "S" (not a Status) at the x0 values in bad_at."""
+    return Leaf(i, LeafBehavior(
+        lambda x: (0.0,),
+        lambda x: "S" if x[0] in bad_at else fallback_status, f"leaf{i}"))
+
+
+@pytest.mark.parametrize("run", [None, 2], ids=["one-run", "runs-of-2"])
+def test_malformed_status_error_names_the_first_point_it_is_consulted_at(run, monkeypatch):
+    """The error names the lowest-index point where a consulted status is
+    not a Status, and equals composed_status's error at that point alone,
+    also when that point is not in the batch's first run."""
+    if run is not None:
+        monkeypatch.setattr(regions, "_RUN", run)
+    bt = BehaviorTree(Sequence(0, (
+        _switching_leaf(1, {0.7, 0.9}, Status.SUCCESS),
+        Leaf(2, LeafBehavior(lambda x: (0.0,), lambda x: Status.RUNNING)))), state_dim=1)
+    points = [[0.0], [0.2], [0.9], [0.7]]
+    for audit in (check_partition, region_table, subsystem_leaves):
+        with pytest.raises(AssertionError) as batch:
+            audit(bt, points)
+        with pytest.raises(AssertionError) as single:
+            composed_status(bt, 0, points[2])
+        assert str(batch.value) == str(single.value)
+        assert str(single.value) == ("composed regions of node 0 do not partition "
+                                     "at (0.9,): child status 'S'")
+
+
+def test_malformed_statuses_at_two_composites_name_the_earlier_point():
+    """Malformed at node 1 from point 3 and at node 4 from point 1: point 1
+    wins.  Where both are malformed at one point, node 1, first in
+    post-order, is named.  A malformed status no composite consults is
+    never an error."""
+    bt = BehaviorTree(Sequence(0, (
+        Fallback(1, (_switching_leaf(2, {0.3, 0.5}, Status.FAILURE),
+                     Leaf(3, LeafBehavior(lambda x: (0.0,), lambda x: Status.SUCCESS)))),
+        Fallback(4, (_switching_leaf(5, {0.1, 0.5}, Status.FAILURE),
+                     Leaf(6, LeafBehavior(lambda x: (0.0,), lambda x: Status.RUNNING)))),
+        _switching_leaf(7, {0.0, 0.1, 0.2, 0.3, 0.5}, Status.RUNNING))), state_dim=1)
+    for points, named in (([[0.0], [0.1], [0.2], [0.3]], 1), ([[0.0], [0.5]], 1)):
+        with pytest.raises(AssertionError) as batch:
+            check_partition(bt, points)
+        with pytest.raises(AssertionError) as single:
+            composed_status(bt, 0, points[named])
+        assert str(batch.value) == str(single.value)
+    assert "node 4 do not partition at (0.1,)" in str(
+        pytest.raises(AssertionError, check_partition, bt, [[0.1]]).value)
+    assert "node 1 do not partition at (0.5,)" in str(
+        pytest.raises(AssertionError, check_partition, bt, [[0.5]]).value)

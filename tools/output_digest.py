@@ -15,6 +15,11 @@ one per output:
   `bt.status` of every node, `composed_status` of every composite and
   `operating_owners`, on the workload's 16 probe points; `subsystem_leaves`
   on the seed-1, pass-0 points;
+- region/impure: two audits no bank tree reaches, `check_partition(...)
+  .to_dict()` of a tree whose metadata toggles on every call, over 257
+  points, and the error text of `check_partition` on a tree with a leaf
+  status that is not a Status at some points (both depend on the order of
+  metadata calls and on which malformed point is named);
 - cli/...: exit code, stdout and stderr of `ctbt validate`, `validate
   --print`, `check-partition`, `regions --x0`, a `regions` grid and
   `simulate` on the bundled models, and `certify` on two of them;
@@ -137,6 +142,36 @@ def region_digests(workloads) -> list:
     return lines
 
 
+def impure_digests() -> list:
+    from ctbt import (BehaviorTree, Leaf, LeafBehavior, Sequence, Status, check_partition,
+                      uniform_points)
+
+    flip = [False]
+
+    def toggling(x):
+        flip[0] = not flip[0]
+        return Status.SUCCESS if flip[0] else Status.FAILURE
+
+    def leaf(i, status):
+        return Leaf(i, LeafBehavior(lambda x: (0.0,), status, label=f"leaf{i}"))
+
+    def steady(x):
+        return Status.RUNNING
+
+    points = uniform_points([(-1.0, 1.0)], 257, seed=0)
+    report = check_partition(
+        BehaviorTree(Sequence(0, (leaf(1, toggling), leaf(2, steady))), state_dim=1), points)
+    # "S" instead of Status.SUCCESS past x0 = 0.5, consulted first there
+    malformed = BehaviorTree(Sequence(0, (
+        leaf(1, lambda x: "S" if x[0] > 0.5 else Status.SUCCESS), leaf(2, steady))), state_dim=1)
+    try:
+        check_partition(malformed, points)
+        error = "no error"
+    except AssertionError as err:
+        error = str(err)
+    return [(sha(json.dumps(report.to_dict()) + "\n" + error), "region/impure")]
+
+
 def cli_digests() -> list:
     from ctbt import cli
 
@@ -226,7 +261,7 @@ def main(argv=None) -> int:
         print(f"error: imported ctbt from {ctbt.__file__}, not {root / 'src'}",
               file=sys.stderr)
         return 1
-    lines = (bank_digests(workloads) + region_digests(workloads)
+    lines = (bank_digests(workloads) + region_digests(workloads) + impure_digests()
              + cli_digests() + boundary_digests() + slide_digests()
              + demo_digests(root))
     for digest, name in lines:
