@@ -12,7 +12,7 @@ import numpy as np
 from ctbt import (
     check_partition,
     dsl,
-    in_influence_region,
+    leaf_memberships,
     operating_owners,
     pathway_sets,
     uniform_points,
@@ -47,8 +47,9 @@ def main():
 
     # the gate leaf's success region is the only door to the lamp subtree
     for x in [(-0.5, 0.0), (1.5, 0.0), (1.5, 1.5)]:
-        gates = [i for i in bt.leaf_ids if in_influence_region(bt, i, x)]
-        owner = operating_owners(bt, x)
+        leaves = leaf_memberships(bt, x)
+        gates = [i for i, influence, _ in leaves if influence]
+        owner = [i for i, _, operating in leaves if operating]
         print(f"x = {x}: influence open for leaves {gates}, owner {owner}")
     print()
 

@@ -53,6 +53,7 @@ from .regions import (
     grid_points,
     in_influence_region,
     in_operating_region,
+    leaf_memberships,
     operating_owners,
     pathway_sets,
     subsystem_leaves,
@@ -99,6 +100,7 @@ __all__ = [
     "in_influence_region",
     "in_operating_region",
     "integrate",
+    "leaf_memberships",
     "load",
     "longest_chain",
     "operating_owners",

@@ -142,19 +142,19 @@ def cmd_regions(args) -> int:
     bt = model.bt
     if args.x0 is not None:
         x = _parse_x0(args.x0, bt.state_dim)
-        owners = regions.operating_owners(bt, x)
+        status, active = bt.resolve(x)
         doc = {
             "x": list(x),
-            "active_leaf": bt.active_leaf(x),
-            "root_status": bt.root_status(x).value,
+            "active_leaf": active,
+            "root_status": status.value,
             "leaves": [
                 {
                     "id": i,
                     "label": bt.behavior(i).label,
-                    "influence": regions.in_influence_region(bt, i, x),
-                    "operating": i in owners,
+                    "influence": influence,
+                    "operating": operating,
                 }
-                for i in bt.leaf_ids
+                for i, influence, operating in regions.leaf_memberships(bt, x)
             ],
         }
         _emit(json.dumps(doc, indent=2), args.output)

@@ -21,10 +21,11 @@ that recomputes every status independently is in ctbt.regions.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -92,11 +93,20 @@ BtNode = Union[Leaf, Sequence, Fallback]
 
 @dataclass(frozen=True)
 class Plant:
-    """Control-affine-or-not vector field xdot = field(x, u) with known dims."""
+    """Control-affine-or-not vector field xdot = field(x, u) with known dims.
+
+    steps.get((field, controller)) is step(x, h), one classic RK4 step of
+    the closed loop field(x, controller(x)), bit for bit, or None.  The
+    .btm compiler gives its own field and leaf controllers one; the
+    executor asks for the plant's field with the active leaf's controller,
+    so another field or a wrapped controller gets None and takes the
+    generic RK4.
+    """
 
     state_dim: int
     control_dim: int
     field: Callable
+    steps: Any = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
 _SUCCESS, _FAILURE = Status.SUCCESS, Status.FAILURE

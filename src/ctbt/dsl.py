@@ -26,7 +26,10 @@ and column of the offending token.
 lower() folds constants and compiles the plant field, each leaf controller
 and each leaf status to one flat generated Python function (see "code
 generation" below); evaluate_expr is the reference interpreter they match
-bit for bit.
+bit for bit.  Each leaf also gets one closed-loop RK4 step with its
+controller inlined into the plant field, compiled on first use and kept in
+Plant.steps; the executor calls it in regular mode in place of RK4 over the
+field and controller functions, with the same floats.
 """
 
 from __future__ import annotations
@@ -768,7 +771,9 @@ def fold_constants(e, consts: Mapping):
 # as a tuple of floats (any sequence works) and is unpacked in one line;
 # the field returns a tuple.  Operands run left to right, except that a
 # divisor is evaluated and tested for zero before its dividend; every value
-# is bit-identical to evaluate_expr's.
+# is bit-identical to evaluate_expr's.  A leaf's closed-loop RK4 step is
+# generated from the same expressions, one assignment per control and field
+# component at each stage, the stage state in the locals y0.. .
 #
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
@@ -797,6 +802,7 @@ class _FunctionSource:
         self.sx = sx
         self.su = su
         self.ns: dict = {"__builtins__": {}}
+        self.state = "x"  # name prefix of the locals holding the state
         self.uses_state = False
         self.controls_used: set = set()
         self.constants = 0
@@ -822,7 +828,7 @@ class _FunctionSource:
         if isinstance(e, Var):
             if e.name in self.sx:
                 self.uses_state = True
-                return f"x{self.sx[e.name]:d}"
+                return f"{self.state}{self.sx[e.name]:d}"
             if e.name in self.su:
                 j = self.su[e.name]
                 self.controls_used.add(j)
@@ -880,15 +886,17 @@ class _FunctionSource:
         self.tops.append((text, e.pos))
         return text
 
-    def function(self, name: str, params: str, result: str) -> Callable:
-        """Compile `def name(params): <unpack used variables>; return result`."""
-        lines = [f"def {name}({params}):"]
+    def prologue(self) -> list:
+        """Lines binding the variables the expressions so far read from the
+        parameters x and u."""
+        lines = []
         if self.uses_state:
-            names = _tuple_items([f"x{k:d}" for k in range(len(self.sx))])
-            lines.append(f"    {names} = x")
-        lines += [f"    u{j:d} = u[{j:d}]" for j in sorted(self.controls_used)]
-        lines.append(f"    return {result}")
-        self.source = "\n".join(lines) + "\n"
+            lines.append(f"{_tuple_items([f'x{k:d}' for k in range(len(self.sx))])} = x")
+        return lines + [f"u{j:d} = u[{j:d}]" for j in sorted(self.controls_used)]
+
+    def function(self, name: str, params: str, body: list) -> Callable:
+        """Compile `def name(params):` over the body lines."""
+        self.source = "\n    ".join([f"def {name}({params}):", *body]) + "\n"
         try:
             code = compile(self.source, f"<btm {name}>", "exec")
         except (SyntaxError, RecursionError) as err:
@@ -910,12 +918,60 @@ def _tuple_items(items: list) -> str:
 def _tuple_function(name: str, params: str, exprs, sx: Mapping, su: Mapping) -> Callable:
     """A generated function returning the tuple of exprs: field or controller."""
     g = _FunctionSource(sx, su)
-    return g.function(name, params, f"({_tuple_items([g.top(e) for e in exprs])})")
+    result = _tuple_items([g.top(e) for e in exprs])
+    return g.function(name, params, [*g.prologue(), f"return ({result})"])
 
 
 def _status_function(s, sx: Mapping) -> Callable:
     g = _FunctionSource(sx, {})
-    return g.function("status", "x", g.top(s))
+    result = g.top(s)
+    return g.function("status", "x", [*g.prologue(), f"return {result}"])
+
+
+def _step_function(derivatives, controls, sx: Mapping, su: Mapping) -> Callable:
+    """step(x, h): one classic RK4 step of the closed loop xdot = f(x, u(x))
+    for the plant's derivative and the leaf's control expressions, the
+    controls inlined.
+
+    The arithmetic of executor._rk4 over field(y, controller(y)), in its
+    order, so every value and every error is the same: at each stage the
+    controls in order, then the field components in order; the stage state
+    y = x + s*k per component; and x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
+    """
+    g = _FunctionSource(sx, su)
+    n = range(len(sx))
+    half, two, six = g.constant(0.5), g.constant(2.0), g.constant(6.0)
+    body = [f"{_tuple_items([f'x{i:d}' for i in n])} = x", f"h2 = {half} * h"]
+    for stage, along in ((1, "h2"), (2, "h2"), (3, "h"), (4, None)):
+        body += [f"u{j:d} = {g.top(e)}" for j, e in enumerate(controls)]
+        body += [f"k{stage:d}_{i:d} = {g.top(e)}" for i, e in zip(n, derivatives)]
+        if along is not None:
+            body += [f"y{i:d} = x{i:d} + {along} * k{stage:d}_{i:d}" for i in n]
+            g.state = "y"
+    body.append(f"h6 = h / {six}")
+    result = [f"x{i:d} + h6 * (k1_{i:d} + {two} * k2_{i:d} + {two} * k3_{i:d} + k4_{i:d})"
+              for i in n]
+    body.append(f"return ({_tuple_items(result)})")
+    return g.function("step", "x, h", body)
+
+
+class _ClosedLoopSteps:
+    """Plant.steps of a lowered model: get((field, controller)) is that
+    leaf's generated step, compiled by the first get of its key, since
+    many lowered trees are never integrated.  Until then the leaf's folded
+    control expressions wait in pending."""
+
+    def __init__(self, derivatives, sx: Mapping, su: Mapping):
+        self.derivatives, self.sx, self.su = derivatives, sx, su
+        self.pending: dict = {}
+        self.compiled: dict = {}
+
+    def get(self, key, default=None):
+        if key in self.pending:
+            self.compiled[key] = _step_function(
+                self.derivatives, self.pending[key], self.sx, self.su)
+            del self.pending[key]
+        return self.compiled.get(key, default)
 
 
 @dataclass(frozen=True)
@@ -938,9 +994,10 @@ def lower(m: ModelFile) -> LoweredModel:
     su = {f"u{k}": k for k in range(m.control_dim)}
     decls = {d.name: d for d in m.nodes}
 
-    plant_field = _tuple_function(
-        "field", "x, u", [fold_constants(e, consts) for _, e in m.plant], sx, su)
-    plant = Plant(m.state_dim, m.control_dim, plant_field)
+    field_exprs = [fold_constants(e, consts) for _, e in m.plant]
+    plant_field = _tuple_function("field", "x, u", field_exprs, sx, su)
+    steps = _ClosedLoopSteps(field_exprs, sx, su)
+    plant = Plant(m.state_dim, m.control_dim, plant_field, steps)
 
     counter = [0]
 
@@ -953,9 +1010,11 @@ def lower(m: ModelFile) -> LoweredModel:
                 raise _ControlCountMismatch(
                     f"leaf {decl.name!r} defines {len(decl.controls)} control "
                     f"component(s), model declares {m.control_dim}", *decl.pos)
+            controls = [fold_constants(e, consts) for e in decl.controls]
+            controller = _tuple_function("controller", "x", controls, sx, {})
+            steps.pending[plant_field, controller] = controls
             behavior = LeafBehavior(
-                controller=_tuple_function("controller", "x", [
-                    fold_constants(e, consts) for e in decl.controls], sx, {}),
+                controller=controller,
                 metadata=_status_function(fold_constants(decl.status, consts), sx),
                 label=decl.name)
             return Leaf(nid, behavior)
@@ -964,6 +1023,9 @@ def lower(m: ModelFile) -> LoweredModel:
         return cls(nid, children)
 
     root = build(m.root)
+    # build refers to itself; unbinding it lets reference counting free
+    # the closure, instead of the cycle collector
+    del build
     bt = BehaviorTree(root, state_dim=m.state_dim)
     return LoweredModel(name=m.name, bt=bt, plant=plant, model=m)
 

@@ -3,12 +3,17 @@
 Between events the active leaf's control law is closed over the plant and
 integrated with classic RK4 on tuples of floats, the state format
 BehaviorTree.check_state produces; the plant field may return any sequence.
-Regular mode makes no numpy call: numpy is left to the linear algebra of
-sliding mode and to the boundary tools at the end.  The integrator keeps
-the (root status, active leaf) of its current state and walks the tree once
-per accepted step, at the step's end point; the walk evaluates status
-predicates only, and the active leaf's controller runs inside the field
-evaluations.  Any change of (active leaf, root status) inside a step is
+In regular mode a leaf lowered from a .btm model is stepped by the
+plant's generated step for it: RK4 with the controller inlined into the
+field, the same floats as _rk4 (see Plant.steps).  _rk4 over
+field(y, controller(y)) steps every other leaf, a lowered one under a
+wrapped controller or another plant included, and the blended field of
+sliding mode.  Regular mode makes no numpy call: numpy is left to the
+linear algebra of sliding mode and to the boundary tools at the end.  The
+integrator keeps the (root status, active leaf) of its current state and
+walks the tree once per accepted step, at the step's end point; the walk
+evaluates status predicates only, and the active leaf's controller runs
+inside the step.  Any change of (active leaf, root status) inside a step is
 located by bisecting the step length down to event_tol, so switch times are
 resolved far below the step size.  If the recent switches toggle between
 exactly two leaves faster than the step rate, the integrator declares a
@@ -196,6 +201,16 @@ class _Integrator:
         field, controller = self.plant.field, self.bt.nodes[leaf].behavior.controller
         return lambda y: field(y, controller(y))
 
+    def step_for(self, leaf: int):
+        """step(x, h), one RK4 step of leaf's closed loop: the plant's own
+        step for its field and the leaf's controller, else _rk4 over them."""
+        controller = self.bt.nodes[leaf].behavior.controller
+        step = self.plant.steps.get((self.plant.field, controller))
+        if step is not None:
+            return step
+        f = self.field_for(leaf)
+        return lambda x, h: _rk4(f, x, h)
+
     def move_to(self, x, status: Status, leaf: int) -> None:
         """Make x the current state; (status, leaf) must be the walk at x."""
         self.x, self.status, self.leaf = x, status, leaf
@@ -247,8 +262,8 @@ class _Integrator:
         h_left = span
         leaf, status = self.leaf, self.status
         while h_left > 1e-15 and not self.done:
-            f = self.field_for(leaf)
-            x_try = _rk4(f, self.x, h_left)
+            step = self.step_for(leaf)
+            x_try = step(self.x, h_left)
             self.guard(x_try)
             st2, lf2 = self.bt.resolve(x_try)
             if (lf2, st2) == (leaf, status):
@@ -259,7 +274,7 @@ class _Integrator:
             x_hi = x_try
             while hi - lo > cfg.event_tol:
                 mid = 0.5 * (lo + hi)
-                x_mid = _rk4(f, self.x, mid)
+                x_mid = step(self.x, mid)
                 st_m, lf_m = self.bt.resolve(x_mid)
                 if (lf_m, st_m) == (leaf, status):
                     lo = mid
@@ -267,7 +282,7 @@ class _Integrator:
                     hi = mid
                     x_hi = x_mid
             if lo > 0.0:
-                x_lo = _rk4(f, self.x, lo)
+                x_lo = step(self.x, lo)
                 self.record(t + lo, x_lo, leaf, status)
             st_new, lf_new = self.bt.resolve(x_hi)
             if (lf_new, st_new) == (leaf, status):

@@ -307,6 +307,14 @@ def operating_owners(bt: BehaviorTree, x) -> list:
     return [leaf for leaf, mask in _owner_masks(bt, _point_masks(bt, x)) if mask]
 
 
+def leaf_memberships(bt: BehaviorTree, x) -> list:
+    """(leaf id, in its influence region, in its operating region) at x for
+    every leaf, in id order, from one evaluation of the tree's regions."""
+    masks = _point_masks(bt, x)
+    return [(test[0], all(masks[j][want] for j, want in test[1]),
+             bool(_operating_mask(masks, test))) for test in _plan(bt).owner_tests]
+
+
 @dataclass(frozen=True)
 class SubsystemLeaves:
     """Leaves witnessed to own at least one sample, and the rest.
@@ -402,11 +410,18 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
 
 
 def region_table(bt: BehaviorTree, points) -> list:
-    """Rows (x..., owner leaf id, root status letter) for a CSV dump."""
+    """Rows (x..., owner leaf id, root status letter) for a CSV dump.
+
+    A root status that is not a Status, which a root leaf can answer, is a
+    ValueError naming the lowest-index such point and that leaf."""
     rows = []
     for run, masks, walks in _runs(bt, _states(bt, points), walk=True):
         sole = _sole_owner(_owner_masks(bt, masks), len(run))[0]
-        rows += [(*x, owner, status.value) for x, owner, (status, _) in zip(run, sole, walks)]
+        for x, owner, (status, leaf) in zip(run, sole, walks):
+            if not isinstance(status, Status):
+                raise ValueError(f"root status at {x!r} is not a Status: "
+                                 f"leaf {leaf} answers {status!r}")
+            rows.append((*x, owner, status.value))
     return rows
 
 

@@ -1,6 +1,7 @@
 """The paired-run tool's statistics and its refusal to compare unlike harnesses."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -53,3 +54,24 @@ def test_bench_trees_are_compared_byte_for_byte_caches_aside(tmp_path, capsys):
                              "--seed", "1", "--pairs", "1", "--seconds", "1"])
     assert code == 2
     assert "refusing" in capsys.readouterr().err
+
+
+def test_a_run_length_other_than_the_benchmarks_is_noted(tmp_path, capsys, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("print(1)\n")
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 30, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, args: result(10.0, 100.0))
+    notes = {}
+    for seconds in ("30", "15"):
+        code = bench_pairs.main([str(parent), str(change), "--workload", "slide_hold",
+                                 "--seed", "1", "--pairs", "1", "--seconds", seconds])
+        assert code == 0
+        notes[seconds] = [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("note:")]
+    assert notes["30"] == []
+    assert notes["15"] == ["note: --seconds 15 is not the benchmark's run_seconds 30; with "
+                           "another number of passes per run, op_tail_ms may read another "
+                           "kind of operation"]

@@ -216,6 +216,34 @@ def test_regions_point_query_after_gate(capsys):
     assert ops == {1: False, 3: True, 4: False}
 
 
+def test_regions_point_query_evaluates_each_leaf_once(capsys, monkeypatch):
+    """One region evaluation and one delegation walk per state: at (0, 0) the
+    three kitchen leaves once each and the walk's first leaf (14 calls when
+    every leaf's influence was a tree evaluation of its own)."""
+    import dataclasses
+
+    from ctbt import cli, dsl
+    from ctbt.core import BehaviorTree, Leaf, LeafBehavior
+
+    calls = []
+
+    def copy(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, LeafBehavior(
+                b.controller, lambda x, m=b.metadata: calls.append(x) or m(x), b.label))
+        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
+
+    def load(arg):
+        model = dsl.load(dsl.resolve_model_path(arg))
+        return dataclasses.replace(model, bt=BehaviorTree(copy(model.bt.root), state_dim=2))
+
+    plain = run(capsys, "regions", "kitchen_lamp.btm", "--x0", "0,0")
+    monkeypatch.setattr(cli, "_load", load)
+    assert run(capsys, "regions", "kitchen_lamp.btm", "--x0", "0,0") == plain
+    assert len(calls) == 4
+
+
 def test_regions_grid_csv(capsys):
     code, out, err = run(capsys, "regions", "kitchen_lamp.btm",
                          "--box=-2:2,-2:2", "--grid", "5")

@@ -557,6 +557,135 @@ def test_generated_code_accepts_plain_sequences():
     assert _bits(lowered.plant.field(x, (0.2,))) == _bits(lowered.plant.field([0.7, -1.3], [0.2]))
 
 
+# The slide_hold benchmark's model (c = 0.0, goal = 2.0): two controls and
+# a plant term in the state.
+SLIDE_HOLD = """\
+model "slide_hold" {
+  state 2;
+  control 2;
+  const c = 0.0;
+  const goal = 2.0;
+  plant { dx0 = u0 + 0.2 * sin(x1); dx1 = u1; }
+  leaf at_goal { u = [0.0, 0.0]; status = if x1 >= goal then S else F; }
+  leaf above { u = [0.0, 0.0]; status = if x0 + 0.5 * x1 > c then S else F; }
+  leaf push_up { u = [1.0, 0.4]; status = R; }
+  leaf push_down { u = [-1.0, 0.4]; status = R; }
+  fal guard = [above, push_up];
+  seq hold = [guard, push_down];
+  fal reach = [at_goal, hold];
+  root = reach;
+}
+"""
+
+# grid steps, bisection probes down to below the default event_tol, and a
+# step so long that some random models overflow or leave a domain
+STEP_SIZES = (0.004, 0.001, 0.5, 1e-6, 0.004 * 2.0 ** -13, 3e-9)
+
+
+def _fused_step(lowered, leaf):
+    plant = lowered.plant
+    return plant.steps.get((plant.field, lowered.bt.behavior(leaf).controller))
+
+
+def _same_outcome(got, want) -> bool:
+    if want and isinstance(want[0], str):  # an error's type and text
+        return got == want
+    return isinstance(got, tuple) and _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_fused_step_matches_rk4_over_field_and_controller(index):
+    """Every leaf's generated step equals _rk4 over field(y, controller(y))
+    bit for bit, errors included, on the bundled models, the slab trees of
+    the region audit, random expression models and slide_hold."""
+    from ctbt.executor import _rk4
+
+    lowered = dsl.lower(dsl.parse([*_equivalence_corpus(), SLIDE_HOLD][index]))
+    field = lowered.plant.field
+    rng = np.random.default_rng(300 + index)
+    states = [tuple(x) for x in rng.uniform(-3.0, 3.0, size=(60, lowered.bt.state_dim)).tolist()]
+    for leaf in lowered.bt.leaf_ids:
+        controller = lowered.bt.behavior(leaf).controller
+        step = _fused_step(lowered, leaf)
+        for x in states:
+            for h in STEP_SIZES:
+                want = _outcome(_rk4, lambda y: field(y, controller(y)), x, h)
+                assert _same_outcome(_outcome(step, x, h), want), (leaf, x, h)
+
+
+DIVIDING = """\
+model "dividing" {
+  state 2;
+  control 2;
+  const L = 0.75;
+  plant {
+    dx0 = u0 / (x0 - 2.0) + abs(u1);
+    dx1 = 1.0 + sgn(x0) * sat(u1, L);
+  }
+  leaf only {
+    u = [x0 / (x1 - 1.0), sat(x0 - x1, L) * abs(x1)];
+    status = R;
+  }
+  root = only;
+}
+"""
+
+
+def test_fused_step_raises_the_division_error_of_the_generic_step():
+    """A zero divisor in the controller or the field, at the first stage or
+    a later one, raises the same DivisionByZero with the same position on
+    both paths."""
+    from ctbt.executor import _rk4
+
+    lowered = dsl.lower(dsl.parse(DIVIDING))
+    field, controller = lowered.plant.field, lowered.bt.behavior(0).controller
+    step = _fused_step(lowered, 0)
+    cases = [
+        ((0.3, 1.0), 0.01, "x0 / (x1"),   # controller, stage 1
+        ((2.0, 0.0), 0.01, "u0 / (x0"),   # field, stage 1
+        ((0.0, 0.0), 2.0, "x0 / (x1"),    # controller, stage 2: y1 = 0 + 1.0 * 1.0
+    ]
+    for x, h, needle in cases:
+        raised = []
+        for run in (lambda: step(x, h),
+                    lambda: _rk4(lambda y: field(y, controller(y)), x, h)):
+            with pytest.raises(DivisionByZero) as e:
+                run()
+            raised.append((str(e.value), e.value.line, e.value.col))
+        assert raised[0] == raised[1]
+        assert raised[0][1:] == _slash_position(DIVIDING, needle)
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(-3.0, 3.0, size=(200, 2)).tolist():
+        x = tuple(x)
+        want = _outcome(_rk4, lambda y: field(y, controller(y)), x, 0.01)
+        assert _same_outcome(_outcome(step, x, 0.01), want)
+
+
+def test_steps_are_compiled_on_first_use_by_a_run(monkeypatch):
+    """lower builds no step; a run builds the steps of the leaves it
+    integrates, once each, and a rerun builds none."""
+    built = []
+    step_function = dsl._step_function
+
+    def counted(*args):
+        built.append(args)
+        return step_function(*args)
+
+    monkeypatch.setattr(dsl, "_step_function", counted)
+    lowered = dsl.lower(dsl.parse(slab_tree_btm(np.random.default_rng(43), 44)))
+    assert len(lowered.bt.leaf_ids) == 44
+    assert built == []
+    cfg = IntegratorConfig(dt=0.01, t_end=3.0)
+    traj = integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
+    visited = {s.leaf for s in traj.samples}
+    assert len(visited) == 3 and len(built) == 3
+    for leaf in visited:  # fetching a visited leaf's step builds nothing
+        _fused_step(lowered, leaf)
+    assert len(built) == 3
+    integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
+    assert len(built) == 3
+
+
 def _slash_position(source: str, needle: str):
     """(line, column) of the '/' inside the first occurrence of needle."""
     for line_no, line in enumerate(source.splitlines(), start=1):
@@ -746,11 +875,14 @@ def test_generated_source_holds_no_model_text(monkeypatch):
         return fn
 
     monkeypatch.setattr(dsl._FunctionSource, "function", spy)
-    dsl.lower(dsl.parse(HOSTILE))
+    lowered = dsl.lower(dsl.parse(HOSTILE))
     assert len(seen) == 5
-    keywords = {"def", "return", "if", "else", "not", "x", "u",
-                "field", "controller", "status"}
-    made = re.compile(r"(x|u|_k|_t)\d+|_(sin|cos|sqrt|abs|sgn|sat|divz|R|S|F)")
+    for leaf in lowered.bt.leaf_ids:  # the closed-loop steps, built on first use
+        _fused_step(lowered, leaf)
+    assert len(seen) == 7
+    keywords = {"def", "return", "if", "else", "not", "x", "u", "h", "h2", "h6",
+                "field", "controller", "status", "step"}
+    made = re.compile(r"(x|u|y|_k|_t)\d+|k[1-4]_\d+|_(sin|cos|sqrt|abs|sgn|sat|divz|R|S|F)")
     layout = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
               tokenize.ENDMARKER}
     for text, ns in seen:

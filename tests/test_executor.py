@@ -388,6 +388,49 @@ def test_one_walk_per_grid_step(pendulum):
     assert counts["controller"] == counts["field"] == 4 * steps
 
 
+def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum, monkeypatch):
+    """A lowered model integrates with its generated steps and never calls
+    _rk4; a foreign plant, a plant copy with a wrapped field or leaves
+    rebuilt around wrapped controllers take _rk4, with the same output."""
+    import dataclasses
+
+    from ctbt import executor
+
+    calls = []
+    rk4 = executor._rk4
+
+    def counted(*args):
+        calls.append(args[2])
+        return rk4(*args)
+
+    monkeypatch.setattr(executor, "_rk4", counted)
+    cfg = IntegratorConfig(dt=0.004, t_end=12.0)
+    fused = integrate(pendulum.plant, pendulum.bt, (2.0, 0.0), cfg, "pendulum")
+    assert calls == []
+    assert fused.events_of("Switch") and fused.events_of("RootSuccess")
+
+    def wrapped(fn):
+        return lambda *args: fn(*args)
+
+    def rebuilt(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, LeafBehavior(wrapped(b.controller), b.metadata, b.label))
+        return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
+
+    cases = {
+        "foreign plant": (Plant(2, 1, pendulum.plant.field), pendulum.bt),
+        "wrapped field": (dataclasses.replace(pendulum.plant, field=wrapped(pendulum.plant.field)),
+                          pendulum.bt),
+        "rebuilt leaves": (pendulum.plant, BehaviorTree(rebuilt(pendulum.bt.root), state_dim=2)),
+    }
+    for name, (plant, bt) in cases.items():
+        calls.clear()
+        traj = integrate(plant, bt, (2.0, 0.0), cfg, "pendulum")
+        assert calls, name
+        assert traj.to_json() == fused.to_json(), name
+
+
 # ------------------------------------------------------------- serialization
 
 def test_serialization_deterministic():

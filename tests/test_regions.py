@@ -29,6 +29,7 @@ from ctbt.regions import (
     grid_points,
     in_influence_region,
     in_operating_region,
+    leaf_memberships,
     operating_owners,
     pathway_sets,
     region_csv,
@@ -213,7 +214,8 @@ def test_public_node_id_arguments_pass_the_id_check(call):
     lambda bt, x: in_influence_region(bt, 1, x),
     lambda bt, x: in_operating_region(bt, 1, x),
     lambda bt, x: operating_owners(bt, x),
-], ids=["status", "composed", "influence", "operating", "owners"])
+    lambda bt, x: leaf_memberships(bt, x),
+], ids=["status", "composed", "influence", "operating", "owners", "memberships"])
 def test_point_queries_validate_the_state(call, bad, error, message):
     """A state of the wrong shape or with a non-finite component is refused
     by the one state check, never answered or passed to generated code."""
@@ -228,6 +230,43 @@ def test_root_operating_region_is_everywhere():
         for x in uniform_points([(-3, 3), (-3, 3)], 50, seed=seed):
             assert in_operating_region(bt, 0, x)
             assert len(operating_owners(bt, x)) == 1
+
+
+def test_leaf_memberships_answer_the_point_queries_in_one_evaluation():
+    """Every leaf's influence and operating membership, as the per-node
+    queries give them, from one call of each leaf's metadata per state."""
+    for seed in range(6):
+        bt = random_bt(seed)
+        for x in uniform_points([(-3, 3), (-3, 3)], 40, seed=seed):
+            assert leaf_memberships(bt, x) == [
+                (i, in_influence_region(bt, i, x), in_operating_region(bt, i, x))
+                for i in bt.leaf_ids]
+    calls = []
+
+    def copy(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, LeafBehavior(
+                b.controller, lambda x, m=b.metadata: calls.append(x) or m(x), b.label))
+        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
+
+    bt = BehaviorTree(copy(kitchen_bt().root), state_dim=2)
+    assert leaf_memberships(bt, (1.5, 0.0)) == [(1, True, False), (3, True, True), (4, False, False)]
+    assert len(calls) == len(bt.leaf_ids)
+
+
+def test_region_table_names_a_root_status_that_is_not_a_status():
+    """A root leaf answering None leaves points unowned, which the partition
+    audit reports; the region table cannot print their root status and says
+    where and from which leaf."""
+    bt = BehaviorTree(Leaf(0, LeafBehavior(
+        lambda x: (0.0,), lambda x: None if x[0] > 0.0 else Status.RUNNING)), state_dim=1)
+    points = [[-1.0], [2.0], [0.5], [3.0]]
+    assert check_partition(bt, points).coverage_violations == [(0.5,), (2.0,), (3.0,)]
+    for dump in (region_table, region_csv):
+        with pytest.raises(ValueError, match=r"^root status at \(2\.0,\) is not a Status: "
+                                             r"leaf 0 answers None$"):
+            dump(bt, points)
 
 
 def test_impure_metadata_is_caught_and_sorted():

@@ -21,7 +21,13 @@ with flags, 2 when the tool refuses or a run does not finish.
 
 The tool refuses to run when the two bench/ trees differ byte for byte
 (caches aside): paired runs compare programs, so the harness must be the
-same on both sides.
+same on both sides.  It prints a note when --seconds is not the
+benchmark's run_seconds: op_tail_ms is the op time eleventh from the top,
+so the number of passes a run finishes decides which operation it reads.
+On pendulum_certify, where one op in each pass of 31 runs the full
+horizon and fails, eleven passes or more put a failed run there and fewer
+a succeeding one, and runs shorter than the benchmark's can fall on
+different sides of that line for the two programs.
 """
 
 from __future__ import annotations
@@ -108,6 +114,10 @@ def main(argv=None) -> int:
         print("refusing: the bench/ trees differ in " + ", ".join(differ), file=sys.stderr)
         return 2
     spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.seconds != spec["run_seconds"]:
+        print(f"note: --seconds {args.seconds:g} is not the benchmark's run_seconds "
+              f"{spec['run_seconds']:g}; with another number of passes per run, "
+              "op_tail_ms may read another kind of operation")
 
     runs = {"parent": [], "change": []}
     flags = []
