@@ -63,11 +63,18 @@ class LeafBehavior:
 
     Both must be pure functions of the state.  controller returns a control
     vector (any sequence); metadata returns a Status.
+
+    guards, an iterable of guard(x) -> (g, grad g) with g a float and grad g
+    its state_dim partial derivatives, declares the leaf's switching
+    surfaces: the status changes only where some g changes sign.  A slide
+    follows the guard whose sign separates its chattering pair; with none,
+    the executor estimates the surface from crossing points.
     """
 
     controller: Callable
     metadata: Callable
     label: str = ""
+    guards: Any = dataclasses.field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,10 @@ generation" below); evaluate_expr is the reference interpreter they match
 bit for bit.  Each leaf also gets one closed-loop RK4 step with its
 controller inlined into the plant field, compiled on first use and kept in
 Plant.steps; the executor calls it in regular mode in place of RK4 over the
-field and controller functions, with the same floats.
+field and controller functions, with the same floats.  Every comparison
+left op right in a leaf status becomes a guard, g = left - right with its
+gradient from derivative(), compiled when a slide first reads it and kept
+in LeafBehavior.guards.
 """
 
 from __future__ import annotations
@@ -709,9 +712,18 @@ def _sat(v: float, limit: float) -> float:
     return min(max(v, -limit), limit)
 
 
+def _dsat(v: float, limit: float, dv: float, dlimit: float) -> float:
+    """Derivative of sat(v, limit) from those of v and limit: sat passes v
+    strictly inside [-limit, limit] and is +-limit outside."""
+    if -limit < v < limit:
+        return dv
+    return -dlimit if v <= -limit < limit else dlimit
+
+
+# dsat is not in FUNCTIONS: only derivative writes it, no model text can
 _FUNC_IMPLS = {
     "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
-    "abs": abs, "sgn": _sgn, "sat": _sat,
+    "abs": abs, "sgn": _sgn, "sat": _sat, "dsat": _dsat,
 }
 
 _COMPARE_IMPLS = {
@@ -763,6 +775,76 @@ def fold_constants(e, consts: Mapping):
     raise ModelTypeError(f"cannot fold {e!r}")
 
 
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _is(e, value: float) -> bool:
+    return isinstance(e, Num) and e.value == value
+
+
+def _negate(a, pos):
+    return Num(-a.value, pos=pos) if isinstance(a, Num) else Neg(a, pos=pos)
+
+
+def _arith(op: str, a, b, pos):
+    """Binary(op, a, b) with zero and one terms dropped and constants folded;
+    a constant divided by zero stays, to raise where it is evaluated."""
+    if op in "+-" and _is(b, 0.0) or op in "*/" and _is(b, 1.0):
+        return a
+    if op == "+" and _is(a, 0.0) or op == "*" and _is(a, 1.0):
+        return b
+    if op == "-" and _is(a, 0.0):
+        return _negate(b, pos)
+    if op in "*/" and _is(a, 0.0) or op == "*" and _is(b, 0.0):
+        return _ZERO
+    if isinstance(a, Num) and isinstance(b, Num) and not (op == "/" and b.value == 0.0):
+        return Num(evaluate_expr(Binary(op, a, b), {}), pos=pos)
+    return Binary(op, a, b, pos=pos)
+
+
+def derivative(e, var: str):
+    """d e / d var of a folded real expression, itself folded.
+
+    sin, cos and sqrt take their usual derivatives, abs' is sgn, sgn' is 0,
+    sat(v, L) follows v strictly inside [-L, L] and L outside (dsat), and a
+    quotient takes the quotient rule.  Zero and one terms drop out, so an
+    expression that does not read var gives Num(0.0).  New nodes carry the
+    position of the operation they come from, so a division by zero in a
+    derivative reports that line and column.
+    """
+    if isinstance(e, Num):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.name == var else _ZERO
+    if isinstance(e, Neg):
+        return _negate(derivative(e.operand, var), e.pos)
+    pos = e.pos
+    if isinstance(e, Binary):
+        a, b = e.left, e.right
+        da, db = derivative(a, var), derivative(b, var)
+        if e.op in "+-":
+            return _arith(e.op, da, db, pos)
+        if e.op == "*":
+            return _arith("+", _arith("*", da, b, pos), _arith("*", a, db, pos), pos)
+        if _is(db, 0.0):
+            return _arith("/", da, b, pos)
+        return _arith("/", _arith("-", _arith("*", da, b, pos), _arith("*", a, db, pos), pos),
+                      _arith("*", b, b, pos), pos)
+    a, da = e.args[0], derivative(e.args[0], var)
+    if e.func == "sat":
+        dlimit = derivative(e.args[1], var)
+        if _is(da, 0.0) and _is(dlimit, 0.0):
+            return _ZERO
+        return Call("dsat", (a, e.args[1], da, dlimit), pos=pos)
+    if e.func == "sgn" or _is(da, 0.0):
+        return _ZERO
+    if e.func == "sqrt":
+        return _arith("/", da, _arith("*", Num(2.0), e, pos), pos)
+    outer = {"sin": Call("cos", (a,), pos=pos), "cos": _negate(Call("sin", (a,), pos=pos), pos),
+             "abs": Call("sgn", (a,), pos=pos)}[e.func]
+    return _arith("*", outer, da, pos)
+
+
 # ------------------------------------------------------------ code generation
 #
 # lower() turns each plant field, leaf controller and leaf status into one
@@ -773,7 +855,8 @@ def fold_constants(e, consts: Mapping):
 # divisor is evaluated and tested for zero before its dividend; every value
 # is bit-identical to evaluate_expr's.  A leaf's closed-loop RK4 step is
 # generated from the same expressions, one assignment per control and field
-# component at each stage, the stage state in the locals y0.. .
+# component at each stage, the stage state in the locals y0.. .  A guard
+# returns one comparison's g and the derivatives of g, the same way.
 #
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
@@ -787,7 +870,7 @@ _COND, _ADD, _MUL, _UNARY, _ATOM = range(5)
 _ARITH = {"+": (" + ", _ADD), "-": (" - ", _ADD), "*": (" * ", _MUL)}
 _COMPARE_SYMBOLS = {"<": " < ", "<=": " <= ", ">": " > ", ">=": " >= "}
 _HELPER_NAMES = {"sin": "_sin", "cos": "_cos", "sqrt": "_sqrt", "abs": "_abs",
-                 "sgn": "_sgn", "sat": "_sat"}
+                 "sgn": "_sgn", "sat": "_sat", "dsat": "_dsat"}
 _STATUS_NAMES = {Status.RUNNING: "_R", Status.SUCCESS: "_S", Status.FAILURE: "_F"}
 
 
@@ -928,6 +1011,50 @@ def _status_function(s, sx: Mapping) -> Callable:
     return g.function("status", "x", [*g.prologue(), f"return {result}"])
 
 
+def _comparisons(s) -> list:
+    """The comparisons of a status expression, each then branch before its
+    else branch."""
+    found, stack = [], [s]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, IfStatus):
+            found.append(s.cond)
+            stack += (s.els, s.then)
+    return found
+
+
+def _guard_function(c: Compare, sx: Mapping) -> Callable:
+    """guard(x) -> (g, grad g) for the comparison c: g = left - right, whose
+    sign gives c's truth, and its derivatives in x0.. order."""
+    g = _arith("-", c.left, c.right, c.pos)
+    gen = _FunctionSource(sx, {})
+    try:
+        value = gen.top(g)
+        grad = _tuple_items([gen.top(derivative(g, name)) for name in sx])
+    except RecursionError:
+        raise ModelTypeError("comparison nests too deeply to differentiate",
+                             *c.pos) from None
+    return gen.function("guard", "x", [*gen.prologue(), f"return {value}, ({grad})"])
+
+
+class _LeafGuards:
+    """LeafBehavior.guards of a lowered leaf: one guard per comparison of
+    its folded status, compiled by the first iteration, since many lowered
+    trees never slide."""
+
+    __slots__ = ("status", "sx", "compiled")
+
+    def __init__(self, status, sx: Mapping):
+        self.status, self.sx = status, sx
+        self.compiled = None
+
+    def __iter__(self):
+        if self.compiled is None:
+            self.compiled = tuple(_guard_function(c, self.sx)
+                                  for c in _comparisons(self.status))
+        return iter(self.compiled)
+
+
 def _step_function(derivatives, controls, sx: Mapping, su: Mapping) -> Callable:
     """step(x, h): one classic RK4 step of the closed loop xdot = f(x, u(x))
     for the plant's derivative and the leaf's control expressions, the
@@ -1013,10 +1140,10 @@ def lower(m: ModelFile) -> LoweredModel:
             controls = [fold_constants(e, consts) for e in decl.controls]
             controller = _tuple_function("controller", "x", controls, sx, {})
             steps.pending[plant_field, controller] = controls
+            status = fold_constants(decl.status, consts)
             behavior = LeafBehavior(
-                controller=controller,
-                metadata=_status_function(fold_constants(decl.status, consts), sx),
-                label=decl.name)
+                controller=controller, metadata=_status_function(status, sx),
+                label=decl.name, guards=_LeafGuards(status, sx))
             return Leaf(nid, behavior)
         children = tuple(build(child) for child in decl.children)
         cls = Sequence if decl.kind == "seq" else Fallback

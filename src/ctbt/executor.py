@@ -8,22 +8,26 @@ plant's generated step for it: RK4 with the controller inlined into the
 field, the same floats as _rk4 (see Plant.steps).  _rk4 over
 field(y, controller(y)) steps every other leaf, a lowered one under a
 wrapped controller or another plant included, and the blended field of
-sliding mode.  Regular mode makes no numpy call: numpy is left to the
-linear algebra of sliding mode and to the boundary tools at the end.  The
-integrator keeps the (root status, active leaf) of its current state and
-walks the tree once per accepted step, at the step's end point; the walk
-evaluates status predicates only, and the active leaf's controller runs
-inside the step.  Any change of (active leaf, root status) inside a step is
-located by bisecting the step length down to event_tol, so switch times are
-resolved far below the step size.  If the recent switches toggle between
-exactly two leaves faster than the step rate, the integrator declares a
-sliding mode: it estimates the local surface normal from the recorded
-crossing points (SVD of the centered cloud; a field-difference fallback
-covers the degenerate startup), forms the convex field combination that
-cancels the normal component, and re-projects onto the surface after each
-step so the drifting solution cannot walk away from it.  Sliding ends when
-the combination coefficient leaves [0, 1] by more than _SLIDING_EPS or the
-state escapes to a third leaf.  `run` holds the one loop over a grid step:
+sliding mode.  The integrator keeps the (root status, active leaf) of its
+current state and walks the tree once per accepted step, at the step's end
+point; the walk evaluates status predicates only, and the active leaf's
+controller runs inside the step.  Any change of (active leaf, root status)
+inside a step is located by bisecting the step length down to event_tol,
+so switch times are resolved far below the step size.  If the recent
+switches toggle between exactly two leaves faster than the step rate, the
+integrator declares a sliding mode on g = 0 for the separating guard, the
+first leaf guard (LeafBehavior.guards) whose sign differs across the last
+switch's bisection bracket.  A slide step takes the normal grad g/|grad g|,
+forms the convex field combination that cancels the normal component,
+takes one RK4 step of it and pulls the result back onto g = 0 by Newton
+steps, so the solution cannot drift off the surface; one walk confirms the
+leaf.  With no separating guard (hand-built leaves that declare none) the
+normal is estimated from the recent crossing points instead (SVD of the
+centered cloud; a field-difference fallback covers the degenerate startup)
+and the projection bisects along it; only this cloud route and the
+boundary tools at the end call numpy.  Sliding ends when the combination
+coefficient leaves [0, 1] by more than _SLIDING_EPS or the state escapes
+to a third leaf.  `run` holds the one loop over a grid step:
 a span of either mode that changes mode mid-step hands the time left back
 to that loop, which goes on in the other mode.  A run ends at its first
 root Success.  The chatter count, the slack on the coefficient and the
@@ -51,6 +55,7 @@ _SLIDING_EPS = 1e-3  # slack on the Filippov coefficient before a slide ends
 _MAX_CHATTER = 4  # switches within one step that start a slide
 _MIN_COMPONENT = 1e-9  # normal field component that counts as a crossing
 _BOUNDARY_TOL = 1e-6  # length of a bisected boundary pair
+_NEWTON_STEPS = 8  # bound on the Newton steps of one projection onto a guard
 
 
 class ExecutionError(RuntimeError):
@@ -181,7 +186,8 @@ class _Integrator:
         # only what chatter_check and surface_normal read is kept
         self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
         self.sliding: Optional[tuple] = None  # (leaf a, leaf b)
-        self.surface_points = deque(maxlen=8)
+        self.surface = None  # the sliding pair's separating guard, if any
+        self.surface_points = deque(maxlen=8)  # crossing points, for the cloud route
         self.failed = False
         self.done = False
         self.meta = {
@@ -215,7 +221,7 @@ class _Integrator:
         """Make x the current state; (status, leaf) must be the walk at x."""
         self.x, self.status, self.leaf = x, status, leaf
 
-    def guard(self, x) -> None:
+    def check_finite(self, x) -> None:
         if not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):  # nan fails too
             raise NonFiniteState(f"state diverged: {tuple(float(v) for v in x)!r}")
 
@@ -264,7 +270,7 @@ class _Integrator:
         while h_left > 1e-15 and not self.done:
             step = self.step_for(leaf)
             x_try = step(self.x, h_left)
-            self.guard(x_try)
+            self.check_finite(x_try)
             st2, lf2 = self.bt.resolve(x_try)
             if (lf2, st2) == (leaf, status):
                 self.move_to(x_try, status, leaf)
@@ -281,6 +287,7 @@ class _Integrator:
                 else:
                     hi = mid
                     x_hi = x_mid
+            x_lo = self.x
             if lo > 0.0:
                 x_lo = step(self.x, lo)
                 self.record(t + lo, x_lo, leaf, status)
@@ -290,12 +297,12 @@ class _Integrator:
                     f"no state change after bisection at t={t + hi}")
             t_event = t + hi
             self.move_to(x_hi, st_new, lf_new)
-            self.guard(self.x)
+            self.check_finite(self.x)
             self.record(t_event, self.x, lf_new, st_new)
             if lf_new != leaf:
                 self.event(t_event, "Switch", self.x, **{"from": leaf, "to": lf_new})
                 self.switch_log.append((t_event, leaf, lf_new))
-                if self.chatter_check(t_event):
+                if self.chatter_check(t_event, x_lo):
                     remaining = t_start + span - t_event
                     handoff = remaining > 1e-15 and not self.done
                     return (t_event, remaining) if handoff else None
@@ -306,8 +313,11 @@ class _Integrator:
             leaf, status = lf_new, st_new
         return None
 
-    def chatter_check(self, t_now: float) -> bool:
-        """Detect rapid toggling; enter sliding or reject a triple point."""
+    def chatter_check(self, t_now: float, x_before) -> bool:
+        """Detect rapid toggling; enter sliding or reject a triple point.
+
+        x_before is the state on the old side of the last switch.
+        """
         recent = self.switch_log
         if len(recent) < _MAX_CHATTER or t_now - recent[0][0] > self.cfg.dt:
             return False
@@ -318,9 +328,20 @@ class _Integrator:
                 f"near t={t_now}")
         pair = tuple(sorted(leaves))
         self.sliding = pair
+        self.surface = self.separating_guard(x_before)
         self.surface_points.append(self.x)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
+
+    def separating_guard(self, x_before):
+        """The first guard, over the leaves in id order, whose sign differs
+        between x_before and the current state, or None."""
+        for i in self.bt.leaf_ids:
+            for guard in self.bt.nodes[i].behavior.guards:
+                a, b = guard(x_before)[0], guard(self.x)[0]
+                if (a > 0.0, a < 0.0) != (b > 0.0, b < 0.0):
+                    return guard
+        return None
 
     # ---- sliding mode
 
@@ -328,14 +349,7 @@ class _Integrator:
         a_leaf, b_leaf = self.sliding
         fa = self.field_for(a_leaf)
         fb = self.field_for(b_leaf)
-        va, vb = np.array(fa(self.x), dtype=float), np.array(fb(self.x), dtype=float)
-        n = self.surface_normal(vb - va)
-        den = float(n @ (vb - va))
-        scale = max(1.0, float(np.linalg.norm(va)), float(np.linalg.norm(vb)))
-        if abs(den) < 1e-12 * scale:
-            raise ZeroDenominatorInSliding(
-                f"fields do not separate across the surface near t={t_start}")
-        alpha = float(n @ vb) / den
+        n, alpha = self.filippov(fa(self.x), fb(self.x), t_start)
         if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
             self.exit_slide(t_start)
             return t_start, span
@@ -345,26 +359,77 @@ class _Integrator:
             return tuple(w * a + (1.0 - w) * b for a, b in zip(fa(y), fb(y)))
 
         x_new = _rk4(f, self.x, span)
-        self.guard(x_new)
-        projected, status, leaf = self.project_to_surface(x_new, n)
+        self.check_finite(x_new)
         t_end = t_start + span
-        if projected is None:
-            self.move_to(x_new, status, leaf)
+        if self.surface is None:
+            x_new, status, leaf, held = self.project_to_surface(x_new, n)
+        else:
+            x_new, status, leaf, held = self.newton_project(x_new, t_end)
+        self.move_to(x_new, status, leaf)
+        if not held:
             self.exit_slide(t_end)
             return None
-        self.move_to(projected, status, leaf)
-        self.surface_points.append(self.x)
         self.record(t_end, self.x, leaf, status)
         self.note_status(t_end, status)
         return None
 
     def exit_slide(self, t: float) -> None:
         self.event(t, "SlideExit", self.x, to=self.leaf)
-        self.sliding = None
+        self.sliding = self.surface = None
         self.surface_points.clear()
 
+    def filippov(self, va, vb, t: float) -> tuple:
+        """(n, alpha) at the current state, the pair's fields there va, vb.
+
+        n is the unit surface normal, grad g/|grad g| on the guard route and
+        surface_normal's estimate on the cloud route; alpha is the weight on
+        va that cancels the flow along n.
+        """
+        if self.surface is None:
+            va, vb = np.array(va, dtype=float), np.array(vb, dtype=float)
+            n = self.surface_normal(vb - va)
+            den, nb = float(n @ (vb - va)), float(n @ vb)
+            scale = max(1.0, float(np.linalg.norm(va)), float(np.linalg.norm(vb)))
+        else:
+            grad = self.surface(self.x)[1]
+            norm = math.hypot(*grad)
+            if norm == 0.0:
+                raise ZeroDenominatorInSliding(
+                    f"the switching surface has no normal at t={t}: grad g = 0")
+            n = [d / norm for d in grad]
+            nb = sum(p * v for p, v in zip(n, vb))
+            den = nb - sum(p * v for p, v in zip(n, va))
+            scale = max(1.0, math.hypot(*va), math.hypot(*vb))
+        if abs(den) < 1e-12 * scale:
+            raise ZeroDenominatorInSliding(
+                f"fields do not separate across the surface near t={t}")
+        return n, nb / den
+
+    def newton_project(self, x, t: float) -> tuple:
+        """Pull x onto the separating guard's surface g = 0 by Newton steps
+        along grad g, until a step no longer than event_tol, at most
+        _NEWTON_STEPS of them; one step is exact where g is affine.
+
+        Returns (point, status, leaf, held) with the walk at the point, held
+        when that walk stays in the sliding pair.
+        """
+        tol = self.cfg.event_tol
+        for _ in range(_NEWTON_STEPS):
+            g, grad = self.surface(x)
+            gg = sum(d * d for d in grad)
+            if gg == 0.0:
+                raise ZeroDenominatorInSliding(
+                    f"the switching surface has no normal near t={t}: grad g = 0")
+            x = _along(x, -g / gg, grad)
+            if g * g <= tol * tol * gg:  # that step was |g|/|grad g| long
+                break
+        self.check_finite(x)
+        status, leaf = self.bt.resolve(x)
+        return x, status, leaf, leaf in self.sliding
+
     def surface_normal(self, field_diff) -> np.ndarray:
-        """Unit normal of the sliding surface at the current point.
+        """Unit normal of the sliding surface at the current point, on the
+        cloud route.
 
         Estimated as the least-variance direction of the recent crossing
         points; while the cloud is still degenerate (right after entry) the
@@ -390,16 +455,16 @@ class _Integrator:
         return field_diff / norm
 
     def project_to_surface(self, x, n) -> tuple:
-        """Pull x back onto the switching surface along +-n by bisection.
+        """Pull x back onto the switching surface along +-n by bisection, on
+        the cloud route, and keep the point as a crossing point.
 
-        Returns (projected point, status, leaf) with the walk at that point,
-        or (None, status, leaf) with the walk at x when x cannot be pulled
-        back.
+        Returns (point, status, leaf, held) with the walk at the point: the
+        projected point and held, or x itself when it cannot be pulled back.
         """
         cfg = self.cfg
         status, here = self.bt.resolve(x)
         if here not in self.sliding:
-            return None, status, here
+            return x, status, here, False
         other = self.sliding[0] if here == self.sliding[1] else self.sliding[1]
         n = n.tolist()
         step = cfg.event_tol
@@ -410,9 +475,9 @@ class _Integrator:
                 break
             step *= 2.0
             if step > 1e6:
-                return None, status, here
+                return x, status, here, False
         else:
-            return None, status, here
+            return x, status, here, False
         lo, hi = 0.0, step
         while hi - lo > cfg.event_tol:
             mid = 0.5 * (lo + hi)
@@ -422,7 +487,9 @@ class _Integrator:
                 status = st_mid
             else:
                 hi = mid
-        return _along(x, sign * lo, n), status, here
+        projected = _along(x, sign * lo, n)
+        self.surface_points.append(projected)
+        return projected, status, here, True
 
 
 def integrate(plant: Plant, bt: BehaviorTree, x0,

@@ -24,6 +24,26 @@ from ctbt.core import (
 
 SETPOINT = 21.0
 
+# The slide_hold benchmark's model (c = 0.0, goal = 2.0): two controls and
+# a plant term in the state.
+SLIDE_HOLD = """\
+model "slide_hold" {
+  state 2;
+  control 2;
+  const c = 0.0;
+  const goal = 2.0;
+  plant { dx0 = u0 + 0.2 * sin(x1); dx1 = u1; }
+  leaf at_goal { u = [0.0, 0.0]; status = if x1 >= goal then S else F; }
+  leaf above { u = [0.0, 0.0]; status = if x0 + 0.5 * x1 > c then S else F; }
+  leaf push_up { u = [1.0, 0.4]; status = R; }
+  leaf push_down { u = [-1.0, 0.4]; status = R; }
+  fal guard = [above, push_up];
+  seq hold = [guard, push_down];
+  fal reach = [at_goal, hold];
+  root = reach;
+}
+"""
+
 
 def thermostat_bt() -> BehaviorTree:
     """Bang-bang thermostat: Seq[Fal[above_setpoint, heat], cool].

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctbt import dsl
+from ctbt import dsl, executor
 from ctbt.core import Status
 from ctbt.dsl import (
     DivisionByZero,
@@ -19,7 +19,7 @@ from ctbt.dsl import (
 from ctbt.executor import IntegratorConfig, integrate
 from ctbt.regions import check_partition, uniform_points
 
-from conftest import SETPOINT, kitchen_bt, thermostat_bt
+from conftest import SETPOINT, SLIDE_HOLD, kitchen_bt, thermostat_bt
 
 
 MINI = """\
@@ -557,26 +557,6 @@ def test_generated_code_accepts_plain_sequences():
     assert _bits(lowered.plant.field(x, (0.2,))) == _bits(lowered.plant.field([0.7, -1.3], [0.2]))
 
 
-# The slide_hold benchmark's model (c = 0.0, goal = 2.0): two controls and
-# a plant term in the state.
-SLIDE_HOLD = """\
-model "slide_hold" {
-  state 2;
-  control 2;
-  const c = 0.0;
-  const goal = 2.0;
-  plant { dx0 = u0 + 0.2 * sin(x1); dx1 = u1; }
-  leaf at_goal { u = [0.0, 0.0]; status = if x1 >= goal then S else F; }
-  leaf above { u = [0.0, 0.0]; status = if x0 + 0.5 * x1 > c then S else F; }
-  leaf push_up { u = [1.0, 0.4]; status = R; }
-  leaf push_down { u = [-1.0, 0.4]; status = R; }
-  fal guard = [above, push_up];
-  seq hold = [guard, push_down];
-  fal reach = [at_goal, hold];
-  root = reach;
-}
-"""
-
 # grid steps, bisection probes down to below the default event_tol, and a
 # step so long that some random models overflow or leave a domain
 STEP_SIZES = (0.004, 0.001, 0.5, 1e-6, 0.004 * 2.0 ** -13, 3e-9)
@@ -662,19 +642,21 @@ def test_fused_step_raises_the_division_error_of_the_generic_step():
 
 
 def test_steps_are_compiled_on_first_use_by_a_run(monkeypatch):
-    """lower builds no step; a run builds the steps of the leaves it
-    integrates, once each, and a rerun builds none."""
-    built = []
-    step_function = dsl._step_function
+    """lower builds no step and no guard; a run builds the steps of the
+    leaves it integrates, once each, and a rerun builds none."""
+    built, guards = [], []
+    step_function, guard_function = dsl._step_function, dsl._guard_function
 
     def counted(*args):
         built.append(args)
         return step_function(*args)
 
     monkeypatch.setattr(dsl, "_step_function", counted)
+    monkeypatch.setattr(dsl, "_guard_function",
+                        lambda *args: guards.append(args) or guard_function(*args))
     lowered = dsl.lower(dsl.parse(slab_tree_btm(np.random.default_rng(43), 44)))
     assert len(lowered.bt.leaf_ids) == 44
-    assert built == []
+    assert built == [] and guards == []
     cfg = IntegratorConfig(dt=0.01, t_end=3.0)
     traj = integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
     visited = {s.leaf for s in traj.samples}
@@ -684,6 +666,163 @@ def test_steps_are_compiled_on_first_use_by_a_run(monkeypatch):
     assert len(built) == 3
     integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
     assert len(built) == 3
+
+
+def test_guards_are_compiled_at_the_first_slide_entry(monkeypatch):
+    """A slide_hold run compiles the guards it reads inside the chatter
+    check that enters its first slide; a rerun compiles none."""
+    built, checks = [], []  # checks: (guards built before, after, entered)
+    guard_function, chatter_check = dsl._guard_function, executor._Integrator.chatter_check
+
+    def watched(self, *args):
+        before = len(built)
+        entered = chatter_check(self, *args)
+        checks.append((before, len(built), entered))
+        return entered
+
+    monkeypatch.setattr(dsl, "_guard_function",
+                        lambda *args: built.append(args) or guard_function(*args))
+    monkeypatch.setattr(executor._Integrator, "chatter_check", watched)
+    lowered = dsl.lower(dsl.parse(SLIDE_HOLD))
+    assert built == []
+    cfg = IntegratorConfig(dt=0.01, t_end=16.0)
+    integrate(lowered.plant, lowered.bt, (-1.0, -1.2), cfg)
+    first = next(k for k, check in enumerate(checks) if check[2])
+    assert all(after == 0 for _, after, _ in checks[:first])
+    assert checks[first][:2] == (0, 2)  # at_goal's and above's comparisons
+    assert len(built) == 2
+    integrate(lowered.plant, lowered.bt, (-1.0, -1.2), cfg)
+    assert len(built) == 2
+
+
+def _expr(text: str):
+    return dsl._Parser(dsl.tokenize(text)).expr()
+
+
+def test_derivative_rules_drop_zero_and_one_terms():
+    def d(text, var="x0"):
+        return dsl.format_expr(dsl.derivative(_expr(text), var))
+
+    assert d("3.0 * x0 + x1 * x1") == "3.0"
+    assert d("sin(x1) - 2.0 / x1") == "0.0"
+    assert d("sgn(x0) + abs(x0)") == "sgn(x0)"
+    assert d("sin(x0 * x0)") == "cos(x0 * x0) * (x0 + x0)"
+    assert d("-cos(x0)") == "--sin(x0)"
+    assert d("sqrt(x0)") == "1.0 / (2.0 * sqrt(x0))"
+    assert d("1.0 / x0") == "-1.0 / (x0 * x0)"
+    assert d("x1 / x0") == "-x1 / (x0 * x0)"
+    assert d("sat(2.0 * x0, 1.5)") == "dsat(2.0 * x0, 1.5, 2.0, 0.0)"
+    slope = dsl.derivative(_expr("sat(2.0 * x0, x1)"), "x1")
+    assert [dsl.evaluate_expr(slope, {"x0": x0, "x1": 1.5})
+            for x0 in (-1.0, 0.5, 1.0)] == [-1.0, 0.0, 1.0]
+
+
+def test_guards_collect_nested_branches():
+    text = SLIDE_HOLD.replace(
+        "status = if x1 >= goal then S else F;",
+        "status = if x1 >= goal then if x0 < 1.0 then S else F "
+        "else if x0 * x1 > 2.0 then R else F;")
+    lowered = dsl.lower(dsl.parse(text))
+    at_goal = next(i for i in lowered.bt.leaf_ids if lowered.bt.behavior(i).label == "at_goal")
+    guards = list(lowered.bt.behavior(at_goal).guards)
+    assert [guard((0.5, 3.0)) for guard in guards] == [
+        (1.0, (0.0, 1.0)), (-0.5, (1.0, 0.0)), (-0.5, (3.0, 0.5))]
+
+
+def _kink_distances(e, env) -> list:
+    """How far each kink of e is at env: the arguments of abs, sgn and
+    sqrt and every divisor from 0, a sat argument from +-its limit."""
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, dsl.Call):
+            v = dsl.evaluate_expr(e.args[0], env)
+            if e.func == "sat":
+                limit = dsl.evaluate_expr(e.args[1], env)
+                out += [abs(v - limit), abs(v + limit)]
+            elif e.func not in ("sin", "cos"):
+                out.append(abs(v))
+            stack += e.args
+        elif isinstance(e, dsl.Binary):
+            if e.op == "/":
+                out.append(abs(dsl.evaluate_expr(e.right, env)))
+            stack += (e.left, e.right)
+        elif isinstance(e, dsl.Neg):
+            stack.append(e.operand)
+    return out
+
+
+def derivative_model_btm(rng) -> str:
+    """A two-state model with one leaf per derivative rule, whose status
+    compares sin, cos, sqrt, a quotient, abs or sat of random expressions."""
+    def e():
+        return _random_expr(rng, ["x0", "x1", "k"], 3)
+
+    while True:  # folding rejects some draws, such as sqrt of a negative constant
+        tests = [f"sin({e()})", f"cos({e()})", f"sqrt({e()} * {e()} + 0.25)",
+                 f"{e()} / {e()}", f"abs({e()})", f"sat({e()}, {e()})"]
+        leaves = [f"  leaf l{i} {{ u = [0.0, 0.0]; status = if {t} < 0.5 then S else F; }}"
+                  for i, t in enumerate(tests)]
+        text = "\n".join([
+            'model "derivatives" {', "  state 2;", "  control 2;", "  const k = 1.5;",
+            "  plant { dx0 = u0; dx1 = u1; }", *leaves,
+            "  fal rest = [l1, l2, l3, l4, l5];", "  seq top = [l0, rest];", "  root = top;",
+            "}", ""])
+        try:
+            dsl.lower(dsl.parse(text))
+        except ValueError:
+            continue
+        return text
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_guards_give_each_comparison_and_its_gradient(index):
+    """Every comparison of a leaf status is a guard: g = left - right and
+    its gradient agree bit for bit with evaluate_expr over derivative,
+    errors included, and the gradient with central finite differences away
+    from kinks, on the bundled models, the slab trees of the region audit,
+    random expression models, slide_hold and two models with one leaf per
+    derivative rule."""
+    rng = np.random.default_rng(700 + index)
+    m = dsl.parse([*_equivalence_corpus(), SLIDE_HOLD, derivative_model_btm(rng),
+                   derivative_model_btm(rng)][index])
+    lowered = dsl.lower(m)
+    decls = {d.name: d for d in m.nodes}
+    consts = dict(m.constants)
+    names = [f"x{k}" for k in range(m.state_dim)]
+    states = np.random.default_rng(500 + index).uniform(-3.0, 3.0, size=(100, m.state_dim))
+    h = 1e-6
+    differenced = 0
+    for i in lowered.bt.leaf_ids:
+        behavior = lowered.bt.behavior(i)
+        folded = dsl.fold_constants(decls[behavior.label].status, consts)
+        comparisons = dsl._comparisons(folded)
+        guards = list(behavior.guards)
+        assert len(guards) == len(comparisons)
+        for c, guard in zip(comparisons, guards):
+            g = dsl.Binary("-", c.left, c.right)
+            grad = [dsl.derivative(g, name) for name in names]
+            for x in states.tolist():
+                env = dict(zip(names, x))
+                got = _outcome(guard, tuple(x))
+                want = _outcome(lambda: (dsl.evaluate_expr(g, env),
+                                         tuple(dsl.evaluate_expr(d, env) for d in grad)))
+                if isinstance(want[0], str):
+                    assert got == want
+                    continue
+                # g's zero may differ in sign: left - right against -right
+                assert _bits((got[0] + 0.0, *got[1])) == _bits((want[0] + 0.0, *want[1]))
+                if min(_kink_distances(g, env), default=1.0) < 1e-2 or not all(
+                        map(math.isfinite, (got[0], *got[1]))):
+                    continue
+                for k, slope in enumerate(got[1]):
+                    up, down = list(x), list(x)
+                    up[k] += h
+                    down[k] -= h
+                    fd = (guard(tuple(up))[0] - guard(tuple(down))[0]) / (2.0 * h)
+                    assert fd == pytest.approx(slope, rel=1e-4, abs=1e-7 * (1.0 + abs(got[0])))
+                differenced += 1
+    assert differenced >= 100
 
 
 def _slash_position(source: str, needle: str):

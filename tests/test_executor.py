@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctbt import dsl
+from ctbt import dsl, executor
 from ctbt.core import (
     BehaviorTree,
     DimensionMismatch,
@@ -26,7 +26,7 @@ from ctbt.executor import (
 )
 from ctbt.regions import EmptySampler
 
-from conftest import SETPOINT, thermostat_bt, thermostat_plant
+from conftest import SETPOINT, SLIDE_HOLD, thermostat_bt, thermostat_plant
 
 
 def switch_bt(gate_status, run_a, run_b, dim):
@@ -196,13 +196,15 @@ def test_slide_exit_when_surface_stops_attracting():
     assert not [e for e in traj.events_of("SlideEnter") if e.t > t_exit]
 
 
-def shear_bt():
+def shear_bt(*guards):
     """fal(left, right) on x0 = 0: both fields point into the surface, and
-    differ along it, so the entry normal is far from the true one."""
+    differ along it, so the entry normal of the cloud route is far from the
+    true one.  guards go on the left leaf."""
     def left_status(x):
         return Status.RUNNING if x[0] < 0.0 else Status.FAILURE
 
-    left = Leaf(1, LeafBehavior(lambda x: (1.0, 10.0), left_status, label="left"))
+    left = Leaf(1, LeafBehavior(lambda x: (1.0, 10.0), left_status, label="left",
+                                guards=guards))
     right = Leaf(2, LeafBehavior(lambda x: (-1.0, 10.5), lambda x: Status.RUNNING,
                                  label="right"))
     return BehaviorTree(Fallback(0, (left, right)), state_dim=2)
@@ -216,6 +218,66 @@ def test_handoff_heavy_slide_keeps_the_stack_flat():
     assert not isinstance(run, FailedRun)
     assert run.samples[-1].t == 0.011
     assert run.events_of("SlideEnter") and run.events_of("SlideExit")
+
+
+def test_declared_guard_holds_the_shear_slide():
+    # with its surface declared, the shear model slides once, at the
+    # coefficient 0.5 of the true normal (1, 0): x1 advances at 10.25
+    cfg = IntegratorConfig(dt=0.001, t_end=0.011)
+    run = integrate(integrator_plant(2), shear_bt(lambda x: (x[0], (1.0, 0.0))),
+                    (-0.01, 0.0), cfg)
+    (enter,) = run.events_of("SlideEnter")
+    assert [e.kind for e in run.events if e.t > enter.t] == []
+    end = run.samples[-1]
+    assert end.t == 0.011 and end.x[0] == 0.0
+    assert (end.x[1] - enter.x[1]) / (end.t - enter.t) == pytest.approx(10.25, abs=1e-9)
+
+
+def test_vanishing_guard_gradient_is_a_failed_run():
+    # g = sgn(x0 - T) changes sign on the setpoint but has no gradient
+    text = (dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8")
+    text = text.replace("if x0 > T then S", "if sgn(x0 - T) > 0.0 then S")
+    assert "sgn(x0 - T)" in text
+    model = dsl.lower(dsl.parse(text))
+    cfg = IntegratorConfig(dt=0.01, t_end=6.0)
+    (run,) = batch_integrate(model.plant, model.bt, [(SETPOINT - 2.0,)], cfg)
+    assert isinstance(run, FailedRun)
+    assert run.error == "ZeroDenominatorInSliding"
+    assert "grad g = 0" in run.message and "t=2.0" in run.message
+
+
+def _cloud_copy(bt):
+    """bt with every leaf rebuilt without its guards, as a traced run does."""
+    def rebuilt(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, LeafBehavior(b.controller, b.metadata, b.label))
+        return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
+
+    return BehaviorTree(rebuilt(bt.root), state_dim=bt.state_dim)
+
+
+@pytest.mark.parametrize("x0", [(-1.0, -1.2), (-1.427292888764039, -1.386695002795886),
+                                (1.1459396493392942, -0.5483670558343646)])
+def test_guard_and_cloud_routes_agree_on_slide_hold(x0, monkeypatch):
+    model = dsl.lower(dsl.parse(SLIDE_HOLD))
+    cfg = IntegratorConfig(dt=0.01, t_end=16.0)
+    cloud = integrate(model.plant, _cloud_copy(model.bt), x0, cfg)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the guard route takes no SVD")
+
+    monkeypatch.setattr(executor.np.linalg, "svd", no_svd)
+    guarded = integrate(model.plant, model.bt, x0, cfg)
+    assert [e.kind for e in guarded.events] == [e.kind for e in cloud.events]
+    assert "SlideEnter" in [e.kind for e in guarded.events]
+    assert len(guarded.samples) == len(cloud.samples)
+    for a, b in zip(guarded.samples, cloud.samples):
+        assert a.t == b.t
+        assert max(abs(p - q) for p, q in zip(a.x, b.x)) <= 1e-3
+    enter, leave = guarded.events_of("SlideEnter")[0].t, guarded.events_of("SlideExit")[0].t
+    sliding = [s for s in guarded.samples if enter < s.t <= leave]
+    assert sliding and max(abs(s.x[0] + 0.5 * s.x[1]) for s in sliding) <= 1e-9
 
 
 def test_triple_point_chatter_is_rejected():

@@ -28,13 +28,15 @@ one per output:
 - slide/<case>: `to_json` of one integrate run on a hand-built tree over
   the plant dx = u whose slides end by their Filippov coefficient and hand
   the rest of the step back to regular mode: once (`stops_attracting`)
-  or at once after each of 1,361 entries (`shear`);
+  or at once after each of 1,361 entries (`shear`, whose leaves declare no
+  guard); and of the shear tree whose left leaf declares the guard
+  g = x0, which holds one slide (`shear_guarded`);
 - demo/<file>: exit code and stdout of every script in demos/.
 
 To show that a change keeps its outputs, run this on the change and on its
 parent, on the same host, and diff the two manifests.  The digests are not
-portable: the sliding outputs go through LAPACK's SVD, whose last bits may
-differ between machines.
+portable: slides whose leaves declare no guard estimate their surface with
+LAPACK's SVD, whose last bits may differ between machines.
 """
 
 from __future__ import annotations
@@ -204,8 +206,8 @@ def slide_digests() -> list:
     from ctbt import (BehaviorTree, Fallback, IntegratorConfig, Leaf, LeafBehavior,
                       Plant, Sequence, Status, integrate)
 
-    def leaf(i, control, status):
-        return Leaf(i, LeafBehavior(control, status, label=f"leaf{i}"))
+    def leaf(i, control, status, guards=()):
+        return Leaf(i, LeafBehavior(control, status, label=f"leaf{i}", guards=guards))
 
     def running(x):
         return Status.RUNNING
@@ -217,15 +219,18 @@ def slide_digests() -> list:
         Fallback(1, (gate, leaf(3, lambda x: (1.0, 0.5), running))),
         leaf(4, lambda x: (x[1] - 1.0, 0.5), running)))
     # both fields point into x0 = 0 and differ along it
-    shear = Fallback(0, (
-        leaf(1, lambda x: (1.0, 10.0),
-             lambda x: Status.RUNNING if x[0] < 0.0 else Status.FAILURE),
-        leaf(2, lambda x: (-1.0, 10.5), running)))
+    def shear(*guards):
+        return Fallback(0, (
+            leaf(1, lambda x: (1.0, 10.0),
+                 lambda x: Status.RUNNING if x[0] < 0.0 else Status.FAILURE, guards),
+            leaf(2, lambda x: (-1.0, 10.5), running)))
+
+    shear_cfg = IntegratorConfig(dt=0.001, t_end=0.02, event_tol=1e-5)
     cases = {
         "stops_attracting": (stops_attracting, (-0.25, 0.0),
                              IntegratorConfig(dt=0.01, t_end=4.0)),
-        "shear": (shear, (-0.01, 0.0),
-                  IntegratorConfig(dt=0.001, t_end=0.02, event_tol=1e-5)),
+        "shear": (shear(), (-0.01, 0.0), shear_cfg),
+        "shear_guarded": (shear(lambda x: (x[0], (1.0, 0.0))), (-0.01, 0.0), shear_cfg),
     }
     plant = Plant(2, 2, lambda x, u: u)
     lines = []
