@@ -27,9 +27,11 @@ lower() folds constants and compiles the plant field, each leaf controller
 and each leaf status to one flat generated Python function (see "code
 generation" below); evaluate_expr is the reference interpreter they match
 bit for bit.  Each leaf also gets one closed-loop RK4 step with its
-controller inlined into the plant field, compiled on first use and kept in
-Plant.steps; the executor calls it in regular mode in place of RK4 over the
-field and controller functions, with the same floats.  Every comparison
+controller inlined into the plant field, and each pair of leaves one RK4
+step of the Filippov blend of their two closed loops, each compiled on
+first use and kept in Plant.steps; the executor calls them in regular and
+sliding mode in place of RK4 over the field and controller functions,
+with the same floats.  Every comparison
 left op right in a leaf status becomes a guard, g = left - right with its
 gradient from derivative(), compiled when a slide first reads it and kept
 in LeafBehavior.guards.
@@ -855,7 +857,9 @@ def derivative(e, var: str):
 # divisor is evaluated and tested for zero before its dividend; every value
 # is bit-identical to evaluate_expr's.  A leaf's closed-loop RK4 step is
 # generated from the same expressions, one assignment per control and field
-# component at each stage, the stage state in the locals y0.. .  A guard
+# component at each stage, the stage state in the locals y0.. ; a sliding
+# pair's blended step is the same function with both leaves' controls and
+# field components at each stage, then their weighted sum.  A guard
 # returns one comparison's g and the derivatives of g, the same way.
 #
 # The source text holds only what the generator makes itself: integer
@@ -1055,23 +1059,33 @@ class _LeafGuards:
         return iter(self.compiled)
 
 
-def _step_function(derivatives, controls, sx: Mapping, su: Mapping) -> Callable:
-    """step(x, h): one classic RK4 step of the closed loop xdot = f(x, u(x))
-    for the plant's derivative and the leaf's control expressions, the
-    controls inlined.
+def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping) -> Callable:
+    """One classic RK4 step of the closed loop for the plant's derivative
+    and one or two leaves' control expressions, the controls inlined.
 
-    The arithmetic of executor._rk4 over field(y, controller(y)), in its
-    order, so every value and every error is the same: at each stage the
-    controls in order, then the field components in order; the stage state
+    One control set gives step(x, h) for xdot = f(x, u(x)); two give the
+    sliding pair's step(x, h, w) for the Filippov blend
+    xdot = w*f(x, ua(x)) + (1 - w)*f(x, ub(x)).  The arithmetic is that of
+    executor._rk4 over field(y, controller(y)), or over the blend of the
+    two, in its order, so every value and every error is the same: at each
+    stage each set's controls in order, then its field components in
+    order, then k = w*ka + v*kb with v = 1 - w; the stage state
     y = x + s*k per component; and x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
     """
     g = _FunctionSource(sx, su)
     n = range(len(sx))
     half, two, six = g.constant(0.5), g.constant(2.0), g.constant(6.0)
     body = [f"{_tuple_items([f'x{i:d}' for i in n])} = x", f"h2 = {half} * h"]
+    blend = len(control_sets) == 2
+    if blend:
+        body.append(f"v = {g.constant(1.0)} - w")
     for stage, along in ((1, "h2"), (2, "h2"), (3, "h"), (4, None)):
-        body += [f"u{j:d} = {g.top(e)}" for j, e in enumerate(controls)]
-        body += [f"k{stage:d}_{i:d} = {g.top(e)}" for i, e in zip(n, derivatives)]
+        for part, controls in zip(("a", "b") if blend else ("",), control_sets):
+            body += [f"u{j:d} = {g.top(e)}" for j, e in enumerate(controls)]
+            body += [f"k{part}{stage:d}_{i:d} = {g.top(e)}" for i, e in zip(n, derivatives)]
+        if blend:
+            body += [f"k{stage:d}_{i:d} = w * ka{stage:d}_{i:d} + v * kb{stage:d}_{i:d}"
+                     for i in n]
         if along is not None:
             body += [f"y{i:d} = x{i:d} + {along} * k{stage:d}_{i:d}" for i in n]
             g.state = "y"
@@ -1079,26 +1093,30 @@ def _step_function(derivatives, controls, sx: Mapping, su: Mapping) -> Callable:
     result = [f"x{i:d} + h6 * (k1_{i:d} + {two} * k2_{i:d} + {two} * k3_{i:d} + k4_{i:d})"
               for i in n]
     body.append(f"return ({_tuple_items(result)})")
-    return g.function("step", "x, h", body)
+    return g.function("step", "x, h, w" if blend else "x, h", body)
 
 
 class _ClosedLoopSteps:
     """Plant.steps of a lowered model: get((field, controller)) is that
-    leaf's generated step, compiled by the first get of its key, since
-    many lowered trees are never integrated.  Until then the leaf's folded
-    control expressions wait in pending."""
+    leaf's generated step and get((field, ca, cb)) the sliding pair's
+    blended step, each compiled by the first get of its key, since many
+    lowered trees are never integrated and most pairs never slide.  The
+    folded control expressions of every leaf controller wait in controls."""
 
-    def __init__(self, derivatives, sx: Mapping, su: Mapping):
-        self.derivatives, self.sx, self.su = derivatives, sx, su
-        self.pending: dict = {}
+    def __init__(self, field, derivatives, sx: Mapping, su: Mapping):
+        self.field, self.derivatives, self.sx, self.su = field, derivatives, sx, su
+        self.controls: dict = {}  # leaf controller -> its control expressions
         self.compiled: dict = {}
 
     def get(self, key, default=None):
-        if key in self.pending:
-            self.compiled[key] = _step_function(
-                self.derivatives, self.pending[key], self.sx, self.su)
-            del self.pending[key]
-        return self.compiled.get(key, default)
+        step = self.compiled.get(key)
+        if step is None:
+            field, *controllers = key
+            if field is not self.field or not all(c in self.controls for c in controllers):
+                return default
+            step = self.compiled[key] = _step_function(
+                self.derivatives, [self.controls[c] for c in controllers], self.sx, self.su)
+        return step
 
 
 @dataclass(frozen=True)
@@ -1123,7 +1141,7 @@ def lower(m: ModelFile) -> LoweredModel:
 
     field_exprs = [fold_constants(e, consts) for _, e in m.plant]
     plant_field = _tuple_function("field", "x, u", field_exprs, sx, su)
-    steps = _ClosedLoopSteps(field_exprs, sx, su)
+    steps = _ClosedLoopSteps(plant_field, field_exprs, sx, su)
     plant = Plant(m.state_dim, m.control_dim, plant_field, steps)
 
     counter = [0]
@@ -1139,7 +1157,7 @@ def lower(m: ModelFile) -> LoweredModel:
                     f"component(s), model declares {m.control_dim}", *decl.pos)
             controls = [fold_constants(e, consts) for e in decl.controls]
             controller = _tuple_function("controller", "x", controls, sx, {})
-            steps.pending[plant_field, controller] = controls
+            steps.controls[controller] = controls
             status = fold_constants(decl.status, consts)
             behavior = LeafBehavior(
                 controller=controller, metadata=_status_function(status, sx),

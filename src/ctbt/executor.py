@@ -3,18 +3,20 @@
 Between events the active leaf's control law is closed over the plant and
 integrated with classic RK4 on tuples of floats, the state format
 BehaviorTree.check_state produces; the plant field may return any sequence.
-In regular mode a leaf lowered from a .btm model is stepped by the
-plant's generated step for it: RK4 with the controller inlined into the
-field, the same floats as _rk4 (see Plant.steps).  _rk4 over
-field(y, controller(y)) steps every other leaf, a lowered one under a
-wrapped controller or another plant included, and the blended field of
-sliding mode.  The integrator keeps the (root status, active leaf) of its
-current state and walks the tree once per accepted step, at the step's end
-point; the walk evaluates status predicates only, and the active leaf's
-controller runs inside the step.  Any change of (active leaf, root status)
-inside a step is located by bisecting the step length down to event_tol,
-so switch times are resolved far below the step size.  If the recent
-switches toggle between exactly two leaves faster than the step rate, the
+A leaf lowered from a .btm model is stepped by the plant's generated
+step for it, RK4 with the controller inlined into the field, and a
+sliding pair of such leaves by the generated step of its blended field,
+the same floats as _rk4 (see Plant.steps).  _rk4 over
+field(y, controller(y)), or over the blend of two, steps every other leaf
+and pair, wrapped controllers and other plants included, and hands on
+tuples of Python floats whatever sequence the field returns.  The
+integrator keeps the (root status, active leaf) of its current state and
+walks the tree once per accepted step, at the step's end point; the walk
+evaluates status predicates only, and the active leaf's controller runs
+inside the step.  Any change of (active leaf, root status) inside a step
+is located by bisecting the step length down to event_tol, so switch
+times are resolved far below the step size.  If the recent switches
+toggle between exactly two leaves faster than the step rate, the
 integrator declares a sliding mode on g = 0 for the separating guard, the
 first leaf guard (LeafBehavior.guards) whose sign differs across the last
 switch's bisection bracket.  A slide step takes the normal grad g/|grad g|,
@@ -158,8 +160,9 @@ class Trajectory:
 
 
 def _along(x, s, v) -> tuple:
-    """x + s*v componentwise, in numpy's operand order."""
-    return tuple(a + s * b for a, b in zip(x, v))
+    """x + s*v componentwise, in numpy's operand order, as Python floats
+    even where v holds numpy scalars (a hand-built field's array)."""
+    return tuple(float(a + s * b) for a, b in zip(x, v))
 
 
 def _rk4(f, x, h):
@@ -187,6 +190,7 @@ class _Integrator:
         self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
         self.sliding: Optional[tuple] = None  # (leaf a, leaf b)
         self.surface = None  # the sliding pair's separating guard, if any
+        self.blend = None  # the sliding pair's generated step(x, h, w), if any
         self.surface_points = deque(maxlen=8)  # crossing points, for the cloud route
         self.failed = False
         self.done = False
@@ -329,6 +333,8 @@ class _Integrator:
         pair = tuple(sorted(leaves))
         self.sliding = pair
         self.surface = self.separating_guard(x_before)
+        self.blend = self.plant.steps.get(
+            (self.plant.field, *(self.bt.nodes[i].behavior.controller for i in pair)))
         self.surface_points.append(self.x)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
@@ -354,11 +360,13 @@ class _Integrator:
             self.exit_slide(t_start)
             return t_start, span
         w = min(max(alpha, 0.0), 1.0)
+        if self.blend is not None:
+            x_new = self.blend(self.x, span, w)
+        else:
+            def f(y):
+                return tuple(w * a + (1.0 - w) * b for a, b in zip(fa(y), fb(y)))
 
-        def f(y):
-            return tuple(w * a + (1.0 - w) * b for a, b in zip(fa(y), fb(y)))
-
-        x_new = _rk4(f, self.x, span)
+            x_new = _rk4(f, self.x, span)
         self.check_finite(x_new)
         t_end = t_start + span
         if self.surface is None:
@@ -375,7 +383,7 @@ class _Integrator:
 
     def exit_slide(self, t: float) -> None:
         self.event(t, "SlideExit", self.x, to=self.leaf)
-        self.sliding = self.surface = None
+        self.sliding = self.surface = self.blend = None
         self.surface_points.clear()
 
     def filippov(self, va, vb, t: float) -> tuple:

@@ -567,6 +567,19 @@ def _fused_step(lowered, leaf):
     return plant.steps.get((plant.field, lowered.bt.behavior(leaf).controller))
 
 
+def _blended_step(lowered, a, b):
+    plant, bt = lowered.plant, lowered.bt
+    return plant.steps.get((plant.field, bt.behavior(a).controller, bt.behavior(b).controller))
+
+
+def _blend(field, ca, cb, w):
+    """The executor's fallback slide field w*f_a + (1 - w)*f_b."""
+    def f(y):
+        return tuple(w * p + (1.0 - w) * q
+                     for p, q in zip(field(y, ca(y)), field(y, cb(y))))
+    return f
+
+
 def _same_outcome(got, want) -> bool:
     if want and isinstance(want[0], str):  # an error's type and text
         return got == want
@@ -641,9 +654,74 @@ def test_fused_step_raises_the_division_error_of_the_generic_step():
         assert _same_outcome(_outcome(step, x, 0.01), want)
 
 
+@pytest.mark.parametrize("index", range(10))
+def test_blended_step_matches_rk4_over_the_blend(index):
+    """Every ordered leaf pair's blended step equals _rk4 over
+    w*f_a + (1 - w)*f_b bit for bit, errors included, on the corpus of the
+    fused step, at w = 0, 1, 1/2 and seeded draws."""
+    from ctbt.executor import _rk4
+
+    lowered = dsl.lower(dsl.parse([*_equivalence_corpus(), SLIDE_HOLD][index]))
+    field, bt = lowered.plant.field, lowered.bt
+    rng = np.random.default_rng(400 + index)
+    for a in bt.leaf_ids:
+        for b in bt.leaf_ids:
+            if a == b:
+                continue
+            ca, cb = bt.behavior(a).controller, bt.behavior(b).controller
+            step = _blended_step(lowered, a, b)
+            for x in rng.uniform(-3.0, 3.0, size=(4, bt.state_dim)).tolist():
+                x = tuple(x)
+                for w in (0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, size=2).tolist()):
+                    f = _blend(field, ca, cb, w)
+                    for h in STEP_SIZES:
+                        want = _outcome(_rk4, f, x, h)
+                        assert _same_outcome(_outcome(step, x, h, w), want), (a, b, x, w, h)
+
+
+DIVIDING_PAIR = DIVIDING.replace("status = R;\n  }\n  root = only;", """\
+status = if x0 > 0.0 then S else F;
+  }
+  leaf other {
+    u = [x1 / (x0 * x1 + 1.0), x0];
+    status = R;
+  }
+  fal both = [only, other];
+  root = both;""")
+
+
+def test_blended_step_raises_the_division_error_of_the_generic_step():
+    """Where a's controller, a's field or b's controller is the first of
+    several parts to divide by zero, at the first stage or a later one,
+    both paths raise its DivisionByZero, with the same position."""
+    from ctbt.executor import _rk4
+
+    lowered = dsl.lower(dsl.parse(DIVIDING_PAIR))
+    field, bt = lowered.plant.field, lowered.bt
+    a, b = bt.leaf_ids
+    step = _blended_step(lowered, a, b)
+    f = _blend(field, bt.behavior(a).controller, bt.behavior(b).controller, 0.5)
+    cases = [
+        ((-1.0, 1.0), 0.01, "x0 / (x1"),  # a's controller, then b's, stage 1
+        ((2.0, 1.0), 0.01, "x0 / (x1"),   # a's controller, then the field
+        ((2.0, -0.5), 0.01, "u0 / (x0"),  # a's field, then b's controller
+        ((0.5, -2.0), 0.01, "x1 / (x0"),  # b's controller alone
+        ((0.0, 0.0), 2.0, "x0 / (x1"),    # a's controller, stage 2: y1 = 0 + 1.0 * 1.0
+    ]
+    for x, h, needle in cases:
+        raised = []
+        for run in (lambda: step(x, h, 0.5), lambda: _rk4(f, x, h)):
+            with pytest.raises(DivisionByZero) as e:
+                run()
+            raised.append((str(e.value), e.value.line, e.value.col))
+        assert raised[0] == raised[1]
+        assert raised[0][1:] == _slash_position(DIVIDING_PAIR, needle)
+
+
 def test_steps_are_compiled_on_first_use_by_a_run(monkeypatch):
     """lower builds no step and no guard; a run builds the steps of the
-    leaves it integrates, once each, and a rerun builds none."""
+    leaves it integrates and the blended step of the pair it slides on,
+    once each, and a rerun builds none."""
     built, guards = [], []
     step_function, guard_function = dsl._step_function, dsl._guard_function
 
@@ -660,12 +738,15 @@ def test_steps_are_compiled_on_first_use_by_a_run(monkeypatch):
     cfg = IntegratorConfig(dt=0.01, t_end=3.0)
     traj = integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
     visited = {s.leaf for s in traj.samples}
-    assert len(visited) == 3 and len(built) == 3
+    (enter,) = traj.events_of("SlideEnter")
+    assert len(visited) == 3
+    assert sorted(len(args[1]) for args in built) == [1, 1, 1, 2]  # control sets
     for leaf in visited:  # fetching a visited leaf's step builds nothing
         _fused_step(lowered, leaf)
-    assert len(built) == 3
+    _blended_step(lowered, *enter.info["pair"])
+    assert len(built) == 4
     integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
-    assert len(built) == 3
+    assert len(built) == 4
 
 
 def test_guards_are_compiled_at_the_first_slide_entry(monkeypatch):

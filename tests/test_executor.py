@@ -233,6 +233,44 @@ def test_declared_guard_holds_the_shear_slide():
     assert (end.x[1] - enter.x[1]) / (end.t - enter.t) == pytest.approx(10.25, abs=1e-9)
 
 
+def test_numpy_fields_still_hand_on_states_of_floats():
+    # integrator_plant's field returns numpy arrays; the states handed to
+    # metadata, controllers and guards are tuples of Python floats all the
+    # same, in regular steps, bisections and slides of both routes
+    seen = []
+
+    def watched(fn):
+        def call(x):
+            seen.append(x)
+            return fn(x)
+        return call
+
+    def watched_tree(bt):
+        def rebuilt(node):
+            if isinstance(node, Leaf):
+                b = node.behavior
+                return Leaf(node.node_id, LeafBehavior(
+                    watched(b.controller), watched(b.metadata), b.label,
+                    tuple(watched(g) for g in b.guards)))
+            return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
+
+        return BehaviorTree(rebuilt(bt.root), state_dim=bt.state_dim)
+
+    def gate(x):
+        return Status.SUCCESS if x[0] > 0.0 else Status.FAILURE
+
+    planar = switch_bt(gate, lambda x: (1.0, 0.8), lambda x: (-1.0, 0.2), dim=2)
+    cases = [(planar, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=1.0)),
+             (shear_bt(lambda x: (x[0], (1.0, 0.0))), (-0.01, 0.0),
+              IntegratorConfig(dt=0.001, t_end=0.011))]
+    for bt, x0, cfg in cases:
+        seen.clear()
+        run = integrate(integrator_plant(2), watched_tree(bt), x0, cfg)
+        assert run.events_of("SlideEnter")
+        assert seen and all(type(x) is tuple and all(type(v) is float for v in x)
+                            for x in seen)
+
+
 def test_vanishing_guard_gradient_is_a_failed_run():
     # g = sgn(x0 - T) changes sign on the setpoint but has no gradient
     text = (dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8")
@@ -451,21 +489,31 @@ def test_one_walk_per_grid_step(pendulum):
 
 
 def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum, monkeypatch):
-    """A lowered model integrates with its generated steps and never calls
-    _rk4; a foreign plant, a plant copy with a wrapped field or leaves
-    rebuilt around wrapped controllers take _rk4, with the same output."""
+    """A lowered model integrates with its generated steps, slides on
+    slide_hold included, and never calls _rk4; a foreign plant, a plant
+    copy with a wrapped field or leaves rebuilt around wrapped controllers
+    take _rk4, in slides too, with the same output."""
     import dataclasses
 
     from ctbt import executor
 
-    calls = []
-    rk4 = executor._rk4
+    calls = []  # (step length, called from a slide)
+    rk4, slide_span = executor._rk4, executor._Integrator.slide_span
+    sliding = [False]
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append((args[2], sliding[0]))
         return rk4(*args)
 
+    def watched(self, *args):
+        sliding[0] = True
+        try:
+            return slide_span(self, *args)
+        finally:
+            sliding[0] = False
+
     monkeypatch.setattr(executor, "_rk4", counted)
+    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
     cfg = IntegratorConfig(dt=0.004, t_end=12.0)
     fused = integrate(pendulum.plant, pendulum.bt, (2.0, 0.0), cfg, "pendulum")
     assert calls == []
@@ -474,10 +522,10 @@ def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum
     def wrapped(fn):
         return lambda *args: fn(*args)
 
-    def rebuilt(node):
+    def rebuilt(node):  # wrapped controllers, guards kept
         if isinstance(node, Leaf):
             b = node.behavior
-            return Leaf(node.node_id, LeafBehavior(wrapped(b.controller), b.metadata, b.label))
+            return Leaf(node.node_id, dataclasses.replace(b, controller=wrapped(b.controller)))
         return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
 
     cases = {
@@ -491,6 +539,19 @@ def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum
         traj = integrate(plant, bt, (2.0, 0.0), cfg, "pendulum")
         assert calls, name
         assert traj.to_json() == fused.to_json(), name
+
+    # slide_hold: the copy's leaves keep their guards, so only the step
+    # differs between the two runs
+    slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
+    cfg = IntegratorConfig(dt=0.01, t_end=16.0)
+    calls.clear()
+    fused = integrate(slide_hold.plant, slide_hold.bt, (-1.0, -1.2), cfg, "slide_hold")
+    assert calls == []
+    assert fused.events_of("SlideEnter")
+    bt = BehaviorTree(rebuilt(slide_hold.bt.root), state_dim=2)
+    traj = integrate(slide_hold.plant, bt, (-1.0, -1.2), cfg, "slide_hold")
+    assert any(in_slide for _, in_slide in calls)
+    assert traj.to_json() == fused.to_json()
 
 
 # ------------------------------------------------------------- serialization

@@ -9,6 +9,10 @@ one per output:
 - bank/<workload>/<key>: `to_json` of one integrate run from every start of
   the pendulum_certify and slide_hold banks (a run that raises is digested
   as its FailedRun repr);
+- bank/slide_hold/d0.0.0/wrapped: the same run from that start with every
+  leaf controller wrapped in a new function, guards kept, so that it takes
+  `_rk4` in place of the generated regular and blended slide steps; its
+  digest equals the line of the generated route, bank/slide_hold/d0.0.0;
 - region/<key>: `check_partition(...).to_dict()` and `region_csv` of every
   region_audit bank tree on the seed-1, pass-0 points, and its predicates:
   `pathway_sets`; `in_influence_region`, `in_operating_region` and
@@ -42,6 +46,7 @@ LAPACK's SVD, whose last bits may differ between machines.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -91,7 +96,7 @@ def sha(text: str) -> str:
 
 
 def bank_digests(workloads) -> list:
-    from ctbt import Trajectory, batch_integrate, dsl
+    from ctbt import Trajectory, batch_integrate, dsl, integrate
 
     lines = []
     for name in ("pendulum_certify", "slide_hold"):
@@ -102,7 +107,26 @@ def bank_digests(workloads) -> list:
             run = batch_integrate(model.plant, model.bt, [x0], cfg, model_name=name)[0]
             text = run.to_json() if isinstance(run, Trajectory) else repr(run)
             lines.append((sha(text), f"bank/{name}/{key}"))
+    model = dsl.lower(dsl.parse(wl.model_text()))
+    run = integrate(model.plant, wrapped_controllers(model.bt), wl.bank()["d0.0.0"],
+                    wl.config(), model_name="slide_hold")
+    lines.append((sha(run.to_json()), "bank/slide_hold/d0.0.0/wrapped"))
     return lines
+
+
+def wrapped_controllers(bt):
+    """bt with every leaf controller wrapped in a new function and the rest
+    of each leaf kept: no generated step is keyed by the wrappers."""
+    from ctbt import BehaviorTree, Leaf
+
+    def rebuilt(node):
+        if isinstance(node, Leaf):
+            controller = node.behavior.controller
+            return Leaf(node.node_id, dataclasses.replace(
+                node.behavior, controller=lambda x: controller(x)))
+        return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
+
+    return BehaviorTree(rebuilt(bt.root), state_dim=bt.state_dim)
 
 
 def predicate_text(bt, probes, points) -> str:
