@@ -3,37 +3,37 @@
 Between events the active leaf's control law is closed over the plant and
 integrated with classic RK4 on tuples of floats, the state format
 BehaviorTree.check_state produces; the plant field may return any sequence.
-A leaf lowered from a .btm model is stepped by the plant's generated
-step for it, RK4 with the controller inlined into the field, and a
-sliding pair of such leaves by the generated step of its blended field,
-the same floats as _rk4 (see Plant.steps).  _rk4 over
-field(y, controller(y)), or over the blend of two, steps every other leaf
-and pair, wrapped controllers and other plants included, and hands on
-tuples of Python floats whatever sequence the field returns.  The
-integrator keeps the (root status, active leaf) of its current state and
-walks the tree once per accepted step, at the step's end point; the walk
-evaluates status predicates only, and the active leaf's controller runs
-inside the step.  Any change of (active leaf, root status) inside a step
-is located by bisecting the step length down to event_tol, so switch
-times are resolved far below the step size.  If the recent switches
-toggle between exactly two leaves faster than the step rate, the
-integrator declares a sliding mode on g = 0 for the separating guard, the
-first leaf guard (LeafBehavior.guards) whose sign differs across the last
-switch's bisection bracket.  A slide step takes the normal grad g/|grad g|,
-forms the convex field combination that cancels the normal component,
-takes one RK4 step of it and pulls the result back onto g = 0 by Newton
-steps, so the solution cannot drift off the surface; one walk confirms the
-leaf.  With no separating guard (hand-built leaves that declare none) the
-normal is estimated from the recent crossing points instead (SVD of the
-centered cloud; a field-difference fallback covers the degenerate startup)
-and the projection bisects along it; only this cloud route and the
-boundary tools at the end call numpy.  Sliding ends when the combination
-coefficient leaves [0, 1] by more than _SLIDING_EPS or the state escapes
-to a third leaf.  `run` holds the one loop over a grid step:
-a span of either mode that changes mode mid-step hands the time left back
-to that loop, which goes on in the other mode.  A run ends at its first
-root Success.  The chatter count, the slack on the coefficient and the
-stop at Success are fixed parts of the construction, not options.
+_Integrator.stepper is the one place that picks the step of a leaf, or of a
+sliding pair's Filippov blend: the plant's generated step when Plant.steps
+has one (leaves lowered from a .btm model: RK4 with the controllers inlined
+into the field, the same floats as _rk4), else _rk4 over
+field(y, controller(y)) or over the blend of two, which serves wrapped
+controllers and other plants and hands on tuples of Python floats whatever
+sequence the field returns.  The integrator keeps the (root status, active
+leaf) of its current state and walks the tree once per accepted step, at
+the step's end point; the walk evaluates status predicates only, and the
+active leaf's controller runs inside the step.  Any change of (active leaf,
+root status) inside a step is located by bisecting the step length down to
+event_tol, each probe stepped to and walked once, so switch times are
+resolved far below the step size.  If the recent switches toggle between
+exactly two leaves faster than the step rate, the integrator declares a
+sliding mode on g = 0 for the separating guard, the first leaf guard
+(LeafBehavior.guards) whose sign differs across the last switch's bisection
+bracket.  A slide step takes the normal grad g/|grad g|, forms the convex
+field combination that cancels the normal component, takes one RK4 step of
+it and pulls the result back onto g = 0 by Newton steps, so the solution
+cannot drift off the surface; one walk confirms the leaf.  With no
+separating guard (hand-built leaves that declare none) the normal is
+estimated from the recent crossing points instead (SVD of the centered
+cloud; a field-difference fallback covers the degenerate startup) and the
+projection bisects along it; only this cloud route and the boundary tools
+at the end call numpy.  Sliding ends when the combination coefficient
+leaves [0, 1] by more than _SLIDING_EPS or the state escapes to a third
+leaf.  `run` holds the one loop over a grid step: a span of either mode
+that changes mode mid-step hands the time left back to that loop, which
+goes on in the other mode.  A run ends at its first root Success.  The
+chatter count, the slack on the coefficient and the stop at Success are
+fixed parts of the construction, not options.
 
 Everything is deterministic: fixed step grid t = k*dt, no wall clock, no
 hidden randomness, and JSON/CSV output built from repr'd floats, so a rerun
@@ -64,10 +64,6 @@ class ExecutionError(RuntimeError):
     pass
 
 
-class BisectionFailed(ExecutionError):
-    pass
-
-
 class ZeroDenominatorInSliding(ExecutionError):
     pass
 
@@ -89,6 +85,9 @@ class IntegratorConfig:
             if not ok:
                 raise ValueError(f"IntegratorConfig.{name} must be finite and {rule}, "
                                  f"got {getattr(self, name)!r}")
+        if not math.isfinite(self.t_end / self.dt):  # run counts t_end / dt grid steps
+            raise ValueError(f"IntegratorConfig.t_end must be finite in steps of dt, "
+                             f"got t_end={self.t_end!r} and dt={self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,6 @@ class Trajectory:
     @property
     def duration(self) -> float:
         return self.samples[-1].t if self.samples else 0.0
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return np.array(self.samples[-1].x)
 
     def events_of(self, kind: str) -> list:
         return [e for e in self.events if e.kind == kind]
@@ -190,7 +185,8 @@ class _Integrator:
         self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
         self.sliding: Optional[tuple] = None  # (leaf a, leaf b)
         self.surface = None  # the sliding pair's separating guard, if any
-        self.blend = None  # the sliding pair's generated step(x, h, w), if any
+        self.blend = None  # the sliding pair's step(x, h, w)
+        self.steps: dict = {}  # stepper's choice per leaf tuple, kept for the run
         self.surface_points = deque(maxlen=8)  # crossing points, for the cloud route
         self.failed = False
         self.done = False
@@ -211,15 +207,23 @@ class _Integrator:
         field, controller = self.plant.field, self.bt.nodes[leaf].behavior.controller
         return lambda y: field(y, controller(y))
 
-    def step_for(self, leaf: int):
-        """step(x, h), one RK4 step of leaf's closed loop: the plant's own
-        step for its field and the leaf's controller, else _rk4 over them."""
-        controller = self.bt.nodes[leaf].behavior.controller
-        step = self.plant.steps.get((self.plant.field, controller))
-        if step is not None:
-            return step
-        f = self.field_for(leaf)
-        return lambda x, h: _rk4(f, x, h)
+    def stepper(self, *leaves):
+        """One RK4 step of a leaf's closed loop, step(x, h), or of a sliding
+        pair's Filippov blend, step(x, h, w): the plant's own step for its
+        field and the leaves' controllers, else _rk4 over field_for."""
+        step = self.steps.get(leaves)
+        if step is None:
+            controllers = (self.bt.nodes[i].behavior.controller for i in leaves)
+            step = self.plant.steps.get((self.plant.field, *controllers))
+            if step is None and len(leaves) == 1:
+                f = self.field_for(*leaves)
+                step = lambda x, h: _rk4(f, x, h)
+            elif step is None:
+                fa, fb = map(self.field_for, leaves)
+                step = lambda x, h, w: _rk4(
+                    lambda y: tuple(w * a + (1.0 - w) * b for a, b in zip(fa(y), fb(y))), x, h)
+            self.steps[leaves] = step
+        return step
 
     def move_to(self, x, status: Status, leaf: int) -> None:
         """Make x the current state; (status, leaf) must be the walk at x."""
@@ -227,13 +231,13 @@ class _Integrator:
 
     def check_finite(self, x) -> None:
         if not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):  # nan fails too
-            raise NonFiniteState(f"state diverged: {tuple(float(v) for v in x)!r}")
+            raise NonFiniteState(f"state diverged: {x!r}")
 
-    def record(self, t: float, x, leaf: int, status: Status) -> None:
-        self.samples.append(Sample(float(t), tuple(float(v) for v in x), leaf, status))
+    def record(self, t: float, x: tuple, leaf: int, status: Status) -> None:
+        self.samples.append(Sample(float(t), x, leaf, status))
 
-    def event(self, t: float, kind: str, x, **info) -> None:
-        self.events.append(Event(float(t), kind, tuple(float(v) for v in x), info))
+    def event(self, t: float, kind: str, x: tuple, **info) -> None:
+        self.events.append(Event(float(t), kind, x, info))
 
     def note_status(self, t: float, status: Status) -> None:
         if status is Status.SUCCESS:
@@ -272,36 +276,31 @@ class _Integrator:
         h_left = span
         leaf, status = self.leaf, self.status
         while h_left > 1e-15 and not self.done:
-            step = self.step_for(leaf)
+            step = self.steps.get((leaf,)) or self.stepper(leaf)
             x_try = step(self.x, h_left)
             self.check_finite(x_try)
-            st2, lf2 = self.bt.resolve(x_try)
-            if (lf2, st2) == (leaf, status):
+            walk = self.bt.resolve(x_try)
+            if walk == (status, leaf):
                 self.move_to(x_try, status, leaf)
                 return None
-            # locate the first change of (leaf, status) within (0, h_left]
+            # locate the first change of (status, leaf) within (0, h_left];
+            # the bracket keeps the probe state at lo and the walk at hi
             lo, hi = 0.0, h_left
-            x_hi = x_try
+            x_lo, x_hi, walk_hi = self.x, x_try, walk
             while hi - lo > cfg.event_tol:
                 mid = 0.5 * (lo + hi)
                 x_mid = step(self.x, mid)
-                st_m, lf_m = self.bt.resolve(x_mid)
-                if (lf_m, st_m) == (leaf, status):
-                    lo = mid
+                walk = self.bt.resolve(x_mid)
+                if walk == (status, leaf):
+                    lo, x_lo = mid, x_mid
                 else:
-                    hi = mid
-                    x_hi = x_mid
-            x_lo = self.x
+                    hi, x_hi, walk_hi = mid, x_mid, walk
             if lo > 0.0:
-                x_lo = step(self.x, lo)
                 self.record(t + lo, x_lo, leaf, status)
-            st_new, lf_new = self.bt.resolve(x_hi)
-            if (lf_new, st_new) == (leaf, status):
-                raise BisectionFailed(
-                    f"no state change after bisection at t={t + hi}")
+            st_new, lf_new = walk_hi
             t_event = t + hi
+            self.check_finite(x_hi)
             self.move_to(x_hi, st_new, lf_new)
-            self.check_finite(self.x)
             self.record(t_event, self.x, lf_new, st_new)
             if lf_new != leaf:
                 self.event(t_event, "Switch", self.x, **{"from": leaf, "to": lf_new})
@@ -333,8 +332,7 @@ class _Integrator:
         pair = tuple(sorted(leaves))
         self.sliding = pair
         self.surface = self.separating_guard(x_before)
-        self.blend = self.plant.steps.get(
-            (self.plant.field, *(self.bt.nodes[i].behavior.controller for i in pair)))
+        self.blend = self.stepper(*pair)
         self.surface_points.append(self.x)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
@@ -359,14 +357,7 @@ class _Integrator:
         if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
             self.exit_slide(t_start)
             return t_start, span
-        w = min(max(alpha, 0.0), 1.0)
-        if self.blend is not None:
-            x_new = self.blend(self.x, span, w)
-        else:
-            def f(y):
-                return tuple(w * a + (1.0 - w) * b for a, b in zip(fa(y), fb(y)))
-
-            x_new = _rk4(f, self.x, span)
+        x_new = self.blend(self.x, span, min(max(alpha, 0.0), 1.0))
         self.check_finite(x_new)
         t_end = t_start + span
         if self.surface is None:
@@ -514,15 +505,19 @@ def batch_integrate(plant: Plant, bt: BehaviorTree, initial_states,
     """Integrate every initial state in order.
 
     A run that raises ExecutionError or ValueError is recorded as a
-    FailedRun in its slot, and the remaining runs still execute; any other
-    exception propagates.
+    FailedRun in its slot, with x0 () when the start cannot be read as
+    floats, and the remaining runs still execute; any other exception
+    propagates.
     """
     out = []
     for idx, x0 in enumerate(initial_states):
         try:
             out.append(integrate(plant, bt, x0, config, model_name))
         except (ExecutionError, ValueError) as err:
-            x0t = tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float)).ravel())
+            try:
+                x0t = tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float)).ravel())
+            except ValueError:  # a start that cannot be read as floats
+                x0t = ()
             out.append(FailedRun(idx, x0t, type(err).__name__, str(err)))
     return out
 

@@ -214,7 +214,7 @@ def test_criterion_5_integrator_order():
 
         def final(dt):
             cfg = IntegratorConfig(dt=dt, t_end=1.0)
-            return integrate(plant, bt, [2.0, 0.0], cfg).final_state
+            return np.array(integrate(plant, bt, [2.0, 0.0], cfg).samples[-1].x)
 
         ref = final(0.02 / 64.0)
         err1 = float(np.linalg.norm(final(0.02) - ref))

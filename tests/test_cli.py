@@ -180,6 +180,15 @@ def test_zero_step_is_a_usage_error(capsys, command):
     assert err == "error: IntegratorConfig.dt must be finite and > 0, got 0.0\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_horizon_of_too_many_steps_is_a_usage_error(capsys, command):
+    argv = [command, "thermostat.btm", "--dt", "1e-300", "--t-end", "1e300"]
+    code, out, err = run(capsys, *argv, *(["--x0", "20"] if command == "simulate" else []))
+    assert code == 1 and out == ""
+    assert err == ("error: IntegratorConfig.t_end must be finite in steps of dt, "
+                   "got t_end=1e+300 and dt=1e-300\n")
+
+
 def test_simulate_divergence_exits_two(tmp_path, capsys):
     blowup = tmp_path / "blowup.btm"
     blowup.write_text('model "blowup" {\n  state 1;\n  control 1;\n'

@@ -399,7 +399,7 @@ def test_rk4_fourth_order_on_smooth_flow():
 
     def final(dt):
         cfg = IntegratorConfig(dt=dt, t_end=1.0)
-        return integrate(plant, bt, x0, cfg).final_state
+        return np.array(integrate(plant, bt, x0, cfg).samples[-1].x)
 
     ref = final(0.02 / 64.0)
     err1 = float(np.linalg.norm(final(0.02) - ref))
@@ -412,7 +412,7 @@ def test_rk4_exact_on_constant_field():
     # pre-switch thermostat segment: unit ramp, no truncation error at all
     for dt in (0.01, 0.005):
         traj = thermostat_run(SETPOINT - 2.0, t_end=1.0, dt=dt)
-        assert abs(traj.final_state[0] - (SETPOINT - 1.0)) < 1e-12
+        assert abs(traj.samples[-1].x[0] - (SETPOINT - 1.0)) < 1e-12
 
 
 # ----------------------------------------------------------- pendulum model
@@ -458,8 +458,10 @@ def test_pendulum_started_upright_succeeds_at_once(pendulum):
 
 
 def test_one_walk_per_grid_step(pendulum):
-    """Without a switch or status change the tree is walked once per grid
-    step plus once at the start, and every control feeds a field call."""
+    """The tree is walked once at the start and once per step taken: one
+    step per grid step, and for a switch inside a grid step each bisection
+    probe and then the rest of the step, none of them stepped to or walked
+    twice.  Every control feeds a field call."""
     counts = {"resolve": 0, "controller": 0, "field": 0}
 
     def counted(name, fn):
@@ -478,14 +480,19 @@ def test_one_walk_per_grid_step(pendulum):
     bt = BehaviorTree(copy(pendulum.bt.root), state_dim=pendulum.bt.state_dim)
     bt.resolve = counted("resolve", bt.resolve)
     plant = Plant(2, 1, counted("field", pendulum.plant.field))
-    cfg = IntegratorConfig(dt=0.004, t_end=0.4)
-    traj = integrate(plant, bt, [2.0, 0.0], cfg)
+    cfg = IntegratorConfig(dt=0.004, t_end=1.0)
     steps = round(cfg.t_end / cfg.dt)
-    assert traj.events == []
-    assert len(traj.samples) == steps + 1
-    assert {(s.leaf, s.status) for s in traj.samples} == {(1, Status.RUNNING)}
-    assert counts["resolve"] == steps + 1
-    assert counts["controller"] == counts["field"] == 4 * steps
+    probes = math.ceil(math.log2(cfg.dt / cfg.event_tol))  # halvings of dt to event_tol
+    for x0, switches in (((2.0, 0.0), 0), ((-1.5, 1.0), 1)):  # the second hands off at 0.93
+        counts.update(dict.fromkeys(counts, 0))
+        traj = integrate(plant, bt, x0, cfg)
+        assert [e.kind for e in traj.events] == ["Switch"] * switches
+        assert len(traj.samples) == steps + 1 + 2 * switches  # bracket ends at a switch
+        taken = steps + switches * (probes + 1)
+        assert counts["resolve"] == taken + 1
+        assert counts["controller"] == counts["field"] == 4 * taken
+        assert {s.status for s in traj.samples} == {Status.RUNNING}
+        assert {s.leaf for s in traj.samples} == ({1, 2} if switches else {1})
 
 
 def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum, monkeypatch):
@@ -597,20 +604,27 @@ def test_default_config_echoed_in_meta():
 
 def test_ndarray_field_still_gives_plain_floats():
     """thermostat_plant's field returns an ndarray; samples, events and the
-    serialized forms still hold plain Python floats."""
-    traj = thermostat_run(SETPOINT - 2.0, t_end=3.0)
-    assert traj.events_of("SlideEnter")
-    values = [*traj.meta["x0"], *(v for s in traj.samples for v in s.x),
-              *(v for e in traj.events for v in e.x)]
-    assert all(type(v) is float for v in values)
-    for text in (traj.to_csv(), traj.to_json()):
-        assert "float64" not in text and "array" not in text
+    serialized forms still hold tuples of plain Python floats, on that run
+    (_rk4, cloud slide) and on a lowered slide_hold run (generated steps,
+    guard slide)."""
+    slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
+    for traj in (thermostat_run(SETPOINT - 2.0, t_end=3.0),
+                 integrate(slide_hold.plant, slide_hold.bt, (-1.0, -1.2),
+                           IntegratorConfig(dt=0.01, t_end=2.0))):
+        assert traj.events_of("SlideEnter")
+        states = [s.x for s in traj.samples] + [e.x for e in traj.events]
+        assert all(type(x) is tuple for x in states)
+        values = [*traj.meta["x0"], *(v for x in states for v in x)]
+        assert all(type(v) is float for v in values)
+        for text in (traj.to_csv(), traj.to_json()):
+            assert "float64" not in text and "array" not in text
 
 
 @pytest.mark.parametrize("field, value", [
     ("dt", 0.0), ("dt", -0.01), ("dt", math.nan), ("dt", math.inf),
     ("event_tol", 0.0), ("event_tol", -1e-6), ("event_tol", math.nan),
     ("t_end", -1.0), ("t_end", math.nan), ("t_end", math.inf),
+    ("t_end", 1e308),  # t_end / dt overflows at the default dt
 ])
 def test_config_rejects_bad_steps_and_horizons(field, value):
     with pytest.raises(ValueError, match=f"IntegratorConfig.{field} must be finite"):
@@ -642,13 +656,15 @@ def test_batch_isolates_failures():
     plant = thermostat_plant()
     bt = thermostat_bt()
     cfg = IntegratorConfig(dt=0.01, t_end=0.5)
-    runs = batch_integrate(plant, bt, [[19.0], [float("nan")], [24.0]], cfg)
-    assert len(runs) == 3
-    assert isinstance(runs[1], FailedRun)
-    assert runs[1].index == 1
+    unreadable = [["a"], [1, [2, 3]], "x"]  # no tuple of floats to report
+    runs = batch_integrate(plant, bt, [[19.0], [float("nan")], *unreadable, [24.0]], cfg)
+    assert [isinstance(r, FailedRun) for r in runs] == [False, True, True, True, True, False]
+    assert [r.index for r in runs[1:-1]] == [1, 2, 3, 4]
     assert runs[1].error == "NonFiniteState"
-    assert not isinstance(runs[0], FailedRun)
-    assert not isinstance(runs[2], FailedRun)
+    for run, x0 in zip(runs[2:-1], unreadable):
+        with pytest.raises(ValueError) as err:
+            bt.check_state(x0)
+        assert (run.x0, run.error, run.message) == ((), "ValueError", str(err.value))
 
 
 def test_divergent_run_reports_nonfinite():

@@ -13,6 +13,9 @@ one per output:
   leaf controller wrapped in a new function, guards kept, so that it takes
   `_rk4` in place of the generated regular and blended slide steps; its
   digest equals the line of the generated route, bank/slide_hold/d0.0.0;
+- batch/unreadable_start: the repr of every slot of `batch_integrate` on
+  the bundled thermostat model over the starts [20.0], ['a'] and [22.0],
+  or the type and text of the error when one escapes the batch;
 - region/<key>: `check_partition(...).to_dict()` and `region_csv` of every
   region_audit bank tree on the seed-1, pass-0 points, and its predicates:
   `pathway_sets`; `in_influence_region`, `in_operating_region` and
@@ -112,6 +115,19 @@ def bank_digests(workloads) -> list:
                     wl.config(), model_name="slide_hold")
     lines.append((sha(run.to_json()), "bank/slide_hold/d0.0.0/wrapped"))
     return lines
+
+
+def batch_digests() -> list:
+    from ctbt import IntegratorConfig, batch_integrate, dsl
+
+    model = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+    try:
+        runs = batch_integrate(model.plant, model.bt, [[20.0], ["a"], [22.0]],
+                               IntegratorConfig(dt=0.01, t_end=2.0), model_name="thermostat")
+        text = "\n".join(map(repr, runs))
+    except ValueError as err:
+        text = f"{type(err).__name__}: {err}"
+    return [(sha(text), "batch/unreadable_start")]
 
 
 def wrapped_controllers(bt):
@@ -290,8 +306,8 @@ def main(argv=None) -> int:
         print(f"error: imported ctbt from {ctbt.__file__}, not {root / 'src'}",
               file=sys.stderr)
         return 1
-    lines = (bank_digests(workloads) + region_digests(workloads) + impure_digests()
-             + cli_digests() + boundary_digests() + slide_digests()
+    lines = (bank_digests(workloads) + batch_digests() + region_digests(workloads)
+             + impure_digests() + cli_digests() + boundary_digests() + slide_digests()
              + demo_digests(root))
     for digest, name in lines:
         print(f"{digest}  {name}")
