@@ -859,7 +859,8 @@ def derivative(e, var: str):
 # generated from the same expressions, one assignment per control and field
 # component at each stage, the stage state in the locals y0.. ; a sliding
 # pair's blended step is the same function with both leaves' controls and
-# field components at each stage, then their weighted sum.  A guard
+# field components at each stage after the first, whose fields the caller
+# hands in, then their weighted sum.  A guard
 # returns one comparison's g and the derivatives of g, the same way.
 #
 # The source text holds only what the generator makes itself: integer
@@ -1064,13 +1065,15 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping) -> Calla
     and one or two leaves' control expressions, the controls inlined.
 
     One control set gives step(x, h) for xdot = f(x, u(x)); two give the
-    sliding pair's step(x, h, w) for the Filippov blend
-    xdot = w*f(x, ua(x)) + (1 - w)*f(x, ub(x)).  The arithmetic is that of
-    executor._rk4 over field(y, controller(y)), or over the blend of the
-    two, in its order, so every value and every error is the same: at each
-    stage each set's controls in order, then its field components in
-    order, then k = w*ka + v*kb with v = 1 - w; the stage state
-    y = x + s*k per component; and x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
+    sliding pair's step(x, h, w, ka, kb) for the Filippov blend
+    xdot = w*f(x, ua(x)) + (1 - w)*f(x, ub(x)), where ka and kb are the two
+    fields at x, which the caller has already evaluated.  The arithmetic is
+    that of executor._rk4 over field(y, controller(y)), or over the blend of
+    the two, in its order, so every value and every error is the same: at
+    each stage each set's controls in order, then its field components in
+    order (at stage 1 of a blend, ka and kb), then k = w*ka + v*kb with
+    v = 1 - w; the stage state y = x + s*k per component; and
+    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
     """
     g = _FunctionSource(sx, su)
     n = range(len(sx))
@@ -1081,6 +1084,9 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping) -> Calla
         body.append(f"v = {g.constant(1.0)} - w")
     for stage, along in ((1, "h2"), (2, "h2"), (3, "h"), (4, None)):
         for part, controls in zip(("a", "b") if blend else ("",), control_sets):
+            if blend and stage == 1:
+                body.append(f"{_tuple_items([f'k{part}1_{i:d}' for i in n])} = k{part}")
+                continue
             body += [f"u{j:d} = {g.top(e)}" for j, e in enumerate(controls)]
             body += [f"k{part}{stage:d}_{i:d} = {g.top(e)}" for i, e in zip(n, derivatives)]
         if blend:
@@ -1093,7 +1099,7 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping) -> Calla
     result = [f"x{i:d} + h6 * (k1_{i:d} + {two} * k2_{i:d} + {two} * k3_{i:d} + k4_{i:d})"
               for i in n]
     body.append(f"return ({_tuple_items(result)})")
-    return g.function("step", "x, h, w" if blend else "x, h", body)
+    return g.function("step", "x, h, w, ka, kb" if blend else "x, h", body)
 
 
 class _ClosedLoopSteps:

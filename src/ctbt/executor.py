@@ -9,31 +9,30 @@ has one (leaves lowered from a .btm model: RK4 with the controllers inlined
 into the field, the same floats as _rk4), else _rk4 over
 field(y, controller(y)) or over the blend of two, which serves wrapped
 controllers and other plants and hands on tuples of Python floats whatever
-sequence the field returns.  The integrator keeps the (root status, active
-leaf) of its current state and walks the tree once per accepted step, at
-the step's end point; the walk evaluates status predicates only, and the
-active leaf's controller runs inside the step.  Any change of (active leaf,
-root status) inside a step is located by bisecting the step length down to
-event_tol, each probe stepped to and walked once, so switch times are
-resolved far below the step size.  If the recent switches toggle between
+sequence the field returns.  `run` holds the one loop over the grid and
+tries each regular step itself: it walks the tree once at the step's end
+(status predicates only; the controller runs inside the step), and while
+the walk equals the current (root status, active leaf) it records the grid
+sample and goes on.  Otherwise regular_span locates the change by bisecting
+the step length down to event_tol, each probe stepped to and walked once,
+and hands the rest of the step back.  If the recent switches toggle between
 exactly two leaves faster than the step rate, the integrator declares a
 sliding mode on g = 0 for the separating guard, the first leaf guard
 (LeafBehavior.guards) whose sign differs across the last switch's bisection
 bracket.  A slide step takes the normal grad g/|grad g|, forms the convex
 field combination that cancels the normal component, takes one RK4 step of
-it and pulls the result back onto g = 0 by Newton steps, so the solution
-cannot drift off the surface; one walk confirms the leaf.  With no
-separating guard (hand-built leaves that declare none) the normal is
+it, whose first stage is the two fields already evaluated, and pulls the
+result back onto g = 0 by Newton steps; one walk confirms the leaf.  With
+no separating guard (hand-built leaves that declare none) the normal is
 estimated from the recent crossing points instead (SVD of the centered
 cloud; a field-difference fallback covers the degenerate startup) and the
 projection bisects along it; only this cloud route and the boundary tools
 at the end call numpy.  Sliding ends when the combination coefficient
 leaves [0, 1] by more than _SLIDING_EPS or the state escapes to a third
-leaf.  `run` holds the one loop over a grid step: a span of either mode
-that changes mode mid-step hands the time left back to that loop, which
-goes on in the other mode.  A run ends at its first root Success.  The
-chatter count, the slack on the coefficient and the stop at Success are
-fixed parts of the construction, not options.
+leaf.  A span that changes mode mid-step hands the time left back to run.
+A run ends at its first root Success.  The chatter count, the slack on the
+coefficient and the stop at Success are fixed parts of the construction,
+not options.
 
 Everything is deterministic: fixed step grid t = k*dt, no wall clock, no
 hidden randomness, and JSON/CSV output built from repr'd floats, so a rerun
@@ -46,13 +45,14 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import BehaviorTree, NonFiniteState, Plant, Status
 
 _OVERFLOW = 1e12
+_MAX_FLOAT = math.nextafter(math.inf, 0.0)  # no int above it is a finite float
 _SLIDING_EPS = 1e-3  # slack on the Filippov coefficient before a slide ends
 _MAX_CHATTER = 4  # switches within one step that start a slide
 _MIN_COMPONENT = 1e-9  # normal field component that counts as a crossing
@@ -79,9 +79,9 @@ class IntegratorConfig:
     event_tol: float = 1e-6
 
     def __post_init__(self):
-        for name, rule, ok in (("dt", "> 0", 0.0 < self.dt < math.inf),
-                               ("event_tol", "> 0", 0.0 < self.event_tol < math.inf),
-                               ("t_end", ">= 0", 0.0 <= self.t_end < math.inf)):
+        for name, rule, ok in (("dt", "> 0", 0.0 < self.dt <= _MAX_FLOAT),
+                               ("event_tol", "> 0", 0.0 < self.event_tol <= _MAX_FLOAT),
+                               ("t_end", ">= 0", 0.0 <= self.t_end <= _MAX_FLOAT)):
             if not ok:
                 raise ValueError(f"IntegratorConfig.{name} must be finite and {rule}, "
                                  f"got {getattr(self, name)!r}")
@@ -90,8 +90,7 @@ class IntegratorConfig:
                              f"got t_end={self.t_end!r} and dt={self.dt!r}")
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     t: float
     x: tuple
     leaf: int
@@ -160,8 +159,9 @@ def _along(x, s, v) -> tuple:
     return tuple(float(a + s * b) for a, b in zip(x, v))
 
 
-def _rk4(f, x, h):
-    k1 = f(x)
+def _rk4(f, x, h, k1=None):
+    """One classic RK4 step of xdot = f(x); k1 is f(x) when the caller has it."""
+    k1 = f(x) if k1 is None else k1
     k2 = f(_along(x, 0.5 * h, k1))
     k3 = f(_along(x, 0.5 * h, k2))
     k4 = f(_along(x, h, k3))
@@ -176,16 +176,16 @@ class _Integrator:
         self.bt = bt
         self.cfg = cfg
         # invariant: (status, leaf) is the tree's walk at x, updated together
-        # with x (see move_to), so no state is walked twice
+        # with x (a steady step in run keeps both), so no state is walked twice
         self.x = bt.check_state(x0)
         self.status, self.leaf = bt.resolve(self.x)
-        self.samples: list = []
+        self.samples: list = []  # built during the run, grid points by run itself
         self.events: list = []
         # only what chatter_check and surface_normal read is kept
         self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
         self.sliding: Optional[tuple] = None  # (leaf a, leaf b)
         self.surface = None  # the sliding pair's separating guard, if any
-        self.blend = None  # the sliding pair's step(x, h, w)
+        self.blend = None  # the sliding pair's step(x, h, w, ka, kb)
         self.steps: dict = {}  # stepper's choice per leaf tuple, kept for the run
         self.surface_points = deque(maxlen=8)  # crossing points, for the cloud route
         self.failed = False
@@ -209,8 +209,9 @@ class _Integrator:
 
     def stepper(self, *leaves):
         """One RK4 step of a leaf's closed loop, step(x, h), or of a sliding
-        pair's Filippov blend, step(x, h, w): the plant's own step for its
-        field and the leaves' controllers, else _rk4 over field_for."""
+        pair's Filippov blend, step(x, h, w, ka, kb) with ka, kb the pair's
+        fields at x: the plant's own step for its field and the leaves'
+        controllers, else _rk4 over field_for."""
         step = self.steps.get(leaves)
         if step is None:
             controllers = (self.bt.nodes[i].behavior.controller for i in leaves)
@@ -220,17 +221,15 @@ class _Integrator:
                 step = lambda x, h: _rk4(f, x, h)
             elif step is None:
                 fa, fb = map(self.field_for, leaves)
-                step = lambda x, h, w: _rk4(
-                    lambda y: tuple(w * a + (1.0 - w) * b for a, b in zip(fa(y), fb(y))), x, h)
+                mix = lambda w, va, vb: tuple(w * a + (1.0 - w) * b for a, b in zip(va, vb))
+                step = lambda x, h, w, ka, kb: _rk4(
+                    lambda y: mix(w, fa(y), fb(y)), x, h, mix(w, ka, kb))
             self.steps[leaves] = step
         return step
 
-    def move_to(self, x, status: Status, leaf: int) -> None:
-        """Make x the current state; (status, leaf) must be the walk at x."""
-        self.x, self.status, self.leaf = x, status, leaf
-
     def check_finite(self, x) -> None:
-        if not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):  # nan fails too
+        # hypot is at least the largest |v|, and nan when a v is: a quick pass
+        if not math.hypot(*x) <= _OVERFLOW and not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):
             raise NonFiniteState(f"state diverged: {x!r}")
 
     def record(self, t: float, x: tuple, leaf: int, status: Status) -> None:
@@ -250,71 +249,73 @@ class _Integrator:
     # ---- main loop
 
     def run(self) -> Trajectory:
-        cfg = self.cfg
-        self.record(0.0, self.x, self.leaf, self.status)
+        dt, resolve, samples, steps = self.cfg.dt, self.bt.resolve, self.samples, self.steps
+        samples.append(Sample(0.0, self.x, self.leaf, self.status))
         self.note_status(0.0, self.status)
-        n_steps = int(round(cfg.t_end / cfg.dt))
+        n_steps = int(round(self.cfg.t_end / dt))
         k = 0
         while k < n_steps and not self.done:
-            t1 = (k + 1) * cfg.dt
-            # a span returns None once the step is done, or the (t, h) it
-            # leaves to the other mode
-            handoff = (k * cfg.dt, cfg.dt)
-            while handoff is not None:
-                span = self.regular_span if self.sliding is None else self.slide_span
-                handoff = span(*handoff)
-            if not self.done and self.samples[-1].t < t1 - 1e-15:
-                self.record(t1, self.x, self.leaf, self.status)
+            t1, t, h = (k + 1) * dt, k * dt, dt  # (t, h): the rest of the grid step
+            end = t + h  # t + h as the current stretch of regular mode began
+            while True:
+                if self.sliding is not None:
+                    left = self.slide_span(t, h)
+                    if left is None:
+                        break
+                    t, h = left  # the slide ended at once: regular mode goes on
+                    end = t + h
+                if h <= 1e-15 or self.done:
+                    break
+                step = steps.get((self.leaf,)) or self.stepper(self.leaf)
+                x_try = step(self.x, h)
+                self.check_finite(x_try)
+                walk = resolve(x_try)
+                if walk == (self.status, self.leaf):
+                    self.x = x_try  # the walk holds: (status, leaf) stay
+                    break
+                left = self.regular_span(t, h, end, x_try, walk, step)
+                if left is None:
+                    break
+                t, h = left
+            if not self.done and samples[-1].t < t1 - 1e-15:
+                samples.append(Sample(float(t1), self.x, self.leaf, self.status))
             k += 1
-        return Trajectory(meta=self.meta, samples=self.samples, events=self.events)
+        return Trajectory(meta=self.meta, samples=samples, events=self.events)
 
     # ---- regular mode
 
-    def regular_span(self, t_start: float, span: float) -> Optional[tuple]:
-        cfg = self.cfg
-        t = t_start
-        h_left = span
+    def regular_span(self, t: float, h: float, end: float, x_try, walk, step) -> Optional[tuple]:
+        """Locate the first change of (status, leaf) in the step h from t to
+        x_try = step(self.x, h), which walks to walk.  Returns the (t, h) left
+        after it, or None once the grid step is done (a slide gets end - t)."""
         leaf, status = self.leaf, self.status
-        while h_left > 1e-15 and not self.done:
-            step = self.steps.get((leaf,)) or self.stepper(leaf)
-            x_try = step(self.x, h_left)
-            self.check_finite(x_try)
-            walk = self.bt.resolve(x_try)
+        # the bracket keeps the probe state at lo and the walk at hi
+        lo, hi = 0.0, h
+        x_lo, x_hi, walk_hi = self.x, x_try, walk
+        while hi - lo > self.cfg.event_tol:
+            mid = 0.5 * (lo + hi)
+            x_mid = step(self.x, mid)
+            walk = self.bt.resolve(x_mid)
             if walk == (status, leaf):
-                self.move_to(x_try, status, leaf)
-                return None
-            # locate the first change of (status, leaf) within (0, h_left];
-            # the bracket keeps the probe state at lo and the walk at hi
-            lo, hi = 0.0, h_left
-            x_lo, x_hi, walk_hi = self.x, x_try, walk
-            while hi - lo > cfg.event_tol:
-                mid = 0.5 * (lo + hi)
-                x_mid = step(self.x, mid)
-                walk = self.bt.resolve(x_mid)
-                if walk == (status, leaf):
-                    lo, x_lo = mid, x_mid
-                else:
-                    hi, x_hi, walk_hi = mid, x_mid, walk
-            if lo > 0.0:
-                self.record(t + lo, x_lo, leaf, status)
-            st_new, lf_new = walk_hi
-            t_event = t + hi
-            self.check_finite(x_hi)
-            self.move_to(x_hi, st_new, lf_new)
-            self.record(t_event, self.x, lf_new, st_new)
-            if lf_new != leaf:
-                self.event(t_event, "Switch", self.x, **{"from": leaf, "to": lf_new})
-                self.switch_log.append((t_event, leaf, lf_new))
-                if self.chatter_check(t_event, x_lo):
-                    remaining = t_start + span - t_event
-                    handoff = remaining > 1e-15 and not self.done
-                    return (t_event, remaining) if handoff else None
-            if st_new != status:
-                self.note_status(t_event, st_new)  # may end the run
-            h_left -= hi
-            t = t_event
-            leaf, status = lf_new, st_new
-        return None
+                lo, x_lo = mid, x_mid
+            else:
+                hi, x_hi, walk_hi = mid, x_mid, walk
+        if lo > 0.0:
+            self.record(t + lo, x_lo, leaf, status)
+        st_new, lf_new = walk_hi
+        t_event = t + hi
+        self.check_finite(x_hi)
+        self.x, self.status, self.leaf = x_hi, st_new, lf_new
+        self.record(t_event, self.x, lf_new, st_new)
+        if lf_new != leaf:
+            self.event(t_event, "Switch", self.x, **{"from": leaf, "to": lf_new})
+            self.switch_log.append((t_event, leaf, lf_new))
+            if self.chatter_check(t_event, x_lo):
+                remaining = end - t_event
+                return (t_event, remaining) if remaining > 1e-15 and not self.done else None
+        if st_new != status:
+            self.note_status(t_event, st_new)  # may end the run
+        return t_event, h - hi
 
     def chatter_check(self, t_now: float, x_before) -> bool:
         """Detect rapid toggling; enter sliding or reject a triple point.
@@ -351,20 +352,19 @@ class _Integrator:
 
     def slide_span(self, t_start: float, span: float) -> Optional[tuple]:
         a_leaf, b_leaf = self.sliding
-        fa = self.field_for(a_leaf)
-        fb = self.field_for(b_leaf)
-        n, alpha = self.filippov(fa(self.x), fb(self.x), t_start)
+        va, vb = self.field_for(a_leaf)(self.x), self.field_for(b_leaf)(self.x)
+        n, alpha = self.filippov(va, vb, t_start)
         if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
             self.exit_slide(t_start)
             return t_start, span
-        x_new = self.blend(self.x, span, min(max(alpha, 0.0), 1.0))
+        x_new = self.blend(self.x, span, min(max(alpha, 0.0), 1.0), va, vb)
         self.check_finite(x_new)
         t_end = t_start + span
         if self.surface is None:
             x_new, status, leaf, held = self.project_to_surface(x_new, n)
         else:
             x_new, status, leaf, held = self.newton_project(x_new, t_end)
-        self.move_to(x_new, status, leaf)
+        self.x, self.status, self.leaf = x_new, status, leaf
         if not held:
             self.exit_slide(t_end)
             return None

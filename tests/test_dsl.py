@@ -572,6 +572,12 @@ def _blended_step(lowered, a, b):
     return plant.steps.get((plant.field, bt.behavior(a).controller, bt.behavior(b).controller))
 
 
+def _slide_step(step, field, ca, cb):
+    """A blended step called as a slide calls it: with the pair's two
+    fields at x, evaluated first."""
+    return lambda x, h, w: step(x, h, w, field(x, ca(x)), field(x, cb(x)))
+
+
 def _blend(field, ca, cb, w):
     """The executor's fallback slide field w*f_a + (1 - w)*f_b."""
     def f(y):
@@ -656,9 +662,9 @@ def test_fused_step_raises_the_division_error_of_the_generic_step():
 
 @pytest.mark.parametrize("index", range(10))
 def test_blended_step_matches_rk4_over_the_blend(index):
-    """Every ordered leaf pair's blended step equals _rk4 over
-    w*f_a + (1 - w)*f_b bit for bit, errors included, on the corpus of the
-    fused step, at w = 0, 1, 1/2 and seeded draws."""
+    """Every ordered leaf pair's blended step, handed the pair's fields at
+    x, equals _rk4 over w*f_a + (1 - w)*f_b bit for bit, errors included,
+    on the corpus of the fused step, at w = 0, 1, 1/2 and seeded draws."""
     from ctbt.executor import _rk4
 
     lowered = dsl.lower(dsl.parse([*_equivalence_corpus(), SLIDE_HOLD][index]))
@@ -669,7 +675,7 @@ def test_blended_step_matches_rk4_over_the_blend(index):
             if a == b:
                 continue
             ca, cb = bt.behavior(a).controller, bt.behavior(b).controller
-            step = _blended_step(lowered, a, b)
+            step = _slide_step(_blended_step(lowered, a, b), field, ca, cb)
             for x in rng.uniform(-3.0, 3.0, size=(4, bt.state_dim)).tolist():
                 x = tuple(x)
                 for w in (0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, size=2).tolist()):
@@ -699,8 +705,9 @@ def test_blended_step_raises_the_division_error_of_the_generic_step():
     lowered = dsl.lower(dsl.parse(DIVIDING_PAIR))
     field, bt = lowered.plant.field, lowered.bt
     a, b = bt.leaf_ids
-    step = _blended_step(lowered, a, b)
-    f = _blend(field, bt.behavior(a).controller, bt.behavior(b).controller, 0.5)
+    ca, cb = bt.behavior(a).controller, bt.behavior(b).controller
+    step = _slide_step(_blended_step(lowered, a, b), field, ca, cb)
+    f = _blend(field, ca, cb, 0.5)
     cases = [
         ((-1.0, 1.0), 0.01, "x0 / (x1"),  # a's controller, then b's, stage 1
         ((2.0, 1.0), 0.01, "x0 / (x1"),   # a's controller, then the field

@@ -18,6 +18,7 @@ from ctbt.core import (
 from ctbt.executor import (
     FailedRun,
     IntegratorConfig,
+    Sample,
     TriplePointChatter,
     batch_integrate,
     check_transversality,
@@ -231,6 +232,34 @@ def test_declared_guard_holds_the_shear_slide():
     end = run.samples[-1]
     assert end.t == 0.011 and end.x[0] == 0.0
     assert (end.x[1] - enter.x[1]) / (end.t - enter.t) == pytest.approx(10.25, abs=1e-9)
+
+
+def test_a_slide_step_takes_the_fields_at_x_once(monkeypatch):
+    """The pair's fields at x, evaluated for the Filippov coefficient, are
+    the first stage of the blended step: a slide span calls the field twice
+    and, when it steps, twice more per later RK4 stage (the _rk4 route of a
+    wrapped field)."""
+    import dataclasses
+
+    slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
+    field, calls, per_span = slide_hold.plant.field, [0], []
+    slide_span = executor._Integrator.slide_span
+
+    def counted(x, u):
+        calls[0] += 1
+        return field(x, u)
+
+    def watched(self, *args):
+        before = calls[0]
+        try:
+            return slide_span(self, *args)
+        finally:
+            per_span.append(calls[0] - before)
+
+    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
+    plant = dataclasses.replace(slide_hold.plant, field=counted)
+    integrate(plant, slide_hold.bt, (-1.0, -1.2), IntegratorConfig(dt=0.01, t_end=4.0))
+    assert 8 in per_span and set(per_span) <= {2, 8}
 
 
 def test_numpy_fields_still_hand_on_states_of_floats():
@@ -589,6 +618,31 @@ def test_json_and_csv_shape():
     assert csv[1] == "0.0,19.0,3,R"
 
 
+def test_grid_samples_are_eager_and_at_float_grid_times(pendulum):
+    """integrate returns a list of Samples whose grid times are the floats
+    (k + 1)*dt, not sums of steps, floats for an int dt too."""
+    cfg = IntegratorConfig(dt=0.004, t_end=1.0)
+    traj = integrate(pendulum.plant, pendulum.bt, (2.0, 0.0), cfg)  # no switch
+    assert not traj.events and type(traj.samples) is list and len(traj.samples) == 251
+    for k, s in enumerate(traj.samples):
+        assert type(s) is Sample and type(s.t) is float and s.t == k * cfg.dt
+    traj = thermostat_run(20.0, t_end=3, dt=1)
+    assert all(type(s.t) is float for s in traj.samples)
+    assert [s.t for s in traj.samples if s.t.is_integer()] == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_sample_is_a_named_tuple_of_its_four_fields():
+    s = Sample(t=0.5, x=(1.0, 2.0), leaf=3, status=Status.RUNNING)
+    assert Sample._fields == ("t", "x", "leaf", "status")
+    assert s == Sample(0.5, (1.0, 2.0), 3, Status.RUNNING) == (0.5, (1.0, 2.0), 3, Status.RUNNING)
+    assert s != s._replace(leaf=4)
+    assert len({s, Sample(0.5, (1.0, 2.0), 3, Status.RUNNING)}) == 1
+    t, x, leaf, status = s
+    assert (t, x, leaf, status) == (s.t, s.x, s.leaf, s.status)
+    with pytest.raises(AttributeError):
+        s.t = 1.0
+
+
 def test_default_config_echoed_in_meta():
     bt = single_leaf_bt(lambda x: (0.0,), dim=1)
     always_done = Leaf(0, LeafBehavior(lambda x: (0.0,),
@@ -625,6 +679,7 @@ def test_ndarray_field_still_gives_plain_floats():
     ("event_tol", 0.0), ("event_tol", -1e-6), ("event_tol", math.nan),
     ("t_end", -1.0), ("t_end", math.nan), ("t_end", math.inf),
     ("t_end", 1e308),  # t_end / dt overflows at the default dt
+    pytest.param("t_end", 10**400, id="t_end-int_beyond_float_range"),
 ])
 def test_config_rejects_bad_steps_and_horizons(field, value):
     with pytest.raises(ValueError, match=f"IntegratorConfig.{field} must be finite"):

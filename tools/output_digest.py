@@ -16,6 +16,9 @@ one per output:
 - batch/unreadable_start: the repr of every slot of `batch_integrate` on
   the bundled thermostat model over the starts [20.0], ['a'] and [22.0],
   or the type and text of the error when one escapes the batch;
+- grid/int_dt: `to_json` of the bundled thermostat run from x0 = 20 with
+  `IntegratorConfig(dt=1, t_end=3)`, whose grid times are Python floats
+  though dt is an int;
 - region/<key>: `check_partition(...).to_dict()` and `region_csv` of every
   region_audit bank tree on the seed-1, pass-0 points, and its predicates:
   `pathway_sets`; `in_influence_region`, `in_operating_region` and
@@ -128,6 +131,15 @@ def batch_digests() -> list:
     except ValueError as err:
         text = f"{type(err).__name__}: {err}"
     return [(sha(text), "batch/unreadable_start")]
+
+
+def grid_digests() -> list:
+    from ctbt import IntegratorConfig, dsl, integrate
+
+    model = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+    run = integrate(model.plant, model.bt, [20.0], IntegratorConfig(dt=1, t_end=3),
+                    model_name="thermostat")
+    return [(sha(run.to_json()), "grid/int_dt")]
 
 
 def wrapped_controllers(bt):
@@ -306,9 +318,9 @@ def main(argv=None) -> int:
         print(f"error: imported ctbt from {ctbt.__file__}, not {root / 'src'}",
               file=sys.stderr)
         return 1
-    lines = (bank_digests(workloads) + batch_digests() + region_digests(workloads)
-             + impure_digests() + cli_digests() + boundary_digests() + slide_digests()
-             + demo_digests(root))
+    lines = (bank_digests(workloads) + batch_digests() + grid_digests()
+             + region_digests(workloads) + impure_digests() + cli_digests()
+             + boundary_digests() + slide_digests() + demo_digests(root))
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
