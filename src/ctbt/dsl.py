@@ -25,16 +25,16 @@ and column of the offending token.
 
 lower() folds constants and compiles the plant field, each leaf controller
 and each leaf status to one flat generated Python function (see "code
-generation" below); evaluate_expr is the reference interpreter they match
-bit for bit.  Each leaf also gets one closed-loop RK4 step with its
-controller inlined into the plant field, and each pair of leaves one RK4
-step of the Filippov blend of their two closed loops, each compiled on
-first use and kept in Plant.steps; the executor calls them in regular and
-sliding mode in place of RK4 over the field and controller functions,
-with the same floats.  Every comparison
-left op right in a leaf status becomes a guard, g = left - right with its
-gradient from derivative(), compiled when a slide first reads it and kept
-in LeafBehavior.guards.
+generation" below), each distinct source compiled once per model;
+evaluate_expr is the reference interpreter they match bit for bit.  Each
+leaf also gets one closed-loop RK4 step with its controller inlined into
+the plant field, and each pair of leaves one RK4 step of the Filippov
+blend of their two closed loops, each compiled on first use and kept in
+Plant.steps; the executor calls them in regular and sliding mode in place
+of RK4 over the field and controller functions, with the same floats.
+Every comparison left op right in a leaf status becomes a guard,
+g = left - right with its gradient from derivative(), compiled when a
+slide first reads it and kept in LeafBehavior.guards.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
+from types import FunctionType
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .core import (
@@ -225,20 +227,23 @@ class Token(NamedTuple):
         return (self.line, self.col)
 
 
-# One alternative per token class, tried in order; the lower-case classes
-# are layout or errors.  Digits are ASCII only.
+# A match is the layout (blanks, comments) before a token, then one alternative
+# per token class, tried in order; the lower-case classes are line ends or
+# errors.  The token is optional: layout that ends the source matches alone
+# and never backtracks into a token.  Digits are ASCII only.
 _LEXEME = re.compile(r"""
-    (?P<skip>[ \t\r]+|\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<malformed>[0-9]+(?:\.(?![0-9])|(?:\.[0-9]+)?[eE](?![+-]?[0-9])))
-  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-  | "(?P<STRING>[^"\n]*)"
-  | (?P<unterminated>")
-  | (?P<IDENT>[^\W\d]\w*)
-  | (?P<OP><=|>=|[<>=+\-*/()\[\]{},;])
-  | (?P<unexpected>.)
+    (?:[ \t\r]+|\#[^\n]*)*
+    (?:(?P<newline>\n)
+      | (?P<malformed>[0-9]+(?:\.(?![0-9])|(?:\.[0-9]+)?[eE](?![+-]?[0-9])))
+      | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+      | (?P<STRING>"[^"\n]*")
+      | (?P<unterminated>")
+      | (?P<IDENT>[^\W\d]\w*)
+      | (?P<OP><=|>=|[<>=+\-*/()\[\]{},;])
+      | (?P<unexpected>.))?
 """, re.VERBOSE)
 
+_new_token = partial(tuple.__new__, Token)  # skips Token's Python-level __new__
 _LEX_ERRORS = {"malformed": "malformed number", "unterminated": "unterminated string",
                "unexpected": "unexpected character {!r}"}
 
@@ -248,22 +253,27 @@ def tokenize(source: str) -> list:
     line, line_start = 1, 0
     for m in _LEXEME.finditer(source):
         kind = m.lastgroup
-        text, col = m[kind], m.start() - line_start + 1
-        if kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
-            kind, text = "unexpected", text[0]  # a numeral such as '²'
-        elif kind == "IDENT" and text in KEYWORDS:
-            kind = "KEYWORD"
+        if kind is None:  # layout up to the end of the source
+            continue
+        start = m.start(kind)
         if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind in _LEX_ERRORS:
-            raise LexError(_LEX_ERRORS[kind].format(text), line, col)
+            line, line_start = line + 1, start + 1
+            continue
+        text, col, value = m[kind], start - line_start + 1, 0.0
+        if kind == "IDENT":
+            if text in KEYWORDS:
+                kind = "KEYWORD"
+            elif not (text[0].isalpha() or text[0] == "_"):
+                kind, text = "unexpected", text[0]  # a numeral such as '²'
         elif kind == "NUMBER":
             value = float(text)
             if value == math.inf:
                 raise LexError("number out of range", line, col)
-            tokens.append(Token(kind, text, line, col, value))
-        elif kind != "skip":
-            tokens.append(Token(kind, text, line, col))
+        elif kind == "STRING":
+            text = text[1:-1]
+        if kind in _LEX_ERRORS:
+            raise LexError(_LEX_ERRORS[kind].format(text), line, col)
+        tokens.append(_new_token((kind, text, line, col, value)))
     tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
@@ -289,13 +299,14 @@ class _Parser:
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind, text=None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.tokens[self.i]
+        if tok.kind != kind or text is not None and tok.text != text:
             want = text if text is not None else kind
             raise ParseError(
                 f"expected {want!r}, found {tok.text or tok.kind!r}",
                 tok.line, tok.col)
-        return self.advance()
+        self.i += 1  # no caller expects EOF
+        return tok
 
     # ---- model structure
 
@@ -458,46 +469,52 @@ class _Parser:
 
     def expr(self) -> Expr:
         left = self.term()
-        while self.at("OP", "+") or self.at("OP", "-"):
-            op = self.advance()
-            left = Binary(op.text, left, self.term(), pos=op.pos)
+        tok = self.tokens[self.i]
+        while tok.kind == "OP" and (tok.text == "+" or tok.text == "-"):
+            self.i += 1
+            left = Binary(tok.text, left, self.term(), pos=(tok.line, tok.col))
+            tok = self.tokens[self.i]
         return left
 
     def term(self) -> Expr:
         left = self.unary()
-        while self.at("OP", "*") or self.at("OP", "/"):
-            op = self.advance()
-            left = Binary(op.text, left, self.unary(), pos=op.pos)
+        tok = self.tokens[self.i]
+        while tok.kind == "OP" and (tok.text == "*" or tok.text == "/"):
+            self.i += 1
+            left = Binary(tok.text, left, self.unary(), pos=(tok.line, tok.col))
+            tok = self.tokens[self.i]
         return left
 
     def unary(self) -> Expr:
-        if self.at("OP", "-"):
-            op = self.advance()
-            return Neg(self.unary(), pos=op.pos)
+        tok = self.tokens[self.i]
+        if tok.kind == "OP" and tok.text == "-":
+            self.i += 1
+            return Neg(self.unary(), pos=(tok.line, tok.col))
         return self.atom()
 
     def atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "NUMBER":
-            self.advance()
-            return Num(tok.value, pos=tok.pos)
+            self.i += 1
+            return Num(tok.value, pos=(tok.line, tok.col))
         if tok.kind == "IDENT":
-            self.advance()
-            if tok.text in FUNCTIONS and self.at("OP", "("):
-                self.advance()
+            self.i += 1
+            after = self.tokens[self.i]
+            if tok.text in FUNCTIONS and after.kind == "OP" and after.text == "(":
+                self.i += 1
                 args = [self.expr()]
                 while self.at("OP", ","):
-                    self.advance()
+                    self.i += 1
                     args.append(self.expr())
                 self.expect("OP", ")")
                 if len(args) != FUNCTIONS[tok.text]:
                     raise ModelTypeError(
                         f"{tok.text} expects {FUNCTIONS[tok.text]} argument(s), "
                         f"got {len(args)}", tok.line, tok.col)
-                return Call(tok.text, tuple(args), pos=tok.pos)
-            return Var(tok.text, pos=tok.pos)
+                return Call(tok.text, tuple(args), pos=(tok.line, tok.col))
+            return Var(tok.text, pos=(tok.line, tok.col))
         if tok.kind == "OP" and tok.text == "(":
-            self.advance()
+            self.i += 1
             inner = self.expr()
             self.expect("OP", ")")
             return inner
@@ -646,23 +663,24 @@ def _check_expr(e, sx, su, consts, allow_control: bool) -> None:
         if depth > _MAX_DEPTH:
             raise ModelTypeError(
                 f"expression nests more than {_MAX_DEPTH} levels deep", *e.pos)
-        kids = ()
-        if isinstance(e, Var):
+        kids, kind = (), type(e)
+        if kind is Var:
             if e.name in su and not allow_control:
                 raise UndeclaredIdentifier(
                     f"control variable {e.name!r} is only available in plant "
                     "equations", *e.pos)
             if not (e.name in sx or e.name in su or e.name in consts):
                 raise UndeclaredIdentifier(f"undeclared identifier {e.name!r}", *e.pos)
-        elif isinstance(e, Neg):
+        elif kind is Binary or kind is Compare:
+            kids = (e.right, e.left)
+        elif kind is Neg:
             kids = (e.operand,)
-        elif isinstance(e, (Binary, Compare)):
-            kids = (e.left, e.right)
-        elif isinstance(e, Call):
-            kids = e.args
-        elif isinstance(e, IfStatus):
-            kids = (e.cond, e.then, e.els)
-        stack += [(k, depth + 1) for k in reversed(kids)]
+        elif kind is Call:
+            kids = e.args[::-1]
+        elif kind is IfStatus:
+            kids = (e.els, e.then, e.cond)
+        for k in kids:  # last to first, so that they pop in source order
+            stack.append((k, depth + 1))
 
 
 # ---------------------------------------------------- evaluation and folding
@@ -851,17 +869,19 @@ def derivative(e, var: str):
 #
 # lower() turns each plant field, leaf controller and leaf status into one
 # flat Python function: the folded expression tree becomes a single Python
-# expression over the locals x0.., u0.., compiled once.  The state arrives
-# as a tuple of floats (any sequence works) and is unpacked in one line;
-# the field returns a tuple.  Operands run left to right, except that a
-# divisor is evaluated and tested for zero before its dividend; every value
-# is bit-identical to evaluate_expr's.  A leaf's closed-loop RK4 step is
-# generated from the same expressions, one assignment per control and field
-# component at each stage, the stage state in the locals y0.. ; a sliding
-# pair's blended step is the same function with both leaves' controls and
-# field components at each stage after the first, whose fields the caller
-# hands in, then their weighted sum.  A guard
-# returns one comparison's g and the derivatives of g, the same way.
+# expression over the locals x0.., u0...  The state arrives as a tuple of
+# floats (any sequence works) and is unpacked in one line; the field returns
+# a tuple.  Operands run left to right, except that a divisor is evaluated
+# and tested for zero before its dividend; every value is bit-identical to
+# evaluate_expr's.  A leaf's closed-loop RK4 step is generated from the same
+# expressions, one assignment per control and field component at each
+# stage, the stage state in the locals y0.. ; a sliding pair's blended step
+# is the same function with both leaves' controls and field components at
+# each stage after the first, whose fields the caller hands in, then their
+# weighted sum.  A guard returns one comparison's g and the derivatives of
+# g, the same way.  Numbers are bound by name, so functions of one model
+# often share their source: the model's compile table compiles each
+# distinct source once, and each function gets its own copy of the code.
 #
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
@@ -884,11 +904,12 @@ def _division_by_zero(line: int, col: int):
 
 
 class _FunctionSource:
-    """Source text and namespace of one generated function."""
+    """Source text and namespace of one generated function of a model."""
 
-    def __init__(self, sx: Mapping, su: Mapping):
+    def __init__(self, sx: Mapping, su: Mapping, codes: dict):
         self.sx = sx
         self.su = su
+        self.codes = codes
         self.ns: dict = {"__builtins__": {}}
         self.state = "x"  # name prefix of the locals holding the state
         self.uses_state = False
@@ -983,19 +1004,23 @@ class _FunctionSource:
         return lines + [f"u{j:d} = u[{j:d}]" for j in sorted(self.controls_used)]
 
     def function(self, name: str, params: str, body: list) -> Callable:
-        """Compile `def name(params):` over the body lines."""
+        """`def name(params):` over the body lines, compiled once per model."""
         self.source = "\n    ".join([f"def {name}({params}):", *body]) + "\n"
-        try:
-            code = compile(self.source, f"<btm {name}>", "exec")
-        except (SyntaxError, RecursionError) as err:
-            # Python caps the nesting depth of one expression (200 open
-            # parentheses in the tokenizer); blame the most deeply nested one
-            _, pos = max(self.tops, key=lambda top: max(
-                accumulate((c == "(") - (c == ")") for c in top[0])))
-            raise ModelTypeError(
-                f"a {name} expression nests too deeply to compile", *pos) from err
-        exec(code, self.ns)
-        return self.ns[name]
+        code = self.codes.get(self.source)
+        if code is None:
+            try:
+                module = compile(self.source, f"<btm {name}>", "exec")
+            except (SyntaxError, RecursionError) as err:
+                # Python caps the nesting depth of one expression (200 open
+                # parentheses in the tokenizer); blame the most deeply nested one
+                _, pos = max(self.tops, key=lambda top: max(
+                    accumulate((c == "(") - (c == ")") for c in top[0])))
+                raise ModelTypeError(
+                    f"a {name} expression nests too deeply to compile", *pos) from err
+            code = self.codes[self.source] = module.co_consts[0]
+        # a copy per function: functions that share one code object share
+        # its inline caches, which thrash over different namespaces
+        return FunctionType(code.replace(), self.ns, name)
 
 
 def _tuple_items(items: list) -> str:
@@ -1003,15 +1028,16 @@ def _tuple_items(items: list) -> str:
     return items[0] + "," if len(items) == 1 else ", ".join(items)
 
 
-def _tuple_function(name: str, params: str, exprs, sx: Mapping, su: Mapping) -> Callable:
+def _tuple_function(name: str, params: str, exprs, sx: Mapping, su: Mapping,
+                    codes: dict) -> Callable:
     """A generated function returning the tuple of exprs: field or controller."""
-    g = _FunctionSource(sx, su)
+    g = _FunctionSource(sx, su, codes)
     result = _tuple_items([g.top(e) for e in exprs])
     return g.function(name, params, [*g.prologue(), f"return ({result})"])
 
 
-def _status_function(s, sx: Mapping) -> Callable:
-    g = _FunctionSource(sx, {})
+def _status_function(s, sx: Mapping, codes: dict) -> Callable:
+    g = _FunctionSource(sx, {}, codes)
     result = g.top(s)
     return g.function("status", "x", [*g.prologue(), f"return {result}"])
 
@@ -1028,11 +1054,11 @@ def _comparisons(s) -> list:
     return found
 
 
-def _guard_function(c: Compare, sx: Mapping) -> Callable:
+def _guard_function(c: Compare, sx: Mapping, codes: dict) -> Callable:
     """guard(x) -> (g, grad g) for the comparison c: g = left - right, whose
     sign gives c's truth, and its derivatives in x0.. order."""
     g = _arith("-", c.left, c.right, c.pos)
-    gen = _FunctionSource(sx, {})
+    gen = _FunctionSource(sx, {}, codes)
     try:
         value = gen.top(g)
         grad = _tuple_items([gen.top(derivative(g, name)) for name in sx])
@@ -1047,20 +1073,21 @@ class _LeafGuards:
     its folded status, compiled by the first iteration, since many lowered
     trees never slide."""
 
-    __slots__ = ("status", "sx", "compiled")
+    __slots__ = ("status", "sx", "codes", "compiled")
 
-    def __init__(self, status, sx: Mapping):
-        self.status, self.sx = status, sx
+    def __init__(self, status, sx: Mapping, codes: dict):
+        self.status, self.sx, self.codes = status, sx, codes
         self.compiled = None
 
     def __iter__(self):
         if self.compiled is None:
-            self.compiled = tuple(_guard_function(c, self.sx)
+            self.compiled = tuple(_guard_function(c, self.sx, self.codes)
                                   for c in _comparisons(self.status))
         return iter(self.compiled)
 
 
-def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping) -> Callable:
+def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
+                   codes: dict) -> Callable:
     """One classic RK4 step of the closed loop for the plant's derivative
     and one or two leaves' control expressions, the controls inlined.
 
@@ -1075,7 +1102,7 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping) -> Calla
     v = 1 - w; the stage state y = x + s*k per component; and
     x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
     """
-    g = _FunctionSource(sx, su)
+    g = _FunctionSource(sx, su, codes)
     n = range(len(sx))
     half, two, six = g.constant(0.5), g.constant(2.0), g.constant(6.0)
     body = [f"{_tuple_items([f'x{i:d}' for i in n])} = x", f"h2 = {half} * h"]
@@ -1109,8 +1136,9 @@ class _ClosedLoopSteps:
     lowered trees are never integrated and most pairs never slide.  The
     folded control expressions of every leaf controller wait in controls."""
 
-    def __init__(self, field, derivatives, sx: Mapping, su: Mapping):
+    def __init__(self, field, derivatives, sx: Mapping, su: Mapping, codes: dict):
         self.field, self.derivatives, self.sx, self.su = field, derivatives, sx, su
+        self.codes = codes  # the model's compile table
         self.controls: dict = {}  # leaf controller -> its control expressions
         self.compiled: dict = {}
 
@@ -1121,7 +1149,8 @@ class _ClosedLoopSteps:
             if field is not self.field or not all(c in self.controls for c in controllers):
                 return default
             step = self.compiled[key] = _step_function(
-                self.derivatives, [self.controls[c] for c in controllers], self.sx, self.su)
+                self.derivatives, [self.controls[c] for c in controllers], self.sx, self.su,
+                self.codes)
         return step
 
 
@@ -1144,10 +1173,11 @@ def lower(m: ModelFile) -> LoweredModel:
     sx = {f"x{k}": k for k in range(m.state_dim)}
     su = {f"u{k}": k for k in range(m.control_dim)}
     decls = {d.name: d for d in m.nodes}
+    codes: dict = {}  # generated source -> its function's code, this model only
 
     field_exprs = [fold_constants(e, consts) for _, e in m.plant]
-    plant_field = _tuple_function("field", "x, u", field_exprs, sx, su)
-    steps = _ClosedLoopSteps(plant_field, field_exprs, sx, su)
+    plant_field = _tuple_function("field", "x, u", field_exprs, sx, su, codes)
+    steps = _ClosedLoopSteps(plant_field, field_exprs, sx, su, codes)
     plant = Plant(m.state_dim, m.control_dim, plant_field, steps)
 
     counter = [0]
@@ -1162,12 +1192,12 @@ def lower(m: ModelFile) -> LoweredModel:
                     f"leaf {decl.name!r} defines {len(decl.controls)} control "
                     f"component(s), model declares {m.control_dim}", *decl.pos)
             controls = [fold_constants(e, consts) for e in decl.controls]
-            controller = _tuple_function("controller", "x", controls, sx, {})
+            controller = _tuple_function("controller", "x", controls, sx, {}, codes)
             steps.controls[controller] = controls
             status = fold_constants(decl.status, consts)
             behavior = LeafBehavior(
-                controller=controller, metadata=_status_function(status, sx),
-                label=decl.name, guards=_LeafGuards(status, sx))
+                controller=controller, metadata=_status_function(status, sx, codes),
+                label=decl.name, guards=_LeafGuards(status, sx, codes))
             return Leaf(nid, behavior)
         children = tuple(build(child) for child in decl.children)
         cls = Sequence if decl.kind == "seq" else Fallback

@@ -58,6 +58,7 @@ _MAX_CHATTER = 4  # switches within one step that start a slide
 _MIN_COMPONENT = 1e-9  # normal field component that counts as a crossing
 _BOUNDARY_TOL = 1e-6  # length of a bisected boundary pair
 _NEWTON_STEPS = 8  # bound on the Newton steps of one projection onto a guard
+_MIN_SPAN = 1e-15  # spans this short are not stepped, so dt must be longer
 
 
 class ExecutionError(RuntimeError):
@@ -88,6 +89,9 @@ class IntegratorConfig:
         if not math.isfinite(self.t_end / self.dt):  # run counts t_end / dt grid steps
             raise ValueError(f"IntegratorConfig.t_end must be finite in steps of dt, "
                              f"got t_end={self.t_end!r} and dt={self.dt!r}")
+        if self.dt <= _MIN_SPAN:  # run would never step
+            raise ValueError(f"IntegratorConfig.dt must be finite and > {_MIN_SPAN!r}, "
+                             f"got {self.dt!r}")
 
 
 class Sample(NamedTuple):
@@ -264,7 +268,7 @@ class _Integrator:
                         break
                     t, h = left  # the slide ended at once: regular mode goes on
                     end = t + h
-                if h <= 1e-15 or self.done:
+                if h <= _MIN_SPAN or self.done:
                     break
                 step = steps.get((self.leaf,)) or self.stepper(self.leaf)
                 x_try = step(self.x, h)
@@ -277,7 +281,7 @@ class _Integrator:
                 if left is None:
                     break
                 t, h = left
-            if not self.done and samples[-1].t < t1 - 1e-15:
+            if not self.done and samples[-1].t < t1 - _MIN_SPAN:
                 samples.append(Sample(float(t1), self.x, self.leaf, self.status))
             k += 1
         return Trajectory(meta=self.meta, samples=samples, events=self.events)
@@ -312,7 +316,7 @@ class _Integrator:
             self.switch_log.append((t_event, leaf, lf_new))
             if self.chatter_check(t_event, x_lo):
                 remaining = end - t_event
-                return (t_event, remaining) if remaining > 1e-15 and not self.done else None
+                return (t_event, remaining) if remaining > _MIN_SPAN and not self.done else None
         if st_new != status:
             self.note_status(t_event, st_new)  # may end the run
         return t_event, h - hi

@@ -180,6 +180,13 @@ def test_zero_step_is_a_usage_error(capsys, command):
     assert err == "error: IntegratorConfig.dt must be finite and > 0, got 0.0\n"
 
 
+def test_step_too_short_to_take_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "simulate", "thermostat.btm", "--x0", "19",
+                         "--dt", "1e-16", "--t-end", "1e-14")
+    assert code == 1 and out == ""
+    assert err == "error: IntegratorConfig.dt must be finite and > 1e-15, got 1e-16\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 def test_horizon_of_too_many_steps_is_a_usage_error(capsys, command):
     argv = [command, "thermostat.btm", "--dt", "1e-300", "--t-end", "1e300"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,9 +87,14 @@ LEX_ALPHABET = [*"abxu_09.eE+-*/<>=(){}[],;\"# \t\r\n$", "<=", ">=", "model",
                 "if", "2.5", "1e3", "1e400", "\u00b2", "\u0663", "\u00e9"]
 
 
+LAYOUT = re.compile(r"(?:[ \t\r\n]|#[^\n]*\n)*")  # blanks, line ends, comments to a newline
+LAST_COMMENT = re.compile(r"#[^\n]*")  # a comment that ends the source
+
+
 def test_token_positions_point_at_their_text():
-    """Every token's text starts at its line and column, and every lexer
-    error lies inside the input."""
+    """Every token's text starts at its line and column, only layout lies
+    between tokens and after the last one, EOF sits just past the last
+    line, and every lexer error lies inside the input."""
     rng = np.random.default_rng(2109)
     for _ in range(2000):
         source = "".join(rng.choice(LEX_ALPHABET, size=int(rng.integers(0, 30))))
@@ -99,11 +105,19 @@ def test_token_positions_point_at_their_text():
             assert 1 <= err.line <= len(lines), source
             assert 1 <= err.col <= len(lines[err.line - 1]), source
             continue
+        line_starts = [0, *(k + 1 for k, c in enumerate(source) if c == "\n")]
+        end = 0  # offset just past the previous token
         for tok in tokens:
             line = lines[tok.line - 1]
             assert 1 <= tok.col <= len(line) + 1, (source, tok)
             text = f'"{tok.text}"' if tok.kind == "STRING" else tok.text
             assert line[tok.col - 1:].startswith(text), (source, tok)
+            start = line_starts[tok.line - 1] + tok.col - 1
+            gap = LAYOUT.match(source, end, start)
+            last = tok.kind == "EOF" and LAST_COMMENT.fullmatch(source, gap.end(), start)
+            assert gap.end() == start or last, (source, tok)
+            end = start + len(text)
+        assert tokens[-1][1:4] == ("", len(lines), len(lines[-1]) + 1), source
 
 
 # ------------------------------------------------------------------ parsing
@@ -781,6 +795,34 @@ def test_guards_are_compiled_at_the_first_slide_entry(monkeypatch):
     assert len(built) == 2
     integrate(lowered.plant, lowered.bt, (-1.0, -1.2), cfg)
     assert len(built) == 2
+
+
+def test_each_distinct_source_compiles_once_per_model(monkeypatch):
+    """Numbers are bound by name, so slide_hold's 9 eager functions (field,
+    4 controllers, 4 statuses) have 5 distinct sources and lower compiles
+    5 times.  Every generated function has its own code object, and a
+    second lower of the same text compiles again: the table lives with one
+    model."""
+    compiled = []
+
+    def counting(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(dsl, "compile", counting, raising=False)
+    lowered = dsl.lower(dsl.parse(SLIDE_HOLD))
+    assert len(compiled) == len(set(compiled)) == 5
+    bt, leaves = lowered.bt, lowered.bt.leaf_ids
+    functions = [lowered.plant.field, *(bt.behavior(i).controller for i in leaves),
+                 *(bt.behavior(i).metadata for i in leaves)]
+    assert len(functions) == 9
+    functions += [_fused_step(lowered, i) for i in leaves]
+    functions += [_blended_step(lowered, a, b) for a in leaves for b in leaves if a != b]
+    functions += [g for i in leaves for g in bt.behavior(i).guards]
+    assert len(compiled) == len(set(compiled)) == 9  # one leaf step, one blend, two guards
+    assert len({id(f.__code__) for f in functions}) == len(functions) == 27
+    dsl.lower(dsl.parse(SLIDE_HOLD))
+    assert len(compiled) == 14 and compiled[9:] == compiled[:5]
 
 
 def _expr(text: str):

@@ -676,6 +676,7 @@ def test_ndarray_field_still_gives_plain_floats():
 
 @pytest.mark.parametrize("field, value", [
     ("dt", 0.0), ("dt", -0.01), ("dt", math.nan), ("dt", math.inf),
+    ("dt", 1e-15), ("dt", 1e-16),  # run steps no span this short
     ("event_tol", 0.0), ("event_tol", -1e-6), ("event_tol", math.nan),
     ("t_end", -1.0), ("t_end", math.nan), ("t_end", math.inf),
     ("t_end", 1e308),  # t_end / dt overflows at the default dt

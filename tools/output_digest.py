@@ -41,7 +41,10 @@ one per output:
   or at once after each of 1,361 entries (`shear`, whose leaves declare no
   guard); and of the shear tree whose left leaf declares the guard
   g = x0, which holds one slide (`shear_guarded`);
-- demo/<file>: exit code and stdout of every script in demos/.
+- demo/<file>: exit code and stdout of every script in demos/;
+- lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
+  line and column of its error, on sources at the edges of layout
+  (LEX_CASES).
 
 To show that a change keeps its outputs, run this on the change and on its
 parent, on the same host, and diff the two manifests.  The digests are not
@@ -95,6 +98,18 @@ BOUNDARY_CASES = {
     "thermostat": ([(19.0, 23.0)], 20),
     "kitchen_lamp": ([(-2.0, 2.0), (-2.0, 2.0)], 40),
 }
+
+
+# sources at the edges of the lexer's layout rules
+LEX_CASES = [
+    "a # c",  # a trailing comment with no newline
+    'model "m" {\r\n  state 1;\r\n}\r\n',  # CRLF line ends
+    " \t# layout only\n\n  ",
+    "",
+    '   "name"',  # a string after blanks
+    "x\u00b2",
+    "1e400",
+]
 
 
 def sha(text: str) -> str:
@@ -292,6 +307,18 @@ def slide_digests() -> list:
     return lines
 
 
+def lex_digests() -> list:
+    from ctbt import dsl
+
+    rows = []
+    for source in LEX_CASES:
+        try:
+            rows.append(repr([tuple(tok) for tok in dsl.tokenize(source)]))
+        except dsl.LexError as err:
+            rows.append(repr((type(err).__name__, str(err), err.line, err.col)))
+    return [(sha("\n".join(rows)), "lex/layout_edges")]
+
+
 def demo_digests(root: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
@@ -320,7 +347,7 @@ def main(argv=None) -> int:
         return 1
     lines = (bank_digests(workloads) + batch_digests() + grid_digests()
              + region_digests(workloads) + impure_digests() + cli_digests()
-             + boundary_digests() + slide_digests() + demo_digests(root))
+             + boundary_digests() + slide_digests() + demo_digests(root) + lex_digests())
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
