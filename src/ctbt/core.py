@@ -15,8 +15,9 @@ Failure for a Fallback), or none, and then the status is the root's.  So
 BehaviorTree lays its leaves out once, left to right, as a jump table, and
 one flat loop, _walk, evaluates a row's metadata and jumps.  Every subtree
 owns a contiguous slice of rows, so the same loop gives any node's status.
-This module owns that delegation walk only; the closed-form region algebra
-that recomputes every status independently is in ctbt.regions.
+This module owns the tree's layout and that delegation walk; the
+closed-form region algebra that recomputes every status independently from
+the same layout is in ctbt.regions.
 """
 
 from __future__ import annotations
@@ -147,43 +148,55 @@ class BehaviorTree:
 
     The one place a tree's shape is checked: node ids must be dense ints
     0..N-1 with the root id 0 (builders normally assign them depth-first),
-    each node attached once, every composite with children.  Derived
-    structure (ordered tree, node index, kind map, leaf list, leaf table)
-    is computed once; instances are treated as immutable.
+    each node attached once, every composite with children.  One walk over
+    the nodes checks them and lays the tree out: ordered tree, node index,
+    kind map, leaf list, leaf table and composite order; instances are
+    treated as immutable.
 
     The leaf table has one row per leaf in left-to-right order, not id
     order: (metadata, next row on Success, next row on Failure, leaf id),
     where the next row is past the end when that status reaches the root.
-    Node i's leaves are the rows spans[i] = (first, stop), so resolve,
-    tick, root_status, active_leaf and status(i, x) are all one _walk.
+    The composites are listed in post-order.  Node i's subtree holds the
+    rows first..stop-1 and the composites cfirst..cstop-1, where
+    spans[i] = (first, stop, cfirst, cstop); so resolve, tick, root_status,
+    active_leaf and status(i, x) are all one _walk, and the region algebra
+    reads its leaves and composites in the same slices.
     """
 
     def __init__(self, root: BtNode, state_dim: int):
         nodes: dict = {}
         parent: dict = {}
         children: dict = {}
-        spans: dict = {}  # node id -> (first, stop) of its leaf rows
-        leaves = [0]
+        kinds: dict = {}
+        spans: dict = {}  # node id -> (first, stop) of its rows, then of its composites
+        rows = []  # left to right; a jump target is the node whose last row it follows
+        composites = []  # composite ids in post-order
 
-        def collect(node: BtNode, up):
+        def collect(node: BtNode, up, on_success, on_failure):
+            """Lay out node's subtree; its own status jumps past the last
+            row of on_success or on_failure, a node that encloses it."""
             kind = _kind(node)  # before any field of node is read
             i = node.node_id
             if i in nodes:
                 raise ValueError(f"node id {i} used twice")
-            nodes[i], parent[i] = node, up
-            first = leaves[0]
+            nodes[i], parent[i], kinds[i] = node, up, kind
+            first, cfirst = len(rows), len(composites)
             if kind == "leaf":
                 children[i] = ()
-                leaves[0] += 1
+                rows.append((node.behavior.metadata, on_success, on_failure, i))
             elif not node.children:
                 raise ValueError(f"composite {i} has no children")
             else:
-                for c in node.children:
-                    collect(c, i)
+                *init, last = node.children
+                for c in init:  # c's gate status goes on to the next sibling
+                    collect(c, i, c if kind == "seq" else on_success,
+                            c if kind == "fal" else on_failure)
+                collect(last, i, on_success, on_failure)
                 children[i] = tuple(c.node_id for c in node.children)
-            spans[i] = (first, leaves[0])
+                composites.append(i)
+            spans[i] = (first, len(rows), cfirst, len(composites))
 
-        collect(root, None)
+        collect(root, None, root, root)
         if root.node_id != 0:
             raise ValueError("root node must have id 0")
         ids = range(len(nodes))
@@ -194,29 +207,12 @@ class BehaviorTree:
         self.tree = OrderedTree(tuple(parent[i] for i in ids),
                                 tuple(children[i] for i in ids))
         self.nodes = tuple(nodes[i] for i in ids)
-        self.kinds = tuple(_kind(n) for n in self.nodes)
+        self.kinds = tuple(kinds[i] for i in ids)
         self.leaf_ids = tuple(i for i, k in enumerate(self.kinds) if k == "leaf")
-
-        rows = []  # appended left to right, so row k is spans' leaf k
-
-        def lay(node: BtNode, on_success: int, on_failure: int):
-            """Rows of node's leaves; on_* is where node's own status jumps."""
-            if isinstance(node, Leaf):
-                rows.append((node.behavior.metadata, on_success, on_failure,
-                             node.node_id))
-                return
-            gate_on_success = isinstance(node, Sequence)
-            for child, after in zip(node.children, node.children[1:]):
-                nxt = spans[after.node_id][0]
-                if gate_on_success:
-                    lay(child, nxt, on_failure)
-                else:
-                    lay(child, on_success, nxt)
-            lay(node.children[-1], on_success, on_failure)
-
-        lay(root, leaves[0], leaves[0])
-        self._rows = tuple(rows)
         self._spans = tuple(spans[i] for i in ids)
+        self._rows = tuple((m, spans[s.node_id][1], spans[f.node_id][1], i)
+                           for m, s, f, i in rows)
+        self._composites = tuple(composites)
         self._region_plan = None  # filled lazily by regions._plan
 
     def check_state(self, x) -> tuple:
@@ -254,7 +250,7 @@ class BehaviorTree:
 
     def status(self, i: int, x) -> Status:
         """Status of the subtree rooted at i, by delegation semantics."""
-        first, stop = self._spans[self.tree._check_id(i)]
+        first, stop = self._spans[self.tree._check_id(i)][:2]
         return _walk(self._rows, self.check_state(x), first, stop)[0]
 
     def behavior(self, i: int) -> LeafBehavior:

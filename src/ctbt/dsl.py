@@ -400,7 +400,7 @@ class _Parser:
         return int(num.value)
 
     def plant_decl(self):
-        self.advance()
+        keyword = self.advance()
         self.expect("OP", "{")
         entries = []
         while not self.at("OP", "}"):
@@ -411,7 +411,7 @@ class _Parser:
             entries.append((target, expr))
         self.expect("OP", "}")
         if not entries:
-            raise ParseError("plant block is empty", self.peek().line, self.peek().col)
+            raise ParseError("plant block is empty", keyword.line, keyword.col)
         return entries
 
     def leaf_decl(self, seen):
@@ -642,9 +642,9 @@ def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
 
 
 # Levels a model tree may have, root to deepest leaf: lower takes two Python
-# frames per level, BehaviorTree and the delegation walk one each, and 200
-# levels leave over half of Python's default recursion limit of 1000 to
-# their callers.
+# frames per level and BehaviorTree's one layout walk one (delegation and the
+# region algebra are flat loops), and 200 levels leave over half of Python's
+# default recursion limit of 1000 to their callers.
 _MAX_TREE_DEPTH = 200
 
 # Nesting levels an expression may have: lowering and formatting walk it

@@ -15,9 +15,13 @@ tries each regular step itself: it walks the tree once at the step's end
 the walk equals the current (root status, active leaf) it records the grid
 sample and goes on.  Otherwise regular_span locates the change by bisecting
 the step length down to event_tol, each probe stepped to and walked once,
-and hands the rest of the step back.  If the recent switches toggle between
-exactly two leaves faster than the step rate, the integrator declares a
-sliding mode on g = 0 for the separating guard, the first leaf guard
+and hands the rest of the step back.  Every bisection here also stops when
+no float lies between its bracket's ends, so a tolerance below the float
+spacing ends at float resolution.  A walk's status that the run takes as
+its own (at the start, at a located event, after a slide step) must be a
+Status, else the run raises ExecutionError.  If the recent switches toggle
+between exactly two leaves faster than the step rate, the integrator
+declares a sliding mode on g = 0 for the separating guard, the first leaf guard
 (LeafBehavior.guards) whose sign differs across the last switch's bisection
 bracket.  A slide step takes the normal grad g/|grad g|, forms the convex
 field combination that cancels the normal component, takes one RK4 step of
@@ -182,7 +186,7 @@ class _Integrator:
         # invariant: (status, leaf) is the tree's walk at x, updated together
         # with x (a steady step in run keeps both), so no state is walked twice
         self.x = bt.check_state(x0)
-        self.status, self.leaf = bt.resolve(self.x)
+        self.status, self.leaf = self.checked(0.0, *bt.resolve(self.x))
         self.samples: list = []  # built during the run, grid points by run itself
         self.events: list = []
         # only what chatter_check and surface_normal read is kept
@@ -235,6 +239,14 @@ class _Integrator:
         # hypot is at least the largest |v|, and nan when a v is: a quick pass
         if not math.hypot(*x) <= _OVERFLOW and not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):
             raise NonFiniteState(f"state diverged: {x!r}")
+
+    def checked(self, t: float, status, leaf: int) -> tuple:
+        """(status, leaf), a walk's answer at t that becomes the run's; a
+        status that is not a Status is an ExecutionError."""
+        if not isinstance(status, Status):
+            raise ExecutionError(f"status at t={t!r} is not a Status: "
+                                 f"leaf {leaf} answers {status!r}")
+        return status, leaf
 
     def record(self, t: float, x: tuple, leaf: int, status: Status) -> None:
         self.samples.append(Sample(float(t), x, leaf, status))
@@ -298,6 +310,8 @@ class _Integrator:
         x_lo, x_hi, walk_hi = self.x, x_try, walk
         while hi - lo > self.cfg.event_tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # the bracket is down to float resolution
+                break
             x_mid = step(self.x, mid)
             walk = self.bt.resolve(x_mid)
             if walk == (status, leaf):
@@ -306,9 +320,9 @@ class _Integrator:
                 hi, x_hi, walk_hi = mid, x_mid, walk
         if lo > 0.0:
             self.record(t + lo, x_lo, leaf, status)
-        st_new, lf_new = walk_hi
         t_event = t + hi
         self.check_finite(x_hi)
+        st_new, lf_new = self.checked(t_event, *walk_hi)
         self.x, self.status, self.leaf = x_hi, st_new, lf_new
         self.record(t_event, self.x, lf_new, st_new)
         if lf_new != leaf:
@@ -368,7 +382,8 @@ class _Integrator:
             x_new, status, leaf, held = self.project_to_surface(x_new, n)
         else:
             x_new, status, leaf, held = self.newton_project(x_new, t_end)
-        self.x, self.status, self.leaf = x_new, status, leaf
+        self.x = x_new
+        self.status, self.leaf = self.checked(t_end, status, leaf)
         if not held:
             self.exit_slide(t_end)
             return None
@@ -484,6 +499,8 @@ class _Integrator:
         lo, hi = 0.0, step
         while hi - lo > cfg.event_tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # the bracket is down to float resolution
+                break
             st_mid, lf_mid = self.bt.resolve(_along(x, sign * mid, n))
             if lf_mid == here:
                 lo = mid
@@ -580,7 +597,8 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int) -> list:
     """Find straddling pairs across leaf-region boundaries inside a box.
 
     Draws random segments, keeps those whose endpoints live in different
-    leaf regions, and bisects each down to length _BOUNDARY_TOL.
+    leaf regions, and bisects each down to length _BOUNDARY_TOL or to float
+    resolution.
     Deterministic in seed.  The box's low and high corners must pass
     bt.check_state.  Raises EmptySampler if count is below 1 or the budget of
     draws finds no boundary.
@@ -609,6 +627,8 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int) -> list:
         lo, hi = 0.0, 1.0
         while (hi - lo) * length > _BOUNDARY_TOL:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # the bracket is down to float resolution
+                break
             if bt.resolve(_along(a, mid, seg))[1] == la:
                 lo = mid
             else:

@@ -24,7 +24,10 @@ builds each composite's Running, Success and Failure sets from its
 children's by set algebra, the way the paper defines them; every query,
 down to the one-point composed_status, reads its statuses from there and
 never from core's delegation walk, so the two routes stay independently
-testable.
+testable.  They share only the tree's layout, which BehaviorTree builds:
+the leaves left to right, the composites in post-order, and each node's
+slice of both.  The per-tree plan here adds the algebra: each composite's
+gate and exit, the pathway sets and each node's region test.
 """
 
 from __future__ import annotations
@@ -71,20 +74,17 @@ _BITS = tuple(b"0" * k + b"1" + b"0" * (255 - k) for k in range(4))
 
 @dataclass(frozen=True)
 class _RegionPlan:
-    """Per-tree tables the region route reads, built once per tree.
+    """The region algebra's per-tree tables, built once per tree; the tree's
+    layout (leaf rows, composite post-order, each node's slices of the two)
+    is BehaviorTree's.
 
-    leaf_ids, metadata: the leaves left to right.  composites: post-order
-    (node id, gate index, exit index, child ids).  spans[i]: (first leaf,
-    stop leaf, first composite, stop composite) of i's subtree, slices of
-    the two.  tests: (i, influence preconditions as (left uncle, required
-    status index) pairs, keeping status indices) for each node id i;
-    owner_tests: the leaves', in id order.
+    composites: (node id, gate index, exit index, child ids) in the tree's
+    composite post-order.  tests: (i, influence preconditions as (left
+    uncle, required status index) pairs, keeping status indices) for each
+    node id i; owner_tests: the leaves', in id order.
     """
 
-    leaf_ids: tuple
-    metadata: tuple
     composites: tuple
-    spans: tuple
     pathways: PathwaySets
     tests: tuple
     owner_tests: tuple
@@ -94,20 +94,8 @@ def _plan(bt: BehaviorTree) -> _RegionPlan:
     """_RegionPlan of bt, cached on the instance."""
     if bt._region_plan is None:
         tree, kinds, n = bt.tree, bt.kinds, len(bt.nodes)
-        leaf_ids, metadata, composites, spans = [], [], [], [None] * n
-
-        def visit(i: int):  # post-order: children left to right, then i
-            first = len(leaf_ids), len(composites)
-            for c in tree.children[i]:
-                visit(c)
-            if kinds[i] == "leaf":
-                leaf_ids.append(i)
-                metadata.append(bt.nodes[i].behavior.metadata)
-            else:
-                composites.append((i, _GATE[kinds[i]], _EXIT[kinds[i]], tree.children[i]))
-            spans[i] = (first[0], len(leaf_ids), first[1], len(composites))
-
-        visit(0)
+        composites = tuple((j, _GATE[kinds[j]], _EXIT[kinds[j]], tree.children[j])
+                           for j in bt._composites)
         # i is on the success (failure) pathway unless a right uncle under a
         # Sequence (Fallback) parent takes over from it
         takeover = [{kinds[tree.parent[j]] for j in tree.right_uncles(i)}
@@ -125,9 +113,8 @@ def _plan(bt: BehaviorTree) -> _RegionPlan:
             if i in pw.failure:
                 keep.append(2)
             tests.append((i, conds, tuple(keep)))
-        bt._region_plan = _RegionPlan(
-            tuple(leaf_ids), tuple(metadata), tuple(composites), tuple(spans), pw, tuple(tests),
-            tuple(tests[i] for i in bt.leaf_ids))
+        bt._region_plan = _RegionPlan(composites, pw, tuple(tests),
+                                      tuple(tests[i] for i in bt.leaf_ids))
     return bt._region_plan
 
 
@@ -151,9 +138,10 @@ def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False
     one, the error names the lowest-index such point and, at it, the first
     composite in post-order, as composed_status at that point alone would.
     """
-    plan = _plan(bt)
-    first, stop, cfirst, cstop = plan.spans[i]
-    metadata = plan.metadata[first:stop]
+    composites = _plan(bt).composites
+    first, stop, cfirst, cstop = bt._spans[i]
+    leaves = bt._rows[first:stop]
+    metadata = [row[0] for row in leaves]
     rows, walks = [], []
     for x in states:
         rows.append([m(x) for m in metadata])
@@ -169,14 +157,14 @@ def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False
     succ_plane = int(codes.translate(_BITS[1]), 2)
     fail_plane = int(codes.translate(_BITS[2]), 2)
     bad_plane = int(codes.translate(_BITS[_MALFORMED]), 2) if _MALFORMED in codes else 0
-    for k, leaf in enumerate(plan.leaf_ids[first:stop]):
+    for k, (_, _, _, leaf) in enumerate(leaves):
         shift = k * n
         masks[leaf] = [run_plane >> shift & full, succ_plane >> shift & full,
                        fail_plane >> shift & full]
         if bad_plane >> shift & full:
             malformed[leaf] = bad_plane >> shift & full
     error = None  # (point, composite, child) of the first malformed status consulted
-    for j, gate, exit_, kids in plan.composites[cfirst:cstop]:
+    for j, gate, exit_, kids in composites[cfirst:cstop]:
         passed, running, exits = full, 0, 0
         for c in kids:
             hit = malformed.get(c, 0) & passed if malformed else 0
@@ -199,7 +187,7 @@ def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False
         raise AssertionError(
             f"composed regions of node {j} do not partition at "
             f"{tuple(float(v) for v in x)!r}: child status "
-            f"{rows[p][plan.leaf_ids.index(c) - first]!r}"
+            f"{rows[p][bt._spans[c][0] - first]!r}"
         )
     return masks, walks
 

@@ -219,6 +219,31 @@ def test_leaf_table_walk_matches_recursive_delegation(permute_ids):
                 assert bt.status(node.node_id, x) is _delegate(node, x)[0]
 
 
+def _post_order(node) -> list:
+    """Reference composite post-order by recursion over the node objects."""
+    if isinstance(node, Leaf):
+        return []
+    return [j for c in node.children for j in _post_order(c)] + [node.node_id]
+
+
+def test_one_walk_lays_each_tree_out(monkeypatch):
+    """Each node is classified once, and each node's slices of the leaf rows
+    and of the composite post-order hold its subtree's leaves left to right
+    and its composites in post-order."""
+    from ctbt import core
+
+    seen, kind = [], core._kind
+    monkeypatch.setattr(core, "_kind", lambda node: seen.append(node) or kind(node))
+    for seed in range(25):
+        seen.clear()
+        bt = random_bt(seed, max_depth=5, max_leaves=14, permute_ids=True)
+        assert sorted(n.node_id for n in seen) == list(range(len(bt.nodes)))
+        for node in bt.nodes:
+            first, stop, cfirst, cstop = bt._spans[node.node_id]
+            assert [row[3] for row in bt._rows[first:stop]] == _leaves_left_to_right(node)
+            assert list(bt._composites[cfirst:cstop]) == _post_order(node)
+
+
 def test_composed_status_rejects_leaves():
     bt = thermostat_bt()
     with pytest.raises(NotComposite):

@@ -221,6 +221,40 @@ BAD = [
     ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n'
      '  leaf seq { u = [0.0]; status = R; }\n  root = seq;\n}',
      ParseError, 5, 8),
+    # the rows below are also tools/output_digest.py's PARSE_ERROR_CASES
+    ('model "m" {\n  state 1;\n  control 1;\n  x0 = 1.0;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     ParseError, 4, 3),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  plant { dx0 = 1.0; }\n  root = a;\n}',
+     DuplicateDefinition, 6, 3),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n  root = a;\n}',
+     DuplicateDefinition, 7, 3),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n  status = R;\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     ParseError, 5, 3),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}\nroot = a;',
+     ParseError, 8, 1),
+    ('model "m" {\n  state 1;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     ParseError, 1, 7),
+    ('model "m" {\n  state 1;\n  control 1;\n  state 2;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     DuplicateDefinition, 4, 3),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     ParseError, 4, 3),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n'
+     '  leaf sin { u = [0.0]; status = R; }\n  root = sin;\n}',
+     ParseError, 5, 8),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [if x0 > 0.0 then S else R]; status = R; }\n  root = a;\n}',
+     ModelTypeError, 5, 17),
+    ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = ; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     ParseError, 4, 17),
 ]
 
 

@@ -1,4 +1,10 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from ctbt.core import (
     Status,
 )
 from ctbt.executor import (
+    ExecutionError,
     FailedRun,
     IntegratorConfig,
     Sample,
@@ -239,7 +246,6 @@ def test_a_slide_step_takes_the_fields_at_x_once(monkeypatch):
     the first stage of the blended step: a slide span calls the field twice
     and, when it steps, twice more per later RK4 stage (the _rk4 route of a
     wrapped field)."""
-    import dataclasses
 
     slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
     field, calls, per_span = slide_hold.plant.field, [0], []
@@ -529,7 +535,6 @@ def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum
     slide_hold included, and never calls _rk4; a foreign plant, a plant
     copy with a wrapped field or leaves rebuilt around wrapped controllers
     take _rk4, in slides too, with the same output."""
-    import dataclasses
 
     from ctbt import executor
 
@@ -721,6 +726,104 @@ def test_batch_isolates_failures():
         with pytest.raises(ValueError) as err:
             bt.check_state(x0)
         assert (run.x0, run.error, run.message) == ((), "ValueError", str(err.value))
+
+
+def _none_past(limit: float, axis: int = 0):
+    """A leaf status that answers None, not a Status, past x[axis] = limit."""
+    return lambda x: None if x[axis] > limit else Status.RUNNING
+
+
+@pytest.mark.parametrize("x0, t", [([0.0], "0.5000007629394532"), ([1.0], "0.0")],
+                         ids=["located_event", "start"])
+def test_status_that_is_not_a_status_fails_the_run(x0, t):
+    bt = BehaviorTree(Leaf(0, LeafBehavior(lambda x: (1.0,), _none_past(0.5))), state_dim=1)
+    plant = Plant(1, 1, lambda x, u: u)
+    cfg = IntegratorConfig(dt=0.1, t_end=1.0)
+    message = f"status at t={t} is not a Status: leaf 0 answers None"
+    with pytest.raises(ExecutionError) as err:
+        integrate(plant, bt, x0, cfg)
+    assert str(err.value) == message
+    (run,) = batch_integrate(plant, bt, [x0], cfg)
+    assert (run.error, run.message) == ("ExecutionError", message)
+
+
+def test_slide_step_to_a_status_that_is_not_a_status_fails_the_run():
+    # the shear slide travels along x1 into the right leaf's None
+    left, right = shear_bt(lambda x: (x[0], (1.0, 0.0))).root.children
+    right = Leaf(2, dataclasses.replace(right.behavior, metadata=_none_past(0.05, axis=1)))
+    bt = BehaviorTree(Fallback(0, (left, right)), state_dim=2)
+    cfg = IntegratorConfig(dt=0.001, t_end=0.011, event_tol=1e-5)
+    with pytest.raises(ExecutionError, match=r"^status at t=0\.01\d* is not a Status: "
+                                             r"leaf 2 answers None$"):
+        integrate(integrator_plant(2), bt, (-0.01, 0.0), cfg)
+
+
+# Runs whose bisection tolerance lies below the float spacing of the bracket,
+# each in a child process that the test stops at its timeout if it hangs.
+_FLOAT_RESOLUTION_RUNS = {
+    "regular_span": """
+        m = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+        run = integrate(m.plant, m.bt, [19.0],
+                        IntegratorConfig(dt=0.01, t_end=3.0, event_tol=1e-19))
+        assert run.events_of("SlideEnter") and run.samples[-1].t == 3.0
+        """,
+    "pendulum": """
+        m = dsl.load(dsl.bundled_model_dir() / "pendulum.btm")
+        run = integrate(m.plant, m.bt, [2.0, 0.0],
+                        IntegratorConfig(dt=0.004, t_end=20.0, event_tol=1e-300))
+        assert [e.kind for e in run.events] == ["Switch", "RootSuccess"]
+        """,
+    "project_to_surface": """
+        import math
+        def gate(x):
+            return Status.SUCCESS if x[0] ** 2 + x[1] ** 2 > 1.0 else Status.FAILURE
+        def field(sign):  # across the unit circle, and 0.5 along it
+            return lambda x: ((sign * x[0] - 0.5 * x[1]) / math.hypot(*x),
+                              (sign * x[1] + 0.5 * x[0]) / math.hypot(*x))
+        bt = BehaviorTree(Sequence(0, (Fallback(1, (
+            Leaf(2, LeafBehavior(lambda x: (0.0, 0.0), gate)),
+            Leaf(3, LeafBehavior(field(1.0), lambda x: Status.RUNNING)))),
+            Leaf(4, LeafBehavior(field(-1.0), lambda x: Status.RUNNING)))), 2)
+        # a slide step of dt = 0.1 leaves the circle by about 1e-3, where
+        # the float spacing of the projection's bracket exceeds event_tol
+        run = integrate(Plant(2, 2, lambda x, u: u), bt, [0.2, 0.0],
+                        IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-19))
+        assert run.events_of("SlideEnter") and not run.events_of("SlideExit")
+        assert max(abs(math.hypot(*s.x) - 1.0) for s in run.samples if s.t >= 1.2) <= 1e-12
+        """,
+    "planar_slide": """
+        def gate(x):
+            return Status.SUCCESS if x[0] > 0.0 else Status.FAILURE
+        bt = BehaviorTree(Sequence(0, (Fallback(1, (
+            Leaf(2, LeafBehavior(lambda x: (0.0, 0.0), gate)),
+            Leaf(3, LeafBehavior(lambda x: (1.0, 0.5), lambda x: Status.RUNNING)))),
+            Leaf(4, LeafBehavior(lambda x: (-1.0, 0.5), lambda x: Status.RUNNING)))), 2)
+        run = integrate(Plant(2, 2, lambda x, u: u), bt, [-0.5, 0.0],
+                        IntegratorConfig(dt=0.01, t_end=3.0, event_tol=1e-19))
+        assert run.events_of("SlideEnter") and not run.events_of("SlideExit")
+        assert max(abs(s.x[0]) for s in run.samples if s.t >= 0.6) <= 1e-4
+        """,
+    "sample_boundary_pairs": """
+        m = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+        pairs = sample_boundary_pairs(m.bt, [(21 - 1e12, 21 + 1e12)], 3, 1)
+        assert len(pairs) == 3
+        assert all(m.bt.active_leaf(a) != m.bt.active_leaf(b) for a, b in pairs)
+        """,
+    "cli_simulate": """
+        from ctbt.cli import main
+        assert main(["simulate", "thermostat.btm", "--x0", "19", "--dt", "0.01",
+                     "--t-end", "3", "--event-tol", "1e-19"]) == 0
+        """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_RESOLUTION_RUNS))
+def test_bisection_stops_at_float_resolution(name):
+    code = "from ctbt import *\nfrom ctbt import dsl\n" + textwrap.dedent(_FLOAT_RESOLUTION_RUNS[name])
+    env = dict(os.environ, PYTHONPATH=str(Path(dsl.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_divergent_run_reports_nonfinite():

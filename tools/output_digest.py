@@ -44,7 +44,10 @@ one per output:
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
   line and column of its error, on sources at the edges of layout
-  (LEX_CASES).
+  (LEX_CASES);
+- parse/errors: the type, text, line and column of the error `dsl.parse`
+  raises on each of the malformed models PARSE_ERROR_CASES, or "ok" when
+  one parses.
 
 To show that a change keeps its outputs, run this on the change and on its
 parent, on the same host, and diff the two manifests.  The digests are not
@@ -109,6 +112,28 @@ LEX_CASES = [
     '   "name"',  # a string after blanks
     "x\u00b2",
     "1e400",
+]
+
+
+_HEAD = 'model "m" {\n  state 1;\n  control 1;\n'
+_PLANT = '  plant { dx0 = 0.0; }\n'
+_LEAF = '  leaf a { u = [0.0]; status = R; }\n'
+_ROOT = '  root = a;\n}'
+
+# malformed models, one per parser or validator error no other digest line
+# reaches; tests/test_dsl.py BAD holds the same sources
+PARSE_ERROR_CASES = [
+    _HEAD + '  x0 = 1.0;\n' + _PLANT + _LEAF + _ROOT,  # not a declaration
+    _HEAD + _PLANT + _LEAF + '  plant { dx0 = 1.0; }\n' + _ROOT,
+    _HEAD + _PLANT + _LEAF + '  root = a;\n' + _ROOT,
+    _HEAD + _PLANT + '  status = R;\n' + _LEAF + _ROOT,  # keyword out of place
+    _HEAD + _PLANT + _LEAF + _ROOT + '\nroot = a;',  # trailing input
+    'model "m" {\n  state 1;\n' + _PLANT + _LEAF + _ROOT,  # no control dimension
+    _HEAD + '  state 2;\n' + _PLANT + _LEAF + _ROOT,
+    _HEAD + '  plant { }\n' + _LEAF + _ROOT,
+    _HEAD + _PLANT + '  leaf sin { u = [0.0]; status = R; }\n  root = sin;\n}',
+    _HEAD + _PLANT + '  leaf a { u = [if x0 > 0.0 then S else R]; status = R; }\n' + _ROOT,
+    _HEAD + '  plant { dx0 = ; }\n' + _LEAF + _ROOT,  # no expression
 ]
 
 
@@ -319,6 +344,19 @@ def lex_digests() -> list:
     return [(sha("\n".join(rows)), "lex/layout_edges")]
 
 
+def parse_digests() -> list:
+    from ctbt import dsl
+
+    rows = []
+    for source in PARSE_ERROR_CASES:
+        try:
+            dsl.parse(source)
+            rows.append("ok")
+        except dsl.ModelError as err:
+            rows.append(repr((type(err).__name__, str(err), err.line, err.col)))
+    return [(sha("\n".join(rows)), "parse/errors")]
+
+
 def demo_digests(root: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
@@ -347,7 +385,8 @@ def main(argv=None) -> int:
         return 1
     lines = (bank_digests(workloads) + batch_digests() + grid_digests()
              + region_digests(workloads) + impure_digests() + cli_digests()
-             + boundary_digests() + slide_digests() + demo_digests(root) + lex_digests())
+             + boundary_digests() + slide_digests() + demo_digests(root) + lex_digests()
+             + parse_digests())
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
