@@ -753,45 +753,53 @@ _COMPARE_IMPLS = {
 
 
 def fold_constants(e, consts: Mapping):
-    """Substitute declared constants and collapse constant subtrees."""
-    if isinstance(e, Num):
+    """Substitute declared constants and collapse constant subtrees; a node
+    that folding leaves as it is comes back itself."""
+    kind = type(e)
+    if kind is Num or kind is StatusLit:
         return e
-    if isinstance(e, Var):
+    if kind is Var:
         if e.name in consts:
             return Num(float(consts[e.name]), pos=e.pos)
         return e
-    if isinstance(e, Neg):
-        inner = fold_constants(e.operand, consts)
-        if isinstance(inner, Num):
-            return Num(-inner.value, pos=e.pos)
-        return Neg(inner, pos=e.pos)
-    if isinstance(e, Binary):
+    if kind is Binary:
         left = fold_constants(e.left, consts)
         right = fold_constants(e.right, consts)
-        if isinstance(left, Num) and isinstance(right, Num):
+        if type(left) is Num and type(right) is Num:
             if e.op == "/" and right.value == 0.0:
                 raise DivisionByZero("division by zero in constant expression", *e.pos)
             return Num(evaluate_expr(Binary(e.op, left, right, pos=e.pos), {}), pos=e.pos)
+        if left is e.left and right is e.right:
+            return e
         return Binary(e.op, left, right, pos=e.pos)
-    if isinstance(e, Call):
+    if kind is Neg:
+        inner = fold_constants(e.operand, consts)
+        if type(inner) is Num:
+            return Num(-inner.value, pos=e.pos)
+        return e if inner is e.operand else Neg(inner, pos=e.pos)
+    if kind is Call:
         args = tuple(fold_constants(a, consts) for a in e.args)
-        if all(isinstance(a, Num) for a in args):
+        if all(type(a) is Num for a in args):
             try:
                 value = _FUNC_IMPLS[e.func](*(a.value for a in args))
             except ValueError as err:  # math domain error, e.g. sqrt(-1.0)
                 raise ModelError(f"{e.func} of a constant outside its domain",
                                  *e.pos) from err
             return Num(float(value), pos=e.pos)
+        if all(a is b for a, b in zip(args, e.args)):
+            return e
         return Call(e.func, args, pos=e.pos)
-    if isinstance(e, Compare):
-        return Compare(e.op, fold_constants(e.left, consts),
-                       fold_constants(e.right, consts), pos=e.pos)
-    if isinstance(e, StatusLit):
-        return e
-    if isinstance(e, IfStatus):
-        return IfStatus(fold_constants(e.cond, consts),
-                        fold_constants(e.then, consts),
-                        fold_constants(e.els, consts), pos=e.pos)
+    if kind is Compare:
+        left, right = fold_constants(e.left, consts), fold_constants(e.right, consts)
+        if left is e.left and right is e.right:
+            return e
+        return Compare(e.op, left, right, pos=e.pos)
+    if kind is IfStatus:
+        cond = fold_constants(e.cond, consts)
+        then, els = fold_constants(e.then, consts), fold_constants(e.els, consts)
+        if cond is e.cond and then is e.then and els is e.els:
+            return e
+        return IfStatus(cond, then, els, pos=e.pos)
     raise ModelTypeError(f"cannot fold {e!r}")
 
 
@@ -872,16 +880,21 @@ def derivative(e, var: str):
 # expression over the locals x0.., u0...  The state arrives as a tuple of
 # floats (any sequence works) and is unpacked in one line; the field returns
 # a tuple.  Operands run left to right, except that a divisor is evaluated
-# and tested for zero before its dividend; every value is bit-identical to
-# evaluate_expr's.  A leaf's closed-loop RK4 step is generated from the same
-# expressions, one assignment per control and field component at each
+# and tested for zero before its dividend; sgn and sat are written out as
+# conditional expressions that pick what _sgn and _sat return, the argument
+# before the limit; every value is bit-identical to evaluate_expr's.  A
+# subexpression that occurs again in a function is computed once, at its
+# first use in evaluation order, and read from a local after that (see
+# _FunctionSource).  A leaf's closed-loop RK4 step is generated from the
+# same expressions, one assignment per control and field component at each
 # stage, the stage state in the locals y0.. ; a sliding pair's blended step
 # is the same function with both leaves' controls and field components at
 # each stage after the first, whose fields the caller hands in, then their
 # weighted sum.  A guard returns one comparison's g and the derivatives of
-# g, the same way.  Numbers are bound by name, so functions of one model
-# often share their source: the model's compile table compiles each
-# distinct source once, and each function gets its own copy of the code.
+# g, the same way.  Numbers are bound by name, one name per value, so
+# functions of one model often share their source: the model's compile
+# table compiles each distinct source once, and each function gets its own
+# copy of the code.
 #
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
@@ -894,9 +907,7 @@ _COND, _ADD, _MUL, _UNARY, _ATOM = range(5)
 
 _ARITH = {"+": (" + ", _ADD), "-": (" - ", _ADD), "*": (" * ", _MUL)}
 _COMPARE_SYMBOLS = {"<": " < ", "<=": " <= ", ">": " > ", ">=": " >= "}
-_HELPER_NAMES = {"sin": "_sin", "cos": "_cos", "sqrt": "_sqrt", "abs": "_abs",
-                 "sgn": "_sgn", "sat": "_sat", "dsat": "_dsat"}
-_STATUS_NAMES = {Status.RUNNING: "_R", Status.SUCCESS: "_S", Status.FAILURE: "_F"}
+_HELPER_NAMES = {"sin": "_sin", "cos": "_cos", "sqrt": "_sqrt", "abs": "_abs", "dsat": "_dsat"}
 
 
 def _division_by_zero(line: int, col: int):
@@ -904,7 +915,18 @@ def _division_by_zero(line: int, col: int):
 
 
 class _FunctionSource:
-    """Source text and namespace of one generated function of a model."""
+    """Source text and namespace of one generated function of a model.
+
+    Each compound value gets a number N from its key, its operation and its
+    operands' keys; a constant's key is its name, one per value, a state
+    variable's its name, a control's its name and how often u0.. have been
+    assigned.  A known value, one computed on every path to the point being
+    emitted, is read from the local _tN.  One computed in a branch of a
+    status conditional or past a divisor's zero test is known only in that
+    branch, and reassigning y0.. forgets all.  A value's source lies between
+    the markers of its number, which function() turns into `(_tN := ` and
+    `)` where a read of N is left, and drops elsewhere.
+    """
 
     def __init__(self, sx: Mapping, su: Mapping, codes: dict):
         self.sx = sx
@@ -914,8 +936,12 @@ class _FunctionSource:
         self.state = "x"  # name prefix of the locals holding the state
         self.uses_state = False
         self.controls_used: set = set()
-        self.constants = 0
-        self.temps = 0
+        self.constants: dict = {}  # value -> name, a zero by its repr
+        self.controls_set = 0  # assignments to the locals u0.. so far
+        self.numbers: dict = {}  # key -> number of each compound value
+        self.known: set = set()  # numbers of the values computed on every path to here
+        self.reads: list = []  # numbers of the values read from their locals
+        self.key = None  # key of the expression real() emitted last
         self.tops: list = []  # (source, position) of each whole expression
         self.source = ""
 
@@ -924,64 +950,141 @@ class _FunctionSource:
         return name
 
     def constant(self, value: float) -> str:
-        name = f"_k{self.constants:d}"
-        self.constants += 1
-        self.ns[name] = value
+        key = value or repr(value)  # 0.0 and -0.0 apart
+        name = self.constants.get(key)
+        if name is None:
+            name = self.constants[key] = f"_k{len(self.constants):d}"
+            self.ns[name] = value
         return name
+
+    def assign(self, prefix: str) -> None:
+        """The locals prefix0.. (y or u) take new values: no value read from
+        them before is reused after."""
+        if prefix == "y":
+            self.known.clear()
+        else:
+            self.controls_set += 1
 
     def real(self, e, need: int = _COND) -> str:
         """Source of a folded real expression, parenthesized unless it
-        binds at least as tightly as need."""
-        if isinstance(e, Num):
-            return self.constant(e.value)
-        if isinstance(e, Var):
+        binds at least as tightly as need; self.key is then its key."""
+        kind = type(e)
+        if kind is Num:
+            self.key = text = self.constant(e.value)
+            return text
+        if kind is Var:
             if e.name in self.sx:
                 self.uses_state = True
-                return f"{self.state}{self.sx[e.name]:d}"
-            if e.name in self.su:
+                self.key = text = f"{self.state}{self.sx[e.name]:d}"
+            elif e.name in self.su:
                 j = self.su[e.name]
                 self.controls_used.add(j)
-                return f"u{j:d}"
-            raise UnboundIdentifier(f"unbound identifier {e.name!r}", *e.pos)
-        if isinstance(e, Call):
-            fn = self.helper(_HELPER_NAMES[e.func], _FUNC_IMPLS[e.func])
-            return f"{fn}({', '.join(self.real(a) for a in e.args)})"
-        if isinstance(e, Neg):
-            text, strength = "-" + self.real(e.operand, _UNARY), _UNARY
-        elif isinstance(e, Binary) and e.op == "/":
-            text, strength = self.divide(e)
-        elif isinstance(e, Binary):
+                text = f"u{j:d}"
+                self.key = (text, self.controls_set)
+            else:
+                raise UnboundIdentifier(f"unbound identifier {e.name!r}", *e.pos)
+            return text
+        mark = len(self.reads)
+        if kind is Binary and e.op != "/":
             symbol, strength = _ARITH[e.op]
             # the right operand binds one level tighter, so a - (b - c) and
             # a + (b + c) keep their grouping
-            text = (self.real(e.left, strength) + symbol
-                    + self.real(e.right, strength + 1))
+            left, kl = self.real(e.left, strength), self.key
+            text = left + symbol + self.real(e.right, strength + 1)
+            key = (e.op, kl, self.key)
+        elif kind is Binary:
+            text, strength, key = self.divide(e)
+        elif kind is Neg:
+            text, strength = "-" + self.real(e.operand, _UNARY), _UNARY
+            key = ("-", self.key)
+        elif kind is Call and e.func in ("sgn", "sat"):
+            (text, key), strength = getattr(self, e.func)(*e.args), _COND
+        elif kind is Call:
+            fn = self.helper(_HELPER_NAMES[e.func], _FUNC_IMPLS[e.func])
+            args, key = [], [e.func]
+            for a in e.args:
+                args.append(self.real(a))
+                key.append(self.key)
+            text, strength, key = f"{fn}({', '.join(args)})", _ATOM, tuple(key)
         else:
             raise ModelTypeError(f"cannot compile {e!r} as a real expression")
-        return text if strength >= need else f"({text})"
+        return self.value(key, text if strength >= need else f"({text})", mark)
+
+    def value(self, key, text: str, mark: int) -> str:
+        """text between the markers of key's number, or the local that holds
+        the value when it is known, in place of text and of the reads made
+        since mark; self.key becomes the number."""
+        n = self.key = self.numbers.setdefault(key, len(self.numbers))
+        if n in self.known:
+            del self.reads[mark:]
+            self.reads.append(n)
+            return f"_t{n:d}"
+        self.known.add(n)
+        return f"\x01{n:d}\x01{text}\x02{n:d}\x02"
+
+    def local(self, e) -> tuple:
+        """(source of e, a name that reads its value after that source)."""
+        text = self.real(e)
+        if isinstance(self.key, int):  # a compound value: its local
+            self.reads.append(self.key)
+            return text, f"_t{self.key:d}"
+        return text, text
 
     def divide(self, e: Binary) -> tuple:
-        """(source, binding strength) of a division."""
+        """(source, binding strength, key) of a division."""
         den = e.right
         if isinstance(den, Num) and den.value != 0.0:
-            return self.real(e.left, _MUL) + " / " + self.constant(den.value), _MUL
+            left = self.real(e.left, _MUL)
+            key = ("/", self.key, self.constant(den.value))
+            return f"{left} / {key[2]}", _MUL, key
         fail = (f"{self.helper('_divz', _division_by_zero)}"
                 f"({int(e.pos[0]):d}, {int(e.pos[1]):d})")
         if isinstance(den, Num):
-            return fail, _ATOM
-        t = f"_t{self.temps:d}"
-        self.temps += 1
-        return (f"{fail} if not ({t} := {self.real(den)}) "
-                f"else {self.real(e.left, _MUL)} / {t}"), _COND
+            return fail, _ATOM, fail
+        test, name = self.local(den)
+        divisor, known = self.key, self.known
+        self.known = set(known)  # the dividend runs only past the test
+        left = self.real(e.left, _MUL)
+        self.known = known
+        return f"{fail} if not {test} else {left} / {name}", _COND, ("/", self.key, divisor)
+
+    def sgn(self, v) -> tuple:
+        """(source, key) of sgn(v): what _sgn returns, -0.0 and nan giving 0.0."""
+        test, name = self.local(v)
+        one, zero, minus = self.constant(1.0), self.constant(0.0), self.constant(-1.0)
+        return (f"{one} if {test} > {zero} else {minus} if {name} < {zero} else {zero}",
+                ("sgn", self.key))
+
+    def sat(self, v, limit) -> tuple:
+        """(source, key) of sat(v, limit): the operand _sat's
+        min(max(v, -limit), limit) returns, v evaluated first."""
+        test, name = self.local(v)
+        kv = self.key
+        if isinstance(limit, Num):
+            bound_test = bound = kl = self.constant(limit.value)
+            low_test = low = self.constant(-limit.value)
+        else:
+            bound_test, bound = self.local(limit)
+            kl, low_test, low = self.key, "-" + bound_test, "-" + bound
+        high = self.value(("max", kv, kl), f"{low} if {test} < {low_test} else {name}",
+                          len(self.reads))
+        self.reads.append(self.key)
+        return f"{bound} if {high} > {bound} else _t{self.key:d}", ("sat", kv, kl)
 
     def status(self, s, need: int = _COND) -> str:
         """Source of a folded status expression, parenthesized like real."""
-        if isinstance(s, StatusLit):
-            return self.helper(_STATUS_NAMES[s.value], s.value)
+        if type(s) is StatusLit:  # _R, _S or _F
+            return self.helper(f"_{s.value.value}", s.value)
         c = s.cond
-        text = (f"{self.status(s.then, _ADD)} if {self.real(c.left, _ADD)}"
-                f"{_COMPARE_SYMBOLS[c.op]}{self.real(c.right, _ADD)} "
-                f"else {self.status(s.els)}")
+        test = f"{self.real(c.left, _ADD)}{_COMPARE_SYMBOLS[c.op]}{self.real(c.right, _ADD)}"
+        # each branch runs only past the test; a literal computes nothing
+        known = self.known
+        self.known = set(known) if type(s.then) is IfStatus else known
+        then = self.status(s.then, _ADD)
+        self.known = set(known) if type(s.els) is IfStatus else known
+        els = self.status(s.els)
+        self.known = known
+        text = f"{then} if {test} else {els}"
         return text if need == _COND else f"({text})"
 
     def top(self, e) -> str:
@@ -1005,7 +1108,13 @@ class _FunctionSource:
 
     def function(self, name: str, params: str, body: list) -> Callable:
         """`def name(params):` over the body lines, compiled once per model."""
-        self.source = "\n    ".join([f"def {name}({params}):", *body]) + "\n"
+        source = "\n    ".join([f"def {name}({params}):", *body]) + "\n"
+        for n in set(self.reads):
+            source = source.replace(f"\x01{n:d}\x01", f"(_t{n:d} := ")
+            source = source.replace(f"\x02{n:d}\x02", ")")
+        for end in "\x01\x02":  # what is left is the markers \x01N\x01, \x02N\x02 no read needs
+            source = "".join(source.split(end)[::2])
+        self.source = source
         code = self.codes.get(self.source)
         if code is None:
             try:
@@ -1100,7 +1209,10 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
     each stage each set's controls in order, then its field components in
     order (at stage 1 of a blend, ka and kb), then k = w*ka + v*kb with
     v = 1 - w; the stage state y = x + s*k per component; and
-    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
+    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).  A value repeated within a stage is
+    computed once: the field reads a control's cos(y0) again, say, and the
+    two leaves of a blend share what both compute.  No value read from
+    y0.. or u0.. is reused past a reassignment of those locals.
     """
     g = _FunctionSource(sx, su, codes)
     n = range(len(sx))
@@ -1115,6 +1227,7 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
                 body.append(f"{_tuple_items([f'k{part}1_{i:d}' for i in n])} = k{part}")
                 continue
             body += [f"u{j:d} = {g.top(e)}" for j, e in enumerate(controls)]
+            g.assign("u")
             body += [f"k{part}{stage:d}_{i:d} = {g.top(e)}" for i, e in zip(n, derivatives)]
         if blend:
             body += [f"k{stage:d}_{i:d} = w * ka{stage:d}_{i:d} + v * kb{stage:d}_{i:d}"
@@ -1122,6 +1235,7 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
         if along is not None:
             body += [f"y{i:d} = x{i:d} + {along} * k{stage:d}_{i:d}" for i in n]
             g.state = "y"
+            g.assign("y")
     body.append(f"h6 = h / {six}")
     result = [f"x{i:d} + h6 * (k1_{i:d} + {two} * k2_{i:d} + {two} * k3_{i:d} + k4_{i:d})"
               for i in n]

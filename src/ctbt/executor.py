@@ -13,9 +13,13 @@ sequence the field returns.  `run` holds the one loop over the grid and
 tries each regular step itself: it walks the tree once at the step's end
 (status predicates only; the controller runs inside the step), and while
 the walk equals the current (root status, active leaf) it records the grid
-sample and goes on.  Otherwise regular_span locates the change by bisecting
+sample and goes on.  Through such a steady stretch the step, (status, leaf)
+and the state stay in locals, check_finite's quick hypot pass runs inline
+(its full rule only when that pass fails), and grid samples are built with
+tuple.__new__.  Otherwise regular_span locates the change by bisecting
 the step length down to event_tol, each probe stepped to and walked once,
-and hands the rest of the step back.  Every bisection here also stops when
+and hands the rest of the step back; it records the last probe only when
+its time is before the event's.  Every bisection here also stops when
 no float lies between its bracket's ends, so a tolerance below the float
 spacing ends at float resolution.  A walk's status that the run takes as
 its own (at the start, at a located event, after a slide step) must be a
@@ -266,12 +270,13 @@ class _Integrator:
 
     def run(self) -> Trajectory:
         dt, resolve, samples, steps = self.cfg.dt, self.bt.resolve, self.samples, self.steps
+        new, hypot = tuple.__new__, math.hypot
         samples.append(Sample(0.0, self.x, self.leaf, self.status))
         self.note_status(0.0, self.status)
         n_steps = int(round(self.cfg.t_end / dt))
         k = 0
         while k < n_steps and not self.done:
-            t1, t, h = (k + 1) * dt, k * dt, dt  # (t, h): the rest of the grid step
+            t, h = k * dt, dt  # the rest of grid step k: from t, h long
             end = t + h  # t + h as the current stretch of regular mode began
             while True:
                 if self.sliding is not None:
@@ -282,19 +287,37 @@ class _Integrator:
                     end = t + h
                 if h <= _MIN_SPAN or self.done:
                     break
+                # a steady stretch: while the walk holds, grid step after grid
+                # step, the step, (status, leaf) and x stay in locals; the last
+                # grid step of the run ends the stretch like a change does
                 step = steps.get((self.leaf,)) or self.stepper(self.leaf)
-                x_try = step(self.x, h)
-                self.check_finite(x_try)
-                walk = resolve(x_try)
-                if walk == (self.status, self.leaf):
-                    self.x = x_try  # the walk holds: (status, leaf) stay
+                status, leaf = current = self.status, self.leaf
+                x, first = self.x, k
+                while True:
+                    x_try = step(x, h)
+                    if not hypot(*x_try) <= _OVERFLOW:  # check_finite's quick pass
+                        self.check_finite(x_try)
+                    walk = resolve(x_try)
+                    if walk != current or k + 1 == n_steps:
+                        break
+                    x, h, k = x_try, dt, k + 1
+                    t1 = float(k * dt)
+                    if samples[-1].t < t1 - _MIN_SPAN:
+                        samples.append(new(Sample, (t1, x, leaf, status)))
+                if k != first:
+                    t = k * dt
+                    end = t + h
+                if walk == current:  # the run's last grid step, recorded below
+                    self.x = x_try
                     break
+                self.x = x
                 left = self.regular_span(t, h, end, x_try, walk, step)
                 if left is None:
                     break
                 t, h = left
+            t1 = float((k + 1) * dt)
             if not self.done and samples[-1].t < t1 - _MIN_SPAN:
-                samples.append(Sample(float(t1), self.x, self.leaf, self.status))
+                samples.append(new(Sample, (t1, self.x, self.leaf, self.status)))
             k += 1
         return Trajectory(meta=self.meta, samples=samples, events=self.events)
 
@@ -318,7 +341,7 @@ class _Integrator:
                 lo, x_lo = mid, x_mid
             else:
                 hi, x_hi, walk_hi = mid, x_mid, walk
-        if lo > 0.0:
+        if lo > 0.0 and t + lo < t + hi:  # a bracket at float resolution has one time
             self.record(t + lo, x_lo, leaf, status)
         t_event = t + hi
         self.check_finite(x_hi)

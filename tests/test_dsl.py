@@ -544,6 +544,45 @@ def slab_tree_btm(rng, n_leaves: int) -> str:
                       f"  root = {root};", "}", ""])
 
 
+# subexpressions repeated on purpose: trig calls of one argument, a
+# projection again in a status else branch, a repeated division whose
+# divisor is 0 past x0 = 2, sqrt of a value that can be negative twice, a
+# value computed in both branches of a status conditional; and sgn at
+# +-0.0 and nan, sat at +-L, at +-0.0, with a limit that is not a constant,
+# with a nan limit and with both operands raising
+REPEATS = """\
+model "repeats" {
+  state 2;
+  control 3;
+  const L = 0.75;
+  const big = 1e308;
+  plant {
+    dx0 = u0 * cos(x1) + sin(x0) * cos(x1) + u2;
+    dx1 = u1 - sin(x0) * cos(x1) + sqrt(x0 * x1 + 4.0) * sqrt(x0 * x1 + 4.0);
+  }
+  leaf pick {
+    u = [sat(x0, abs(x0)) + sat(-abs(x1), abs(x1)),
+         sat(x1 * cos(x0), x0 - 0.5) + sat(x1 * cos(x0), L) - x1 * cos(x0),
+         sat(x0 * 0.0, x1 * 0.0)];
+    status = if 0.6 * x0 - 0.8 * x1 < -0.5
+             then if x0 > -2.5 then S else if sat(sqrt(x1), 1.0 / (x0 - x0)) < 0.0 then S else F
+             else if 0.6 * x0 - 0.8 * x1 < 0.5 then R else F;
+  }
+  leaf split {
+    u = [x1 / (1.0 - sgn(x0 - 2.0)) + x1 / (1.0 - sgn(x0 - 2.0)),
+         cos(x0) * cos(x0) + sgn(x0 * (big * 10.0 - big * 10.0))
+           + sat(x1, x0 * (big * 10.0 - big * 10.0)),
+         sgn(x0 * 0.0) * sgn(-(x1 * 0.0))];
+    status = if x0 < 0.0 then if cos(x1) > 0.5 then S else F
+             else if cos(x1) < 0.0 then R
+             else if sat(x0 * (big * 10.0 - big * 10.0), L) < 0.0 then S else F;
+  }
+  fal both = [pick, split];
+  root = both;
+}
+"""
+
+
 def _equivalence_corpus():
     rng = np.random.default_rng(2109)
     corpus = [bundled(n) for n in ("thermostat.btm", "kitchen_lamp.btm", "pendulum.btm")]
@@ -558,10 +597,10 @@ def _equivalence_corpus():
                 continue
             corpus.append(text)
             break
-    return corpus
+    return corpus + [REPEATS]
 
 
-@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("index", range(10))
 def test_generated_code_matches_interpreter(index):
     """Plant field, every controller and every status agree bit for bit
     with evaluate_expr on 200 seeded states, errors included."""
@@ -640,11 +679,11 @@ def _same_outcome(got, want) -> bool:
     return isinstance(got, tuple) and _bits(got) == _bits(want)
 
 
-@pytest.mark.parametrize("index", range(10))
+@pytest.mark.parametrize("index", range(11))
 def test_fused_step_matches_rk4_over_field_and_controller(index):
     """Every leaf's generated step equals _rk4 over field(y, controller(y))
     bit for bit, errors included, on the bundled models, the slab trees of
-    the region audit, random expression models and slide_hold."""
+    the region audit, random expression models, REPEATS and slide_hold."""
     from ctbt.executor import _rk4
 
     lowered = dsl.lower(dsl.parse([*_equivalence_corpus(), SLIDE_HOLD][index]))
@@ -708,7 +747,7 @@ def test_fused_step_raises_the_division_error_of_the_generic_step():
         assert _same_outcome(_outcome(step, x, 0.01), want)
 
 
-@pytest.mark.parametrize("index", range(10))
+@pytest.mark.parametrize("index", range(11))
 def test_blended_step_matches_rk4_over_the_blend(index):
     """Every ordered leaf pair's blended step, handed the pair's fields at
     x, equals _rk4 over w*f_a + (1 - w)*f_b bit for bit, errors included,
@@ -832,11 +871,12 @@ def test_guards_are_compiled_at_the_first_slide_entry(monkeypatch):
 
 
 def test_each_distinct_source_compiles_once_per_model(monkeypatch):
-    """Numbers are bound by name, so slide_hold's 9 eager functions (field,
-    4 controllers, 4 statuses) have 5 distinct sources and lower compiles
-    5 times.  Every generated function has its own code object, and a
-    second lower of the same text compiles again: the table lives with one
-    model."""
+    """Numbers are bound by name, one name per value, so slide_hold's 9
+    eager functions (field, 4 controllers, 4 statuses) have 6 distinct
+    sources and lower compiles 6 times: the controllers (0.0, 0.0) read one
+    name twice, (1.0, 0.4) and (-1.0, 0.4) two names.  Every generated
+    function has its own code object, and a second lower of the same text
+    compiles again: the table lives with one model."""
     compiled = []
 
     def counting(source, *args):
@@ -845,7 +885,7 @@ def test_each_distinct_source_compiles_once_per_model(monkeypatch):
 
     monkeypatch.setattr(dsl, "compile", counting, raising=False)
     lowered = dsl.lower(dsl.parse(SLIDE_HOLD))
-    assert len(compiled) == len(set(compiled)) == 5
+    assert len(compiled) == len(set(compiled)) == 6
     bt, leaves = lowered.bt, lowered.bt.leaf_ids
     functions = [lowered.plant.field, *(bt.behavior(i).controller for i in leaves),
                  *(bt.behavior(i).metadata for i in leaves)]
@@ -853,10 +893,12 @@ def test_each_distinct_source_compiles_once_per_model(monkeypatch):
     functions += [_fused_step(lowered, i) for i in leaves]
     functions += [_blended_step(lowered, a, b) for a in leaves for b in leaves if a != b]
     functions += [g for i in leaves for g in bt.behavior(i).guards]
-    assert len(compiled) == len(set(compiled)) == 9  # one leaf step, one blend, two guards
+    # two leaf steps, as for the controllers; seven blends, as the names of
+    # the pair's controls follow the 1.0 of the blend's weight; two guards
+    assert len(compiled) == len(set(compiled)) == 17
     assert len({id(f.__code__) for f in functions}) == len(functions) == 27
     dsl.lower(dsl.parse(SLIDE_HOLD))
-    assert len(compiled) == 14 and compiled[9:] == compiled[:5]
+    assert len(compiled) == 23 and compiled[17:] == compiled[:6]
 
 
 def _expr(text: str):
@@ -939,14 +981,14 @@ def derivative_model_btm(rng) -> str:
         return text
 
 
-@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize("index", range(13))
 def test_guards_give_each_comparison_and_its_gradient(index):
     """Every comparison of a leaf status is a guard: g = left - right and
     its gradient agree bit for bit with evaluate_expr over derivative,
     errors included, and the gradient with central finite differences away
     from kinks, on the bundled models, the slab trees of the region audit,
-    random expression models, slide_hold and two models with one leaf per
-    derivative rule."""
+    random expression models, REPEATS, slide_hold and two models with one
+    leaf per derivative rule."""
     rng = np.random.default_rng(700 + index)
     m = dsl.parse([*_equivalence_corpus(), SLIDE_HOLD, derivative_model_btm(rng),
                    derivative_model_btm(rng)][index])

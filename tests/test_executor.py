@@ -826,6 +826,18 @@ def test_bisection_stops_at_float_resolution(name):
     assert done.returncode == 0, done.stderr
 
 
+def test_sample_times_increase_when_a_bracket_ends_at_float_resolution():
+    """With event_tol 1e-19 each bisection of a thermostat switch ends at
+    float resolution, where the last probe and the event have one time:
+    only the event is recorded there, so sample times increase strictly."""
+    model = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+    cfg = IntegratorConfig(dt=0.01, t_end=5.0, event_tol=1e-19)
+    traj = integrate(model.plant, model.bt, [19.0], cfg)
+    assert len(traj.events_of("Switch")) >= 4
+    times = [s.t for s in traj.samples]
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
 def test_divergent_run_reports_nonfinite():
     bt = single_leaf_bt(lambda x: (x[0] * x[0],), dim=1)
     plant = Plant(1, 1, lambda x, u: np.array([u[0]]))
@@ -834,6 +846,65 @@ def test_divergent_run_reports_nonfinite():
         integrate(plant, bt, [1.0], cfg)
     runs = batch_integrate(plant, bt, [[1.0]], cfg)
     assert isinstance(runs[0], FailedRun)
+
+
+STEADY = """\
+model "steady" {
+  state 3;
+  control 1;
+  plant { dx0 = x0 * x0 + u0; dx1 = u0; dx2 = u0; }
+  leaf hold { u = [0.0]; status = R; }
+  root = hold;
+}
+"""
+
+
+def _routes(model):
+    """model's tree, taking its generated step, and a copy whose wrapped
+    controllers take _rk4."""
+    def rebuilt(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, dataclasses.replace(
+                b, controller=lambda x, c=b.controller: c(x)))
+        return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
+
+    return [model.bt, BehaviorTree(rebuilt(model.bt.root), state_dim=model.bt.state_dim)]
+
+
+def test_large_norm_with_bounded_components_keeps_running():
+    """From (1e-6, +-9e11, 9e11) x0 stays tiny and x1, x2 do not move: the
+    hypot of the state is past 1e12, every component within it, so the run
+    goes on to its end; a component past 1e12 ends it at the first step."""
+    model = dsl.lower(dsl.parse(STEADY))
+    cfg = IntegratorConfig(dt=0.1, t_end=1.0)
+    for bt in _routes(model):
+        for x0 in ((1e-6, 9e11, 9e11), (1e-6, -9e11, 9e11), (1e-6, 1e12, -1e12)):
+            traj = integrate(model.plant, bt, x0, cfg)
+            assert math.hypot(*x0) > 1e12 and len(traj.samples) == 11
+            assert all(s.x[1:] == x0[1:] for s in traj.samples)
+        with pytest.raises(NonFiniteState, match=r"^state diverged: "):
+            integrate(model.plant, bt, (1e-6, 9e11, 1.5e12), cfg)
+
+
+def test_divergence_in_a_steady_stretch_raises_at_its_grid_step():
+    """x0' = x0^2 from 1 leaves every bound near t = 1.  The run raises
+    NonFiniteState naming the first grid state past 1e12, got by stepping
+    by hand, after one walk at the start and one per step before it."""
+    model = dsl.lower(dsl.parse(STEADY))
+    cfg = IntegratorConfig(dt=0.01, t_end=2.0)
+    step = model.plant.steps.get((model.plant.field, model.bt.behavior(0).controller))
+    x, k = (1.0, 0.0, 0.0), 0
+    while max(map(abs, x)) <= 1e12:
+        x, k = step(x, cfg.dt), k + 1
+    assert 90 < k < 200
+    for bt in _routes(model):
+        walks = []
+        bt.resolve = lambda y, walk=bt.resolve: walks.append(y) or walk(y)
+        with pytest.raises(NonFiniteState) as e:
+            integrate(model.plant, bt, (1.0, 0.0, 0.0), cfg)
+        assert str(e.value) == f"state diverged: {x!r}"
+        assert len(walks) == k
 
 
 # ------------------------------------------------------------ transversality

@@ -9,10 +9,11 @@ one per output:
 - bank/<workload>/<key>: `to_json` of one integrate run from every start of
   the pendulum_certify and slide_hold banks (a run that raises is digested
   as its FailedRun repr);
-- bank/slide_hold/d0.0.0/wrapped: the same run from that start with every
-  leaf controller wrapped in a new function, guards kept, so that it takes
-  `_rk4` in place of the generated regular and blended slide steps; its
-  digest equals the line of the generated route, bank/slide_hold/d0.0.0;
+- bank/<workload>/<key>/wrapped, for the keys of WRAPPED: the same run
+  from that start with every leaf controller wrapped in a new function,
+  guards kept, so that it takes `_rk4` in place of the generated regular
+  and blended slide steps; its digest equals the line of the generated
+  route, bank/<workload>/<key>, which CI checks;
 - batch/unreadable_start: the repr of every slot of `batch_integrate` on
   the bundled thermostat model over the starts [20.0], ['a'] and [22.0],
   or the type and text of the error when one escapes the batch;
@@ -141,23 +142,29 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def bank_digests(workloads) -> list:
-    from ctbt import Trajectory, batch_integrate, dsl, integrate
+# bank starts also run on the _rk4 route: a switching pendulum run, the
+# pendulum's rest start that never converges, and a slide_hold slide
+WRAPPED = {"pendulum_certify": ("d0.0.0", "r2"), "slide_hold": ("d0.0.0",)}
 
-    lines = []
+
+def bank_digests(workloads) -> list:
+    from ctbt import Trajectory, batch_integrate, dsl
+
+    lines, wrapped = [], []
     for name in ("pendulum_certify", "slide_hold"):
         wl = workloads.WORKLOADS[name]
+        cfg, bank = wl.config(), wl.bank()
+
+        def digest(model, bt, x0):
+            run = batch_integrate(model.plant, bt, [x0], cfg, model_name=name)[0]
+            return sha(run.to_json() if isinstance(run, Trajectory) else repr(run))
+
         model = dsl.lower(dsl.parse(wl.model_text()))
-        cfg = wl.config()
-        for key, x0 in wl.bank().items():
-            run = batch_integrate(model.plant, model.bt, [x0], cfg, model_name=name)[0]
-            text = run.to_json() if isinstance(run, Trajectory) else repr(run)
-            lines.append((sha(text), f"bank/{name}/{key}"))
-    model = dsl.lower(dsl.parse(wl.model_text()))
-    run = integrate(model.plant, wrapped_controllers(model.bt), wl.bank()["d0.0.0"],
-                    wl.config(), model_name="slide_hold")
-    lines.append((sha(run.to_json()), "bank/slide_hold/d0.0.0/wrapped"))
-    return lines
+        lines += [(digest(model, model.bt, x0), f"bank/{name}/{key}") for key, x0 in bank.items()]
+        model = dsl.lower(dsl.parse(wl.model_text()))
+        wrapped += [(digest(model, wrapped_controllers(model.bt), bank[key]),
+                     f"bank/{name}/{key}/wrapped") for key in WRAPPED[name]]
+    return lines + wrapped
 
 
 def batch_digests() -> list:
