@@ -27,20 +27,22 @@ Status, else the run raises ExecutionError.  If the recent switches toggle
 between exactly two leaves faster than the step rate, the integrator
 declares a sliding mode on g = 0 for the separating guard, the first leaf guard
 (LeafBehavior.guards) whose sign differs across the last switch's bisection
-bracket.  A slide step takes the normal grad g/|grad g|, forms the convex
-field combination that cancels the normal component, takes one RK4 step of
-it, whose first stage is the two fields already evaluated, and pulls the
-result back onto g = 0 by Newton steps; one walk confirms the leaf.  With
-no separating guard (hand-built leaves that declare none) the normal is
-estimated from the recent crossing points instead (SVD of the centered
-cloud; a field-difference fallback covers the degenerate startup) and the
-projection bisects along it; only this cloud route and the boundary tools
-at the end call numpy.  Sliding ends when the combination coefficient
-leaves [0, 1] by more than _SLIDING_EPS or the state escapes to a third
-leaf.  A span that changes mode mid-step hands the time left back to run.
-A run ends at its first root Success.  The chatter count, the slack on the
-coefficient and the stop at Success are fixed parts of the construction,
-not options.
+bracket, and binds the plant field and the pair's two controllers until the
+slide ends.  slide_span is the one slide step, in plain floats and locals:
+the pair's two fields at x, the normal grad g/|grad g|, the coefficient of
+the convex field combination that cancels the normal component, one RK4
+step of that blend, whose first stage is the two fields already evaluated,
+and Newton steps back onto g = 0; one walk confirms the leaf.  With no
+separating guard (hand-built leaves that declare none) the step takes its
+own branch, the cloud route: the normal is estimated from the recent
+crossing points (SVD of the centered cloud; a field-difference fallback
+covers the degenerate startup) and the projection bisects along it; only
+this branch and the boundary tools at the end call numpy.  Sliding ends
+when the combination coefficient leaves [0, 1] by more than _SLIDING_EPS or
+the state escapes to a third leaf.  A span that changes mode mid-step
+hands the time left back to run.  A run ends at its first root Success.
+The chatter count, the slack on the coefficient and the stop at Success are
+fixed parts of the construction, not options.
 
 Everything is deterministic: fixed step grid t = k*dt, no wall clock, no
 hidden randomness, and JSON/CSV output built from repr'd floats, so a rerun
@@ -53,6 +55,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -198,6 +201,7 @@ class _Integrator:
         self.sliding: Optional[tuple] = None  # (leaf a, leaf b)
         self.surface = None  # the sliding pair's separating guard, if any
         self.blend = None  # the sliding pair's step(x, h, w, ka, kb)
+        self.bound = None  # (plant field, controller a, controller b)
         self.steps: dict = {}  # stepper's choice per leaf tuple, kept for the run
         self.surface_points = deque(maxlen=8)  # crossing points, for the cloud route
         self.failed = False
@@ -375,6 +379,7 @@ class _Integrator:
         self.sliding = pair
         self.surface = self.separating_guard(x_before)
         self.blend = self.stepper(*pair)
+        self.bound = (self.plant.field, *(self.bt.nodes[i].behavior.controller for i in pair))
         self.surface_points.append(self.x)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
@@ -392,81 +397,70 @@ class _Integrator:
     # ---- sliding mode
 
     def slide_span(self, t_start: float, span: float) -> Optional[tuple]:
-        a_leaf, b_leaf = self.sliding
-        va, vb = self.field_for(a_leaf)(self.x), self.field_for(b_leaf)(self.x)
-        n, alpha = self.filippov(va, vb, t_start)
+        """One slide step over span; the (t, h) left when the weight alpha
+        on va lets go, else None.  Newton steps stop at one no longer than
+        event_tol or after _NEWTON_STEPS; one is exact where g is affine."""
+        x, surface = self.x, self.surface
+        field, ca, cb = self.bound
+        va, vb = field(x, ca(x)), field(x, cb(x))
+        if surface is None:
+            pa, pb = np.array(va, dtype=float), np.array(vb, dtype=float)
+            n = self.surface_normal(pb - pa)
+            den, nb = float(n @ (pb - pa)), float(n @ pb)
+            scale = max(1.0, float(np.linalg.norm(pa)), float(np.linalg.norm(pb)))
+        else:
+            grad = surface(x)[1]
+            norm = math.hypot(*grad)
+            if norm == 0.0:
+                raise ZeroDenominatorInSliding(
+                    f"the switching surface has no normal at t={t_start}: grad g = 0")
+            n = [d / norm for d in grad]
+            nb = sum(map(mul, n, vb))
+            den = nb - sum(map(mul, n, va))
+            scale = max(1.0, math.hypot(*va), math.hypot(*vb))
+        if abs(den) < 1e-12 * scale:
+            raise ZeroDenominatorInSliding(
+                f"fields do not separate across the surface near t={t_start}")
+        alpha = nb / den
         if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
             self.exit_slide(t_start)
             return t_start, span
-        x_new = self.blend(self.x, span, min(max(alpha, 0.0), 1.0), va, vb)
-        self.check_finite(x_new)
+        x = self.blend(x, span, min(max(alpha, 0.0), 1.0), va, vb)
+        if not math.hypot(*x) <= _OVERFLOW:  # check_finite's quick pass
+            self.check_finite(x)
         t_end = t_start + span
-        if self.surface is None:
-            x_new, status, leaf, held = self.project_to_surface(x_new, n)
+        if surface is None:
+            x, status, leaf, held = self.project_to_surface(x, n)
         else:
-            x_new, status, leaf, held = self.newton_project(x_new, t_end)
-        self.x = x_new
+            tol = self.cfg.event_tol
+            for _ in range(_NEWTON_STEPS):
+                g, grad = surface(x)
+                gg = sum(map(mul, grad, grad))
+                if gg == 0.0:
+                    raise ZeroDenominatorInSliding(
+                        f"the switching surface has no normal near t={t_end}: grad g = 0")
+                s = -g / gg
+                x = tuple([float(a + s * b) for a, b in zip(x, grad)])
+                if g * g <= tol * tol * gg:  # that step was |g|/|grad g| long
+                    break
+            if not math.hypot(*x) <= _OVERFLOW:
+                self.check_finite(x)
+            status, leaf = self.bt.resolve(x)
+            held = leaf in self.sliding
+        self.x = x
         self.status, self.leaf = self.checked(t_end, status, leaf)
         if not held:
             self.exit_slide(t_end)
             return None
-        self.record(t_end, self.x, leaf, status)
-        self.note_status(t_end, status)
+        self.samples.append(tuple.__new__(Sample, (float(t_end), x, leaf, status)))
+        if status is not Status.RUNNING:
+            self.note_status(t_end, status)
         return None
 
     def exit_slide(self, t: float) -> None:
         self.event(t, "SlideExit", self.x, to=self.leaf)
-        self.sliding = self.surface = self.blend = None
+        self.sliding = self.surface = self.blend = self.bound = None
         self.surface_points.clear()
-
-    def filippov(self, va, vb, t: float) -> tuple:
-        """(n, alpha) at the current state, the pair's fields there va, vb.
-
-        n is the unit surface normal, grad g/|grad g| on the guard route and
-        surface_normal's estimate on the cloud route; alpha is the weight on
-        va that cancels the flow along n.
-        """
-        if self.surface is None:
-            va, vb = np.array(va, dtype=float), np.array(vb, dtype=float)
-            n = self.surface_normal(vb - va)
-            den, nb = float(n @ (vb - va)), float(n @ vb)
-            scale = max(1.0, float(np.linalg.norm(va)), float(np.linalg.norm(vb)))
-        else:
-            grad = self.surface(self.x)[1]
-            norm = math.hypot(*grad)
-            if norm == 0.0:
-                raise ZeroDenominatorInSliding(
-                    f"the switching surface has no normal at t={t}: grad g = 0")
-            n = [d / norm for d in grad]
-            nb = sum(p * v for p, v in zip(n, vb))
-            den = nb - sum(p * v for p, v in zip(n, va))
-            scale = max(1.0, math.hypot(*va), math.hypot(*vb))
-        if abs(den) < 1e-12 * scale:
-            raise ZeroDenominatorInSliding(
-                f"fields do not separate across the surface near t={t}")
-        return n, nb / den
-
-    def newton_project(self, x, t: float) -> tuple:
-        """Pull x onto the separating guard's surface g = 0 by Newton steps
-        along grad g, until a step no longer than event_tol, at most
-        _NEWTON_STEPS of them; one step is exact where g is affine.
-
-        Returns (point, status, leaf, held) with the walk at the point, held
-        when that walk stays in the sliding pair.
-        """
-        tol = self.cfg.event_tol
-        for _ in range(_NEWTON_STEPS):
-            g, grad = self.surface(x)
-            gg = sum(d * d for d in grad)
-            if gg == 0.0:
-                raise ZeroDenominatorInSliding(
-                    f"the switching surface has no normal near t={t}: grad g = 0")
-            x = _along(x, -g / gg, grad)
-            if g * g <= tol * tol * gg:  # that step was |g|/|grad g| long
-                break
-        self.check_finite(x)
-        status, leaf = self.bt.resolve(x)
-        return x, status, leaf, leaf in self.sliding
 
     def surface_normal(self, field_diff) -> np.ndarray:
         """Unit normal of the sliding surface at the current point, on the

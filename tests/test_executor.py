@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -204,17 +205,16 @@ def test_slide_exit_when_surface_stops_attracting():
     assert not [e for e in traj.events_of("SlideEnter") if e.t > t_exit]
 
 
-def shear_bt(*guards):
+def shear_bt(*guards, right=lambda x: (-1.0, 10.5)):
     """fal(left, right) on x0 = 0: both fields point into the surface, and
     differ along it, so the entry normal of the cloud route is far from the
-    true one.  guards go on the left leaf."""
+    true one.  guards go on the left leaf; right is the right leaf's control."""
     def left_status(x):
         return Status.RUNNING if x[0] < 0.0 else Status.FAILURE
 
     left = Leaf(1, LeafBehavior(lambda x: (1.0, 10.0), left_status, label="left",
                                 guards=guards))
-    right = Leaf(2, LeafBehavior(lambda x: (-1.0, 10.5), lambda x: Status.RUNNING,
-                                 label="right"))
+    right = Leaf(2, LeafBehavior(right, lambda x: Status.RUNNING, label="right"))
     return BehaviorTree(Fallback(0, (left, right)), state_dim=2)
 
 
@@ -268,6 +268,43 @@ def test_a_slide_step_takes_the_fields_at_x_once(monkeypatch):
     assert 8 in per_span and set(per_span) <= {2, 8}
 
 
+def test_a_guarded_slide_step_walks_once_and_takes_the_fields_twice(monkeypatch):
+    """On the generated route a slide step of slide_hold evaluates the
+    plant field twice, the pair's fields at x, and walks the tree once, at
+    the state projected onto the guard."""
+    slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
+    field, generated, bt = slide_hold.plant.field, slide_hold.plant.steps, slide_hold.bt
+    counts, per_span = {"field": 0, "resolve": 0}, []
+    slide_span, resolve = executor._Integrator.slide_span, bt.resolve
+
+    def counted(x, u):
+        counts["field"] += 1
+        return field(x, u)
+
+    def walked(x):
+        counts["resolve"] += 1
+        return resolve(x)
+
+    def watched(self, *args):
+        before = dict(counts)
+        try:
+            return slide_span(self, *args)
+        finally:
+            per_span.append((counts["field"] - before["field"],
+                             counts["resolve"] - before["resolve"]))
+
+    # the generated steps, keyed by the counted field, so no step calls it
+    steps = types.SimpleNamespace(get=lambda key, default=None: generated.get(
+        (field, *key[1:]), default) if key[0] is counted else default)
+    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
+    monkeypatch.setattr(bt, "resolve", walked)
+    plant = dataclasses.replace(slide_hold.plant, field=counted, steps=steps)
+    run = integrate(plant, bt, (-1.0, -1.2), IntegratorConfig(dt=0.01, t_end=16.0))
+    enter, leave = run.events_of("SlideEnter")[0].t, run.events_of("SlideExit")[0].t
+    assert set(per_span) == {(2, 1)}  # every span stepped: one sample per grid step
+    assert len(per_span) == len([s for s in run.samples if enter < s.t <= leave])
+
+
 def test_numpy_fields_still_hand_on_states_of_floats():
     # integrator_plant's field returns numpy arrays; the states handed to
     # metadata, controllers and guards are tuples of Python floats all the
@@ -319,6 +356,22 @@ def test_vanishing_guard_gradient_is_a_failed_run():
     assert "grad g = 0" in run.message and "t=2.0" in run.message
 
 
+@pytest.mark.parametrize("guard, right, message", [
+    # from x1 = 0.2 on, right pushes as left does: the step from t = 0.02
+    (lambda x: (x[0], (1.0, 0.0)), lambda x: (-1.0, 10.5) if x[1] < 0.2 else (1.0, 10.0),
+     "fields do not separate across the surface near t=0.02"),
+    # from x1 = 0.2 on, g has no gradient: the step that ends at t = 0.02
+    (lambda x: (x[0], (1.0, 0.0) if x[1] < 0.2 else (0.0, 0.0)), lambda x: (-1.0, 10.5),
+     "the switching surface has no normal near t=0.02: grad g = 0"),
+], ids=["fields_meet", "newton_gradient_vanishes"])
+def test_a_guarded_slide_fails_where_its_step_has_no_normal_direction(guard, right, message):
+    cfg = IntegratorConfig(dt=0.001, t_end=0.05)
+    (run,) = batch_integrate(integrator_plant(2), shear_bt(guard, right=right),
+                             [(-0.01, 0.0)], cfg)
+    assert isinstance(run, FailedRun)
+    assert (run.error, run.message) == ("ZeroDenominatorInSliding", message)
+
+
 def _cloud_copy(bt):
     """bt with every leaf rebuilt without its guards, as a traced run does."""
     def rebuilt(node):
@@ -351,6 +404,36 @@ def test_guard_and_cloud_routes_agree_on_slide_hold(x0, monkeypatch):
     enter, leave = guarded.events_of("SlideEnter")[0].t, guarded.events_of("SlideExit")[0].t
     sliding = [s for s in guarded.samples if enter < s.t <= leave]
     assert sliding and max(abs(s.x[0] + 0.5 * s.x[1]) for s in sliding) <= 1e-9
+
+
+THREE_STATE = """\
+model "three_state" {
+  state 3;
+  control 3;
+  plant { dx0 = u0; dx1 = u1 + 0.1 * sin(x0); dx2 = u2; }
+  leaf above { u = [0.0, 0.0, 0.0]; status = if x0 + x1 + x2 > 0.0 then S else F; }
+  leaf push_up { u = [1.0, 0.5, 0.2]; status = R; }
+  leaf push_down { u = [-1.0, -0.3, 0.2]; status = R; }
+  fal guard = [above, push_up];
+  seq hold = [guard, push_down];
+  root = hold;
+}
+"""
+
+
+def test_a_three_state_slide_holds_its_plane_on_both_routes():
+    # the push leaves chatter onto the plane x0 + x1 + x2 = 0 and slide on
+    # it; the copy with wrapped controllers takes the _rk4 blend
+    model = dsl.lower(dsl.parse(THREE_STATE))
+    cfg = IntegratorConfig(dt=0.01, t_end=2.0)
+    fused, wrapped = (integrate(model.plant, bt, (-0.5, 0.2, -0.3), cfg, "three_state")
+                      for bt in _routes(model))
+    assert fused.to_json() == wrapped.to_json()
+    (enter,) = fused.events_of("SlideEnter")
+    assert not fused.events_of("SlideExit")
+    sliding = [s for s in fused.samples if s.t > enter.t]
+    assert len(sliding) > 100 and sliding[-1].t == 2.0
+    assert max(abs(s.x[0] + s.x[1] + s.x[2]) for s in sliding) <= 1e-9
 
 
 def test_triple_point_chatter_is_rejected():

@@ -42,6 +42,11 @@ one per output:
   or at once after each of 1,361 entries (`shear`, whose leaves declare no
   guard); and of the shear tree whose left leaf declares the guard
   g = x0, which holds one slide (`shear_guarded`);
+- slide/three_state: `to_json` of the THREE_STATE model's run, a guarded
+  slide on the plane x0 + x1 + x2 = 0 of three states, and
+  slide/three_state/wrapped: the same run with wrapped controllers, which
+  takes the `_rk4` blend; the two are equal, which CI checks as for the
+  bank lines (tests/test_executor.py holds the same model);
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
   line and column of its error, on sources at the edges of layout
@@ -301,9 +306,25 @@ def boundary_digests() -> list:
     return lines
 
 
+# two push leaves that chatter onto the plane x0 + x1 + x2 = 0 and slide on it
+THREE_STATE = """\
+model "three_state" {
+  state 3;
+  control 3;
+  plant { dx0 = u0; dx1 = u1 + 0.1 * sin(x0); dx2 = u2; }
+  leaf above { u = [0.0, 0.0, 0.0]; status = if x0 + x1 + x2 > 0.0 then S else F; }
+  leaf push_up { u = [1.0, 0.5, 0.2]; status = R; }
+  leaf push_down { u = [-1.0, -0.3, 0.2]; status = R; }
+  fal guard = [above, push_up];
+  seq hold = [guard, push_down];
+  root = hold;
+}
+"""
+
+
 def slide_digests() -> list:
     from ctbt import (BehaviorTree, Fallback, IntegratorConfig, Leaf, LeafBehavior,
-                      Plant, Sequence, Status, integrate)
+                      Plant, Sequence, Status, dsl, integrate)
 
     def leaf(i, control, status, guards=()):
         return Leaf(i, LeafBehavior(control, status, label=f"leaf{i}", guards=guards))
@@ -336,6 +357,12 @@ def slide_digests() -> list:
     for name, (root, x0, cfg) in cases.items():
         run = integrate(plant, BehaviorTree(root, state_dim=2), x0, cfg, model_name=name)
         lines.append((sha(run.to_json()), f"slide/{name}"))
+    model = dsl.lower(dsl.parse(THREE_STATE))
+    for bt, name in ((model.bt, "slide/three_state"),
+                     (wrapped_controllers(model.bt), "slide/three_state/wrapped")):
+        run = integrate(model.plant, bt, (-0.5, 0.2, -0.3), IntegratorConfig(dt=0.01, t_end=2.0),
+                        model_name="three_state")
+        lines.append((sha(run.to_json()), name))
     return lines
 
 
