@@ -213,7 +213,6 @@ class BehaviorTree:
         self._rows = tuple((m, spans[s.node_id][1], spans[f.node_id][1], i)
                            for m, s, f, i in rows)
         self._composites = tuple(composites)
-        self._region_plan = None  # filled lazily by regions._plan
 
     def check_state(self, x) -> tuple:
         """x in the package's one state format, a tuple of Python floats."""

@@ -25,9 +25,11 @@ children's by set algebra, the way the paper defines them; every query,
 down to the one-point composed_status, reads its statuses from there and
 never from core's delegation walk, so the two routes stay independently
 testable.  They share only the tree's layout, which BehaviorTree builds:
-the leaves left to right, the composites in post-order, and each node's
-slice of both.  The per-tree plan here adds the algebra: each composite's
-gate and exit, the pathway sets and each node's region test.
+the leaves left to right, the composites in post-order, each node's slice
+of both, its kind and its children.  Influence, pathways and operating
+regions compose one level at a time, so a second function, _node_regions,
+gives every node's from those sets in one walk, parents first, and reads
+no uncle list.
 """
 
 from __future__ import annotations
@@ -55,67 +57,24 @@ class PathwaySets:
 
 
 def pathway_sets(bt: BehaviorTree) -> PathwaySets:
-    """Success/failure pathway node sets of bt, cached on the instance."""
-    return _plan(bt).pathways
+    """Success/failure pathway node sets of bt."""
+    # the pathways depend on no point, so masks over none serve
+    keep = _node_regions(bt, [(0, 0, 0)] * len(bt.nodes), 0)[2]
+    return PathwaySets(success=frozenset(i for i, k in enumerate(keep) if 1 in k),
+                       failure=frozenset(i for i, k in enumerate(keep) if 2 in k))
 
 
 # A node's masks are indexed like _STATUSES: [running, success, failure].
 _STATUSES = (Status.RUNNING, Status.SUCCESS, Status.FAILURE)
 # Index of the status every child must share for the composite to share it;
-# a left uncle under a parent of this kind must hold it for execution to
-# pass on.  The other index that is not Running is the composite's exit.
+# an earlier sibling under a parent of this kind must hold it for execution
+# to pass on.  The other index that is not Running is the composite's exit.
 _GATE = {"seq": 1, "fal": 2}
 _EXIT = {"seq": 2, "fal": 1}
 # Leaf statuses are coded by identity as their _STATUSES index, any other
 # value as _MALFORMED; _BITS[k] translates code k to "1", the rest to "0".
 _MALFORMED = 3
 _BITS = tuple(b"0" * k + b"1" + b"0" * (255 - k) for k in range(4))
-
-
-@dataclass(frozen=True)
-class _RegionPlan:
-    """The region algebra's per-tree tables, built once per tree; the tree's
-    layout (leaf rows, composite post-order, each node's slices of the two)
-    is BehaviorTree's.
-
-    composites: (node id, gate index, exit index, child ids) in the tree's
-    composite post-order.  tests: (i, influence preconditions as (left
-    uncle, required status index) pairs, keeping status indices) for each
-    node id i; owner_tests: the leaves', in id order.
-    """
-
-    composites: tuple
-    pathways: PathwaySets
-    tests: tuple
-    owner_tests: tuple
-
-
-def _plan(bt: BehaviorTree) -> _RegionPlan:
-    """_RegionPlan of bt, cached on the instance."""
-    if bt._region_plan is None:
-        tree, kinds, n = bt.tree, bt.kinds, len(bt.nodes)
-        composites = tuple((j, _GATE[kinds[j]], _EXIT[kinds[j]], tree.children[j])
-                           for j in bt._composites)
-        # i is on the success (failure) pathway unless a right uncle under a
-        # Sequence (Fallback) parent takes over from it
-        takeover = [{kinds[tree.parent[j]] for j in tree.right_uncles(i)}
-                    for i in range(n)]
-        pw = PathwaySets(
-            success=frozenset(i for i, t in enumerate(takeover) if "seq" not in t),
-            failure=frozenset(i for i, t in enumerate(takeover) if "fal" not in t))
-        tests = []
-        for i in range(n):
-            conds = tuple((j, _GATE[kinds[tree.parent[j]]]) for j in tree.left_uncles(i))
-            # the statuses at i that keep execution at i (the module doc's cases)
-            keep = [0]
-            if i in pw.success:
-                keep.append(1)
-            if i in pw.failure:
-                keep.append(2)
-            tests.append((i, conds, tuple(keep)))
-        bt._region_plan = _RegionPlan(composites, pw, tuple(tests),
-                                      tuple(tests[i] for i in bt.leaf_ids))
-    return bt._region_plan
 
 
 def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False):
@@ -138,7 +97,7 @@ def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False
     one, the error names the lowest-index such point and, at it, the first
     composite in post-order, as composed_status at that point alone would.
     """
-    composites = _plan(bt).composites
+    kinds, children = bt.kinds, bt.tree.children
     first, stop, cfirst, cstop = bt._spans[i]
     leaves = bt._rows[first:stop]
     metadata = [row[0] for row in leaves]
@@ -164,9 +123,10 @@ def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False
         if bad_plane >> shift & full:
             malformed[leaf] = bad_plane >> shift & full
     error = None  # (point, composite, child) of the first malformed status consulted
-    for j, gate, exit_, kids in composites[cfirst:cstop]:
+    for j in bt._composites[cfirst:cstop]:
+        gate, exit_ = _GATE[kinds[j]], _EXIT[kinds[j]]
         passed, running, exits = full, 0, 0
-        for c in kids:
+        for c in children[j]:
             hit = malformed.get(c, 0) & passed if malformed else 0
             if hit:
                 p = (hit & -hit).bit_length() - 1  # its lowest point
@@ -192,21 +152,37 @@ def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False
     return masks, walks
 
 
-def _operating_mask(masks: list, test: tuple) -> int:
-    """Points of the batch inside the operating region of test's node:
-    its keeping statuses, within every influence precondition."""
-    i, conds, keep = test
-    mask = 0
-    for k in keep:
-        mask |= masks[i][k]
-    for j, want in conds:
-        mask &= masks[j][want]
-    return mask
+def _node_regions(bt: BehaviorTree, masks: list, full: int) -> tuple:
+    """(influence, operating, keep) of every node, indexed by node id: its
+    influence and operating masks over the points of masks, the whole
+    tree's from _region_masks, of which full holds every point; and the
+    status indices that keep execution at it, Running and the statuses of
+    the pathways it lies on (the module doc's cases).
 
-
-def _owner_masks(bt: BehaviorTree, masks: list) -> list:
-    """(leaf id, operating mask) of every leaf, in id order."""
-    return [(t[0], _operating_mask(masks, t)) for t in _plan(bt).owner_tests]
+    Both regions compose one level at a time, so one walk over the
+    composites, parents first, gives them.  The root's influence is every
+    point, and it lies on both pathways.  A child's influence is its
+    parent's within every earlier sibling's gate region.  It keeps its
+    parent's statuses, but a later sibling takes over its Success under a
+    Sequence and its Failure under a Fallback: the parent's gate.  Its
+    operating region is its influence within its keeping statuses.
+    """
+    n, kinds, children = len(bt.nodes), bt.kinds, bt.tree.children
+    influence, keep = [full] * n, [(0, 1, 2)] * n
+    for j in reversed(bt._composites):
+        gate, inside = _GATE[kinds[j]], influence[j]
+        taken = tuple(k for k in keep[j] if k != gate)
+        for c in children[j]:
+            influence[c], keep[c] = inside, taken
+            inside &= masks[c][gate]
+        keep[c] = keep[j]  # the last child has no later sibling
+    operating = []
+    for inside, m, statuses in zip(influence, masks, keep):
+        region = 0
+        for k in statuses:
+            region |= m[k]
+        operating.append(inside & region)
+    return influence, operating, keep
 
 
 def _points(mask: int):
@@ -238,6 +214,11 @@ def _point_masks(bt: BehaviorTree, x, i: int = 0) -> list:
     return _region_masks(bt, [bt.check_state(x)], i)[0]
 
 
+def _point_regions(bt: BehaviorTree, x) -> tuple:
+    """_node_regions of bt at the single validated state x."""
+    return _node_regions(bt, _point_masks(bt, x), 1)
+
+
 # Points per _region_masks call in the batch audits.  A call holds every
 # leaf status of its points (about 1 KB per point at 44 leaves) and shifts
 # bit planes whose width is points times leaves, so a run bounds both; the
@@ -246,16 +227,20 @@ _RUN = 4096
 
 
 def _runs(bt: BehaviorTree, states: list, walk: bool = False, grow: bool = False):
-    """(states, masks, walks) of the batch in order, _RUN points at a time,
+    """(states, owned, walks) of the batch in order, _RUN points at a time,
     or with grow set, 1, 2, 4, ... points at a time up to _RUN, so a caller
     that stops early evaluates fewer than twice the points it needed.
 
-    An error in one run ends the audit there, so it still names the
-    batch's lowest-index malformed point."""
+    owned holds the (leaf id, operating mask) of every leaf, in id order,
+    and walks the run's _region_masks walks.  An error in one run ends the
+    audit there, so it still names the batch's lowest-index malformed
+    point."""
     k, size = 0, 1 if grow else _RUN
     while k < len(states):
         run = states[k:k + size]
-        yield (run, *_region_masks(bt, run, walk=walk))
+        masks, walks = _region_masks(bt, run, walk=walk)
+        operating = _node_regions(bt, masks, (1 << len(run)) - 1)[1]
+        yield run, [(leaf, operating[leaf]) for leaf in bt.leaf_ids], walks
         k, size = k + size, min(2 * size, _RUN)
 
 
@@ -279,28 +264,27 @@ def in_influence_region(bt: BehaviorTree, i: int, x) -> bool:
     Every left uncle under a Sequence parent must be in Success at x, every
     left uncle under a Fallback parent in Failure.
     """
-    _, conds, _ = _plan(bt).tests[bt.tree._check_id(i)]
-    masks = _point_masks(bt, x)
-    return all(masks[j][want] for j, want in conds)
+    i = bt.tree._check_id(i)
+    return bool(_point_regions(bt, x)[0][i])
 
 
 def in_operating_region(bt: BehaviorTree, i: int, x) -> bool:
     """Is x inside node i's operating region (the case split in the module doc)?"""
-    test = _plan(bt).tests[bt.tree._check_id(i)]
-    return bool(_operating_mask(_point_masks(bt, x), test))
+    i = bt.tree._check_id(i)
+    return bool(_point_regions(bt, x)[1][i])
 
 
 def operating_owners(bt: BehaviorTree, x) -> list:
     """All leaves whose operating region contains x (should be exactly one)."""
-    return [leaf for leaf, mask in _owner_masks(bt, _point_masks(bt, x)) if mask]
+    operating = _point_regions(bt, x)[1]
+    return [leaf for leaf in bt.leaf_ids if operating[leaf]]
 
 
 def leaf_memberships(bt: BehaviorTree, x) -> list:
     """(leaf id, in its influence region, in its operating region) at x for
     every leaf, in id order, from one evaluation of the tree's regions."""
-    masks = _point_masks(bt, x)
-    return [(test[0], all(masks[j][want] for j, want in test[1]),
-             bool(_operating_mask(masks, test))) for test in _plan(bt).owner_tests]
+    influence, operating, _ = _point_regions(bt, x)
+    return [(leaf, bool(influence[leaf]), bool(operating[leaf])) for leaf in bt.leaf_ids]
 
 
 @dataclass(frozen=True)
@@ -321,8 +305,8 @@ def subsystem_leaves(bt: BehaviorTree, points) -> SubsystemLeaves:
     seen = set()
     # stop after the run that witnesses the last leaf; runs start at one
     # point, so a batch whose first point witnesses every leaf costs one
-    for _, masks, _ in _runs(bt, states, grow=True):
-        seen.update(leaf for leaf, mask in _owner_masks(bt, masks) if mask)
+    for _, owned, _ in _runs(bt, states, grow=True):
+        seen.update(leaf for leaf, mask in owned if mask)
         if len(seen) == len(bt.leaf_ids):
             break
     return SubsystemLeaves(
@@ -374,14 +358,14 @@ class RegionReport:
 def check_partition(bt: BehaviorTree, points) -> RegionReport:
     """Audit disjointness, coverage, and agreement with tick over samples.
 
-    The region route (status algebra + uncles + pathways) and the delegation
-    route (tick) are computed independently per point.  Violations are sorted
-    canonically so reports are reproducible regardless of evaluation order.
+    The region route (status algebra, influence and pathways) and the
+    delegation route (tick) are computed independently per point.  Violations
+    are sorted canonically so reports are reproducible regardless of
+    evaluation order.
     """
     states = _states(bt, points)
     report = RegionReport(samples_tested=len(states))
-    for run, masks, walks in _runs(bt, states, walk=True):
-        owned = _owner_masks(bt, masks)
+    for run, owned, walks in _runs(bt, states, walk=True):
         sole, shared, covered = _sole_owner(owned, len(run))
         for p in _points(shared):
             report.disjointness_violations.append(
@@ -403,8 +387,8 @@ def region_table(bt: BehaviorTree, points) -> list:
     A root status that is not a Status, which a root leaf can answer, is a
     ValueError naming the lowest-index such point and that leaf."""
     rows = []
-    for run, masks, walks in _runs(bt, _states(bt, points), walk=True):
-        sole = _sole_owner(_owner_masks(bt, masks), len(run))[0]
+    for run, owned, walks in _runs(bt, _states(bt, points), walk=True):
+        sole = _sole_owner(owned, len(run))[0]
         for x, owner, (status, leaf) in zip(run, sole, walks):
             if not isinstance(status, Status):
                 raise ValueError(f"root status at {x!r} is not a Status: "
@@ -457,7 +441,7 @@ def _states(bt: BehaviorTree, points) -> list:
     """A point batch (one point, or rows of them) as states of bt: tuples of
     floats, validated once by bt.check_state (shape, then finiteness)."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim > 2:
+    if not 0 < pts.ndim <= 2:
         raise DimensionMismatch(
             f"point batch has shape {pts.shape}, expected (count, {bt.state_dim})")
     if pts.ndim == 1:

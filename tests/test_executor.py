@@ -436,6 +436,67 @@ def test_a_three_state_slide_holds_its_plane_on_both_routes():
     assert max(abs(s.x[0] + s.x[1] + s.x[2]) for s in sliding) <= 1e-9
 
 
+# push_out spirals out of the unit circle, push_in spirals into it: they
+# chatter onto the circle, a guard whose gradient turns along the slide
+CURVED = """\
+model "curved" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf outside { u = [0.0, 0.0]; status = if x0 * x0 + x1 * x1 > 1.0 then S else F; }
+  leaf push_out { u = [x0 - 2.0 * x1, x1 + 2.0 * x0]; status = R; }
+  leaf push_in {
+    u = [(-x0 - x1) / sqrt(x0 * x0 + x1 * x1), (x0 - x1) / sqrt(x0 * x0 + x1 * x1)];
+    status = R;
+  }
+  fal gate = [outside, push_out];
+  seq hold = [gate, push_in];
+  root = hold;
+}
+"""
+
+
+def test_a_slide_on_a_curved_guard_takes_two_newton_steps_and_holds_the_circle(monkeypatch):
+    """On a guard that is not affine the first Newton step of a slide step
+    is not exact: all but the first of the 34 steps take a second one, and
+    the slide holds |x| = 1 to rounding.  Each step calls the guard once
+    for its normal and once per Newton step."""
+    model = dsl.lower(dsl.parse(CURVED))
+    calls, per_span = [0], []
+    slide_span = executor._Integrator.slide_span
+
+    def counted(guard):
+        def call(x):
+            calls[0] += 1
+            return guard(x)
+        return call
+
+    def rebuilt(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, dataclasses.replace(
+                b, guards=tuple(map(counted, b.guards))))
+        return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
+
+    def watched(self, *args):
+        before = calls[0]
+        try:
+            return slide_span(self, *args)
+        finally:
+            per_span.append(calls[0] - before - 1)
+
+    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
+    bt = BehaviorTree(rebuilt(model.bt.root), state_dim=2)
+    run = integrate(model.plant, bt, (0.5, 0.0),
+                    IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10), "curved")
+    (enter,) = run.events_of("SlideEnter")
+    assert not run.events_of("SlideExit")
+    assert per_span == [1] + [2] * 33
+    sliding = [s for s in run.samples if s.t > enter.t]
+    assert len(sliding) == 34 and sliding[-1].t == 4.0
+    assert max(abs(math.hypot(*s.x) - 1.0) for s in sliding) <= 1e-12
+
+
 def test_triple_point_chatter_is_rejected():
     # three sector regions meeting at the origin, each with a constant
     # field aimed into the next sector; an orbit started close to the

@@ -37,7 +37,7 @@ from ctbt.regions import (
     subsystem_leaves,
     uniform_points,
 )
-from ctbt.tree import InvalidNodeId
+from ctbt.tree import InvalidNodeId, OrderedTree
 
 
 def kitchen_samples():
@@ -343,11 +343,13 @@ def test_empty_sampler_errors():
     ([[0.0, 0.0, 0.0]], DimensionMismatch),
     ([[0.0, 0.0], [0.0, float("nan")]], NonFiniteState),
     ([[[0.0, 0.0]]], DimensionMismatch),
-], ids=["wrong_dimension", "nan", "three_axes"])
+    (5.0, DimensionMismatch),
+], ids=["wrong_dimension", "nan", "three_axes", "zero_axes"])
 def test_point_batches_are_validated(audit, points, error):
     """Generated code would unpack a 3-vector into a raw ValueError, a
-    non-finite row must not pass silently, and a batch with a third axis
-    is refused as a shape error rather than read row by row."""
+    non-finite row must not pass silently, and a batch with a third axis,
+    or a bare number, is refused as a shape error rather than read row by
+    row."""
     bt = dsl.load(dsl.bundled_model_dir() / "kitchen_lamp.btm").bt
     with pytest.raises(error):
         audit(bt, points)
@@ -542,6 +544,39 @@ def test_point_queries_match_the_per_point_reference(permute_ids):
             assert [in_operating_region(bt, i, x) for i in nodes] == [
                 operating[i] for i in nodes]
             assert operating_owners(bt, x) == [i for i in bt.leaf_ids if operating[i]]
+
+
+@pytest.mark.parametrize("permute_ids", [False, True], ids=["dfs-ids", "permuted-ids"])
+def test_the_region_route_reads_no_uncle_relation(permute_ids, monkeypatch):
+    """Influence and pathways compose one level at a time, so every region
+    query answers as the reference with the tree's uncle relations
+    unreadable."""
+    def unreadable(self, i):
+        raise AssertionError("the region route read an uncle relation")
+
+    for name in ("left_uncles", "right_uncles", "ancestors_or_self"):
+        monkeypatch.setattr(OrderedTree, name, unreadable)
+    for seed in range(8):
+        bt = random_bt(seed, permute_ids=permute_ids)
+        nodes = range(len(bt.nodes))
+        points = uniform_points([(-3, 3), (-3, 3)], 65, seed=[seed, 2])
+        report, rows = _reference_audit(bt, points)
+        assert check_partition(bt, points).to_dict() == report
+        assert region_table(bt, points) == rows
+        witnessed = {i for x in points.tolist() for i in _reference_owners(bt, tuple(x))}
+        assert subsystem_leaves(bt, points) == SubsystemLeaves(
+            frozenset(witnessed), frozenset(bt.leaf_ids) - witnessed, len(points))
+        for x in points[:20].tolist():
+            influence, operating, success, failure = _reference_regions(
+                bt, _reference_statuses(bt, x))
+            assert pathway_sets(bt) == PathwaySets(frozenset(success), frozenset(failure))
+            assert [in_influence_region(bt, i, x) for i in nodes] == [
+                influence[i] for i in nodes]
+            assert [in_operating_region(bt, i, x) for i in nodes] == [
+                operating[i] for i in nodes]
+            assert operating_owners(bt, x) == [i for i in bt.leaf_ids if operating[i]]
+            assert leaf_memberships(bt, x) == [
+                (i, influence[i], operating[i]) for i in bt.leaf_ids]
 
 
 def _delegation_visits(node, x) -> tuple:

@@ -23,9 +23,9 @@ one per output:
 - region/<key>: `check_partition(...).to_dict()` and `region_csv` of every
   region_audit bank tree on the seed-1, pass-0 points, and its predicates:
   `pathway_sets`; `in_influence_region`, `in_operating_region` and
-  `bt.status` of every node, `composed_status` of every composite and
-  `operating_owners`, on the workload's 16 probe points; `subsystem_leaves`
-  on the seed-1, pass-0 points;
+  `bt.status` of every node, `composed_status` of every composite,
+  `operating_owners` and `leaf_memberships`, on the workload's 16 probe
+  points; `subsystem_leaves` on the seed-1, pass-0 points;
 - region/impure: two audits no bank tree reaches, `check_partition(...)
   .to_dict()` of a tree whose metadata toggles on every call, over 257
   points, and the error text of `check_partition` on a tree with a leaf
@@ -47,6 +47,10 @@ one per output:
   slide/three_state/wrapped: the same run with wrapped controllers, which
   takes the `_rk4` blend; the two are equal, which CI checks as for the
   bank lines (tests/test_executor.py holds the same model);
+- slide/curved and slide/curved/wrapped: the same pair of runs for the
+  CURVED model, whose guard x0*x0 + x1*x1 - 1 is not affine, so each of
+  its slide steps takes more than one Newton step onto the unit circle
+  (tests/test_executor.py holds the same model);
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
   line and column of its error, on sources at the edges of layout
@@ -212,7 +216,7 @@ def wrapped_controllers(bt):
 def predicate_text(bt, probes, points) -> str:
     """Every region predicate of bt: per-probe answers, then the samples'."""
     from ctbt import (composed_status, in_influence_region, in_operating_region,
-                      operating_owners, pathway_sets, subsystem_leaves)
+                      leaf_memberships, operating_owners, pathway_sets, subsystem_leaves)
 
     ids = range(len(bt.nodes))
     composites = [i for i in ids if bt.kinds[i] != "leaf"]
@@ -224,7 +228,8 @@ def predicate_text(bt, probes, points) -> str:
             [in_operating_region(bt, i, x) for i in ids],
             [bt.status(i, x).value for i in ids],
             [composed_status(bt, i, x).value for i in composites],
-            operating_owners(bt, x))))
+            operating_owners(bt, x),
+            leaf_memberships(bt, x))))
     sub = subsystem_leaves(bt, points)
     rows.append(repr((sorted(sub.witnessed), sorted(sub.possibly_empty),
                       sub.samples_tested)))
@@ -322,6 +327,26 @@ model "three_state" {
 """
 
 
+# push_out spirals out of the unit circle, push_in spirals into it: they
+# chatter onto the circle and slide on it
+CURVED = """\
+model "curved" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf outside { u = [0.0, 0.0]; status = if x0 * x0 + x1 * x1 > 1.0 then S else F; }
+  leaf push_out { u = [x0 - 2.0 * x1, x1 + 2.0 * x0]; status = R; }
+  leaf push_in {
+    u = [(-x0 - x1) / sqrt(x0 * x0 + x1 * x1), (x0 - x1) / sqrt(x0 * x0 + x1 * x1)];
+    status = R;
+  }
+  fal gate = [outside, push_out];
+  seq hold = [gate, push_in];
+  root = hold;
+}
+"""
+
+
 def slide_digests() -> list:
     from ctbt import (BehaviorTree, Fallback, IntegratorConfig, Leaf, LeafBehavior,
                       Plant, Sequence, Status, dsl, integrate)
@@ -357,12 +382,16 @@ def slide_digests() -> list:
     for name, (root, x0, cfg) in cases.items():
         run = integrate(plant, BehaviorTree(root, state_dim=2), x0, cfg, model_name=name)
         lines.append((sha(run.to_json()), f"slide/{name}"))
-    model = dsl.lower(dsl.parse(THREE_STATE))
-    for bt, name in ((model.bt, "slide/three_state"),
-                     (wrapped_controllers(model.bt), "slide/three_state/wrapped")):
-        run = integrate(model.plant, bt, (-0.5, 0.2, -0.3), IntegratorConfig(dt=0.01, t_end=2.0),
-                        model_name="three_state")
-        lines.append((sha(run.to_json()), name))
+    models = {
+        "three_state": (THREE_STATE, (-0.5, 0.2, -0.3), IntegratorConfig(dt=0.01, t_end=2.0)),
+        "curved": (CURVED, (0.5, 0.0), IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10)),
+    }
+    for name, (text, x0, cfg) in models.items():
+        model = dsl.lower(dsl.parse(text))
+        for bt, key in ((model.bt, f"slide/{name}"),
+                        (wrapped_controllers(model.bt), f"slide/{name}/wrapped")):
+            run = integrate(model.plant, bt, x0, cfg, model_name=name)
+            lines.append((sha(run.to_json()), key))
     return lines
 
 
