@@ -18,6 +18,16 @@ owns a contiguous slice of rows, so the same loop gives any node's status.
 This module owns the tree's layout and that delegation walk; the
 closed-form region algebra that recomputes every status independently from
 the same layout is in ctbt.regions.
+
+The root walk has two tiers.  A new tree takes _walk, the cold tier.  The
+root walk that passes _COLD_WALKS_PER_ROW walks per leaf row compiles the
+hot tier, one generated walk(x) that ctbt.dsl builds from the rows, with
+every lowered status inlined; the tree's root walks take it from then on.
+Compiling costs 0.03 to 0.12 ms per row (0.2 ms for the pendulum model's
+2 rows, 5 ms for 44) and saves 0.3 to 0.5 us per walk, so it pays from 60
+to 430 walks per row on; a tree walked less, an audited one say, keeps
+_walk.  _walk also stays the walk of every subtree and the reference the
+generated walk equals.
 """
 
 from __future__ import annotations
@@ -122,6 +132,11 @@ class Plant:
 
 _SUCCESS, _FAILURE = Status.SUCCESS, Status.FAILURE
 
+# Root walks per leaf row a tree takes with _walk before it compiles its
+# generated walk: inside the 60 to 430 walks per row from which the
+# compile pays for itself.
+_COLD_WALKS_PER_ROW = 256
+
 
 def _walk(rows, x, row: int, stop: int):
     """(status, leaf id) of the subtree whose leaf rows are row..stop-1, at x.
@@ -158,9 +173,18 @@ class BehaviorTree:
     where the next row is past the end when that status reaches the root.
     The composites are listed in post-order.  Node i's subtree holds the
     rows first..stop-1 and the composites cfirst..cstop-1, where
-    spans[i] = (first, stop, cfirst, cstop); so resolve, tick, root_status,
-    active_leaf and status(i, x) are all one _walk, and the region algebra
-    reads its leaves and composites in the same slices.
+    spans[i] = (first, stop, cfirst, cstop); so status(i, x) is one _walk,
+    and the region algebra reads its leaves and composites in the same
+    slices.
+
+    resolve, tick, root_status and active_leaf are one root walk, in two
+    tiers: _cold_walk, _walk over every row, until _COLD_WALKS_PER_ROW
+    times the row count have passed, then _hot_walk, the generated walk
+    compiled by the walk that passed.  The switch happens behind those
+    four methods, none of which is ever rebound, so a wrapper set on the
+    instance sees every call.  The pendulum model's tree compiles at its
+    513th root walk, slide_hold's 4-row tree at its 1,025th; an audit of
+    256 points walks a tree of 3 or more rows 256 times and keeps _walk.
     """
 
     def __init__(self, root: BtNode, state_dim: int):
@@ -213,6 +237,8 @@ class BehaviorTree:
         self._rows = tuple((m, spans[s.node_id][1], spans[f.node_id][1], i)
                            for m, s, f, i in rows)
         self._composites = tuple(composites)
+        self._cold_walks = _COLD_WALKS_PER_ROW * len(rows)  # root walks left in the cold tier
+        self._hot_walk = None  # the generated root walk, once compiled
 
     def check_state(self, x) -> tuple:
         """x in the package's one state format, a tuple of Python floats."""
@@ -226,18 +252,30 @@ class BehaviorTree:
             raise NonFiniteState(f"state is not finite: {x!r}")
         return x
 
+    def _cold_walk(self, x):
+        """The root walk of the cold tier, _walk over every row, counted;
+        the walk that passes the tier's allowance compiles the hot one and
+        answers with it."""
+        self._cold_walks -= 1
+        if self._cold_walks >= 0:
+            return _walk(self._rows, x, 0, len(self._rows))
+        from .dsl import _walk_function  # dsl imports this module
+
+        self._hot_walk = _walk_function(self)
+        return self._hot_walk(x)
+
     def tick(self, x) -> tuple:
         """(control, root status) at x; only the active leaf's controller runs."""
         x = self.check_state(x)
-        status, leaf = _walk(self._rows, x, 0, len(self._rows))
+        status, leaf = (self._hot_walk or self._cold_walk)(x)
         return self.nodes[leaf].behavior.controller(x), status
 
     def root_status(self, x) -> Status:
-        return _walk(self._rows, self.check_state(x), 0, len(self._rows))[0]
+        return (self._hot_walk or self._cold_walk)(self.check_state(x))[0]
 
     def active_leaf(self, x) -> int:
         """Id of the leaf the delegation chain lands on at x."""
-        return _walk(self._rows, self.check_state(x), 0, len(self._rows))[1]
+        return (self._hot_walk or self._cold_walk)(self.check_state(x))[1]
 
     def resolve(self, x):
         """(root status, active leaf id) at x in one walk, no revalidation.
@@ -245,7 +283,7 @@ class BehaviorTree:
         The walk evaluates leaf metadata only, never a controller; the
         control at x is bt.behavior(leaf).controller(x).
         """
-        return _walk(self._rows, x, 0, len(self._rows))
+        return (self._hot_walk or self._cold_walk)(x)
 
     def status(self, i: int, x) -> Status:
         """Status of the subtree rooted at i, by delegation semantics."""

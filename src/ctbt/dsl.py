@@ -34,7 +34,9 @@ Plant.steps; the executor calls them in regular and sliding mode in place
 of RK4 over the field and controller functions, with the same floats.
 Every comparison left op right in a leaf status becomes a guard,
 g = left - right with its gradient from derivative(), compiled when a
-slide first reads it and kept in LeafBehavior.guards.
+slide first reads it and kept in LeafBehavior.guards.  A tree walked often
+gets one more function, its root delegation walk, which inlines the
+status of each leaf lowered here (see ctbt.core).
 """
 
 from __future__ import annotations
@@ -1180,12 +1182,14 @@ def _guard_function(c: Compare, sx: Mapping, codes: dict) -> Callable:
 class _LeafGuards:
     """LeafBehavior.guards of a lowered leaf: one guard per comparison of
     its folded status, compiled by the first iteration, since many lowered
-    trees never slide."""
+    trees never slide.  metadata is the status function lowered from that
+    status, so a generated walk inlines the status of a leaf whose
+    metadata it is."""
 
-    __slots__ = ("status", "sx", "codes", "compiled")
+    __slots__ = ("status", "metadata", "sx", "codes", "compiled")
 
-    def __init__(self, status, sx: Mapping, codes: dict):
-        self.status, self.sx, self.codes = status, sx, codes
+    def __init__(self, status, metadata, sx: Mapping, codes: dict):
+        self.status, self.metadata, self.sx, self.codes = status, metadata, sx, codes
         self.compiled = None
 
     def __iter__(self):
@@ -1193,6 +1197,78 @@ class _LeafGuards:
             self.compiled = tuple(_guard_function(c, self.sx, self.codes)
                                   for c in _comparisons(self.status))
         return iter(self.compiled)
+
+
+def _outcomes(s) -> set:
+    """The statuses a folded status expression can give."""
+    found, stack = set(), [s]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, IfStatus):
+            stack += (s.els, s.then)
+        else:
+            found.add(s.value)
+    return found
+
+
+def _walk_function(bt: BehaviorTree) -> Callable:
+    """walk(x) -> (root status, active leaf id), core._walk over bt's whole
+    row table as one generated function, for a state of bt.state_dim floats.
+
+    The rows follow in row order, since every jump goes forward.  A row
+    that every path not yet ended jumps to runs unguarded, any other under
+    `if n == row:`, so the nesting is the same at every tree depth.  A row
+    whose metadata is, by identity, the status function lowered for that
+    leaf evaluates the folded status inline, reusing each value computed
+    on every path into the row; any other metadata is called by name.  The
+    status then jumps, n = next row, or returns its prebuilt (status, leaf)
+    tuple; a called status that is neither Success nor Failure is returned
+    as it came, so a value that is not a Status ends the walk as in _walk.
+    """
+    rows, stop = bt._rows, len(bt._rows)
+    sx = {f"x{k:d}": k for k in range(bt.state_dim)}
+    g = _FunctionSource(sx, {}, {})
+    tests = {Status.SUCCESS: f"s is {g.helper('_S', Status.SUCCESS)}",
+             Status.FAILURE: f"s is {g.helper('_F', Status.FAILURE)}"}
+    entry = {0: set()}  # row jumped to -> values computed on every path into it
+    body = []
+    for row, (metadata, on_success, on_failure, leaf) in enumerate(rows):
+        if row not in entry:  # no jump lands here
+            continue
+        g.known = entry.pop(row)
+        guarded = bool(entry)  # a path not yet ended waits for a later row
+        if guarded:
+            body.append(f"if n == {row:d}:")
+        guards = bt.nodes[leaf].behavior.guards
+        inline = (type(guards) is _LeafGuards and guards.metadata is metadata
+                  and guards.sx == sx)
+        lines = []
+        if not inline:
+            lines.append(f"s = {g.helper(f'_m{row:d}', metadata)}(x)")
+        elif type(guards.status) is IfStatus:
+            lines.append(f"s = {g.top(guards.status)}")
+
+        def act(status, target):
+            if target >= stop:
+                return f"return {g.helper(f'_r{row:d}{status.value}', (status, leaf))}"
+            entry[target] = entry[target] & g.known if target in entry else set(g.known)
+            return f"n = {target:d}"
+
+        outcomes = _outcomes(guards.status) if inline else tests
+        cases = [(tests[status], act(status, target))
+                 for status, target in ((Status.SUCCESS, on_success),
+                                        (Status.FAILURE, on_failure)) if status in outcomes]
+        if not inline:
+            last = f"return s, {leaf:d}"
+        elif Status.RUNNING in outcomes:
+            last = act(Status.RUNNING, stop)
+        else:
+            last = cases.pop()[1]
+        for k, (test, action) in enumerate(cases):
+            lines += [f"{'el' if k else ''}if {test}:", f"    {action}"]
+        lines += ["else:", f"    {last}"] if cases else [last]
+        body += [f"    {line}" for line in lines] if guarded else lines
+    return g.function("walk", "x", [*g.prologue(), *body])
 
 
 def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
@@ -1309,9 +1385,10 @@ def lower(m: ModelFile) -> LoweredModel:
             controller = _tuple_function("controller", "x", controls, sx, {}, codes)
             steps.controls[controller] = controls
             status = fold_constants(decl.status, consts)
+            metadata = _status_function(status, sx, codes)
             behavior = LeafBehavior(
-                controller=controller, metadata=_status_function(status, sx, codes),
-                label=decl.name, guards=_LeafGuards(status, sx, codes))
+                controller=controller, metadata=metadata, label=decl.name,
+                guards=_LeafGuards(status, metadata, sx, codes))
             return Leaf(nid, behavior)
         children = tuple(build(child) for child in decl.children)
         cls = Sequence if decl.kind == "seq" else Fallback

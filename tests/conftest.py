@@ -1,5 +1,8 @@
 """Shared fixtures: hand-built reference trees and a seeded random-tree factory."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 # verdict lines appended by test_acceptance, echoed after the run
@@ -176,3 +179,12 @@ def random_bt(seed, state_dim=2, max_depth=4, max_leaves=10,
         return Sequence(nid, children) if kind == "seq" else Fallback(nid, children)
 
     return BehaviorTree(build(shape), state_dim=state_dim)
+
+
+def bench_workloads():
+    """bench/workloads.py, the benchmark's banks and workloads, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1187,6 +1187,157 @@ def test_tree_past_the_depth_cap_is_a_positioned_model_error():
     assert (e.value.line, e.value.col) == (6, 13)
 
 
+# ------------------------------------------------------ generated delegation walk
+
+# near and far read sqrt(x0 / x1), last reads x0 / x1: row 0 computes both
+# and every path passes it, so the walk reads them from there; x1 = 0
+# raises at near's division and x0 / x1 < 0 at near's sqrt.  far and last
+# read x1 * x1, but last computes it again: near's Success jumps past far.
+SHARED = """\
+model "shared" {
+  state 2;
+  control 1;
+  plant { dx0 = u0; dx1 = 0.0; }
+  leaf near { u = [0.0]; status = if sqrt(x0 / x1) < 1.0 then S else if x1 > 0.5 then F else R; }
+  leaf far { u = [1.0]; status = if sqrt(x0 / x1) + x1 * x1 < 2.0 then S else R; }
+  leaf last { u = [2.0]; status = if x0 / x1 > x1 * x1 - 0.5 then R else F; }
+  fal pick = [near, far];
+  seq top = [pick, last];
+  root = top;
+}
+"""
+
+
+@pytest.fixture
+def hot(monkeypatch):
+    """Trees built under it take their generated walk from the first root walk."""
+    from ctbt import core
+
+    monkeypatch.setattr(core, "_COLD_WALKS_PER_ROW", 0)
+
+
+def _walk_outcome(walk, x):
+    """walk(x), or the type, text, line and column of the error it raised."""
+    try:
+        return walk(x)
+    except (ValueError, ArithmeticError) as err:
+        return (type(err).__name__, str(err), getattr(err, "line", None),
+                getattr(err, "col", None))
+
+
+def _assert_walks_agree(bt, states) -> None:
+    """bt.resolve, the generated walk, answers or raises as _walk does."""
+    from ctbt import core
+
+    rows = bt._rows
+    for x in states:
+        assert (_walk_outcome(bt.resolve, x)
+                == _walk_outcome(lambda y: core._walk(rows, y, 0, len(rows)), x)), x
+    assert bt._hot_walk is not None
+
+
+@pytest.mark.parametrize("permute_ids", [False, True], ids=["dfs-ids", "permuted-ids"])
+def test_generated_walk_equals_row_walk_on_random_trees(hot, permute_ids):
+    """Hand-built metadata, called by name, on trees whose ids need not
+    follow leaf order."""
+    from conftest import random_bt
+
+    for seed in range(25):
+        bt = random_bt(seed, max_depth=5, max_leaves=14, permute_ids=permute_ids)
+        rng = np.random.default_rng(3000 + seed)
+        _assert_walks_agree(bt, [tuple(x) for x in rng.uniform(-3, 3, size=(60, 2)).tolist()])
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_generated_walk_equals_row_walk_on_models(hot, index):
+    """Every lowered status is inlined, none called, and the walk answers
+    or raises, line and column included, as _walk does on 300 seeded
+    states, x1 = 0 (the last state variable) at every tenth."""
+    lowered = dsl.lower(dsl.parse([*_equivalence_corpus(), SLIDE_HOLD, SHARED][index]))
+    bt = lowered.bt
+    states = np.random.default_rng(500 + index).uniform(-3, 3, size=(300, bt.state_dim))
+    states[::10, -1] = 0.0
+    _assert_walks_agree(bt, [tuple(x) for x in states.tolist()])
+    metadata = {id(bt.behavior(i).metadata) for i in bt.leaf_ids}
+    assert not metadata & {id(v) for v in bt._hot_walk.__globals__.values()}
+
+
+def test_generated_walk_hands_on_a_status_that_is_not_a_status(hot):
+    """A called leaf's answer that is not a Status ends the walk as it came,
+    and the run that reaches it raises ExecutionError there."""
+    from ctbt.core import BehaviorTree, Leaf, LeafBehavior, Plant, Sequence
+
+    odd = Leaf(1, LeafBehavior(lambda x: (1.0,),
+                               lambda x: "S" if x[0] > 0.5 else Status.SUCCESS, "odd"))
+    last = Leaf(2, LeafBehavior(lambda x: (1.0,), lambda x: Status.RUNNING, "last"))
+    bt = BehaviorTree(Sequence(0, (odd, last)), state_dim=1)
+    assert bt.resolve((0.0,)) == (Status.RUNNING, 2)
+    assert bt._hot_walk is not None
+    assert bt.resolve((1.0,)) == ("S", 1)
+    with pytest.raises(executor.ExecutionError, match="leaf 1 answers 'S'"):
+        integrate(Plant(1, 1, lambda x, u: u), bt, (0.0,), IntegratorConfig(dt=0.1, t_end=1.0))
+
+
+def _deep_chain(levels: int) -> str:
+    """A model whose tree is levels deep with a leaf at every level:
+    composite k holds composite k - 1 and leaf k, Fallbacks and Sequences
+    in turn."""
+    lines = ['model "chain" {', "  state 1;", "  control 1;", "  plant { dx0 = u0; }"]
+    for k in range(levels):
+        lines.append(f"  leaf l{k} {{ u = [1.0]; status = if x0 < {k * 0.01 - 1.0!r} then R "
+                     f"else if x0 < {k * 0.01!r} then {'SF'[k % 2]} else {'FS'[k % 2]}; }}")
+    child = "l0"
+    for k in range(1, levels):
+        lines.append(f"  {('seq', 'fal')[k % 2]} c{k} = [{child}, l{k}];")
+        child = f"c{k}"
+    return "\n".join(lines + [f"  root = {child};", "}"]) + "\n"
+
+
+def test_generated_walk_of_trees_at_the_depth_cap(hot):
+    """Python allows 100 levels of indentation; the walk's nesting does
+    not grow with the tree's depth, so a tree that lowers also walks: one
+    leaf under 199 one-child Sequences, and a leaf at each of 200 levels."""
+    for text in (_nested_seqs(dsl._MAX_TREE_DEPTH), _deep_chain(dsl._MAX_TREE_DEPTH)):
+        bt = dsl.lower(dsl.parse(text)).bt
+        _assert_walks_agree(bt, [(v,) for v in np.linspace(-1.5, 2.5, 401).tolist()])
+
+
+def test_generated_walk_calls_wrapped_metadata_in_row_walk_order(hot):
+    """A lowered leaf whose metadata is replaced, guards kept, is called by
+    name: the walk makes _walk's metadata calls, in _walk's order."""
+    import dataclasses
+
+    from ctbt import core
+    from ctbt.core import BehaviorTree, Leaf
+
+    log = []
+
+    def counted(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+
+            def metadata(x, i=node.node_id, inner=b.metadata):
+                log.append((i, x))
+                return inner(x)
+
+            return Leaf(node.node_id, dataclasses.replace(b, metadata=metadata))
+        return type(node)(node.node_id, tuple(counted(c) for c in node.children))
+
+    for index, text in enumerate((SLIDE_HOLD, SHARED, bundled("pendulum.btm"))):
+        lowered = dsl.lower(dsl.parse(text))
+        bt = BehaviorTree(counted(lowered.bt.root), state_dim=lowered.bt.state_dim)
+        rows = bt._rows
+        states = np.random.default_rng(700 + index).uniform(-3, 3, size=(200, 2))
+        states[::10, 1] = 0.0
+        for x in (tuple(x) for x in states.tolist()):
+            log.clear()
+            hot_walk = _walk_outcome(bt.resolve, x), list(log)
+            log.clear()
+            cold_walk = _walk_outcome(lambda y: core._walk(rows, y, 0, len(rows)), x), log
+            assert hot_walk == cold_walk
+        assert bt._hot_walk is not None
+
+
 HOSTILE = """\
 model "__import__('os').system('true')" {
   state 2;

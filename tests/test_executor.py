@@ -35,7 +35,7 @@ from ctbt.executor import (
 )
 from ctbt.regions import EmptySampler
 
-from conftest import SETPOINT, SLIDE_HOLD, thermostat_bt, thermostat_plant
+from conftest import SETPOINT, SLIDE_HOLD, bench_workloads, thermostat_bt, thermostat_plant
 
 
 def switch_bt(gate_status, run_a, run_b, dim):
@@ -672,6 +672,46 @@ def test_one_walk_per_grid_step(pendulum):
         assert counts["controller"] == counts["field"] == 4 * taken
         assert {s.status for s in traj.samples} == {Status.RUNNING}
         assert {s.leaf for s in traj.samples} == ({1, 2} if switches else {1})
+
+
+def _tier_cases():
+    """(plant, tree, x0, config) builders: a pendulum bank start, a
+    slide_hold bank start, whose slide steps walk too, and the hand-built
+    thermostat, whose metadata the generated walk calls by name."""
+    workloads = bench_workloads().WORKLOADS
+
+    def bank_start(name):
+        wl = workloads[name]
+        lowered = dsl.lower(dsl.parse(wl.model_text()))
+        return lowered.plant, lowered.bt, wl.bank()["d0.0.0"], wl.config()
+
+    return {
+        "pendulum": lambda: bank_start("pendulum_certify"),
+        "slide_hold": lambda: bank_start("slide_hold"),
+        "thermostat": lambda: (thermostat_plant(), thermostat_bt(), (18.0,),
+                               IntegratorConfig(dt=0.01, t_end=5.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["pendulum", "slide_hold", "thermostat"])
+def test_a_tree_that_compiles_its_walk_mid_run_runs_as_one_that_never_does(case, monkeypatch):
+    """The tier switch is invisible: a run whose tree takes the generated
+    walk after 40 walks per leaf row gives the bytes of one whose tree
+    keeps the row-table walk throughout."""
+    from ctbt import core
+
+    build = _tier_cases()[case]
+
+    def run(allowance):
+        monkeypatch.setattr(core, "_COLD_WALKS_PER_ROW", allowance)
+        plant, bt, x0, cfg = build()
+        text = integrate(plant, bt, x0, cfg).to_json()
+        return text, bt._hot_walk is not None
+
+    cold, went_hot = run(math.inf)
+    assert not went_hot
+    switching, went_hot = run(40)
+    assert went_hot and switching == cold
 
 
 def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum, monkeypatch):

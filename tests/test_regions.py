@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import kitchen_bt, random_bt, thermostat_bt
+from conftest import bench_workloads, kitchen_bt, random_bt, thermostat_bt
 
 from ctbt import dsl, regions
 from ctbt.core import (
@@ -626,6 +626,25 @@ def test_check_partition_calls_metadata_point_by_point_then_walks():
         expected += [(i, x) for i in (6, 2, 5, 7, 3)] + [("walk", x)]
         expected += [(i, x) for i in _delegation_visits(root, x)[1]]
     assert calls == expected
+
+
+def test_auditing_a_bank_tree_compiles_no_walk(monkeypatch):
+    """A region_audit operation on its 44-leaf bank tree, check_partition of
+    256 points and the 16 probes, keeps the row-table walk: compiling the
+    generated one would cost more than its 272 walks save."""
+    wl = bench_workloads().WORKLOADS["region_audit"]
+    text, leaves = wl.bank()["t9.0"]
+    assert leaves == 44
+
+    def no_walk(bt):
+        raise AssertionError("compiled a walk")
+
+    monkeypatch.setattr(dsl, "_walk_function", no_walk)
+    bt = dsl.lower(dsl.parse(text)).bt
+    assert check_partition(bt, wl.points(1, 0, "t9.0")).passed
+    for x in wl.PROBES:
+        bt.active_leaf(x)
+    assert bt._hot_walk is None
 
 
 def test_subsystem_leaves_stops_soon_after_every_leaf_is_witnessed():

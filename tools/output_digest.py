@@ -14,6 +14,11 @@ one per output:
   guards kept, so that it takes `_rk4` in place of the generated regular
   and blended slide steps; its digest equals the line of the generated
   route, bank/<workload>/<key>, which CI checks;
+- bank/<workload>/<key>/cold, for the keys of COLD: the same run on a tree
+  that keeps core's row-table walk, the cold tier, for every root walk;
+  CI checks that it equals bank/<workload>/<key>, where the tree compiles
+  its generated walk partway through d0.0.0, the first start of its bank,
+  and takes it from the first walk of every later start;
 - batch/unreadable_start: the repr of every slot of `batch_integrate` on
   the bundled thermostat model over the starts [20.0], ['a'] and [22.0],
   or the type and text of the error when one escapes the batch;
@@ -51,6 +56,10 @@ one per output:
   CURVED model, whose guard x0*x0 + x1*x1 - 1 is not affine, so each of
   its slide steps takes more than one Newton step onto the unit circle
   (tests/test_executor.py holds the same model);
+- slide/three_state/cold and slide/curved/cold: the run of the line
+  without /cold, whose tree takes its generated walk from the first walk,
+  on a tree that keeps the row-table walk throughout; CI checks that the
+  two are equal;
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
   line and column of its error, on sources at the edges of layout
@@ -72,11 +81,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 # argv per bundled model, each run once per model
 CLI_CASES = {
@@ -154,12 +165,24 @@ def sha(text: str) -> str:
 # bank starts also run on the _rk4 route: a switching pendulum run, the
 # pendulum's rest start that never converges, and a slide_hold slide
 WRAPPED = {"pendulum_certify": ("d0.0.0", "r2"), "slide_hold": ("d0.0.0",)}
+# and on the cold tier of the walk
+COLD = WRAPPED
+
+
+def walk_tier(allowance):
+    """Trees built inside take their generated root walk after allowance
+    walks per leaf row: 0 for the hot tier from the first walk, math.inf
+    for the row-table walk throughout.  A checkout without the two tiers
+    ignores it."""
+    from ctbt import core
+
+    return mock.patch.object(core, "_COLD_WALKS_PER_ROW", allowance, create=True)
 
 
 def bank_digests(workloads) -> list:
     from ctbt import Trajectory, batch_integrate, dsl
 
-    lines, wrapped = [], []
+    lines, wrapped, cold = [], [], []
     for name in ("pendulum_certify", "slide_hold"):
         wl = workloads.WORKLOADS[name]
         cfg, bank = wl.config(), wl.bank()
@@ -173,7 +196,11 @@ def bank_digests(workloads) -> list:
         model = dsl.lower(dsl.parse(wl.model_text()))
         wrapped += [(digest(model, wrapped_controllers(model.bt), bank[key]),
                      f"bank/{name}/{key}/wrapped") for key in WRAPPED[name]]
-    return lines + wrapped
+        with walk_tier(math.inf):
+            model = dsl.lower(dsl.parse(wl.model_text()))
+        cold += [(digest(model, model.bt, bank[key]), f"bank/{name}/{key}/cold")
+                 for key in COLD[name]]
+    return lines + wrapped + cold
 
 
 def batch_digests() -> list:
@@ -387,9 +414,13 @@ def slide_digests() -> list:
         "curved": (CURVED, (0.5, 0.0), IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10)),
     }
     for name, (text, x0, cfg) in models.items():
-        model = dsl.lower(dsl.parse(text))
+        with walk_tier(0):
+            model = dsl.lower(dsl.parse(text))
+        with walk_tier(math.inf):
+            cold = dsl.lower(dsl.parse(text))
         for bt, key in ((model.bt, f"slide/{name}"),
-                        (wrapped_controllers(model.bt), f"slide/{name}/wrapped")):
+                        (wrapped_controllers(model.bt), f"slide/{name}/wrapped"),
+                        (cold.bt, f"slide/{name}/cold")):
             run = integrate(model.plant, bt, x0, cfg, model_name=name)
             lines.append((sha(run.to_json()), key))
     return lines
