@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (ModelError, FileNotFoundError, regions.EmptySampler) as err:
+    except (ModelError, OSError, regions.EmptySampler) as err:  # OSError: unreadable paths
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except (ExecutionError, NonFiniteState,

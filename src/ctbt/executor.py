@@ -9,8 +9,10 @@ has one (leaves lowered from a .btm model: RK4 with the controllers inlined
 into the field, the same floats as _rk4), else _rk4 over
 field(y, controller(y)) or over the blend of two, which serves wrapped
 controllers and other plants and hands on tuples of Python floats whatever
-sequence the field returns.  `run` holds the one loop over the grid and
-tries each regular step itself: it walks the tree once at the step's end
+sequence the field returns.  It runs where a steady stretch starts or a
+slide is entered and keeps nothing: Plant.steps keeps each compiled step
+for the model.  `run` holds the one loop over the grid and tries each
+regular step itself: it walks the tree once at the step's end
 (status predicates only; the controller runs inside the step), and while
 the walk equals the current (root status, active leaf) it records the grid
 sample and goes on.  Through such a steady stretch the step, (status, leaf)
@@ -27,8 +29,10 @@ Status, else the run raises ExecutionError.  If the recent switches toggle
 between exactly two leaves faster than the step rate, the integrator
 declares a sliding mode on g = 0 for the separating guard, the first leaf guard
 (LeafBehavior.guards) whose sign differs across the last switch's bisection
-bracket, and binds the plant field and the pair's two controllers until the
-slide ends.  slide_span is the one slide step, in plain floats and locals:
+bracket, and binds the slide as one record, _Integrator.slide: the pair,
+that guard or None, the pair's blended step, the plant field, both
+controllers and the crossing points; exit_slide drops it.  slide_span is
+the one slide step, in plain floats and locals:
 the pair's two fields at x, the normal grad g/|grad g|, the coefficient of
 the convex field combination that cancels the normal component, one RK4
 step of that blend, whose first stage is the two fields already evaluated,
@@ -196,14 +200,10 @@ class _Integrator:
         self.status, self.leaf = self.checked(0.0, *bt.resolve(self.x))
         self.samples: list = []  # built during the run, grid points by run itself
         self.events: list = []
-        # only what chatter_check and surface_normal read is kept
         self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
-        self.sliding: Optional[tuple] = None  # (leaf a, leaf b)
-        self.surface = None  # the sliding pair's separating guard, if any
-        self.blend = None  # the sliding pair's step(x, h, w, ka, kb)
-        self.bound = None  # (plant field, controller a, controller b)
-        self.steps: dict = {}  # stepper's choice per leaf tuple, kept for the run
-        self.surface_points = deque(maxlen=8)  # crossing points, for the cloud route
+        # while sliding: (pair, separating guard or None, the pair's blended step,
+        # plant field, controller a, controller b, crossing points for the cloud route)
+        self.slide: Optional[tuple] = None
         self.failed = False
         self.done = False
         self.meta = {
@@ -219,29 +219,22 @@ class _Integrator:
 
     # ---- plumbing
 
-    def field_for(self, leaf: int):
-        field, controller = self.plant.field, self.bt.nodes[leaf].behavior.controller
-        return lambda y: field(y, controller(y))
-
-    def stepper(self, *leaves):
+    def stepper(self, *controllers):
         """One RK4 step of a leaf's closed loop, step(x, h), or of a sliding
         pair's Filippov blend, step(x, h, w, ka, kb) with ka, kb the pair's
-        fields at x: the plant's own step for its field and the leaves'
-        controllers, else _rk4 over field_for."""
-        step = self.steps.get(leaves)
-        if step is None:
-            controllers = (self.bt.nodes[i].behavior.controller for i in leaves)
-            step = self.plant.steps.get((self.plant.field, *controllers))
-            if step is None and len(leaves) == 1:
-                f = self.field_for(*leaves)
-                step = lambda x, h: _rk4(f, x, h)
-            elif step is None:
-                fa, fb = map(self.field_for, leaves)
-                mix = lambda w, va, vb: tuple(w * a + (1.0 - w) * b for a, b in zip(va, vb))
-                step = lambda x, h, w, ka, kb: _rk4(
-                    lambda y: mix(w, fa(y), fb(y)), x, h, mix(w, ka, kb))
-            self.steps[leaves] = step
-        return step
+        fields at x: the plant's own step for its field and these
+        controllers, else _rk4 over field(y, controller(y))."""
+        field = self.plant.field
+        step = self.plant.steps.get((field, *controllers))
+        if step is not None:
+            return step
+        closed = [lambda y, c=c: field(y, c(y)) for c in controllers]
+        if len(closed) == 1:
+            return lambda x, h: _rk4(closed[0], x, h)
+        fa, fb = closed
+        mix = lambda w, va, vb: tuple(w * a + (1.0 - w) * b for a, b in zip(va, vb))
+        return lambda x, h, w, ka, kb: _rk4(
+            lambda y: mix(w, fa(y), fb(y)), x, h, mix(w, ka, kb))
 
     def check_finite(self, x) -> None:
         # hypot is at least the largest |v|, and nan when a v is: a quick pass
@@ -273,7 +266,7 @@ class _Integrator:
     # ---- main loop
 
     def run(self) -> Trajectory:
-        dt, resolve, samples, steps = self.cfg.dt, self.bt.resolve, self.samples, self.steps
+        dt, resolve, samples = self.cfg.dt, self.bt.resolve, self.samples
         new, hypot = tuple.__new__, math.hypot
         samples.append(Sample(0.0, self.x, self.leaf, self.status))
         self.note_status(0.0, self.status)
@@ -283,7 +276,7 @@ class _Integrator:
             t, h = k * dt, dt  # the rest of grid step k: from t, h long
             end = t + h  # t + h as the current stretch of regular mode began
             while True:
-                if self.sliding is not None:
+                if self.slide is not None:
                     left = self.slide_span(t, h)
                     if left is None:
                         break
@@ -294,7 +287,7 @@ class _Integrator:
                 # a steady stretch: while the walk holds, grid step after grid
                 # step, the step, (status, leaf) and x stay in locals; the last
                 # grid step of the run ends the stretch like a change does
-                step = steps.get((self.leaf,)) or self.stepper(self.leaf)
+                step = self.stepper(self.bt.nodes[self.leaf].behavior.controller)
                 status, leaf = current = self.status, self.leaf
                 x, first = self.x, k
                 while True:
@@ -376,11 +369,9 @@ class _Integrator:
                 f"switching among leaves {sorted(leaves)} within one step "
                 f"near t={t_now}")
         pair = tuple(sorted(leaves))
-        self.sliding = pair
-        self.surface = self.separating_guard(x_before)
-        self.blend = self.stepper(*pair)
-        self.bound = (self.plant.field, *(self.bt.nodes[i].behavior.controller for i in pair))
-        self.surface_points.append(self.x)
+        ca, cb = (self.bt.nodes[i].behavior.controller for i in pair)
+        self.slide = (pair, self.separating_guard(x_before), self.stepper(ca, cb),
+                      self.plant.field, ca, cb, deque([self.x], maxlen=8))
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
 
@@ -400,8 +391,8 @@ class _Integrator:
         """One slide step over span; the (t, h) left when the weight alpha
         on va lets go, else None.  Newton steps stop at one no longer than
         event_tol or after _NEWTON_STEPS; one is exact where g is affine."""
-        x, surface = self.x, self.surface
-        field, ca, cb = self.bound
+        x = self.x
+        pair, surface, blend, field, ca, cb, _ = self.slide
         va, vb = field(x, ca(x)), field(x, cb(x))
         if surface is None:
             pa, pb = np.array(va, dtype=float), np.array(vb, dtype=float)
@@ -425,7 +416,7 @@ class _Integrator:
         if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
             self.exit_slide(t_start)
             return t_start, span
-        x = self.blend(x, span, min(max(alpha, 0.0), 1.0), va, vb)
+        x = blend(x, span, min(max(alpha, 0.0), 1.0), va, vb)
         if not math.hypot(*x) <= _OVERFLOW:  # check_finite's quick pass
             self.check_finite(x)
         t_end = t_start + span
@@ -446,7 +437,7 @@ class _Integrator:
             if not math.hypot(*x) <= _OVERFLOW:
                 self.check_finite(x)
             status, leaf = self.bt.resolve(x)
-            held = leaf in self.sliding
+            held = leaf in pair
         self.x = x
         self.status, self.leaf = self.checked(t_end, status, leaf)
         if not held:
@@ -459,8 +450,7 @@ class _Integrator:
 
     def exit_slide(self, t: float) -> None:
         self.event(t, "SlideExit", self.x, to=self.leaf)
-        self.sliding = self.surface = self.blend = self.bound = None
-        self.surface_points.clear()
+        self.slide = None
 
     def surface_normal(self, field_diff) -> np.ndarray:
         """Unit normal of the sliding surface at the current point, on the
@@ -473,7 +463,7 @@ class _Integrator:
         dim = len(self.x)
         if dim == 1:
             return np.array([1.0])
-        pts = np.array(self.surface_points)
+        pts = np.array(self.slide[-1])
         if len(pts) >= 2:
             centered = pts - pts.mean(axis=0)
             spread = float(np.max(np.abs(centered)))
@@ -497,10 +487,11 @@ class _Integrator:
         projected point and held, or x itself when it cannot be pulled back.
         """
         cfg = self.cfg
+        pair, points = self.slide[0], self.slide[-1]
         status, here = self.bt.resolve(x)
-        if here not in self.sliding:
+        if here not in pair:
             return x, status, here, False
-        other = self.sliding[0] if here == self.sliding[1] else self.sliding[1]
+        other = pair[0] if here == pair[1] else pair[1]
         n = n.tolist()
         step = cfg.event_tol
         for _ in range(60):
@@ -525,7 +516,7 @@ class _Integrator:
             else:
                 hi = mid
         projected = _along(x, sign * lo, n)
-        self.surface_points.append(projected)
+        points.append(projected)
         return projected, status, here, True
 
 

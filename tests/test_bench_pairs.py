@@ -75,3 +75,57 @@ def test_a_run_length_other_than_the_benchmarks_is_noted(tmp_path, capsys, monke
     assert notes["15"] == ["note: --seconds 15 is not the benchmark's run_seconds 30; with "
                            "another number of passes per run, op_tail_ms may read another "
                            "kind of operation"]
+
+
+# what bench/run.py prints on region_audit, --trace 0, before its JSON
+REGION_STDOUT = """\
+workload region_audit  seed 1  passes 4  trace 0  outcomes {"ok": 160}
+  metric                  at ref. speed    as measured
+  audit_points_per_s            21882.6        21467.1 points/s         256 points per tree
+  audit_p50_ms                  11.1593        11.1607 ms               n=160
+  audit_tail_ms                  21.912        22.5646 ms               p93.8, n=160
+  failed_frac                         0              0 failed/attempted 0/160
+  setup_s                      0.130903       0.131978 s                median of 7
+  peak_rss_mb                   45.5195        45.5195 MB
+{"correct": true, "attempted": 160, "failed": 0, "metrics": {"setup_s": {"value": 0.13}}}
+"""
+
+
+def test_raw_columns_read_the_as_measured_figures_of_the_op_and_setup_rows():
+    raw = bench_pairs.raw_columns(REGION_STDOUT)
+    assert raw == {"audit_points_per_s": {"value": 21467.1, "unit": "points/s"},
+                   "audit_p50_ms": {"value": 11.1607, "unit": "ms"},
+                   "audit_tail_ms": {"value": 22.5646, "unit": "ms"},
+                   "setup_s": {"value": 0.131978, "unit": "s"}}
+    trajectories = REGION_STDOUT.replace("audit_points_per_s", "traj_per_s").replace(
+        "audit_", "traj_")
+    assert sorted(bench_pairs.raw_columns(trajectories)) == [
+        "setup_s", "traj_p50_ms", "traj_per_s", "traj_tail_ms"]
+
+
+def test_raw_figures_are_printed_under_the_table_and_not_gated(tmp_path, capsys, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("print(1)\n")
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 30, "end_to_end": METRICS}))
+    raw = bench_pairs.raw_columns(REGION_STDOUT)
+
+    def run_once(checkout, args):  # the change's raw p50 is 1 ms lower
+        p50 = raw["audit_p50_ms"]["value"] - (checkout == change)
+        return {**result(10.0, 100.0), "raw": {**raw, "audit_p50_ms": {
+            "value": p50, "unit": "ms"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "region_audit",
+                             "--seed", "1", "--pairs", "2", "--seconds", "30"]) == 0
+    out = capsys.readouterr().out
+    gated, raw_table = out.split("raw, as measured (not gated)")
+    assert "| ops_per_s | 1/s | 10 [10, 10] | 10 [10, 10] | 1.000 | 0/2 | no |" in gated
+    assert "audit_p50_ms" not in gated
+    assert ("| audit_p50_ms | ms | 11.1607 [11.1607, 11.1607] "
+            "| 10.1607 [10.1607, 10.1607] | 0.910 | 2/2 | not gated |") in raw_table
+    assert [line.split(" | ")[0] for line in raw_table.splitlines() if line.startswith("| a")
+            or line.startswith("| s")] == ["| audit_points_per_s", "| audit_p50_ms",
+                                           "| audit_tail_ms", "| setup_s"]

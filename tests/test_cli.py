@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ctbt import dsl
 from ctbt.cli import main
 
 
@@ -32,8 +33,6 @@ def test_validate_bundled_model(capsys):
 
 
 def test_validate_print_emits_parseable_canonical_form(capsys):
-    from ctbt import dsl
-
     code, out, err = run(capsys, "validate", "thermostat.btm", "--print")
     assert code == 0
     reparsed = dsl.parse(out)
@@ -79,6 +78,30 @@ def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "no_such_model.btm")
     assert code == 1
     assert "no_such_model" in err
+
+
+def test_validate_a_directory_is_an_error_line(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+def test_a_model_file_that_is_not_utf8_names_its_first_bad_byte(tmp_path, capsys):
+    bad = tmp_path / "latin1.btm"
+    bad.write_bytes('model "m" {\n  state 1;\n  # café\n'.encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert err == "error: byte 0xe9 is not UTF-8 at line 3, column 8\n"
+    with pytest.raises(dsl.LexError) as info:
+        dsl.load(bad)
+    assert (info.value.line, info.value.col) == (3, 8)
+
+
+def test_output_to_a_directory_is_an_error_line(tmp_path, capsys):
+    code, out, err = run(capsys, "simulate", "thermostat.btm", "--x0", "19",
+                         "--dt", "0.01", "--t-end", "0.1", "--output", str(tmp_path))
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and str(tmp_path) in err
 
 
 # ---------------------------------------------------------------- simulate

@@ -1398,6 +1398,43 @@ def test_generated_source_holds_no_model_text(monkeypatch):
         assert all(made.fullmatch(k) or k in keywords for k in ns)
 
 
+def test_a_value_repeated_in_generated_code_is_computed_once(hot, monkeypatch):
+    """pendulum.btm writes cos(x0) twice in each status, the distance in
+    both statuses, and cos(x0) in swing_up's control law and in the field:
+    generated code calls each function once per value, as counting
+    wrappers in _FUNC_IMPLS, bound when the code is generated, show."""
+    from ctbt import core
+
+    calls = dict.fromkeys(("cos", "sin", "sqrt"), 0)
+
+    def counting(name, fn):
+        def counted(v):
+            calls[name] += 1
+            return fn(v)
+        return counted
+
+    for name in calls:
+        monkeypatch.setitem(dsl._FUNC_IMPLS, name, counting(name, dsl._FUNC_IMPLS[name]))
+    model = dsl.lower(dsl.parse((dsl.bundled_model_dir() / "pendulum.btm").read_text()))
+    bt, swing_up = model.bt, model.bt.behavior(1)
+
+    def count(fn, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        fn(*args)
+        return dict(calls)
+
+    x = (0.3, 0.1)
+    assert count(swing_up.metadata, x) == {"cos": 1, "sin": 0, "sqrt": 1}
+    assert count(swing_up.controller, x) == {"cos": 1, "sin": 0, "sqrt": 0}
+    step = _fused_step(model, 1)
+    assert count(step, x, 0.004) == {"cos": 4, "sin": 4, "sqrt": 0}  # once per stage
+    rows = bt._rows
+    for x, row_walk in (((2.0, 0.0), 1), ((0.3, 0.1), 2)):  # swing_up Running, Success
+        assert count(bt.resolve, x)["sqrt"] == 1
+        assert count(core._walk, rows, x, 0, len(rows))["sqrt"] == row_walk
+    assert bt._hot_walk is not None
+
+
 def test_resolve_model_path(tmp_path):
     p = tmp_path / "local.btm"
     p.write_text(MINI)

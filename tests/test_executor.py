@@ -436,6 +436,48 @@ def test_a_three_state_slide_holds_its_plane_on_both_routes():
     assert max(abs(s.x[0] + s.x[1] + s.x[2]) for s in sliding) <= 1e-9
 
 
+# push_right and turn chatter onto x0 = 0 until turn stops pushing left at
+# x1 = 1; turn then carries the state to x0 = 1, where it chatters with
+# push_left: two slides on two pairs in one run
+TWO_PAIRS = """\
+model "two_pairs" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf left_of_0 { u = [0.0, 0.0]; status = if x0 > 0.0 then S else F; }
+  leaf push_right { u = [1.0, 0.5]; status = R; }
+  leaf right_of_1 { u = [0.0, 0.0]; status = if x0 > 1.0 then S else F; }
+  leaf turn { u = [x1 - 1.0, 0.5]; status = R; }
+  leaf push_left { u = [-1.0, 0.5]; status = R; }
+  fal first = [left_of_0, push_right];
+  fal second = [right_of_1, turn];
+  seq both = [first, second, push_left];
+  root = both;
+}
+"""
+
+
+@pytest.mark.parametrize("route", ["guarded", "cloud"])
+def test_two_slides_on_different_pairs_each_hold_their_own_line(route):
+    # the second slide binds its own pair, guard and crossing points: a
+    # record left over from the first would slide on x0 = 0 or blend the
+    # wrong fields
+    model = dsl.lower(dsl.parse(TWO_PAIRS))
+    bt = model.bt if route == "guarded" else _cloud_copy(model.bt)
+    run = integrate(model.plant, bt, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=6.0))
+    enters, (leave,) = run.events_of("SlideEnter"), run.events_of("SlideExit")
+    assert [e.info["pair"] for e in enters] == [[3, 6], [6, 7]]
+    assert enters[0].t == pytest.approx(0.25, abs=1e-5)
+    assert leave.t == pytest.approx(2.01, abs=1e-12)
+    assert enters[1].t == pytest.approx(4.0, abs=1e-4)
+    tol = 0.0 if route == "guarded" else 1e-6
+    for enter, end, line in ((enters[0], leave.t, 0.0), (enters[1], 6.0, 1.0)):
+        sliding = [s for s in run.samples if enter.t < s.t <= end]
+        assert len(sliding) > 150 and all(s.leaf in enter.info["pair"] for s in sliding)
+        assert max(abs(s.x[0] - line) for s in sliding) <= tol
+    assert run.samples[-1].t == 6.0
+
+
 # push_out spirals out of the unit circle, push_in spirals into it: they
 # chatter onto the circle, a guard whose gradient turns along the slide
 CURVED = """\

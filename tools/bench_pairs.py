@@ -11,7 +11,12 @@ CHANGE's BENCHMARK.json names, each side's median and quartiles and the
 number of pairs the change won (ties count for neither side), and whether
 the gain rule holds: the change wins at least nine tenths of the pairs, and
 its median is better than the parent's by more than the distance between
-the parent's quartiles.
+the parent's quartiles.  Under that table it prints the same figures, gate
+aside, for the raw "as measured" column of the rows bench/run.py prints
+before its JSON (the traj_* or audit_* rows and setup_s): the JSON's
+metrics are scaled to reference speed by a kernel timed in the same
+process, and where that scaling moves with the program the raw op times
+tell whether the program itself did.
 
 A run that reports `correct: false`, or whose failed count differs from
 its pair's, is flagged.  Runs finish whole passes, so two runs of one
@@ -40,6 +45,10 @@ import sys
 from pathlib import Path
 
 CACHE_DIRS = {"__pycache__", ".pytest_cache"}
+# rows of bench/run.py's report whose "as measured" column is kept: name -> better
+RAW_ROWS = {"traj_per_s": "higher", "traj_p50_ms": "lower", "traj_tail_ms": "lower",
+            "audit_points_per_s": "higher", "audit_p50_ms": "lower",
+            "audit_tail_ms": "lower", "setup_s": "lower"}
 
 
 def bench_files(checkout: Path) -> dict:
@@ -56,8 +65,20 @@ def bench_difference(parent: Path, change: Path) -> list:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def raw_columns(stdout: str) -> dict:
+    """Name -> {"value", "unit"} of the "as measured" column of every
+    RAW_ROWS row in bench/run.py's report, `  name  at-ref  measured  unit  note`."""
+    raw = {}
+    for line in stdout.splitlines():
+        parts = line.split()
+        if len(parts) >= 4 and parts[0] in RAW_ROWS:
+            raw[parts[0]] = {"value": float(parts[2]), "unit": parts[3]}
+    return raw
+
+
 def run_once(checkout: Path, args) -> dict:
-    """The result object bench/run.py prints last; exit 2 if the run fails."""
+    """The result object bench/run.py prints last, with the report's raw
+    columns under "raw"; exit 2 if the run fails."""
     argv = [sys.executable, "bench/run.py", "--workload", args.workload,
             "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -66,7 +87,7 @@ def run_once(checkout: Path, args) -> dict:
         sys.stderr.write(proc.stderr)
         print(f"error: bench/run.py exited {proc.returncode} in {checkout}", file=sys.stderr)
         raise SystemExit(2)
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "raw": raw_columns(proc.stdout)}
 
 
 def quartiles(values: list) -> tuple:
@@ -81,20 +102,32 @@ def failed_share(result: dict) -> float:
     return result["failed"] / result["attempted"] if result["attempted"] else 0.0
 
 
-def summarize(metrics: list, runs: dict) -> list:
-    """One row per metric: name, unit, both sides' quartiles, wins, rule."""
+def summarize(metrics: list, runs: dict, key: str = "metrics") -> list:
+    """One row per metric: name, unit, both sides' quartiles, wins, rule;
+    the figures are read from each run's result[key]."""
     rows = []
     pairs = len(runs["parent"])
     for spec in metrics:
         name, higher = spec["name"], spec["better"] == "higher"
-        side = {k: [r["metrics"][name]["value"] for r in runs[k]] for k in runs}
+        side = {k: [r[key][name]["value"] for r in runs[k]] for k in runs}
         sign = 1.0 if higher else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(side[k]) for k in ("parent", "change"))
         holds = wins >= 0.9 * pairs and sign * (cmed - pmed) > pq3 - pq1
-        unit = runs["parent"][0]["metrics"][name]["unit"]
+        unit = runs["parent"][0][key][name]["unit"]
         rows.append((name, unit, (pq1, pmed, pq3), (cq1, cmed, cq3), wins, holds))
     return rows
+
+
+TABLE_HEAD = ("| metric | unit | parent median [q1, q3] | change median [q1, q3] "
+              "| change/parent | change wins | gain rule |\n|---|---|---|---|---|---|---|")
+
+
+def table_row(name, unit, p, c, wins, pairs) -> str:
+    """The table's row for one metric up to its gain-rule cell."""
+    ratio = f"{c[1] / p[1]:.3f}" if p[1] else "n/a"
+    return (f"| {name} | {unit} | {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}] "
+            f"| {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}] | {ratio} | {wins}/{pairs} |")
 
 
 def main(argv=None) -> int:
@@ -141,14 +174,15 @@ def main(argv=None) -> int:
                          f"{result['parent']['failed']}/{result['parent']['attempted']}, "
                          f"change {result['change']['failed']}/{result['change']['attempted']}")
 
-    print(f"\n| metric | unit | parent median [q1, q3] | change median [q1, q3] "
-          f"| change/parent | change wins | gain rule |")
-    print("|---|---|---|---|---|---|---|")
+    print(f"\n{TABLE_HEAD}")
     for name, unit, p, c, wins, holds in summarize(spec["end_to_end"], runs):
-        ratio = f"{c[1] / p[1]:.3f}" if p[1] else "n/a"
-        print(f"| {name} | {unit} | {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}] "
-              f"| {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}] | {ratio} "
-              f"| {wins}/{args.pairs} | {'holds' if holds else 'no'} |")
+        print(f"{table_row(name, unit, p, c, wins, args.pairs)} {'holds' if holds else 'no'} |")
+    raw = [{"name": name, "better": better} for name, better in RAW_ROWS.items()
+           if all(name in r.get("raw", {}) for side in runs.values() for r in side)]
+    if raw:
+        print(f"\nraw, as measured (not gated)\n\n{TABLE_HEAD}")
+        for name, unit, p, c, wins, _ in summarize(raw, runs, "raw"):
+            print(f"{table_row(name, unit, p, c, wins, args.pairs)} not gated |")
     for flag in flags:
         print(f"flag: {flag}")
     return 1 if flags else 0

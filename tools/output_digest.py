@@ -56,10 +56,15 @@ one per output:
   CURVED model, whose guard x0*x0 + x1*x1 - 1 is not affine, so each of
   its slide steps takes more than one Newton step onto the unit circle
   (tests/test_executor.py holds the same model);
-- slide/three_state/cold and slide/curved/cold: the run of the line
-  without /cold, whose tree takes its generated walk from the first walk,
-  on a tree that keeps the row-table walk throughout; CI checks that the
-  two are equal;
+- slide/two_pairs and slide/two_pairs/wrapped: the same pair of runs for
+  the TWO_PAIRS model, which slides on x0 = 0 with one pair of leaves,
+  leaves the slide and slides on x0 = 1 with another pair, so the second
+  slide takes a second pair's blended step (tests/test_executor.py holds
+  the same model);
+- slide/three_state/cold, slide/curved/cold and slide/two_pairs/cold: the
+  run of the line without /cold, whose tree takes its generated walk from
+  the first walk, on a tree that keeps the row-table walk throughout; CI
+  checks that the two are equal;
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
   line and column of its error, on sources at the edges of layout
@@ -374,6 +379,26 @@ model "curved" {
 """
 
 
+# push_right and turn slide on x0 = 0 until turn stops pushing left at
+# x1 = 1; turn then carries the state to x0 = 1, where it slides with push_left
+TWO_PAIRS = """\
+model "two_pairs" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf left_of_0 { u = [0.0, 0.0]; status = if x0 > 0.0 then S else F; }
+  leaf push_right { u = [1.0, 0.5]; status = R; }
+  leaf right_of_1 { u = [0.0, 0.0]; status = if x0 > 1.0 then S else F; }
+  leaf turn { u = [x1 - 1.0, 0.5]; status = R; }
+  leaf push_left { u = [-1.0, 0.5]; status = R; }
+  fal first = [left_of_0, push_right];
+  fal second = [right_of_1, turn];
+  seq both = [first, second, push_left];
+  root = both;
+}
+"""
+
+
 def slide_digests() -> list:
     from ctbt import (BehaviorTree, Fallback, IntegratorConfig, Leaf, LeafBehavior,
                       Plant, Sequence, Status, dsl, integrate)
@@ -412,6 +437,7 @@ def slide_digests() -> list:
     models = {
         "three_state": (THREE_STATE, (-0.5, 0.2, -0.3), IntegratorConfig(dt=0.01, t_end=2.0)),
         "curved": (CURVED, (0.5, 0.0), IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10)),
+        "two_pairs": (TWO_PAIRS, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=6.0)),
     }
     for name, (text, x0, cfg) in models.items():
         with walk_tier(0):
