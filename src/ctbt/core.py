@@ -115,13 +115,13 @@ class Plant:
 
     steps.get((field, controller)) is step(x, h), one classic RK4 step of
     the closed loop field(x, controller(x)), bit for bit, or None; and
-    steps.get((field, ca, cb)) is step(x, h, w, ka, kb), the same for the
-    sliding pair's blend w*field(x, ca(x)) + (1 - w)*field(x, cb(x)), with
-    ka, kb the two fields at x, or None.  The .btm compiler gives its own
-    field and leaf controllers both; the executor asks for the plant's
+    steps.get((field, ca, cb, guard)) is slide(x, h, t, tol), the
+    executor's slide step of the sliding pair with controllers ca, cb on
+    guard, bit for bit, or None.  The .btm compiler gives its own field,
+    leaf controllers and guards both; the executor asks for the plant's
     field with the active leaf's controller, or the sliding pair's two in
-    leaf id order, so another field or a wrapped controller gets None and
-    takes the generic RK4.
+    leaf id order and its separating guard, so another field or a wrapped
+    controller or guard gets None and takes the Python step.
     """
 
     state_dim: int

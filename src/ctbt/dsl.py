@@ -26,15 +26,15 @@ and column of the offending token.
 lower() folds constants and compiles the plant field, each leaf controller
 and each leaf status to one flat generated Python function (see "code
 generation" below), each distinct source compiled once per model;
-evaluate_expr is the reference interpreter they match bit for bit.  Each
-leaf also gets one closed-loop RK4 step with its controller inlined into
-the plant field, and each pair of leaves one RK4 step of the Filippov
-blend of their two closed loops, each compiled on first use and kept in
-Plant.steps; the executor calls them in regular and sliding mode in place
-of RK4 over the field and controller functions, with the same floats.
-Every comparison left op right in a leaf status becomes a guard,
+evaluate_expr is the reference interpreter they match bit for bit.  Every
+comparison left op right in a leaf status becomes a guard,
 g = left - right with its gradient from derivative(), compiled when a
-slide first reads it and kept in LeafBehavior.guards.  A tree walked often
+slide first reads it and kept in LeafBehavior.guards.  Each leaf also gets
+one closed-loop RK4 step with its controller inlined into the plant
+field, and each pair of leaves one slide step per guard, the executor's
+slide step with the fields, the guard and the blend inlined, each
+compiled on first use and kept in Plant.steps; the executor calls them in
+place of its Python steps, with the same floats.  A tree walked often
 gets one more function, its root delegation walk, which inlines the
 status of each leaf lowered here (see ctbt.core).
 """
@@ -889,14 +889,14 @@ def derivative(e, var: str):
 # first use in evaluation order, and read from a local after that (see
 # _FunctionSource).  A leaf's closed-loop RK4 step is generated from the
 # same expressions, one assignment per control and field component at each
-# stage, the stage state in the locals y0.. ; a sliding pair's blended step
-# is the same function with both leaves' controls and field components at
-# each stage after the first, whose fields the caller hands in, then their
-# weighted sum.  A guard returns one comparison's g and the derivatives of
-# g, the same way.  Numbers are bound by name, one name per value, so
-# functions of one model often share their source: the model's compile
-# table compiles each distinct source once, and each function gets its own
-# copy of the code.
+# stage, the stage state in the locals y0.. .  A guard returns one
+# comparison's g and the derivatives of g, the same way.  A sliding pair's
+# slide step on a guard writes both leaves' controls and fields at each
+# stage, then their weighted sum, with the guard's g and gradient at x
+# before the weight and in its Newton loop after the step.  Numbers are
+# bound by name, one name per value, so functions of one model often share
+# their source: the model's compile table compiles each distinct source
+# once, and each function gets its own copy of the code.
 #
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
@@ -1184,20 +1184,23 @@ def _guard_function(c: Compare, sx: Mapping, codes: dict) -> Callable:
 class _LeafGuards:
     """LeafBehavior.guards of a lowered leaf: one guard per comparison of
     its folded status, compiled by the first iteration, since many lowered
-    trees never slide.  metadata is the status function lowered from that
+    trees never slide, and registered with its comparison for the model's
+    slide steps.  metadata is the status function lowered from that
     status, so a generated walk inlines the status of a leaf whose
     metadata it is."""
 
-    __slots__ = ("status", "metadata", "sx", "codes", "compiled")
+    __slots__ = ("status", "metadata", "sx", "codes", "comparisons", "compiled")
 
-    def __init__(self, status, metadata, sx: Mapping, codes: dict):
+    def __init__(self, status, metadata, sx: Mapping, codes: dict, comparisons: dict):
         self.status, self.metadata, self.sx, self.codes = status, metadata, sx, codes
+        self.comparisons = comparisons  # the model's, guard -> its comparison
         self.compiled = None
 
     def __iter__(self):
         if self.compiled is None:
-            self.compiled = tuple(_guard_function(c, self.sx, self.codes)
-                                  for c in _comparisons(self.status))
+            found = _comparisons(self.status)
+            self.compiled = tuple(_guard_function(c, self.sx, self.codes) for c in found)
+            self.comparisons.update(zip(self.compiled, found))
         return iter(self.compiled)
 
 
@@ -1273,41 +1276,29 @@ def _walk_function(bt: BehaviorTree) -> Callable:
     return g.function("walk", "x", [*g.prologue(), *body])
 
 
-def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
-                   codes: dict) -> Callable:
-    """One classic RK4 step of the closed loop for the plant's derivative
-    and one or two leaves' control expressions, the controls inlined.
-
-    One control set gives step(x, h) for xdot = f(x, u(x)); two give the
-    sliding pair's step(x, h, w, ka, kb) for the Filippov blend
-    xdot = w*f(x, ua(x)) + (1 - w)*f(x, ub(x)), where ka and kb are the two
-    fields at x, which the caller has already evaluated.  The arithmetic is
-    that of executor._rk4 over field(y, controller(y)), or over the blend of
-    the two, in its order, so every value and every error is the same: at
-    each stage each set's controls in order, then its field components in
-    order (at stage 1 of a blend, ka and kb), then k = w*ka + v*kb with
-    v = 1 - w; the stage state y = x + s*k per component; and
-    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).  A value repeated within a stage is
-    computed once: the field reads a control's cos(y0) again, say, and the
-    two leaves of a blend share what both compute.  No value read from
-    y0.. or u0.. is reused past a reassignment of those locals.
-    """
-    g = _FunctionSource(sx, su, codes)
-    n = range(len(sx))
+def _rk4_lines(g: _FunctionSource, derivatives, control_sets, weigh=None) -> tuple:
+    """(body lines, result component sources) of one RK4 step from x0..
+    over h of the closed loop of one control set, or of the Filippov blend
+    w*f(y, ua(y)) + (1 - w)*f(y, ub(y)) of two, whose weight w the lines
+    weigh() returns set after stage 1's fields.  The arithmetic is
+    executor._rk4's, in its order, so every value and error is the same:
+    at each stage each set's controls, then its field components, then
+    k = w*ka + v*kb with v = 1 - w; y = x + s*k; and
+    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).  A value repeated within a stage,
+    across the two sets of a blend too, is computed once; none read from
+    y0.. or u0.. is reused past a reassignment of those locals."""
+    n = range(len(g.sx))
     half, two, six = g.constant(0.5), g.constant(2.0), g.constant(6.0)
     body = [f"{_tuple_items([f'x{i:d}' for i in n])} = x", f"h2 = {half} * h"]
     blend = len(control_sets) == 2
-    if blend:
-        body.append(f"v = {g.constant(1.0)} - w")
     for stage, along in ((1, "h2"), (2, "h2"), (3, "h"), (4, None)):
         for part, controls in zip(("a", "b") if blend else ("",), control_sets):
-            if blend and stage == 1:
-                body.append(f"{_tuple_items([f'k{part}1_{i:d}' for i in n])} = k{part}")
-                continue
             body += [f"u{j:d} = {g.top(e)}" for j, e in enumerate(controls)]
             g.assign("u")
             body += [f"k{part}{stage:d}_{i:d} = {g.top(e)}" for i, e in zip(n, derivatives)]
         if blend:
+            if stage == 1:
+                body += [*weigh(), f"v = {g.constant(1.0)} - w"]
             body += [f"k{stage:d}_{i:d} = w * ka{stage:d}_{i:d} + v * kb{stage:d}_{i:d}"
                      for i in n]
         if along is not None:
@@ -1315,34 +1306,101 @@ def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
             g.state = "y"
             g.assign("y")
     body.append(f"h6 = h / {six}")
-    result = [f"x{i:d} + h6 * (k1_{i:d} + {two} * k2_{i:d} + {two} * k3_{i:d} + k4_{i:d})"
-              for i in n]
-    body.append(f"return ({_tuple_items(result)})")
-    return g.function("step", "x, h, w, ka, kb" if blend else "x, h", body)
+    return body, [f"x{i:d} + h6 * (k1_{i:d} + {two} * k2_{i:d} + {two} * k3_{i:d} + k4_{i:d})"
+                  for i in n]
+
+
+def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
+                   codes: dict) -> Callable:
+    """step(x, h): one classic RK4 step of a leaf's closed loop
+    xdot = f(x, u(x)), its one control set inlined (see _rk4_lines)."""
+    g = _FunctionSource(sx, su, codes)
+    body, result = _rk4_lines(g, derivatives, control_sets)
+    return g.function("step", "x, h", [*body, f"return ({_tuple_items(result)})"])
+
+
+def _slide_function(derivatives, control_sets, c: Compare, sx: Mapping, su: Mapping,
+                    codes: dict) -> Callable:
+    """slide(x, h, t, tol): executor._guarded_slide for the pair of leaves
+    with these control expressions on the guard of the comparison c, the
+    fields, the guard and its gradient inlined, with the same floats and
+    errors: sum(map(mul, a, b)) is written 0.0 + a0*b0 + ..., and
+    min(max(alpha, 0.0), 1.0) and check_finite's quick pass as
+    conditionals."""
+    # imported at the first build, not with this module: a module-level import
+    # read about 1.3 MB more peak_rss_mb in bench/run.py, which imports ctbt
+    # afresh for each of its set-ups
+    from .executor import _NEWTON_STEPS, _OVERFLOW, _SLIDING_EPS, check_finite, slide_failure
+
+    g = _FunctionSource(sx, su, codes)
+    n = range(len(sx))
+    surface = _arith("-", c.left, c.right, c.pos)
+    gradient = [derivative(surface, name) for name in sx]
+    zero, one = g.constant(0.0), g.constant(1.0)
+    hypot, fail = g.helper("_hypot", math.hypot), g.helper("_fail", slide_failure)
+
+    def items(name: str) -> str:
+        return _tuple_items([f"{name}{i:d}" for i in n])
+
+    def dot(a: str, b: str) -> str:
+        return " + ".join([zero, *(f"{a}{i:d} * {b}{i:d}" for i in n)])
+
+    def guard(assign: str) -> list:  # g, then grad g in d0.., at the current state
+        return [assign + g.top(surface), *(f"d{i:d} = {g.top(e)}" for i, e in zip(n, gradient))]
+
+    def weigh() -> list:  # g at x only for its errors, as guard(x) evaluates it
+        return guard("") + [
+            f"norm = {hypot}({items('d')})", f"if norm == {zero}:", f"    {fail}(0, t)",
+            *(f"n{i:d} = d{i:d} / norm" for i in n),
+            f"nb = {dot('n', 'kb1_')}", f"den = nb - ({dot('n', 'ka1_')})",
+            f"if {g.helper('_abs', abs)}(den) < {g.constant(1e-12)} * {g.helper('_max', max)}"
+            f"({one}, {hypot}({items('ka1_')}), {hypot}({items('kb1_')})):", f"    {fail}(1, t)",
+            "alpha = nb / den",
+            f"if alpha < {g.constant(-_SLIDING_EPS)} or alpha > {g.constant(1.0 + _SLIDING_EPS)}:",
+            "    return None",
+            f"w = {zero} if {zero} > alpha else alpha", f"w = {one} if {one} < w else w"]
+
+    body, result = _rk4_lines(g, derivatives, control_sets, weigh)
+    quick = [f"if not {hypot}({items('y')}) <= {g.constant(_OVERFLOW)}:",
+             f"    {g.helper('_check', check_finite)}(({items('y')}))"]
+    body += [f"y{i:d} = {r}" for i, r in enumerate(result)] + quick
+    g.assign("y")
+    newton = guard("gv = ") + [
+        f"gg = {dot('d', 'd')}", f"if gg == {zero}:", f"    {fail}(2, t + h)", "s = -gv / gg",
+        *(f"y{i:d} = y{i:d} + s * d{i:d}" for i in n), "if gv * gv <= tol * tol * gg:", "    break"]
+    body += [f"for _ in {g.helper('_newton', range(_NEWTON_STEPS))}:",
+             *(f"    {line}" for line in newton), *quick, f"return ({items('y')})"]
+    return g.function("slide", "x, h, t, tol", body)
 
 
 class _ClosedLoopSteps:
     """Plant.steps of a lowered model: get((field, controller)) is that
-    leaf's generated step and get((field, ca, cb)) the sliding pair's
-    blended step, each compiled by the first get of its key, since many
-    lowered trees are never integrated and most pairs never slide.  The
-    folded control expressions of every leaf controller wait in controls."""
+    leaf's generated step and get((field, ca, cb, guard)) the sliding
+    pair's slide step on a guard of the model, each compiled by the first
+    get of its key, since many lowered trees are never integrated and most
+    pairs never slide.  controls holds the folded control expressions of
+    every leaf controller, comparisons the comparison of every guard."""
 
     def __init__(self, field, derivatives, sx: Mapping, su: Mapping, codes: dict):
         self.field, self.derivatives, self.sx, self.su = field, derivatives, sx, su
         self.codes = codes  # the model's compile table
         self.controls: dict = {}  # leaf controller -> its control expressions
+        self.comparisons: dict = {}  # guard -> the comparison it was compiled from
         self.compiled: dict = {}
 
     def get(self, key, default=None):
         step = self.compiled.get(key)
         if step is None:
             field, *controllers = key
-            if field is not self.field or not all(c in self.controls for c in controllers):
+            comparison = self.comparisons.get(controllers.pop()) if len(key) == 4 else None
+            if (field is not self.field or len(controllers) != 1 + (comparison is not None)
+                    or not all(c in self.controls for c in controllers)):
                 return default
-            step = self.compiled[key] = _step_function(
-                self.derivatives, [self.controls[c] for c in controllers], self.sx, self.su,
-                self.codes)
+            sets = [self.controls[c] for c in controllers]
+            step = self.compiled[key] = (
+                _step_function(self.derivatives, sets, self.sx, self.su, self.codes)
+                if comparison is None else _slide_function(
+                    self.derivatives, sets, comparison, self.sx, self.su, self.codes))
         return step
 
 
@@ -1390,7 +1448,7 @@ def lower(m: ModelFile) -> LoweredModel:
             metadata = _status_function(status, sx, codes)
             behavior = LeafBehavior(
                 controller=controller, metadata=metadata, label=decl.name,
-                guards=_LeafGuards(status, metadata, sx, codes))
+                guards=_LeafGuards(status, metadata, sx, codes, steps.comparisons))
             return Leaf(nid, behavior)
         children = tuple(build(child) for child in decl.children)
         cls = Sequence if decl.kind == "seq" else Fallback
@@ -1420,13 +1478,15 @@ def bundled_model_dir() -> Path:
 
 
 def resolve_model_path(arg) -> Path:
-    """Resolve a model argument: an existing path, or a bundled model name."""
+    """Resolve a model argument: an existing path, or the name of a bundled
+    model, with or without its .btm."""
     p = Path(arg)
     if p.exists():
         return p
-    candidate = bundled_model_dir() / p.name
-    if p.parent == Path(".") and candidate.exists():
-        return candidate
+    if p.parent == Path("."):
+        for name in (p.name, f"{p.name}.btm"):
+            if (candidate := bundled_model_dir() / name).exists():
+                return candidate
     raise FileNotFoundError(f"no such model file: {arg}")
 
 

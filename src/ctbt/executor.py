@@ -3,15 +3,14 @@
 Between events the active leaf's control law is closed over the plant and
 integrated with classic RK4 on tuples of floats, the state format
 BehaviorTree.check_state produces; the plant field may return any sequence.
-_Integrator.stepper is the one place that picks the step of a leaf, or of a
-sliding pair's Filippov blend: the plant's generated step when Plant.steps
-has one (leaves lowered from a .btm model: RK4 with the controllers inlined
-into the field, the same floats as _rk4), else _rk4 over
-field(y, controller(y)) or over the blend of two, which serves wrapped
-controllers and other plants and hands on tuples of Python floats whatever
-sequence the field returns.  It runs where a steady stretch starts or a
-slide is entered and keeps nothing: Plant.steps keeps each compiled step
-for the model.  `run` holds the one loop over the grid and tries each
+_Integrator.stepper is the one place that picks the step of a leaf: the
+plant's generated step when Plant.steps has one (leaves lowered from a
+.btm model: RK4 with the controller inlined into the field, the same
+floats as _rk4), else _rk4 over field(y, controller(y)), which serves
+wrapped controllers and other plants and hands on tuples of Python floats
+whatever sequence the field returns.  It runs where a steady stretch
+starts and keeps nothing: Plant.steps keeps each compiled step for the
+model.  `run` holds the one loop over the grid and tries each
 regular step itself: it walks the tree once at the step's end
 (status predicates only; the controller runs inside the step), and while
 the walk equals the current (root status, active leaf) it records the grid
@@ -30,18 +29,18 @@ between exactly two leaves faster than the step rate, the integrator
 declares a sliding mode on g = 0 for the separating guard, the first leaf guard
 (LeafBehavior.guards) whose sign differs across the last switch's bisection
 bracket, and binds the slide as one record, _Integrator.slide: the pair,
-that guard or None, the pair's blended step, the plant field, both
-controllers and the crossing points; exit_slide drops it.  slide_span is
-the one slide step, in plain floats and locals:
-the pair's two fields at x, the normal grad g/|grad g|, the coefficient of
-the convex field combination that cancels the normal component, one RK4
-step of that blend, whose first stage is the two fields already evaluated,
-and Newton steps back onto g = 0; one walk confirms the leaf.  With no
-separating guard (hand-built leaves that declare none) the step takes its
-own branch, the cloud route: the normal is estimated from the recent
-crossing points (SVD of the centered cloud; a field-difference fallback
-covers the degenerate startup) and the projection bisects along it; only
-this branch and the boundary tools at the end call numpy.  Sliding ends
+that guard or None and the slide step chatter_check picks; exit_slide
+drops it.  A slide step, slide(x, h, t, tol), takes the pair's two fields
+at x, the normal grad g/|grad g|, the coefficient of the convex field
+combination that cancels the normal component, one RK4 step of that
+blend whose first stage is those two fields, and Newton steps back onto
+g = 0, and returns the state, or None when the coefficient lets go: the
+plant's generated slide step for a lowered pair, else _guarded_slide.
+slide_span calls it, walks once and records.  With no separating guard
+the step is the cloud route's: the normal comes from the recent crossing
+points (SVD; the field difference while they are degenerate) and the
+projection bisects along it, walking as it goes; only this route and the
+boundary tools at the end call numpy.  Sliding ends
 when the combination coefficient leaves [0, 1] by more than _SLIDING_EPS or
 the state escapes to a third leaf.  A span that changes mode mid-step
 hands the time left back to run.  A run ends at its first root Success.
@@ -188,6 +187,78 @@ def _rk4(f, x, h, k1=None):
                                for a, b, c, d in zip(k1, k2, k3, k4)])
 
 
+def check_finite(x) -> None:
+    # hypot is at least the largest |v|, and nan when a v is: a quick pass
+    if not math.hypot(*x) <= _OVERFLOW and not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):
+        raise NonFiniteState(f"state diverged: {x!r}")
+
+
+def slide_failure(kind: int, t) -> None:
+    """Raise a slide step's ZeroDenominatorInSliding of this kind at t."""
+    raise ZeroDenominatorInSliding((
+        "the switching surface has no normal at t={}: grad g = 0",
+        "fields do not separate across the surface near t={}",
+        "the switching surface has no normal near t={}: grad g = 0")[kind].format(t))
+
+
+def _filippov_weight(nb: float, den: float, scale: float, t) -> Optional[float]:
+    """alpha = nb/den clamped into [0, 1], or None when it lies outside by
+    more than _SLIDING_EPS; a den below 1e-12 of scale fails at t."""
+    if abs(den) < 1e-12 * scale:
+        slide_failure(1, t)
+    alpha = nb / den
+    if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
+        return None
+    return min(max(alpha, 0.0), 1.0)
+
+
+def _rk4_blend(field, ca, cb):
+    """step(x, h, w, ka, kb): one _rk4 step of the Filippov blend
+    w*field(y, ca(y)) + (1 - w)*field(y, cb(y)), ka and kb the two fields
+    at x."""
+    def mix(w, va, vb):
+        return tuple(w * a + (1.0 - w) * b for a, b in zip(va, vb))
+
+    return lambda x, h, w, ka, kb: _rk4(
+        lambda y: mix(w, field(y, ca(y)), field(y, cb(y))), x, h, mix(w, ka, kb))
+
+
+def _guarded_slide(field, ca, cb, guard):
+    """slide(x, h, t, tol) of the pair with controllers ca, cb on the guard,
+    in Python: dsl._slide_function generates the same floats for a lowered
+    pair.  Newton steps stop at one no longer than tol or after
+    _NEWTON_STEPS; one is exact where g is affine."""
+    blend = _rk4_blend(field, ca, cb)
+
+    def slide(x, h, t, tol):
+        va, vb = field(x, ca(x)), field(x, cb(x))
+        grad = guard(x)[1]
+        norm = math.hypot(*grad)
+        if norm == 0.0:
+            slide_failure(0, t)
+        n = [d / norm for d in grad]
+        nb = sum(map(mul, n, vb))
+        w = _filippov_weight(nb, nb - sum(map(mul, n, va)),
+                             max(1.0, math.hypot(*va), math.hypot(*vb)), t)
+        if w is None:
+            return None
+        x = blend(x, h, w, va, vb)
+        check_finite(x)
+        for _ in range(_NEWTON_STEPS):
+            g, grad = guard(x)
+            gg = sum(map(mul, grad, grad))
+            if gg == 0.0:
+                slide_failure(2, t + h)
+            s = -g / gg
+            x = tuple([float(a + s * b) for a, b in zip(x, grad)])
+            if g * g <= tol * tol * gg:  # that step was |g|/|grad g| long
+                break
+        check_finite(x)
+        return x
+
+    return slide
+
+
 class _Integrator:
     def __init__(self, plant: Plant, bt: BehaviorTree, x0, cfg: IntegratorConfig,
                  model_name: str):
@@ -201,8 +272,7 @@ class _Integrator:
         self.samples: list = []  # built during the run, grid points by run itself
         self.events: list = []
         self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
-        # while sliding: (pair, separating guard or None, the pair's blended step,
-        # plant field, controller a, controller b, crossing points for the cloud route)
+        # while sliding: (pair, separating guard or None, the pair's slide step)
         self.slide: Optional[tuple] = None
         self.failed = False
         self.done = False
@@ -219,27 +289,15 @@ class _Integrator:
 
     # ---- plumbing
 
-    def stepper(self, *controllers):
-        """One RK4 step of a leaf's closed loop, step(x, h), or of a sliding
-        pair's Filippov blend, step(x, h, w, ka, kb) with ka, kb the pair's
-        fields at x: the plant's own step for its field and these
-        controllers, else _rk4 over field(y, controller(y))."""
+    def stepper(self, controller):
+        """One RK4 step of a leaf's closed loop, step(x, h): the plant's own
+        step for its field and this controller, else _rk4 over
+        field(y, controller(y))."""
         field = self.plant.field
-        step = self.plant.steps.get((field, *controllers))
+        step = self.plant.steps.get((field, controller))
         if step is not None:
             return step
-        closed = [lambda y, c=c: field(y, c(y)) for c in controllers]
-        if len(closed) == 1:
-            return lambda x, h: _rk4(closed[0], x, h)
-        fa, fb = closed
-        mix = lambda w, va, vb: tuple(w * a + (1.0 - w) * b for a, b in zip(va, vb))
-        return lambda x, h, w, ka, kb: _rk4(
-            lambda y: mix(w, fa(y), fb(y)), x, h, mix(w, ka, kb))
-
-    def check_finite(self, x) -> None:
-        # hypot is at least the largest |v|, and nan when a v is: a quick pass
-        if not math.hypot(*x) <= _OVERFLOW and not all(-_OVERFLOW <= v <= _OVERFLOW for v in x):
-            raise NonFiniteState(f"state diverged: {x!r}")
+        return lambda x, h: _rk4(lambda y: field(y, controller(y)), x, h)
 
     def checked(self, t: float, status, leaf: int) -> tuple:
         """(status, leaf), a walk's answer at t that becomes the run's; a
@@ -293,7 +351,7 @@ class _Integrator:
                 while True:
                     x_try = step(x, h)
                     if not hypot(*x_try) <= _OVERFLOW:  # check_finite's quick pass
-                        self.check_finite(x_try)
+                        check_finite(x_try)
                     walk = resolve(x_try)
                     if walk != current or k + 1 == n_steps:
                         break
@@ -341,7 +399,7 @@ class _Integrator:
         if lo > 0.0 and t + lo < t + hi:  # a bracket at float resolution has one time
             self.record(t + lo, x_lo, leaf, status)
         t_event = t + hi
-        self.check_finite(x_hi)
+        check_finite(x_hi)
         st_new, lf_new = self.checked(t_event, *walk_hi)
         self.x, self.status, self.leaf = x_hi, st_new, lf_new
         self.record(t_event, self.x, lf_new, st_new)
@@ -369,9 +427,13 @@ class _Integrator:
                 f"switching among leaves {sorted(leaves)} within one step "
                 f"near t={t_now}")
         pair = tuple(sorted(leaves))
+        field, guard = self.plant.field, self.separating_guard(x_before)
         ca, cb = (self.bt.nodes[i].behavior.controller for i in pair)
-        self.slide = (pair, self.separating_guard(x_before), self.stepper(ca, cb),
-                      self.plant.field, ca, cb, deque([self.x], maxlen=8))
+        # the plant's own slide step for its field, ca, cb and the guard, else
+        # the Python route; with no guard, the cloud route
+        step = self.cloud_slide(pair, ca, cb) if guard is None else (
+            self.plant.steps.get((field, ca, cb, guard)) or _guarded_slide(field, ca, cb, guard))
+        self.slide = (pair, guard, step)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
 
@@ -388,54 +450,18 @@ class _Integrator:
     # ---- sliding mode
 
     def slide_span(self, t_start: float, span: float) -> Optional[tuple]:
-        """One slide step over span; the (t, h) left when the weight alpha
-        on va lets go, else None.  Newton steps stop at one no longer than
-        event_tol or after _NEWTON_STEPS; one is exact where g is affine."""
-        x = self.x
-        pair, surface, blend, field, ca, cb, _ = self.slide
-        va, vb = field(x, ca(x)), field(x, cb(x))
-        if surface is None:
-            pa, pb = np.array(va, dtype=float), np.array(vb, dtype=float)
-            n = self.surface_normal(pb - pa)
-            den, nb = float(n @ (pb - pa)), float(n @ pb)
-            scale = max(1.0, float(np.linalg.norm(pa)), float(np.linalg.norm(pb)))
-        else:
-            grad = surface(x)[1]
-            norm = math.hypot(*grad)
-            if norm == 0.0:
-                raise ZeroDenominatorInSliding(
-                    f"the switching surface has no normal at t={t_start}: grad g = 0")
-            n = [d / norm for d in grad]
-            nb = sum(map(mul, n, vb))
-            den = nb - sum(map(mul, n, va))
-            scale = max(1.0, math.hypot(*va), math.hypot(*vb))
-        if abs(den) < 1e-12 * scale:
-            raise ZeroDenominatorInSliding(
-                f"fields do not separate across the surface near t={t_start}")
-        alpha = nb / den
-        if alpha < -_SLIDING_EPS or alpha > 1.0 + _SLIDING_EPS:
+        """One slide step over span and a walk where it lands; the (t, h)
+        left when the weight alpha lets go, else None."""
+        pair, guard, step = self.slide
+        landed = step(self.x, span, t_start, self.cfg.event_tol)
+        if landed is None:
             self.exit_slide(t_start)
             return t_start, span
-        x = blend(x, span, min(max(alpha, 0.0), 1.0), va, vb)
-        if not math.hypot(*x) <= _OVERFLOW:  # check_finite's quick pass
-            self.check_finite(x)
         t_end = t_start + span
-        if surface is None:
-            x, status, leaf, held = self.project_to_surface(x, n)
+        if guard is None:  # the cloud route walks as it projects
+            x, status, leaf, held = landed
         else:
-            tol = self.cfg.event_tol
-            for _ in range(_NEWTON_STEPS):
-                g, grad = surface(x)
-                gg = sum(map(mul, grad, grad))
-                if gg == 0.0:
-                    raise ZeroDenominatorInSliding(
-                        f"the switching surface has no normal near t={t_end}: grad g = 0")
-                s = -g / gg
-                x = tuple([float(a + s * b) for a, b in zip(x, grad)])
-                if g * g <= tol * tol * gg:  # that step was |g|/|grad g| long
-                    break
-            if not math.hypot(*x) <= _OVERFLOW:
-                self.check_finite(x)
+            x = landed
             status, leaf = self.bt.resolve(x)
             held = leaf in pair
         self.x = x
@@ -452,7 +478,28 @@ class _Integrator:
         self.event(t, "SlideExit", self.x, to=self.leaf)
         self.slide = None
 
-    def surface_normal(self, field_diff) -> np.ndarray:
+    def cloud_slide(self, pair, ca, cb):
+        """slide(x, h, t, tol) of the pair with controllers ca, cb on the
+        cloud route; None when the weight lets go, else
+        project_to_surface's (state, status, leaf, held)."""
+        field, points = self.plant.field, deque([self.x], maxlen=8)
+        blend = _rk4_blend(field, ca, cb)
+
+        def slide(x, h, t, tol):
+            va, vb = field(x, ca(x)), field(x, cb(x))
+            pa, pb = np.array(va, dtype=float), np.array(vb, dtype=float)
+            n = self.surface_normal(points, pb - pa)
+            scale = max(1.0, float(np.linalg.norm(pa)), float(np.linalg.norm(pb)))
+            w = _filippov_weight(float(n @ pb), float(n @ (pb - pa)), scale, t)
+            if w is None:
+                return None
+            x = blend(x, h, w, va, vb)
+            check_finite(x)
+            return self.project_to_surface(x, n, pair, points)
+
+        return slide
+
+    def surface_normal(self, points, field_diff) -> np.ndarray:
         """Unit normal of the sliding surface at the current point, on the
         cloud route.
 
@@ -463,7 +510,7 @@ class _Integrator:
         dim = len(self.x)
         if dim == 1:
             return np.array([1.0])
-        pts = np.array(self.slide[-1])
+        pts = np.array(points)
         if len(pts) >= 2:
             centered = pts - pts.mean(axis=0)
             spread = float(np.max(np.abs(centered)))
@@ -479,15 +526,15 @@ class _Integrator:
                 "degenerate crossing cloud")
         return field_diff / norm
 
-    def project_to_surface(self, x, n) -> tuple:
-        """Pull x back onto the switching surface along +-n by bisection, on
-        the cloud route, and keep the point as a crossing point.
+    def project_to_surface(self, x, n, pair, points) -> tuple:
+        """Pull x back onto the switching surface of the pair along +-n by
+        bisection, on the cloud route, and keep the point as a crossing
+        point.
 
         Returns (point, status, leaf, held) with the walk at the point: the
         projected point and held, or x itself when it cannot be pulled back.
         """
         cfg = self.cfg
-        pair, points = self.slide[0], self.slide[-1]
         status, here = self.bt.resolve(x)
         if here not in pair:
             return x, status, here, False

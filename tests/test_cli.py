@@ -80,6 +80,13 @@ def test_validate_missing_file(capsys):
     assert "no_such_model" in err
 
 
+def test_a_bundled_model_may_be_named_without_its_suffix(capsys):
+    named = run(capsys, "simulate", "pendulum", "--x0", "0.5,0", "--t-end", "1")
+    assert named == run(capsys, "simulate", "pendulum.btm", "--x0", "0.5,0", "--t-end", "1")
+    assert named[0] == 0 and json.loads(named[1])["meta"]["model"] == "pendulum"
+    assert run(capsys, "validate", "nope")[2] == "error: no such model file: nope\n"
+
+
 def test_validate_a_directory_is_an_error_line(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(tmp_path))
     assert code == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctbt import dsl, executor
-from ctbt.core import Status
+from ctbt.core import NonFiniteState, Status
 from ctbt.dsl import (
     DivisionByZero,
     DuplicateDefinition,
@@ -654,23 +654,22 @@ def _fused_step(lowered, leaf):
     return plant.steps.get((plant.field, lowered.bt.behavior(leaf).controller))
 
 
-def _blended_step(lowered, a, b):
+def _slide_routes(lowered, a, b, guard):
+    """The generated slide step of the pair (a, b) on guard, and the Python
+    route, executor._guarded_slide over the _rk4 blend, as a slide calls
+    them: slide(x, h, t, tol)."""
     plant, bt = lowered.plant, lowered.bt
-    return plant.steps.get((plant.field, bt.behavior(a).controller, bt.behavior(b).controller))
+    ca, cb = bt.behavior(a).controller, bt.behavior(b).controller
+    return (plant.steps.get((plant.field, ca, cb, guard)),
+            executor._guarded_slide(plant.field, ca, cb, guard))
 
 
-def _slide_step(step, field, ca, cb):
-    """A blended step called as a slide calls it: with the pair's two
-    fields at x, evaluated first."""
-    return lambda x, h, w: step(x, h, w, field(x, ca(x)), field(x, cb(x)))
-
-
-def _blend(field, ca, cb, w):
-    """The executor's fallback slide field w*f_a + (1 - w)*f_b."""
-    def f(y):
-        return tuple(w * p + (1.0 - w) * q
-                     for p, q in zip(field(y, ca(y)), field(y, cb(y))))
-    return f
+def _slide_outcome(fn, *args):
+    """_outcome, with the executor's errors also taken as type and text."""
+    try:
+        return _outcome(fn, *args)
+    except (executor.ExecutionError, NonFiniteState) as err:
+        return (type(err).__name__, str(err))
 
 
 def _same_outcome(got, want) -> bool:
@@ -748,28 +747,26 @@ def test_fused_step_raises_the_division_error_of_the_generic_step():
 
 
 @pytest.mark.parametrize("index", range(11))
-def test_blended_step_matches_rk4_over_the_blend(index):
-    """Every ordered leaf pair's blended step, handed the pair's fields at
-    x, equals _rk4 over w*f_a + (1 - w)*f_b bit for bit, errors included,
-    on the corpus of the fused step, at w = 0, 1, 1/2 and seeded draws."""
-    from ctbt.executor import _rk4
-
+def test_slide_step_matches_the_python_route(index):
+    """Every ordered leaf pair's generated slide step, on one of the tree's
+    guards in turn, equals the Python route bit for bit, a weight that lets
+    go (None) and errors included, on the corpus of the fused step, at
+    seeded states, the step sizes of the fused step and two tolerances."""
     lowered = dsl.lower(dsl.parse([*_equivalence_corpus(), SLIDE_HOLD][index]))
-    field, bt = lowered.plant.field, lowered.bt
+    bt = lowered.bt
+    guards = [g for i in bt.leaf_ids for g in bt.behavior(i).guards]
     rng = np.random.default_rng(400 + index)
-    for a in bt.leaf_ids:
-        for b in bt.leaf_ids:
-            if a == b:
-                continue
-            ca, cb = bt.behavior(a).controller, bt.behavior(b).controller
-            step = _slide_step(_blended_step(lowered, a, b), field, ca, cb)
-            for x in rng.uniform(-3.0, 3.0, size=(4, bt.state_dim)).tolist():
-                x = tuple(x)
-                for w in (0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, size=2).tolist()):
-                    f = _blend(field, ca, cb, w)
-                    for h in STEP_SIZES:
-                        want = _outcome(_rk4, f, x, h)
-                        assert _same_outcome(_outcome(step, x, h, w), want), (a, b, x, w, h)
+    pairs = [(a, b) for a in bt.leaf_ids for b in bt.leaf_ids if a != b]
+    for k, (a, b) in enumerate(pairs):
+        generated, python = _slide_routes(lowered, a, b, guards[k % len(guards)])
+        for x in rng.uniform(-3.0, 3.0, size=(4, bt.state_dim)).tolist():
+            x = tuple(x)
+            for h in STEP_SIZES:
+                for tol in (1e-6, 1e-12):
+                    want = _slide_outcome(python, x, h, 1.5, tol)
+                    got = _slide_outcome(generated, x, h, 1.5, tol)
+                    assert (got is want is None
+                            or want is not None and _same_outcome(got, want)), (a, b, x, h)
 
 
 DIVIDING_PAIR = DIVIDING.replace("status = R;\n  }\n  root = only;", """\
@@ -783,28 +780,25 @@ status = if x0 > 0.0 then S else F;
   root = both;""")
 
 
-def test_blended_step_raises_the_division_error_of_the_generic_step():
+def test_slide_step_raises_the_division_error_of_the_python_route():
     """Where a's controller, a's field or b's controller is the first of
-    several parts to divide by zero, at the first stage or a later one,
-    both paths raise its DivisionByZero, with the same position."""
-    from ctbt.executor import _rk4
-
+    several parts to divide by zero, at the fields at x or at a later
+    stage of the blend, both routes raise its DivisionByZero, with the
+    same position."""
     lowered = dsl.lower(dsl.parse(DIVIDING_PAIR))
-    field, bt = lowered.plant.field, lowered.bt
-    a, b = bt.leaf_ids
-    ca, cb = bt.behavior(a).controller, bt.behavior(b).controller
-    step = _slide_step(_blended_step(lowered, a, b), field, ca, cb)
-    f = _blend(field, ca, cb, 0.5)
+    a, b = lowered.bt.leaf_ids
+    (guard,) = lowered.bt.behavior(a).guards  # g = x0
+    generated, python = _slide_routes(lowered, a, b, guard)
     cases = [
         ((-1.0, 1.0), 0.01, "x0 / (x1"),  # a's controller, then b's, stage 1
         ((2.0, 1.0), 0.01, "x0 / (x1"),   # a's controller, then the field
         ((2.0, -0.5), 0.01, "u0 / (x0"),  # a's field, then b's controller
         ((0.5, -2.0), 0.01, "x1 / (x0"),  # b's controller alone
-        ((0.0, 0.0), 2.0, "x0 / (x1"),    # a's controller, stage 2: y1 = 0 + 1.0 * 1.0
+        ((1.29, -2.5), 4.0, "x0 / (x1"),  # a's controller, past the fields at x
     ]
     for x, h, needle in cases:
         raised = []
-        for run in (lambda: step(x, h, 0.5), lambda: _rk4(f, x, h)):
+        for run in (lambda: generated(x, h, 1.5, 1e-6), lambda: python(x, h, 1.5, 1e-6)):
             with pytest.raises(DivisionByZero) as e:
                 run()
             raised.append((str(e.value), e.value.line, e.value.col))
@@ -813,34 +807,46 @@ def test_blended_step_raises_the_division_error_of_the_generic_step():
 
 
 def test_steps_are_compiled_on_first_use_by_a_run(monkeypatch):
-    """lower builds no step and no guard; a run builds the steps of the
-    leaves it integrates and the blended step of the pair it slides on,
-    once each, and a rerun builds none."""
-    built, guards = [], []
-    step_function, guard_function = dsl._step_function, dsl._guard_function
+    """lower builds no step, no slide step and no guard; a run builds the
+    steps of the leaves it integrates, and the chatter check that enters
+    its slide builds the slide step of the pair on its guard, once each; a
+    rerun builds none.  A pair's blend alone, (field, ca, cb), is no key."""
+    built = {"step": [], "slide": [], "guard": []}
+    entries = []  # (slide steps built before, after) of each chatter check that enters
+    chatter_check = executor._Integrator.chatter_check
+    for kind in built:
+        function = getattr(dsl, f"_{kind}_function")
+        monkeypatch.setattr(dsl, f"_{kind}_function", lambda *args, kind=kind, f=function:
+                            built[kind].append(args) or f(*args))
 
-    def counted(*args):
-        built.append(args)
-        return step_function(*args)
+    def watched(self, *args):
+        before = len(built["slide"])
+        entered = chatter_check(self, *args)
+        if entered:
+            entries.append((before, len(built["slide"])))
+        return entered
 
-    monkeypatch.setattr(dsl, "_step_function", counted)
-    monkeypatch.setattr(dsl, "_guard_function",
-                        lambda *args: guards.append(args) or guard_function(*args))
+    monkeypatch.setattr(executor._Integrator, "chatter_check", watched)
     lowered = dsl.lower(dsl.parse(slab_tree_btm(np.random.default_rng(43), 44)))
     assert len(lowered.bt.leaf_ids) == 44
-    assert built == [] and guards == []
+    assert not any(built.values())
     cfg = IntegratorConfig(dt=0.01, t_end=3.0)
     traj = integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
     visited = {s.leaf for s in traj.samples}
     (enter,) = traj.events_of("SlideEnter")
-    assert len(visited) == 3
-    assert sorted(len(args[1]) for args in built) == [1, 1, 1, 2]  # control sets
+    assert len(visited) == 3 and len(built["step"]) == 3
+    assert entries == [(0, 1)]
+    steps, field = lowered.plant.steps, lowered.plant.field
+    ca, cb = (lowered.bt.behavior(i).controller for i in enter.info["pair"])
+    (key,) = [k for k in steps.compiled if len(k) == 4]
+    assert key[:3] == (field, ca, cb)
     for leaf in visited:  # fetching a visited leaf's step builds nothing
         _fused_step(lowered, leaf)
-    _blended_step(lowered, *enter.info["pair"])
-    assert len(built) == 4
+    steps.get(key)
+    assert steps.get((field, ca, cb)) is None
+    assert (len(built["step"]), len(built["slide"])) == (3, 1)
     integrate(lowered.plant, lowered.bt, (1.5, -0.4), cfg)
-    assert len(built) == 4
+    assert (len(built["step"]), len(built["slide"])) == (3, 1)
 
 
 def test_guards_are_compiled_at_the_first_slide_entry(monkeypatch):
@@ -891,14 +897,17 @@ def test_each_distinct_source_compiles_once_per_model(monkeypatch):
                  *(bt.behavior(i).metadata for i in leaves)]
     assert len(functions) == 9
     functions += [_fused_step(lowered, i) for i in leaves]
-    functions += [_blended_step(lowered, a, b) for a in leaves for b in leaves if a != b]
-    functions += [g for i in leaves for g in bt.behavior(i).guards]
-    # two leaf steps, as for the controllers; seven blends, as the names of
-    # the pair's controls follow the 1.0 of the blend's weight; two guards
-    assert len(compiled) == len(set(compiled)) == 17
-    assert len({id(f.__code__) for f in functions}) == len(functions) == 27
+    guards = [g for i in leaves for g in bt.behavior(i).guards]
+    functions += guards
+    functions += [_slide_routes(lowered, a, b, g)[0]
+                  for a in leaves for b in leaves if a != b for g in guards]
+    # two leaf steps, as for the controllers; two guards; seven slide
+    # steps per guard, one per ordered pair of control texts, where
+    # at_goal's and above's (0.0, 0.0) are one text
+    assert len(compiled) == len(set(compiled)) == 24
+    assert len({id(f.__code__) for f in functions}) == len(functions) == 39
     dsl.lower(dsl.parse(SLIDE_HOLD))
-    assert len(compiled) == 23 and compiled[17:] == compiled[:6]
+    assert len(compiled) == 30 and compiled[24:] == compiled[:6]
 
 
 def _expr(text: str):

@@ -269,40 +269,48 @@ def test_a_slide_step_takes_the_fields_at_x_once(monkeypatch):
 
 
 def test_a_guarded_slide_step_walks_once_and_takes_the_fields_twice(monkeypatch):
-    """On the generated route a slide step of slide_hold evaluates the
-    plant field twice, the pair's fields at x, and walks the tree once, at
-    the state projected onto the guard."""
+    """On slide_hold a slide step walks the tree once, at the state
+    projected onto the guard.  The generated slide step evaluates the pair's
+    fields inline and calls the plant field never; the Python route of
+    wrapped controllers calls it twice at x, the pair's fields, which are
+    also the first stage of its _rk4 blend, and six times in the blend's
+    later stages."""
     slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
-    field, generated, bt = slide_hold.plant.field, slide_hold.plant.steps, slide_hold.bt
-    counts, per_span = {"field": 0, "resolve": 0}, []
-    slide_span, resolve = executor._Integrator.slide_span, bt.resolve
+    field, generated = slide_hold.plant.field, slide_hold.plant.steps
+    at, per_span = [None], []
+    counts = {"at x": 0, "elsewhere": 0, "resolve": 0}
+    slide_span = executor._Integrator.slide_span
 
     def counted(x, u):
-        counts["field"] += 1
+        counts["at x" if x == at[0] else "elsewhere"] += 1
         return field(x, u)
 
-    def walked(x):
-        counts["resolve"] += 1
-        return resolve(x)
+    def walked(resolve):
+        def walk(x):
+            counts["resolve"] += 1
+            return resolve(x)
+        return walk
 
     def watched(self, *args):
-        before = dict(counts)
+        before, at[0] = dict(counts), self.x
         try:
             return slide_span(self, *args)
         finally:
-            per_span.append((counts["field"] - before["field"],
-                             counts["resolve"] - before["resolve"]))
+            per_span.append(tuple(counts[k] - before[k] for k in counts))
 
     # the generated steps, keyed by the counted field, so no step calls it
     steps = types.SimpleNamespace(get=lambda key, default=None: generated.get(
         (field, *key[1:]), default) if key[0] is counted else default)
     monkeypatch.setattr(executor._Integrator, "slide_span", watched)
-    monkeypatch.setattr(bt, "resolve", walked)
     plant = dataclasses.replace(slide_hold.plant, field=counted, steps=steps)
-    run = integrate(plant, bt, (-1.0, -1.2), IntegratorConfig(dt=0.01, t_end=16.0))
-    enter, leave = run.events_of("SlideEnter")[0].t, run.events_of("SlideExit")[0].t
-    assert set(per_span) == {(2, 1)}  # every span stepped: one sample per grid step
-    assert len(per_span) == len([s for s in run.samples if enter < s.t <= leave])
+    cfg = IntegratorConfig(dt=0.01, t_end=16.0)
+    for tree, taken in zip(_routes(slide_hold), [(0, 0, 1), (2, 6, 1)]):
+        per_span.clear()
+        tree.resolve = walked(tree.resolve)
+        run = integrate(plant, tree, (-1.0, -1.2), cfg)
+        enter, leave = run.events_of("SlideEnter")[0].t, run.events_of("SlideExit")[0].t
+        assert set(per_span) == {taken}  # every span stepped: one sample per grid step
+        assert len(per_span) == len([s for s in run.samples if enter < s.t <= leave])
 
 
 def test_numpy_fields_still_hand_on_states_of_floats():
@@ -341,19 +349,6 @@ def test_numpy_fields_still_hand_on_states_of_floats():
         assert run.events_of("SlideEnter")
         assert seen and all(type(x) is tuple and all(type(v) is float for v in x)
                             for x in seen)
-
-
-def test_vanishing_guard_gradient_is_a_failed_run():
-    # g = sgn(x0 - T) changes sign on the setpoint but has no gradient
-    text = (dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8")
-    text = text.replace("if x0 > T then S", "if sgn(x0 - T) > 0.0 then S")
-    assert "sgn(x0 - T)" in text
-    model = dsl.lower(dsl.parse(text))
-    cfg = IntegratorConfig(dt=0.01, t_end=6.0)
-    (run,) = batch_integrate(model.plant, model.bt, [(SETPOINT - 2.0,)], cfg)
-    assert isinstance(run, FailedRun)
-    assert run.error == "ZeroDenominatorInSliding"
-    assert "grad g = 0" in run.message and "t=2.0" in run.message
 
 
 @pytest.mark.parametrize("guard, right, message", [
@@ -537,6 +532,75 @@ def test_a_slide_on_a_curved_guard_takes_two_newton_steps_and_holds_the_circle(m
     sliding = [s for s in run.samples if s.t > enter.t]
     assert len(sliding) == 34 and sliding[-1].t == 4.0
     assert max(abs(math.hypot(*s.x) - 1.0) for s in sliding) <= 1e-12
+
+
+def _slide_cases():
+    """name -> (model text, starts, config): every slide_hold bank start, a
+    1-D slide of the bundled thermostat, and the slides above."""
+    wl = bench_workloads().WORKLOADS["slide_hold"]
+    thermostat = (dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8")
+    return {
+        "slide_hold_bank": (wl.model_text(), list(wl.bank().values()), wl.config()),
+        "thermostat": (thermostat, [(18.0,), (23.5,)], IntegratorConfig(dt=0.01, t_end=5.0)),
+        "curved": (CURVED, [(0.5, 0.0)], IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10)),
+        "three_state": (THREE_STATE, [(-0.5, 0.2, -0.3)], IntegratorConfig(dt=0.01, t_end=2.0)),
+        "two_pairs": (TWO_PAIRS, [(-0.25, 0.0)], IntegratorConfig(dt=0.01, t_end=6.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["slide_hold_bank", "thermostat", "curved", "three_state",
+                                  "two_pairs"])
+def test_generated_and_python_slide_steps_give_the_same_runs(case, monkeypatch):
+    """A lowered model slides on its generated slide step and never builds
+    the Python route; the copy with wrapped controllers, guards kept, takes
+    _guarded_slide over the _rk4 blend; the two give the same bytes."""
+    text, starts, cfg = _slide_cases()[case]
+    built, guarded_slide = [], executor._guarded_slide
+    monkeypatch.setattr(executor, "_guarded_slide",
+                        lambda *args: built.append(args) or guarded_slide(*args))
+    model = dsl.lower(dsl.parse(text))
+    generated, python = _routes(model)
+    runs = [integrate(model.plant, generated, x0, cfg) for x0 in starts]
+    assert built == [] and any(run.events_of("SlideEnter") for run in runs)
+    assert [integrate(model.plant, python, x0, cfg).to_json() for x0 in starts] == [
+        run.to_json() for run in runs]
+    assert built
+
+
+# two leaves chattering onto x0 = 0; right's push turns from -1 to +1 at
+# x1 = 0.2, so the fields meet across the surface from there
+MEET = """\
+model "meet" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf left { u = [1.0, 10.0]; status = if x0 < 0.0 then R else F; }
+  leaf right { u = [-sgn(0.2 - x1), 10.5]; status = R; }
+  fal both = [left, right];
+  root = both;
+}
+"""
+
+
+@pytest.mark.parametrize("text, x0, cfg, message", [
+    # g = sgn(x0 - T) changes sign on the setpoint but has no gradient
+    ((dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8").replace(
+        "if x0 > T then S", "if sgn(x0 - T) > 0.0 then S"), (19.0,),
+     IntegratorConfig(dt=0.01, t_end=6.0),
+     "the switching surface has no normal at t=2.000003051459798: grad g = 0"),
+    (MEET, (-0.01, 0.0), IntegratorConfig(dt=0.001, t_end=0.05),
+     "fields do not separate across the surface near t=0.02"),
+    # g = x0 * (|0.2 - x1| + 0.2 - x1) has grad g = 0 from x1 = 0.2 on: the
+    # Newton step of the slide step that ends past it has no direction
+    (MEET.replace("if x0 < 0.0", "if x0 * (abs(0.2 - x1) + (0.2 - x1)) < 0.0")
+         .replace("-sgn(0.2 - x1)", "-1.0"), (-0.01, 0.0),
+     IntegratorConfig(dt=0.001, t_end=0.05),
+     "the switching surface has no normal near t=0.02: grad g = 0"),
+], ids=["gradient_vanishes", "fields_meet", "newton_gradient_vanishes"])
+def test_both_slide_routes_of_a_lowered_model_fail_alike(text, x0, cfg, message):
+    model = dsl.lower(dsl.parse(text))
+    failed = [batch_integrate(model.plant, bt, [x0], cfg)[0] for bt in _routes(model)]
+    assert failed[0] == failed[1] == FailedRun(0, x0, "ZeroDenominatorInSliding", message)
 
 
 def test_triple_point_chatter_is_rejected():

@@ -12,8 +12,9 @@ one per output:
 - bank/<workload>/<key>/wrapped, for the keys of WRAPPED: the same run
   from that start with every leaf controller wrapped in a new function,
   guards kept, so that it takes `_rk4` in place of the generated regular
-  and blended slide steps; its digest equals the line of the generated
-  route, bank/<workload>/<key>, which CI checks;
+  step and the Python route of the slide step in place of the generated
+  one; its digest equals the line of the generated route,
+  bank/<workload>/<key>, which CI checks;
 - bank/<workload>/<key>/cold, for the keys of COLD: the same run on a tree
   that keeps core's row-table walk, the cold tier, for every root walk;
   CI checks that it equals bank/<workload>/<key>, where the tree compiles
@@ -50,7 +51,7 @@ one per output:
 - slide/three_state: `to_json` of the THREE_STATE model's run, a guarded
   slide on the plane x0 + x1 + x2 = 0 of three states, and
   slide/three_state/wrapped: the same run with wrapped controllers, which
-  takes the `_rk4` blend; the two are equal, which CI checks as for the
+  takes the Python route of the slide step; the two are equal, which CI checks as for the
   bank lines (tests/test_executor.py holds the same model);
 - slide/curved and slide/curved/wrapped: the same pair of runs for the
   CURVED model, whose guard x0*x0 + x1*x1 - 1 is not affine, so each of
@@ -59,12 +60,14 @@ one per output:
 - slide/two_pairs and slide/two_pairs/wrapped: the same pair of runs for
   the TWO_PAIRS model, which slides on x0 = 0 with one pair of leaves,
   leaves the slide and slides on x0 = 1 with another pair, so the second
-  slide takes a second pair's blended step (tests/test_executor.py holds
+  slide takes a second pair's slide step (tests/test_executor.py holds
   the same model);
-- slide/three_state/cold, slide/curved/cold and slide/two_pairs/cold: the
-  run of the line without /cold, whose tree takes its generated walk from
-  the first walk, on a tree that keeps the row-table walk throughout; CI
-  checks that the two are equal;
+- slide/thermostat and slide/thermostat/wrapped: the same pair of runs
+  for the bundled thermostat model from x0 = 18, a slide of one state;
+- slide/three_state/cold, slide/curved/cold, slide/two_pairs/cold and
+  slide/thermostat/cold: the run of the line without /cold, whose tree
+  takes its generated walk from the first walk, on a tree that keeps the
+  row-table walk throughout; CI checks that the two are equal;
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
   line and column of its error, on sources at the edges of layout
@@ -168,8 +171,10 @@ def sha(text: str) -> str:
 
 
 # bank starts also run on the _rk4 route: a switching pendulum run, the
-# pendulum's rest start that never converges, and a slide_hold slide
-WRAPPED = {"pendulum_certify": ("d0.0.0", "r2"), "slide_hold": ("d0.0.0",)}
+# pendulum's rest start that never converges, and slide_hold slides from one
+# start in each row and each column of its 4 x 4 cells
+WRAPPED = {"pendulum_certify": ("d0.0.0", "r2"),
+           "slide_hold": ("d0.0.0", "d1.1.0", "d2.2.0", "d3.3.0")}
 # and on the cold tier of the walk
 COLD = WRAPPED
 
@@ -438,6 +443,8 @@ def slide_digests() -> list:
         "three_state": (THREE_STATE, (-0.5, 0.2, -0.3), IntegratorConfig(dt=0.01, t_end=2.0)),
         "curved": (CURVED, (0.5, 0.0), IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10)),
         "two_pairs": (TWO_PAIRS, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=6.0)),
+        "thermostat": ((dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8"),
+                       (18.0,), IntegratorConfig(dt=0.01, t_end=5.0)),
     }
     for name, (text, x0, cfg) in models.items():
         with walk_tier(0):
