@@ -25,7 +25,7 @@ and column of the offending token.
 
 lower() folds constants and compiles the plant field, each leaf controller
 and each leaf status to one flat generated Python function (see "code
-generation" below), each distinct source compiled once per model;
+generation" below), each distinct source compiled once per process;
 evaluate_expr is the reference interpreter they match bit for bit.  Every
 comparison left op right in a leaf status becomes a guard,
 g = left - right with its gradient from derivative(), compiled when a
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from pathlib import Path
 from types import FunctionType
@@ -894,9 +894,9 @@ def derivative(e, var: str):
 # slide step on a guard writes both leaves' controls and fields at each
 # stage, then their weighted sum, with the guard's g and gradient at x
 # before the weight and in its Newton loop after the step.  Numbers are
-# bound by name, one name per value, so functions of one model often share
-# their source: the model's compile table compiles each distinct source
-# once, and each function gets its own copy of the code.
+# bound by name, one name per value, so functions share their source
+# within a model and across models: _compiled compiles each distinct source
+# once per process, and each function gets its own copy of the code.
 #
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
@@ -916,6 +916,12 @@ def _division_by_zero(line: int, col: int):
     raise DivisionByZero("division by zero", line, col)
 
 
+@lru_cache(maxsize=256)
+def _compiled(source: str, name: str):
+    """The code of source's function, kept for the 256 sources used last."""
+    return compile(source, f"<btm {name}>", "exec").co_consts[0]
+
+
 class _FunctionSource:
     """Source text and namespace of one generated function of a model.
 
@@ -930,10 +936,8 @@ class _FunctionSource:
     `)` where a read of N is left, and drops elsewhere.
     """
 
-    def __init__(self, sx: Mapping, su: Mapping, codes: dict):
-        self.sx = sx
-        self.su = su
-        self.codes = codes
+    def __init__(self, sx: Mapping, su: Mapping):
+        self.sx, self.su = sx, su
         self.ns: dict = {"__builtins__": {}}
         self.state = "x"  # name prefix of the locals holding the state
         self.uses_state = False
@@ -1109,28 +1113,25 @@ class _FunctionSource:
         return lines + [f"u{j:d} = u[{j:d}]" for j in sorted(self.controls_used)]
 
     def function(self, name: str, params: str, body: list) -> Callable:
-        """`def name(params):` over the body lines, compiled once per model."""
+        """`def name(params):` over the body lines, compiled by _compiled."""
         source = "\n    ".join([f"def {name}({params}):", *body]) + "\n"
-        # two passes per value read: 2.5 ms over region_audit's bank (1,632 functions)
-        # against 4.4 ms for one re.sub pass, which wins only on walk builds
+        # two passes per value read, on every function, compiled or not: 2.5 ms over
+        # region_audit's bank (1,632 functions) against 4.4 ms for one re.sub pass
         for n in set(self.reads):
             source = source.replace(f"\x01{n:d}\x01", f"(_t{n:d} := ")
             source = source.replace(f"\x02{n:d}\x02", ")")
         for end in "\x01\x02":  # what is left is the markers \x01N\x01, \x02N\x02 no read needs
             source = "".join(source.split(end)[::2])
         self.source = source
-        code = self.codes.get(self.source)
-        if code is None:
-            try:
-                module = compile(self.source, f"<btm {name}>", "exec")
-            except (SyntaxError, RecursionError) as err:
-                # Python caps the nesting depth of one expression (200 open
-                # parentheses in the tokenizer); blame the most deeply nested one
-                _, pos = max(self.tops, key=lambda top: max(
-                    accumulate((c == "(") - (c == ")") for c in top[0])))
-                raise ModelTypeError(
-                    f"a {name} expression nests too deeply to compile", *pos) from err
-            code = self.codes[self.source] = module.co_consts[0]
+        try:
+            code = _compiled(source, name)
+        except (SyntaxError, RecursionError) as err:
+            # Python caps the nesting depth of one expression (200 open
+            # parentheses in the tokenizer); blame the most deeply nested one
+            _, pos = max(self.tops, key=lambda top: max(
+                accumulate((c == "(") - (c == ")") for c in top[0])))
+            raise ModelTypeError(
+                f"a {name} expression nests too deeply to compile", *pos) from err
         # a copy per function: functions that share one code object share
         # its inline caches, which thrash over different namespaces
         return FunctionType(code.replace(), self.ns, name)
@@ -1141,16 +1142,15 @@ def _tuple_items(items: list) -> str:
     return items[0] + "," if len(items) == 1 else ", ".join(items)
 
 
-def _tuple_function(name: str, params: str, exprs, sx: Mapping, su: Mapping,
-                    codes: dict) -> Callable:
+def _tuple_function(name: str, params: str, exprs, sx: Mapping, su: Mapping) -> Callable:
     """A generated function returning the tuple of exprs: field or controller."""
-    g = _FunctionSource(sx, su, codes)
+    g = _FunctionSource(sx, su)
     result = _tuple_items([g.top(e) for e in exprs])
     return g.function(name, params, [*g.prologue(), f"return ({result})"])
 
 
-def _status_function(s, sx: Mapping, codes: dict) -> Callable:
-    g = _FunctionSource(sx, {}, codes)
+def _status_function(s, sx: Mapping) -> Callable:
+    g = _FunctionSource(sx, {})
     result = g.top(s)
     return g.function("status", "x", [*g.prologue(), f"return {result}"])
 
@@ -1167,11 +1167,11 @@ def _comparisons(s) -> list:
     return found
 
 
-def _guard_function(c: Compare, sx: Mapping, codes: dict) -> Callable:
+def _guard_function(c: Compare, sx: Mapping) -> Callable:
     """guard(x) -> (g, grad g) for the comparison c: g = left - right, whose
     sign gives c's truth, and its derivatives in x0.. order."""
     g = _arith("-", c.left, c.right, c.pos)
-    gen = _FunctionSource(sx, {}, codes)
+    gen = _FunctionSource(sx, {})
     try:
         value = gen.top(g)
         grad = _tuple_items([gen.top(derivative(g, name)) for name in sx])
@@ -1183,23 +1183,23 @@ def _guard_function(c: Compare, sx: Mapping, codes: dict) -> Callable:
 
 class _LeafGuards:
     """LeafBehavior.guards of a lowered leaf: one guard per comparison of
-    its folded status, compiled by the first iteration, since many lowered
+    its folded status, built by the first iteration, since many lowered
     trees never slide, and registered with its comparison for the model's
-    slide steps.  metadata is the status function lowered from that
-    status, so a generated walk inlines the status of a leaf whose
-    metadata it is."""
+    slide steps; _compiled shares its code across models.  metadata is the
+    status function lowered from that status, so a generated walk inlines
+    the status of a leaf whose metadata it is."""
 
-    __slots__ = ("status", "metadata", "sx", "codes", "comparisons", "compiled")
+    __slots__ = ("status", "metadata", "sx", "comparisons", "compiled")
 
-    def __init__(self, status, metadata, sx: Mapping, codes: dict, comparisons: dict):
-        self.status, self.metadata, self.sx, self.codes = status, metadata, sx, codes
+    def __init__(self, status, metadata, sx: Mapping, comparisons: dict):
+        self.status, self.metadata, self.sx = status, metadata, sx
         self.comparisons = comparisons  # the model's, guard -> its comparison
         self.compiled = None
 
     def __iter__(self):
         if self.compiled is None:
             found = _comparisons(self.status)
-            self.compiled = tuple(_guard_function(c, self.sx, self.codes) for c in found)
+            self.compiled = tuple(_guard_function(c, self.sx) for c in found)
             self.comparisons.update(zip(self.compiled, found))
         return iter(self.compiled)
 
@@ -1232,7 +1232,7 @@ def _walk_function(bt: BehaviorTree) -> Callable:
     """
     rows, stop = bt._rows, len(bt._rows)
     sx = {f"x{k:d}": k for k in range(bt.state_dim)}
-    g = _FunctionSource(sx, {}, {})
+    g = _FunctionSource(sx, {})
     tests = {Status.SUCCESS: f"s is {g.helper('_S', Status.SUCCESS)}",
              Status.FAILURE: f"s is {g.helper('_F', Status.FAILURE)}"}
     entry = {0: set()}  # row jumped to -> values computed on every path into it
@@ -1310,17 +1310,16 @@ def _rk4_lines(g: _FunctionSource, derivatives, control_sets, weigh=None) -> tup
                   for i in n]
 
 
-def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping,
-                   codes: dict) -> Callable:
+def _step_function(derivatives, control_sets, sx: Mapping, su: Mapping) -> Callable:
     """step(x, h): one classic RK4 step of a leaf's closed loop
     xdot = f(x, u(x)), its one control set inlined (see _rk4_lines)."""
-    g = _FunctionSource(sx, su, codes)
+    g = _FunctionSource(sx, su)
     body, result = _rk4_lines(g, derivatives, control_sets)
     return g.function("step", "x, h", [*body, f"return ({_tuple_items(result)})"])
 
 
-def _slide_function(derivatives, control_sets, c: Compare, sx: Mapping, su: Mapping,
-                    codes: dict) -> Callable:
+def _slide_function(derivatives, control_sets, c: Compare, sx: Mapping,
+                    su: Mapping) -> Callable:
     """slide(x, h, t, tol): executor._guarded_slide for the pair of leaves
     with these control expressions on the guard of the comparison c, the
     fields, the guard and its gradient inlined, with the same floats and
@@ -1332,7 +1331,7 @@ def _slide_function(derivatives, control_sets, c: Compare, sx: Mapping, su: Mapp
     # afresh for each of its set-ups
     from .executor import _NEWTON_STEPS, _OVERFLOW, _SLIDING_EPS, check_finite, slide_failure
 
-    g = _FunctionSource(sx, su, codes)
+    g = _FunctionSource(sx, su)
     n = range(len(sx))
     surface = _arith("-", c.left, c.right, c.pos)
     gradient = [derivative(surface, name) for name in sx]
@@ -1376,14 +1375,14 @@ def _slide_function(derivatives, control_sets, c: Compare, sx: Mapping, su: Mapp
 class _ClosedLoopSteps:
     """Plant.steps of a lowered model: get((field, controller)) is that
     leaf's generated step and get((field, ca, cb, guard)) the sliding
-    pair's slide step on a guard of the model, each compiled by the first
-    get of its key, since many lowered trees are never integrated and most
-    pairs never slide.  controls holds the folded control expressions of
-    every leaf controller, comparisons the comparison of every guard."""
+    pair's slide step on a guard of the model, each built by the first get
+    of its key, since many lowered trees are never integrated and most
+    pairs never slide; _compiled shares its code across models.  controls
+    holds every leaf controller's folded control expressions, comparisons
+    the comparison of every guard."""
 
-    def __init__(self, field, derivatives, sx: Mapping, su: Mapping, codes: dict):
+    def __init__(self, field, derivatives, sx: Mapping, su: Mapping):
         self.field, self.derivatives, self.sx, self.su = field, derivatives, sx, su
-        self.codes = codes  # the model's compile table
         self.controls: dict = {}  # leaf controller -> its control expressions
         self.comparisons: dict = {}  # guard -> the comparison it was compiled from
         self.compiled: dict = {}
@@ -1398,9 +1397,9 @@ class _ClosedLoopSteps:
                 return default
             sets = [self.controls[c] for c in controllers]
             step = self.compiled[key] = (
-                _step_function(self.derivatives, sets, self.sx, self.su, self.codes)
+                _step_function(self.derivatives, sets, self.sx, self.su)
                 if comparison is None else _slide_function(
-                    self.derivatives, sets, comparison, self.sx, self.su, self.codes))
+                    self.derivatives, sets, comparison, self.sx, self.su))
         return step
 
 
@@ -1423,11 +1422,10 @@ def lower(m: ModelFile) -> LoweredModel:
     sx = {f"x{k}": k for k in range(m.state_dim)}
     su = {f"u{k}": k for k in range(m.control_dim)}
     decls = {d.name: d for d in m.nodes}
-    codes: dict = {}  # generated source -> its function's code, this model only
 
     field_exprs = [fold_constants(e, consts) for _, e in m.plant]
-    plant_field = _tuple_function("field", "x, u", field_exprs, sx, su, codes)
-    steps = _ClosedLoopSteps(plant_field, field_exprs, sx, su, codes)
+    plant_field = _tuple_function("field", "x, u", field_exprs, sx, su)
+    steps = _ClosedLoopSteps(plant_field, field_exprs, sx, su)
     plant = Plant(m.state_dim, m.control_dim, plant_field, steps)
 
     counter = [0]
@@ -1442,13 +1440,13 @@ def lower(m: ModelFile) -> LoweredModel:
                     f"leaf {decl.name!r} defines {len(decl.controls)} control "
                     f"component(s), model declares {m.control_dim}", *decl.pos)
             controls = [fold_constants(e, consts) for e in decl.controls]
-            controller = _tuple_function("controller", "x", controls, sx, {}, codes)
+            controller = _tuple_function("controller", "x", controls, sx, {})
             steps.controls[controller] = controls
             status = fold_constants(decl.status, consts)
-            metadata = _status_function(status, sx, codes)
+            metadata = _status_function(status, sx)
             behavior = LeafBehavior(
                 controller=controller, metadata=metadata, label=decl.name,
-                guards=_LeafGuards(status, metadata, sx, codes, steps.comparisons))
+                guards=_LeafGuards(status, metadata, sx, steps.comparisons))
             return Leaf(nid, behavior)
         children = tuple(build(child) for child in decl.children)
         cls = Sequence if decl.kind == "seq" else Fallback

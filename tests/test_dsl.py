@@ -20,7 +20,7 @@ from ctbt.dsl import (
 from ctbt.executor import IntegratorConfig, integrate
 from ctbt.regions import check_partition, uniform_points
 
-from conftest import SETPOINT, SLIDE_HOLD, kitchen_bt, thermostat_bt
+from conftest import SETPOINT, SLIDE_HOLD, bench_workloads, kitchen_bt, thermostat_bt
 
 
 MINI = """\
@@ -876,20 +876,27 @@ def test_guards_are_compiled_at_the_first_slide_entry(monkeypatch):
     assert len(built) == 2
 
 
-def test_each_distinct_source_compiles_once_per_model(monkeypatch):
-    """Numbers are bound by name, one name per value, so slide_hold's 9
-    eager functions (field, 4 controllers, 4 statuses) have 6 distinct
-    sources and lower compiles 6 times: the controllers (0.0, 0.0) read one
-    name twice, (1.0, 0.4) and (-1.0, 0.4) two names.  Every generated
-    function has its own code object, and a second lower of the same text
-    compiles again: the table lives with one model."""
+def _counting_compiles(monkeypatch) -> list:
+    """On an emptied code cache, the list of every source dsl compiles."""
     compiled = []
 
     def counting(source, *args):
         compiled.append(source)
         return compile(source, *args)
 
+    dsl._compiled.cache_clear()
     monkeypatch.setattr(dsl, "compile", counting, raising=False)
+    return compiled
+
+
+def test_each_distinct_source_compiles_once_per_process(monkeypatch):
+    """Numbers are bound by name, one name per value, so slide_hold's 9
+    eager functions (field, 4 controllers, 4 statuses) have 6 distinct
+    sources and lower compiles 6 times: the controllers (0.0, 0.0) read one
+    name twice, (1.0, 0.4) and (-1.0, 0.4) two names.  Every generated
+    function has its own code object, and a second lower of the same text
+    compiles nothing: the code cache lives with the process."""
+    compiled = _counting_compiles(monkeypatch)
     lowered = dsl.lower(dsl.parse(SLIDE_HOLD))
     assert len(compiled) == len(set(compiled)) == 6
     bt, leaves = lowered.bt, lowered.bt.leaf_ids
@@ -906,8 +913,124 @@ def test_each_distinct_source_compiles_once_per_model(monkeypatch):
     # at_goal's and above's (0.0, 0.0) are one text
     assert len(compiled) == len(set(compiled)) == 24
     assert len({id(f.__code__) for f in functions}) == len(functions) == 39
-    dsl.lower(dsl.parse(SLIDE_HOLD))
-    assert len(compiled) == 30 and compiled[24:] == compiled[:6]
+    again = dsl.lower(dsl.parse(SLIDE_HOLD))
+    assert len(compiled) == 24
+    assert again.plant.field.__code__ is not lowered.plant.field.__code__
+
+
+def _chain_models(count: int) -> list:
+    """count one-leaf models whose controllers are sums of 1 to count
+    terms: a distinct controller source each."""
+    return [dsl.parse(MINI.replace("u = [1.0]", f"u = [{' + '.join(['x0'] * k)}]"))
+            for k in range(1, count + 1)]
+
+
+def _evaluates_like_the_interpreter(lowered, states) -> None:
+    """Field, controllers and leaf statuses of lowered give evaluate_expr's
+    values on the folded expressions of its model at each state."""
+    m = lowered.model
+    consts = dict(m.constants)
+    decls = {d.name: d for d in m.nodes}
+    for x in states:
+        env = {f"x{k}": v for k, v in enumerate(x)}
+        u = [0.5 * (k + 1) for k in range(m.control_dim)]
+        full = {**env, **{f"u{k}": v for k, v in enumerate(u)}}
+        assert lowered.plant.field(x, u) == tuple(
+            dsl.evaluate_expr(dsl.fold_constants(e, consts), full) for _, e in m.plant)
+        for i in lowered.bt.leaf_ids:
+            behavior = lowered.bt.behavior(i)
+            decl = decls[behavior.label]
+            assert behavior.controller(x) == tuple(
+                dsl.evaluate_expr(dsl.fold_constants(e, consts), env) for e in decl.controls)
+            assert behavior.metadata(x) is dsl.evaluate_expr(
+                dsl.fold_constants(decl.status, consts), env)
+
+
+def test_the_code_cache_never_exceeds_its_bound():
+    dsl._compiled.cache_clear()
+    bound = dsl._compiled.cache_info().maxsize
+    for m in _chain_models(bound + 20):
+        dsl.lower(m)
+        assert dsl._compiled.cache_info().currsize <= bound
+    assert dsl._compiled.cache_info().currsize == bound
+
+
+def test_an_evicted_source_compiles_again_and_old_functions_still_work(monkeypatch):
+    compiled = _counting_compiles(monkeypatch)
+    lowered = dsl.lower(dsl.parse(SLIDE_HOLD))
+    first = list(compiled)
+    assert len(first) == 6
+    chains = _chain_models(dsl._compiled.cache_info().maxsize)
+    for m in chains:  # a distinct controller each, so slide_hold's sources go
+        dsl.lower(m)
+    del compiled[:]
+    states = [(-1.0, -1.2), (0.3, 2.5), (0.0, 0.0), (2.0, -0.5)]
+    _evaluates_like_the_interpreter(lowered, states)
+    assert compiled == []  # functions keep their code: calling them compiles nothing
+    again = dsl.lower(dsl.parse(SLIDE_HOLD))
+    assert compiled == first
+    _evaluates_like_the_interpreter(again, states)
+
+
+def test_a_source_too_deep_to_compile_fails_alike_on_every_load(monkeypatch):
+    """A compile error is not cached: each load compiles the source again
+    and raises the same positioned ModelTypeError; a valid load follows."""
+    compiled = _counting_compiles(monkeypatch)
+    nested = dsl.parse(MINI.replace("u = [1.0]", "u = [" + "sin(" * 230 + "x0" + ")" * 230 + "]"))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ModelTypeError, match="nests too deeply to compile") as e:
+            dsl.lower(nested)
+        errors.append((str(e.value), e.value.line, e.value.col))
+    assert errors[0] == errors[1] and errors[0][1:] == (5, 18)
+    deep = [source for source in compiled if "_sin(" * 230 in source]
+    assert len(deep) == 2 and deep[0] == deep[1]
+    lowered = dsl.lower(dsl.parse(MINI))
+    assert lowered.bt.behavior(0).controller((0.5,)) == (1.0,)
+    assert dsl._compiled.cache_info().currsize == len(set(compiled)) - 1
+
+
+def _shifted(text: str) -> str:
+    """text with 0.25 added to every number literal: the same tree, signs
+    and shape, with other constants."""
+    return re.sub(r"\d+\.\d+(?:e-?\d+)?", lambda n: repr(float(n[0]) + 0.25), text)
+
+
+def test_trees_of_one_shape_share_code_but_no_values(monkeypatch):
+    """A tree and the same tree with other constants lower to the same
+    sources, so the second compiles nothing, yet each leaf status gives
+    evaluate_expr's value of its own folded status at region_audit's
+    probes."""
+    wl = bench_workloads().WORKLOADS["region_audit"]
+    text = wl.bank()["t6.1"][0]
+    compiled = _counting_compiles(monkeypatch)
+    trees = [dsl.lower(dsl.parse(text))]
+    count = len(compiled)
+    trees.append(dsl.lower(dsl.parse(_shifted(text))))
+    assert len(compiled) == count
+    answers = []
+    for lowered in trees:
+        _evaluates_like_the_interpreter(lowered, wl.PROBES)
+        answers.append([lowered.bt.behavior(i).metadata(x)
+                        for i in lowered.bt.leaf_ids for x in wl.PROBES])
+    assert answers[0] != answers[1]
+
+
+def test_region_audit_trees_share_a_few_sources(monkeypatch):
+    """Lowering the 40 region_audit bank trees compiles 14 sources, and
+    fresh slab trees of the same sizes compile none: no model text, such
+    as a leaf label or a number, reaches a generated source."""
+    workloads = bench_workloads()
+    wl = workloads.WORKLOADS["region_audit"]
+    compiled = _counting_compiles(monkeypatch)
+    for text, _ in wl.bank().values():
+        dsl.lower(dsl.parse(text))
+    assert len(compiled) <= 14
+    count, rng = len(compiled), np.random.default_rng(2024)
+    for n in wl.SIZES:
+        dsl.lower(dsl.parse(workloads.random_tree_btm(rng, n, f"fresh_{n}")))
+        dsl.lower(dsl.parse(slab_tree_btm(rng, n)))
+    assert len(compiled) == count
 
 
 def _expr(text: str):

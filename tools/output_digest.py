@@ -32,6 +32,11 @@ one per output:
   `bt.status` of every node, `composed_status` of every composite,
   `operating_owners` and `leaf_memberships`, on the workload's 16 probe
   points; `subsystem_leaves` on the seed-1, pass-0 points;
+- region/<key>/report/fresh, region/<key>/csv/fresh and
+  region/<key>/predicates/fresh, for the keys of FRESH: the same audit of a
+  tree lowered just after `dsl._compiled.cache_clear()`, so that it compiles
+  its own code, where the plain line's tree reuses code compiled for the
+  trees before it; CI checks that each equals its line without /fresh;
 - region/impure: two audits no bank tree reaches, `check_partition(...)
   .to_dict()` of a tree whose metadata toggles on every call, over 257
   points, and the error text of `check_partition` on a tree with a leaf
@@ -273,20 +278,32 @@ def predicate_text(bt, probes, points) -> str:
     return "\n".join(rows)
 
 
+# region_audit bank trees also audited after the code cache is emptied: a
+# small, a middle and the largest size class
+FRESH = ("t0.0", "t5.2", "t9.3")
+
+
 def region_digests(workloads) -> list:
     from ctbt import check_partition, dsl
     from ctbt.regions import region_csv
 
     wl = workloads.WORKLOADS["region_audit"]
-    lines = []
-    for key, (text, _) in wl.bank().items():
-        model = dsl.lower(dsl.parse(text))
+    bank = wl.bank()
+
+    def audit(key, suffix=""):
+        model = dsl.lower(dsl.parse(bank[key][0]))
         points = wl.points(1, 0, key)
         report = check_partition(model.bt, points)
-        lines.append((sha(json.dumps(report.to_dict())), f"region/{key}/report"))
-        lines.append((sha(region_csv(model.bt, points)), f"region/{key}/csv"))
-        lines.append((sha(predicate_text(model.bt, wl.PROBES, points)),
-                      f"region/{key}/predicates"))
+        return [(sha(json.dumps(report.to_dict())), f"region/{key}/report{suffix}"),
+                (sha(region_csv(model.bt, points)), f"region/{key}/csv{suffix}"),
+                (sha(predicate_text(model.bt, wl.PROBES, points)),
+                 f"region/{key}/predicates{suffix}")]
+
+    lines = [line for key in bank for line in audit(key)]
+    for key in FRESH:
+        # a checkout without the process-wide code cache compiles per model
+        getattr(getattr(dsl, "_compiled", None), "cache_clear", lambda: None)()
+        lines += audit(key, "/fresh")
     return lines
 
 
