@@ -113,6 +113,10 @@ BtNode = Union[Leaf, Sequence, Fallback]
 class Plant:
     """Control-affine-or-not vector field xdot = field(x, u) with known dims.
 
+    field must be a pure function of (x, u), as LeafBehavior requires of
+    controller and metadata: the executor ends a steady stretch at a state
+    its step maps to itself and writes the rest of the horizon from there.
+
     steps.get((field, controller)) is step(x, h), one classic RK4 step of
     the closed loop field(x, controller(x)), bit for bit, or None; and
     steps.get((field, ca, cb, guard)) is slide(x, h, t, tol), the

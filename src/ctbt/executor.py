@@ -17,10 +17,16 @@ the walk equals the current (root status, active leaf) it records the grid
 sample and goes on.  Through such a steady stretch the step, (status, leaf)
 and the state stay in locals, check_finite's quick hypot pass runs inline
 (its full rule only when that pass fails), and grid samples are built with
-tuple.__new__.  Otherwise regular_span locates the change by bisecting
-the step length down to event_tol, each probe stepped to and walked once,
-and hands the rest of the step back; it records the last probe only when
-its time is before the event's.  Every bisection here also stops when
+tuple.__new__.  A grid step that lands on the state it started from, bit
+for bit (so 0.0 after -0.0 is a move), and keeps the walk is a fixed point:
+the step and the walk are pure functions of the state (LeafBehavior,
+Plant) and the plant is autonomous, so every later grid step would give
+the same state and walk, and the stretch writes the samples left to
+t_end at once and ends at the run's last grid step.  Otherwise
+regular_span locates the change by bisecting the step length down to
+event_tol, each probe stepped to and walked once, and hands the rest of
+the step back; it records the last probe only when its time is before the
+event's.  Every bisection here also stops when
 no float lies between its bracket's ends, so a tolerance below the float
 spacing ends at float resolution.  A walk's status that the run takes as
 its own (at the start, at a located event, after a slide step) must be a
@@ -347,7 +353,7 @@ class _Integrator:
                 # grid step of the run ends the stretch like a change does
                 step = self.stepper(self.bt.nodes[self.leaf].behavior.controller)
                 status, leaf = current = self.status, self.leaf
-                x, first = self.x, k
+                x, first, last = self.x, k, samples[-1].t
                 while True:
                     x_try = step(x, h)
                     if not hypot(*x_try) <= _OVERFLOW:  # check_finite's quick pass
@@ -355,10 +361,24 @@ class _Integrator:
                     walk = resolve(x_try)
                     if walk != current or k + 1 == n_steps:
                         break
+                    if x_try == x and h == dt and all(  # bit for bit, as 0.0 == -0.0
+                            math.copysign(1.0, a) == math.copysign(1.0, b)
+                            for a, b in zip(x_try, x)):
+                        # a fixed point of the grid step: each later grid step
+                        # lands on x and walks to current again, so their
+                        # samples are written, and the last one ends the stretch
+                        t1 = float((k + 1) * dt)
+                        if last < t1 - _MIN_SPAN:
+                            samples.append(new(Sample, (t1, x, leaf, status)))
+                        samples += [new(Sample, (float(i * dt), x, leaf, status))
+                                    for i in range(k + 2, n_steps)]
+                        k = n_steps - 1
+                        break
                     x, h, k = x_try, dt, k + 1
                     t1 = float(k * dt)
-                    if samples[-1].t < t1 - _MIN_SPAN:
+                    if last < t1 - _MIN_SPAN:
                         samples.append(new(Sample, (t1, x, leaf, status)))
+                        last = t1
                 if k != first:
                     t = k * dt
                     end = t + h

@@ -780,6 +780,68 @@ def test_one_walk_per_grid_step(pendulum):
         assert {s.leaf for s in traj.samples} == ({1, 2} if switches else {1})
 
 
+def test_a_fixed_point_of_the_step_writes_what_stepping_would(pendulum):
+    """From (pi/3, 0) balance settles on a state its grid step maps to
+    itself, bit for bit, outside Success.  The run writes the rest of the
+    horizon from there; its samples are those of a loop that steps the
+    active leaf and walks the tree on every grid step."""
+    cfg = IntegratorConfig(dt=0.004, t_end=60.0)
+    bt, field = pendulum.bt, pendulum.plant.field
+    traj = integrate(pendulum.plant, bt, (math.pi / 3, 0.0), cfg)
+    x = bt.check_state((math.pi / 3, 0.0))
+    status, leaf = bt.resolve(x)
+    expected = [Sample(0.0, x, leaf, status)]
+    for k in range(1, 15001):
+        x = pendulum.plant.steps.get((field, bt.nodes[leaf].behavior.controller))(x, cfg.dt)
+        status, leaf = bt.resolve(x)
+        expected.append(Sample(float(k * cfg.dt), x, leaf, status))
+    assert not traj.events and len(traj.samples) == 15001
+    assert repr(traj.samples) == repr(expected)  # repr tells -0.0 from 0.0
+    assert expected[-1].status is Status.RUNNING
+    assert expected[314].x == expected[313].x != expected[312].x
+
+
+def test_controller_evaluations_stop_at_a_fixed_point_of_the_step(pendulum):
+    """Past the fixed point nothing is evaluated: the run from (pi/3, 0) to
+    t_end 60 calls the controllers as often as the run to t_end 30, on the
+    _rk4 route of wrapped controllers, and writes the generated route's
+    bytes."""
+    calls = [0]
+
+    def counted(controller):
+        def wrapper(x):
+            calls[0] += 1
+            return controller(x)
+        return wrapper
+
+    def rebuilt(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, dataclasses.replace(b, controller=counted(b.controller)))
+        return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
+
+    bt = BehaviorTree(rebuilt(pendulum.bt.root), state_dim=2)
+    counts = []
+    for t_end in (30.0, 60.0):
+        calls[0] = 0
+        cfg = IntegratorConfig(dt=0.004, t_end=t_end)
+        traj = integrate(pendulum.plant, bt, (math.pi / 3, 0.0), cfg)
+        counts.append(calls[0])
+        fused = integrate(pendulum.plant, pendulum.bt, (math.pi / 3, 0.0), cfg)
+        assert traj.to_json() == fused.to_json()
+    assert counts[0] == counts[1] == 4 * 314  # four RK4 stages per step up to the fixed point
+
+
+def test_a_fixed_point_of_the_step_is_a_repeat_of_its_bits():
+    """0.0 == -0.0, but a step from -0.0 that lands on 0.0 has moved the
+    state: only the next step, 0.0 to 0.0, is a fixed point."""
+    plant = Plant(1, 1, lambda x, u: (0.0,))
+    traj = integrate(plant, single_leaf_bt(lambda x: (0.0,), dim=1), (-0.0,),
+                     IntegratorConfig(dt=0.5, t_end=2.0))
+    assert [s.t for s in traj.samples] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert repr([s.x for s in traj.samples]) == repr([(-0.0,), (0.0,), (0.0,), (0.0,), (0.0,)])
+
+
 def _tier_cases():
     """(plant, tree, x0, config) builders: a pendulum bank start, a
     slide_hold bank start, whose slide steps walk too, and the hand-built

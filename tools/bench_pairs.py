@@ -29,10 +29,11 @@ The tool refuses to run when the two bench/ trees differ byte for byte
 same on both sides.  It prints a note when --seconds is not the
 benchmark's run_seconds: op_tail_ms is the op time eleventh from the top,
 so the number of passes a run finishes decides which operation it reads.
-On pendulum_certify, where one op in each pass of 31 runs the full
-horizon and fails, eleven passes or more put a failed run there and fewer
-a succeeding one, and runs shorter than the benchmark's can fall on
-different sides of that line for the two programs.
+Where one op in each pass runs far longer than the rest, as
+pendulum_certify's failing start did while it stepped the full horizon
+(one op of 31), eleven passes or more put that op there and fewer another
+one, and runs shorter than the benchmark's can fall on different sides of
+that line for the two programs.
 """
 
 from __future__ import annotations

@@ -175,10 +175,11 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# bank starts also run on the _rk4 route: a switching pendulum run, the
-# pendulum's rest start that never converges, and slide_hold slides from one
-# start in each row and each column of its 4 x 4 cells
-WRAPPED = {"pendulum_certify": ("d0.0.0", "r2"),
+# bank starts also run on the _rk4 route: a switching pendulum run, a
+# pendulum rest start that converges (r2) and the one that never does (r4),
+# whose steady stretch ends at a fixed point of the step, and slide_hold
+# slides from one start in each row and each column of its 4 x 4 cells
+WRAPPED = {"pendulum_certify": ("d0.0.0", "r2", "r4"),
            "slide_hold": ("d0.0.0", "d1.1.0", "d2.2.0", "d3.3.0")}
 # and on the cold tier of the walk
 COLD = WRAPPED
