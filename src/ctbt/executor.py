@@ -34,22 +34,26 @@ Status, else the run raises ExecutionError.  If the recent switches toggle
 between exactly two leaves faster than the step rate, the integrator
 declares a sliding mode on g = 0 for the separating guard, the first leaf guard
 (LeafBehavior.guards) whose sign differs across the last switch's bisection
-bracket, and binds the slide as one record, _Integrator.slide: the pair,
-that guard or None and the slide step chatter_check picks; exit_slide
-drops it.  A slide step, slide(x, h, t, tol), takes the pair's two fields
-at x, the normal grad g/|grad g|, the coefficient of the convex field
+bracket, and binds the slide as one record, _Integrator.slide: the pair
+and the slide step chatter_check picks by that guard; exit_slide drops
+it.  A slide step, slide(x, h, t, tol), takes the pair's two fields at x,
+the normal grad g/|grad g|, the coefficient of the convex field
 combination that cancels the normal component, one RK4 step of that
 blend whose first stage is those two fields, and Newton steps back onto
 g = 0, and returns the state, or None when the coefficient lets go: the
 plant's generated slide step for a lowered pair, else _guarded_slide.
-slide_span calls it, walks once and records.  With no separating guard
-the step is the cloud route's: the normal comes from the recent crossing
-points (SVD; the field difference while they are degenerate) and the
-projection bisects along it, walking as it goes; only this route and the
-boundary tools at the end call numpy.  Sliding ends
-when the combination coefficient leaves [0, 1] by more than _SLIDING_EPS or
-the state escapes to a third leaf.  A span that changes mode mid-step
-hands the time left back to run.  A run ends at its first root Success.
+With no separating guard the step is the cloud route's: the normal comes
+from the recent crossing points (SVD; the field difference while they are
+degenerate) and the projection bisects along it; only this route and the
+boundary tools at the end call numpy.  `run` steps a bound slide in a
+slide stretch, as it steps regular mode, and walks each landed state
+once.  The stretch ends when the step returns None (the slide exits at
+the step's start and regular mode takes the step), when the walk leaves
+the pair (the slide exits at the step's end), when the root is not
+Running, or at the run's last grid step.  So a slide ends when the
+coefficient leaves [0, 1] by more than _SLIDING_EPS or the state escapes
+to a third leaf, and a run at its first root Success.  A span that changes
+mode mid-step hands the time left back to run.
 The chatter count, the slack on the coefficient and the stop at Success are
 fixed parts of the construction, not options.
 
@@ -278,7 +282,7 @@ class _Integrator:
         self.samples: list = []  # built during the run, grid points by run itself
         self.events: list = []
         self.switch_log = deque(maxlen=_MAX_CHATTER)  # (t, from leaf, to leaf)
-        # while sliding: (pair, separating guard or None, the pair's slide step)
+        # while sliding: (pair, the pair's slide step)
         self.slide: Optional[tuple] = None
         self.failed = False
         self.done = False
@@ -331,7 +335,7 @@ class _Integrator:
 
     def run(self) -> Trajectory:
         dt, resolve, samples = self.cfg.dt, self.bt.resolve, self.samples
-        new, hypot = tuple.__new__, math.hypot
+        new, hypot, running = tuple.__new__, math.hypot, Status.RUNNING
         samples.append(Sample(0.0, self.x, self.leaf, self.status))
         self.note_status(0.0, self.status)
         n_steps = int(round(self.cfg.t_end / dt))
@@ -341,11 +345,34 @@ class _Integrator:
             end = t + h  # t + h as the current stretch of regular mode began
             while True:
                 if self.slide is not None:
-                    left = self.slide_span(t, h)
-                    if left is None:
+                    # a slide stretch: while the walk stays Running in the
+                    # pair, the slide step, x and its walk stay in locals; the
+                    # run's last grid step, or a sample short of the grid time
+                    # (the grid sample is then recorded below), ends it too
+                    pair, slide = self.slide
+                    x, walk, tol = self.x, (self.status, self.leaf), self.cfg.event_tol
+                    while (x_try := slide(x, h, t, tol)) is not None:
+                        status, leaf = walk = resolve(x_try)
+                        x = x_try
+                        if leaf not in pair:
+                            break
+                        samples.append(new(Sample, (float(t + h), x, leaf, status)))
+                        if (status is not running or k + 1 == n_steps
+                                or t + h < (k + 1) * dt - _MIN_SPAN):
+                            break
+                        k, t, h = k + 1, (k + 1) * dt, dt
+                    self.x = x
+                    if x_try is None:  # the weight lets go at t: regular mode goes on
+                        self.status, self.leaf = walk
+                        self.exit_slide(t)
+                        end = t + h
+                    else:
+                        self.status, self.leaf = self.checked(t + h, *walk)
+                        if walk[1] not in pair:
+                            self.exit_slide(t + h)
+                        elif walk[0] is not running:
+                            self.note_status(t + h, walk[0])
                         break
-                    t, h = left  # the slide ended at once: regular mode goes on
-                    end = t + h
                 if h <= _MIN_SPAN or self.done:
                     break
                 # a steady stretch: while the walk holds, grid step after grid
@@ -453,7 +480,7 @@ class _Integrator:
         # the Python route; with no guard, the cloud route
         step = self.cloud_slide(pair, ca, cb) if guard is None else (
             self.plant.steps.get((field, ca, cb, guard)) or _guarded_slide(field, ca, cb, guard))
-        self.slide = (pair, guard, step)
+        self.slide = (pair, step)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
         return True
 
@@ -469,39 +496,14 @@ class _Integrator:
 
     # ---- sliding mode
 
-    def slide_span(self, t_start: float, span: float) -> Optional[tuple]:
-        """One slide step over span and a walk where it lands; the (t, h)
-        left when the weight alpha lets go, else None."""
-        pair, guard, step = self.slide
-        landed = step(self.x, span, t_start, self.cfg.event_tol)
-        if landed is None:
-            self.exit_slide(t_start)
-            return t_start, span
-        t_end = t_start + span
-        if guard is None:  # the cloud route walks as it projects
-            x, status, leaf, held = landed
-        else:
-            x = landed
-            status, leaf = self.bt.resolve(x)
-            held = leaf in pair
-        self.x = x
-        self.status, self.leaf = self.checked(t_end, status, leaf)
-        if not held:
-            self.exit_slide(t_end)
-            return None
-        self.samples.append(tuple.__new__(Sample, (float(t_end), x, leaf, status)))
-        if status is not Status.RUNNING:
-            self.note_status(t_end, status)
-        return None
-
     def exit_slide(self, t: float) -> None:
         self.event(t, "SlideExit", self.x, to=self.leaf)
         self.slide = None
 
     def cloud_slide(self, pair, ca, cb):
         """slide(x, h, t, tol) of the pair with controllers ca, cb on the
-        cloud route; None when the weight lets go, else
-        project_to_surface's (state, status, leaf, held)."""
+        cloud route: the blended step's state as project_to_surface leaves
+        it, or None when the weight lets go."""
         field, points = self.plant.field, deque([self.x], maxlen=8)
         blend = _rk4_blend(field, ca, cb)
 
@@ -551,40 +553,37 @@ class _Integrator:
         bisection, on the cloud route, and keep the point as a crossing
         point.
 
-        Returns (point, status, leaf, held) with the walk at the point: the
-        projected point and held, or x itself when it cannot be pulled back.
+        Returns the projected point, or x itself when x is outside the pair
+        or no state of the other leaf of the pair lies along +-n within
+        1e6; the run's walk at the point decides whether the slide holds.
         """
         cfg = self.cfg
-        status, here = self.bt.resolve(x)
+        here = self.bt.resolve(x)[1]
         if here not in pair:
-            return x, status, here, False
+            return x
         other = pair[0] if here == pair[1] else pair[1]
         n = n.tolist()
         step = cfg.event_tol
         for _ in range(60):
             sign = next((s for s in (1.0, -1.0)
                          if self.bt.resolve(_along(x, s * step, n))[1] == other), None)
-            if sign is not None:
+            if sign is not None or step * 2.0 > 1e6:
                 break
             step *= 2.0
-            if step > 1e6:
-                return x, status, here, False
-        else:
-            return x, status, here, False
+        if sign is None:  # no state of the other leaf along +-n within 1e6
+            return x
         lo, hi = 0.0, step
         while hi - lo > cfg.event_tol:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # the bracket is down to float resolution
                 break
-            st_mid, lf_mid = self.bt.resolve(_along(x, sign * mid, n))
-            if lf_mid == here:
+            if self.bt.resolve(_along(x, sign * mid, n))[1] == here:
                 lo = mid
-                status = st_mid
             else:
                 hi = mid
         projected = _along(x, sign * lo, n)
         points.append(projected)
-        return projected, status, here, True
+        return projected
 
 
 def integrate(plant: Plant, bt: BehaviorTree, x0,

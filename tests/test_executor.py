@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import os
@@ -241,30 +242,64 @@ def test_declared_guard_holds_the_shear_slide():
     assert (end.x[1] - enter.x[1]) / (end.t - enter.t) == pytest.approx(10.25, abs=1e-9)
 
 
+class _SlideSteps(list):
+    """Per call of a slide step that chatter_check binds, how far each
+    counter of read() moves from that call to the next step call, the
+    slide's exit or close() after the run: the walk at the state the step
+    lands on is counted with it.  open holds read() at the open call, x the
+    state the last call started from."""
+
+    def __init__(self, monkeypatch, read):
+        super().__init__()
+        self.read, self.open, self.x = read, None, None
+        chatter_check, exit_slide = (executor._Integrator.chatter_check,
+                                     executor._Integrator.exit_slide)
+
+        def bind(integrator, *args):
+            entered = chatter_check(integrator, *args)
+            if entered:
+                pair, step = integrator.slide
+                integrator.slide = (pair, self.wrap(step))
+            return entered
+
+        def leave(integrator, t):
+            self.close()
+            exit_slide(integrator, t)
+
+        monkeypatch.setattr(executor._Integrator, "chatter_check", bind)
+        monkeypatch.setattr(executor._Integrator, "exit_slide", leave)
+
+    def wrap(self, step):
+        def counted(x, *args):
+            self.close()
+            self.open, self.x = self.read(), x
+            return step(x, *args)
+        return counted
+
+    def close(self):
+        if self.open is not None:
+            self.append(tuple(b - a for a, b in zip(self.open, self.read())))
+            self.open = None
+
+
 def test_a_slide_step_takes_the_fields_at_x_once(monkeypatch):
     """The pair's fields at x, evaluated for the Filippov coefficient, are
-    the first stage of the blended step: a slide span calls the field twice
+    the first stage of the blended step: a slide step calls the field twice
     and, when it steps, twice more per later RK4 stage (the _rk4 route of a
     wrapped field)."""
 
     slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
-    field, calls, per_span = slide_hold.plant.field, [0], []
-    slide_span = executor._Integrator.slide_span
+    field, calls = slide_hold.plant.field, [0]
+    spans = _SlideSteps(monkeypatch, lambda: (calls[0],))
 
     def counted(x, u):
         calls[0] += 1
         return field(x, u)
 
-    def watched(self, *args):
-        before = calls[0]
-        try:
-            return slide_span(self, *args)
-        finally:
-            per_span.append(calls[0] - before)
-
-    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
     plant = dataclasses.replace(slide_hold.plant, field=counted)
     integrate(plant, slide_hold.bt, (-1.0, -1.2), IntegratorConfig(dt=0.01, t_end=4.0))
+    spans.close()
+    per_span = [n for (n,) in spans]
     assert 8 in per_span and set(per_span) <= {2, 8}
 
 
@@ -277,12 +312,11 @@ def test_a_guarded_slide_step_walks_once_and_takes_the_fields_twice(monkeypatch)
     later stages."""
     slide_hold = dsl.lower(dsl.parse(SLIDE_HOLD))
     field, generated = slide_hold.plant.field, slide_hold.plant.steps
-    at, per_span = [None], []
     counts = {"at x": 0, "elsewhere": 0, "resolve": 0}
-    slide_span = executor._Integrator.slide_span
+    per_span = _SlideSteps(monkeypatch, lambda: tuple(counts.values()))
 
     def counted(x, u):
-        counts["at x" if x == at[0] else "elsewhere"] += 1
+        counts["at x" if x == per_span.x else "elsewhere"] += 1
         return field(x, u)
 
     def walked(resolve):
@@ -291,23 +325,16 @@ def test_a_guarded_slide_step_walks_once_and_takes_the_fields_twice(monkeypatch)
             return resolve(x)
         return walk
 
-    def watched(self, *args):
-        before, at[0] = dict(counts), self.x
-        try:
-            return slide_span(self, *args)
-        finally:
-            per_span.append(tuple(counts[k] - before[k] for k in counts))
-
     # the generated steps, keyed by the counted field, so no step calls it
     steps = types.SimpleNamespace(get=lambda key, default=None: generated.get(
         (field, *key[1:]), default) if key[0] is counted else default)
-    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
     plant = dataclasses.replace(slide_hold.plant, field=counted, steps=steps)
     cfg = IntegratorConfig(dt=0.01, t_end=16.0)
     for tree, taken in zip(_routes(slide_hold), [(0, 0, 1), (2, 6, 1)]):
         per_span.clear()
         tree.resolve = walked(tree.resolve)
         run = integrate(plant, tree, (-1.0, -1.2), cfg)
+        per_span.close()
         enter, leave = run.events_of("SlideEnter")[0].t, run.events_of("SlideExit")[0].t
         assert set(per_span) == {taken}  # every span stepped: one sample per grid step
         assert len(per_span) == len([s for s in run.samples if enter < s.t <= leave])
@@ -463,7 +490,7 @@ def test_two_slides_on_different_pairs_each_hold_their_own_line(route):
     enters, (leave,) = run.events_of("SlideEnter"), run.events_of("SlideExit")
     assert [e.info["pair"] for e in enters] == [[3, 6], [6, 7]]
     assert enters[0].t == pytest.approx(0.25, abs=1e-5)
-    assert leave.t == pytest.approx(2.01, abs=1e-12)
+    assert leave.t == 201 * 0.01  # the start of the grid step the weight lets go in
     assert enters[1].t == pytest.approx(4.0, abs=1e-4)
     tol = 0.0 if route == "guarded" else 1e-6
     for enter, end, line in ((enters[0], leave.t, 0.0), (enters[1], 6.0, 1.0)):
@@ -471,6 +498,88 @@ def test_two_slides_on_different_pairs_each_hold_their_own_line(route):
         assert len(sliding) > 150 and all(s.leaf in enter.info["pair"] for s in sliding)
         assert max(abs(s.x[0] - line) for s in sliding) <= tol
     assert run.samples[-1].t == 6.0
+
+
+def test_a_long_slide_ends_every_grid_step_at_its_grid_time():
+    """Past t = 32 at dt = 0.01 a slide step's end, k*dt + dt, can fall
+    short of the grid time (k + 1)*dt by more than _MIN_SPAN; each grid
+    step still ends with a sample no earlier than its grid time less
+    _MIN_SPAN, and before the next step's midpoint."""
+    model = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+    run = integrate(model.plant, model.bt, [18.0], IntegratorConfig(dt=0.01, t_end=40.0))
+    (enter,) = run.events_of("SlideEnter")
+    assert enter.t < 32.0 and not run.events_of("SlideExit")
+    assert any(k * 0.01 + 0.01 < (k + 1) * 0.01 - executor._MIN_SPAN for k in range(3200, 4000))
+    times = [s.t for s in run.samples]
+    for grid in (k * 0.01 for k in range(4001)):
+        i = bisect.bisect_left(times, grid - executor._MIN_SPAN)
+        assert times[i] < grid + 0.005, grid
+
+
+# push_right and push_left slide on x0 = 0, where push_right is active,
+# until x1 passes 1 at t = 2: there push_right reports Failure, the root's
+# status, and the slide goes on
+FAILURE_IN_PAIR = """\
+model "failure_in_pair" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf left_of_0 { u = [0.0, 0.0]; status = if x0 > 0.0 then S else F; }
+  leaf push_right { u = [1.0, 0.5]; status = if x1 > 1.0 then F else R; }
+  leaf push_left { u = [-1.0, 0.5]; status = R; }
+  fal first = [left_of_0, push_right];
+  seq hold = [first, push_left];
+  root = hold;
+}
+"""
+
+# the same slide, but past x1 = 1 both push leaves report Success: the root
+# succeeds with push_left active, which is in the pair
+SUCCESS_IN_PAIR = """\
+model "success_in_pair" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf left_of_0 { u = [0.0, 0.0]; status = if x0 > 0.0 then S else F; }
+  leaf push_right { u = [1.0, 0.5]; status = if x1 > 1.0 then S else R; }
+  leaf push_left { u = [-1.0, 0.5]; status = if x1 > 1.0 then S else R; }
+  fal first = [left_of_0, push_right];
+  seq hold = [first, push_left];
+  root = hold;
+}
+"""
+
+
+def _in_pair_runs(text):
+    """The run from (-0.25, 0) on both routes, checked equal, and its
+    SlideEnter event."""
+    model = dsl.lower(dsl.parse(text))
+    cfg = IntegratorConfig(dt=0.01, t_end=4.0)
+    fused, wrapped = (integrate(model.plant, bt, (-0.25, 0.0), cfg) for bt in _routes(model))
+    assert fused.to_json() == wrapped.to_json()
+    (enter,) = fused.events_of("SlideEnter")
+    return fused, enter
+
+
+def test_a_slide_that_succeeds_in_its_pair_ends_the_run_at_that_sample():
+    run, enter = _in_pair_runs(SUCCESS_IN_PAIR)
+    assert [e.kind for e in run.events if e.t > enter.t] == ["RootSuccess"]
+    (done,) = run.events_of("RootSuccess")
+    end = run.samples[-1]
+    assert end.t == done.t == 2.0 and end.status is Status.SUCCESS
+    assert end.leaf in enter.info["pair"] and end.x[1] > 1.0
+    assert all(s.x[0] == 0.0 for s in run.samples if s.t > enter.t)
+
+
+def test_a_slide_that_fails_in_its_pair_notes_it_once_and_slides_on():
+    run, enter = _in_pair_runs(FAILURE_IN_PAIR)
+    assert [e.kind for e in run.events if e.t > enter.t] == ["RootFailure"]
+    (failed,) = run.events_of("RootFailure")
+    assert failed.t == 2.0
+    after = [s for s in run.samples if s.t >= failed.t]
+    assert len(after) == 201 and after[-1].t == 4.0
+    assert all(s.status is Status.FAILURE and s.leaf in enter.info["pair"] and s.x[0] == 0.0
+               for s in after)
 
 
 # push_out spirals out of the unit circle, push_in spirals into it: they
@@ -499,8 +608,8 @@ def test_a_slide_on_a_curved_guard_takes_two_newton_steps_and_holds_the_circle(m
     the slide holds |x| = 1 to rounding.  Each step calls the guard once
     for its normal and once per Newton step."""
     model = dsl.lower(dsl.parse(CURVED))
-    calls, per_span = [0], []
-    slide_span = executor._Integrator.slide_span
+    calls = [0]
+    spans = _SlideSteps(monkeypatch, lambda: (calls[0],))
 
     def counted(guard):
         def call(x):
@@ -515,17 +624,11 @@ def test_a_slide_on_a_curved_guard_takes_two_newton_steps_and_holds_the_circle(m
                 b, guards=tuple(map(counted, b.guards))))
         return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
 
-    def watched(self, *args):
-        before = calls[0]
-        try:
-            return slide_span(self, *args)
-        finally:
-            per_span.append(calls[0] - before - 1)
-
-    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
     bt = BehaviorTree(rebuilt(model.bt.root), state_dim=2)
     run = integrate(model.plant, bt, (0.5, 0.0),
                     IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10), "curved")
+    spans.close()
+    per_span = [n - 1 for (n,) in spans]
     (enter,) = run.events_of("SlideEnter")
     assert not run.events_of("SlideExit")
     assert per_span == [1] + [2] * 33
@@ -891,22 +994,13 @@ def test_only_the_lowered_field_and_controllers_take_the_generated_step(pendulum
     from ctbt import executor
 
     calls = []  # (step length, called from a slide)
-    rk4, slide_span = executor._rk4, executor._Integrator.slide_span
-    sliding = [False]
+    rk4, spans = executor._rk4, _SlideSteps(monkeypatch, lambda: ())
 
     def counted(*args):
-        calls.append((args[2], sliding[0]))
+        calls.append((args[2], spans.open is not None))
         return rk4(*args)
 
-    def watched(self, *args):
-        sliding[0] = True
-        try:
-            return slide_span(self, *args)
-        finally:
-            sliding[0] = False
-
     monkeypatch.setattr(executor, "_rk4", counted)
-    monkeypatch.setattr(executor._Integrator, "slide_span", watched)
     cfg = IntegratorConfig(dt=0.004, t_end=12.0)
     fused = integrate(pendulum.plant, pendulum.bt, (2.0, 0.0), cfg, "pendulum")
     assert calls == []

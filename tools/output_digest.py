@@ -69,8 +69,15 @@ one per output:
   the same model);
 - slide/thermostat and slide/thermostat/wrapped: the same pair of runs
   for the bundled thermostat model from x0 = 18, a slide of one state;
-- slide/three_state/cold, slide/curved/cold, slide/two_pairs/cold and
-  slide/thermostat/cold: the run of the line without /cold, whose tree
+- slide/success_in_pair and slide/failure_in_pair, each with /wrapped: the
+  same pair of runs for the SUCCESS_IN_PAIR and FAILURE_IN_PAIR models,
+  whose slide on x0 = 0 reaches a root status other than Running with the
+  active leaf in the pair: Success ends the run at that sample, Failure is
+  noted once and the slide goes on (tests/test_executor.py holds the same
+  models);
+- slide/three_state/cold, slide/curved/cold, slide/two_pairs/cold,
+  slide/thermostat/cold, slide/success_in_pair/cold and
+  slide/failure_in_pair/cold: the run of the line without /cold, whose tree
   takes its generated walk from the first walk, on a tree that keeps the
   row-table walk throughout; CI checks that the two are equal;
 - demo/<file>: exit code and stdout of every script in demos/;
@@ -422,6 +429,41 @@ model "two_pairs" {
 """
 
 
+# push_right and push_left slide on x0 = 0, where push_right is active,
+# until x1 passes 1 at t = 2: there push_right reports Failure, the root's
+# status, and the slide goes on
+FAILURE_IN_PAIR = """\
+model "failure_in_pair" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf left_of_0 { u = [0.0, 0.0]; status = if x0 > 0.0 then S else F; }
+  leaf push_right { u = [1.0, 0.5]; status = if x1 > 1.0 then F else R; }
+  leaf push_left { u = [-1.0, 0.5]; status = R; }
+  fal first = [left_of_0, push_right];
+  seq hold = [first, push_left];
+  root = hold;
+}
+"""
+
+
+# the same slide, but past x1 = 1 both push leaves report Success: the root
+# succeeds with push_left active, which is in the pair
+SUCCESS_IN_PAIR = """\
+model "success_in_pair" {
+  state 2;
+  control 2;
+  plant { dx0 = u0; dx1 = u1; }
+  leaf left_of_0 { u = [0.0, 0.0]; status = if x0 > 0.0 then S else F; }
+  leaf push_right { u = [1.0, 0.5]; status = if x1 > 1.0 then S else R; }
+  leaf push_left { u = [-1.0, 0.5]; status = if x1 > 1.0 then S else R; }
+  fal first = [left_of_0, push_right];
+  seq hold = [first, push_left];
+  root = hold;
+}
+"""
+
+
 def slide_digests() -> list:
     from ctbt import (BehaviorTree, Fallback, IntegratorConfig, Leaf, LeafBehavior,
                       Plant, Sequence, Status, dsl, integrate)
@@ -463,6 +505,8 @@ def slide_digests() -> list:
         "two_pairs": (TWO_PAIRS, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=6.0)),
         "thermostat": ((dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8"),
                        (18.0,), IntegratorConfig(dt=0.01, t_end=5.0)),
+        "success_in_pair": (SUCCESS_IN_PAIR, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=4.0)),
+        "failure_in_pair": (FAILURE_IN_PAIR, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=4.0)),
     }
     for name, (text, x0, cfg) in models.items():
         with walk_tier(0):
