@@ -1517,20 +1517,14 @@ def format_model(m: ModelFile) -> str:
 
 
 def _num(v: float) -> str:
-    if v < 0:
-        return f"-{_num(-v)}"
-    text = repr(float(v))
-    return text
+    return repr(float(v))
 
 
 def format_expr(e, parent_prec: int = _COND) -> str:
     """Source text of e, parenthesized unless it binds at least as tightly as
     parent_prec (the code generator's binding strengths)."""
     if isinstance(e, Num):
-        if e.value < 0:
-            inner = f"-{_num(-e.value)}"
-            return f"({inner})" if parent_prec >= _UNARY else inner
-        return _num(e.value)
+        return f"({_num(e.value)})" if e.value < 0 and parent_prec >= _UNARY else _num(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):

@@ -53,7 +53,10 @@ the pair (the slide exits at the step's end), when the root is not
 Running, or at the run's last grid step.  So a slide ends when the
 coefficient leaves [0, 1] by more than _SLIDING_EPS or the state escapes
 to a third leaf, and a run at its first root Success.  A span that changes
-mode mid-step hands the time left back to run.
+mode mid-step hands the time left back to run; a slide entered mid-step
+runs to the end of that grid step.  One clock stamps both modes: a sample
+or event that ends grid step k is at its grid time float((k + 1)*dt),
+never k*dt + dt, which can fall an ulp short of it.
 The chatter count, the slack on the coefficient and the stop at Success are
 fixed parts of the construction, not options.
 
@@ -342,36 +345,34 @@ class _Integrator:
         k = 0
         while k < n_steps and not self.done:
             t, h = k * dt, dt  # the rest of grid step k: from t, h long
-            end = t + h  # t + h as the current stretch of regular mode began
             while True:
                 if self.slide is not None:
                     # a slide stretch: while the walk stays Running in the
-                    # pair, the slide step, x and its walk stay in locals; the
-                    # run's last grid step, or a sample short of the grid time
-                    # (the grid sample is then recorded below), ends it too
+                    # pair, the slide step, x and its walk stay in locals, and
+                    # each step's sample is stamped with its grid time t1; the
+                    # run's last grid step ends it too
                     pair, slide = self.slide
                     x, walk, tol = self.x, (self.status, self.leaf), self.cfg.event_tol
                     while (x_try := slide(x, h, t, tol)) is not None:
+                        t1 = float((k + 1) * dt)
                         status, leaf = walk = resolve(x_try)
                         x = x_try
                         if leaf not in pair:
                             break
-                        samples.append(new(Sample, (float(t + h), x, leaf, status)))
-                        if (status is not running or k + 1 == n_steps
-                                or t + h < (k + 1) * dt - _MIN_SPAN):
+                        samples.append(new(Sample, (t1, x, leaf, status)))
+                        if status is not running or k + 1 == n_steps:
                             break
-                        k, t, h = k + 1, (k + 1) * dt, dt
+                        k, t, h = k + 1, t1, dt
                     self.x = x
                     if x_try is None:  # the weight lets go at t: regular mode goes on
                         self.status, self.leaf = walk
                         self.exit_slide(t)
-                        end = t + h
                     else:
-                        self.status, self.leaf = self.checked(t + h, *walk)
+                        self.status, self.leaf = self.checked(t1, *walk)
                         if walk[1] not in pair:
-                            self.exit_slide(t + h)
+                            self.exit_slide(t1)
                         elif walk[0] is not running:
-                            self.note_status(t + h, walk[0])
+                            self.note_status(t1, walk[0])
                         break
                 if h <= _MIN_SPAN or self.done:
                     break
@@ -408,12 +409,11 @@ class _Integrator:
                         last = t1
                 if k != first:
                     t = k * dt
-                    end = t + h
                 if walk == current:  # the run's last grid step, recorded below
                     self.x = x_try
                     break
                 self.x = x
-                left = self.regular_span(t, h, end, x_try, walk, step)
+                left = self.regular_span(t, h, (k + 1) * dt, x_try, walk, step)
                 if left is None:
                     break
                 t, h = left
@@ -428,7 +428,8 @@ class _Integrator:
     def regular_span(self, t: float, h: float, end: float, x_try, walk, step) -> Optional[tuple]:
         """Locate the first change of (status, leaf) in the step h from t to
         x_try = step(self.x, h), which walks to walk.  Returns the (t, h) left
-        after it, or None once the grid step is done (a slide gets end - t)."""
+        after it, or None once the grid step is done; a slide entered at t
+        gets end - t, end the grid time that ends the step."""
         leaf, status = self.leaf, self.status
         # the bracket keeps the probe state at lo and the walk at hi
         lo, hi = 0.0, h

@@ -1578,10 +1578,22 @@ def test_resolve_model_path(tmp_path):
 
 # ------------------------------------------------------------ pretty print
 
-@pytest.mark.parametrize("name", ["thermostat.btm", "kitchen_lamp.btm",
-                                  "pendulum.btm"])
+def _round_trip_text(name):
+    """A bundled model's text, a bench workload's model text or a
+    region_audit bank tree's, by name."""
+    if name.endswith(".btm"):
+        return bundled(name)
+    workloads = bench_workloads().WORKLOADS
+    if name in workloads:
+        return workloads[name].model_text()
+    return workloads["region_audit"].bank()[name][0]
+
+
+@pytest.mark.parametrize("name", [
+    "thermostat.btm", "kitchen_lamp.btm", "pendulum.btm", "pendulum_certify", "slide_hold",
+    *(f"t{c}.{k}" for c in range(10) for k in range(4))])
 def test_round_trip_bundled(name):
-    m = dsl.parse(bundled(name))
+    m = dsl.parse(_round_trip_text(name))
     text = dsl.format_model(m)
     again = dsl.parse(text)
     assert again == m

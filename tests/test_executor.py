@@ -1,4 +1,3 @@
-import bisect
 import dataclasses
 import math
 import os
@@ -500,20 +499,41 @@ def test_two_slides_on_different_pairs_each_hold_their_own_line(route):
     assert run.samples[-1].t == 6.0
 
 
-def test_a_long_slide_ends_every_grid_step_at_its_grid_time():
-    """Past t = 32 at dt = 0.01 a slide step's end, k*dt + dt, can fall
-    short of the grid time (k + 1)*dt by more than _MIN_SPAN; each grid
-    step still ends with a sample no earlier than its grid time less
-    _MIN_SPAN, and before the next step's midpoint."""
-    model = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
-    run = integrate(model.plant, model.bt, [18.0], IntegratorConfig(dt=0.01, t_end=40.0))
-    (enter,) = run.events_of("SlideEnter")
-    assert enter.t < 32.0 and not run.events_of("SlideExit")
-    assert any(k * 0.01 + 0.01 < (k + 1) * 0.01 - executor._MIN_SPAN for k in range(3200, 4000))
-    times = [s.t for s in run.samples]
-    for grid in (k * 0.01 for k in range(4001)):
-        i = bisect.bisect_left(times, grid - executor._MIN_SPAN)
-        assert times[i] < grid + 0.005, grid
+def _long_slides(case):
+    """(runs, dt, grid steps): the bundled thermostat from 18, which slides
+    at dt = 0.01 to t = 40, past t = 32, where k*dt + dt can fall more than
+    _MIN_SPAN short of the grid time (k + 1)*dt; or every slide_hold bank
+    run, each of which slides."""
+    if case == "thermostat":
+        model = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+        run = integrate(model.plant, model.bt, [18.0], IntegratorConfig(dt=0.01, t_end=40.0))
+        (enter,) = run.events_of("SlideEnter")
+        assert enter.t < 32.0 and not run.events_of("SlideExit")
+        assert any(k * 0.01 + 0.01 < (k + 1) * 0.01 - executor._MIN_SPAN
+                   for k in range(3200, 4000))
+        return [run], 0.01, 4000
+    wl = bench_workloads().WORKLOADS["slide_hold"]
+    model, cfg = dsl.lower(dsl.parse(wl.model_text())), wl.config()
+    runs = [integrate(model.plant, model.bt, x0, cfg) for x0 in wl.bank().values()]
+    assert all(run.events_of("SlideEnter") for run in runs)
+    return runs, cfg.dt, round(cfg.t_end / cfg.dt)
+
+
+@pytest.mark.parametrize("case", ["thermostat", "slide_hold_bank"])
+def test_a_long_slide_ends_every_grid_step_at_its_grid_time(case):
+    """A slide sample that ends grid step k is stamped float((k + 1)*dt),
+    as in regular mode, not k*dt + dt: every grid time is a sample time,
+    every sample within 1e-9 of a grid time is that grid time, and no
+    second sample sits next to one."""
+    runs, dt, n_steps = _long_slides(case)
+    grid = [float(k * dt) for k in range(n_steps + 1)]
+    for run in runs:
+        times = [s.t for s in run.samples]
+        assert set(grid) <= set(times), run.meta["x0"]
+        assert min(b - a for a, b in zip(times, times[1:])) >= 1e-12, run.meta["x0"]
+        for t in times:
+            nearest = grid[round(t / dt)]
+            assert t == nearest or abs(t - nearest) > 1e-9, (run.meta["x0"], t)
 
 
 # push_right and push_left slide on x0 = 0, where push_right is active,

@@ -69,6 +69,9 @@ one per output:
   the same model);
 - slide/thermostat and slide/thermostat/wrapped: the same pair of runs
   for the bundled thermostat model from x0 = 18, a slide of one state;
+- slide/thermostat_long and slide/thermostat_long/wrapped: the same slide
+  at dt = 0.01 to t = 40, past t = 32, where k*dt + dt can fall an ulp
+  short of the grid time (k + 1)*dt that every sample is stamped with;
 - slide/success_in_pair and slide/failure_in_pair, each with /wrapped: the
   same pair of runs for the SUCCESS_IN_PAIR and FAILURE_IN_PAIR models,
   whose slide on x0 = 0 reaches a root status other than Running with the
@@ -76,10 +79,11 @@ one per output:
   noted once and the slide goes on (tests/test_executor.py holds the same
   models);
 - slide/three_state/cold, slide/curved/cold, slide/two_pairs/cold,
-  slide/thermostat/cold, slide/success_in_pair/cold and
-  slide/failure_in_pair/cold: the run of the line without /cold, whose tree
-  takes its generated walk from the first walk, on a tree that keeps the
-  row-table walk throughout; CI checks that the two are equal;
+  slide/thermostat/cold, slide/success_in_pair/cold,
+  slide/failure_in_pair/cold and slide/thermostat_long/cold: the run of
+  the line without /cold, whose tree takes its generated walk from the
+  first walk, on a tree that keeps the row-table walk throughout; CI
+  checks that the two are equal;
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
   line and column of its error, on sources at the edges of layout
@@ -499,14 +503,15 @@ def slide_digests() -> list:
     for name, (root, x0, cfg) in cases.items():
         run = integrate(plant, BehaviorTree(root, state_dim=2), x0, cfg, model_name=name)
         lines.append((sha(run.to_json()), f"slide/{name}"))
+    thermostat = (dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8")
     models = {
         "three_state": (THREE_STATE, (-0.5, 0.2, -0.3), IntegratorConfig(dt=0.01, t_end=2.0)),
         "curved": (CURVED, (0.5, 0.0), IntegratorConfig(dt=0.1, t_end=4.0, event_tol=1e-10)),
         "two_pairs": (TWO_PAIRS, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=6.0)),
-        "thermostat": ((dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8"),
-                       (18.0,), IntegratorConfig(dt=0.01, t_end=5.0)),
+        "thermostat": (thermostat, (18.0,), IntegratorConfig(dt=0.01, t_end=5.0)),
         "success_in_pair": (SUCCESS_IN_PAIR, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=4.0)),
         "failure_in_pair": (FAILURE_IN_PAIR, (-0.25, 0.0), IntegratorConfig(dt=0.01, t_end=4.0)),
+        "thermostat_long": (thermostat, (18.0,), IntegratorConfig(dt=0.01, t_end=40.0)),
     }
     for name, (text, x0, cfg) in models.items():
         with walk_tier(0):
