@@ -20,8 +20,10 @@ Three little sublanguages, kept apart by the grammar: real expressions
 vars u0.. in plant equations only, declared constants), predicates (one
 comparison between two real expressions), and status expressions (R, S, F,
 or if-then-else over a predicate).  sgn(0) is 0; sat(v, L) clamps v to
-[-L, L].  Parsing is LL(1) recursive descent; every error carries the line
-and column of the offending token.
+[-L, L].  Parsing is recursive descent, real expressions by precedence
+climbing over one table of binding strengths, which the formatter and the
+code generator read too; every error carries the line and column of the
+offending token.
 
 lower() folds constants and compiles the plant field, each leaf controller
 and each leaf status to one flat generated Python function (see "code
@@ -214,6 +216,11 @@ KEYWORDS = {
 FUNCTIONS = {"sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "sgn": 1, "sat": 2}
 COMPARATORS = ("<=", ">=", "<", ">")
 
+# binding strength of a real expression, loosest first: the parser climbs
+# _BINDING, and format_expr and the code generator parenthesize by it
+_COND, _ADD, _MUL, _UNARY, _ATOM = range(5)
+_BINDING = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
+
 
 # ---------------------------------------------------------------------- lexer
 
@@ -399,6 +406,11 @@ class _Parser:
         if num.value != int(num.value) or num.value < 1:
             raise ParseError(f"{which} dimension must be a positive integer",
                              num.line, num.col)
+        # the plant takes an equation per state and each leaf an expression
+        # per control, so no file defines more of either than it has tokens
+        if num.value > len(self.tokens):
+            raise ParseError(f"{which} dimension {num.text} is more than a model "
+                             f"of {len(self.tokens)} tokens can define", num.line, num.col)
         return int(num.value)
 
     def plant_decl(self):
@@ -423,11 +435,7 @@ class _Parser:
         self.expect("KEYWORD", "u")
         self.expect("OP", "=")
         self.expect("OP", "[")
-        controls = [self.expr()]
-        while self.at("OP", ","):
-            self.advance()
-            controls.append(self.expr())
-        self.expect("OP", "]")
+        controls = self.items(self.expr, "]")
         self.expect("OP", ";")
         self.expect("KEYWORD", "status")
         self.expect("OP", "=")
@@ -441,11 +449,7 @@ class _Parser:
         name = self.name_token(seen, kind)
         self.expect("OP", "=")
         self.expect("OP", "[")
-        children = [self.expect("IDENT")]
-        while self.at("OP", ","):
-            self.advance()
-            children.append(self.expect("IDENT"))
-        self.expect("OP", "]")
+        children = self.items(partial(self.expect, "IDENT"), "]")
         self.expect("OP", ";")
         return CompositeDecl(
             name.text, kind, tuple(c.text for c in children), pos=name.pos,
@@ -467,68 +471,58 @@ class _Parser:
         seen[name.text] = name.pos
         return name
 
-    # ---- expressions (precedence: additive < multiplicative < unary < atom)
+    # ---- expressions, by precedence climbing (Pratt 1973): one operand,
+    # then every binary operator that binds at least as tightly as need,
+    # each right operand one level tighter, so that the chains fold left
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self, need: int = _COND) -> Expr:
         tok = self.tokens[self.i]
-        while tok.kind == "OP" and (tok.text == "+" or tok.text == "-"):
+        kind, pos = tok.kind, (tok.line, tok.col)
+        if kind == "NUMBER":
             self.i += 1
-            left = Binary(tok.text, left, self.term(), pos=(tok.line, tok.col))
-            tok = self.tokens[self.i]
-        return left
-
-    def term(self) -> Expr:
-        left = self.unary()
-        tok = self.tokens[self.i]
-        while tok.kind == "OP" and (tok.text == "*" or tok.text == "/"):
-            self.i += 1
-            left = Binary(tok.text, left, self.unary(), pos=(tok.line, tok.col))
-            tok = self.tokens[self.i]
-        return left
-
-    def unary(self) -> Expr:
-        tok = self.tokens[self.i]
-        if tok.kind == "OP" and tok.text == "-":
-            self.i += 1
-            return Neg(self.unary(), pos=(tok.line, tok.col))
-        return self.atom()
-
-    def atom(self) -> Expr:
-        tok = self.tokens[self.i]
-        if tok.kind == "NUMBER":
-            self.i += 1
-            return Num(tok.value, pos=(tok.line, tok.col))
-        if tok.kind == "IDENT":
+            left = Num(tok.value, pos=pos)
+        elif kind == "IDENT":
             self.i += 1
             after = self.tokens[self.i]
             if tok.text in FUNCTIONS and after.kind == "OP" and after.text == "(":
                 self.i += 1
-                args = [self.expr()]
-                while self.at("OP", ","):
-                    self.i += 1
-                    args.append(self.expr())
-                self.expect("OP", ")")
+                args = self.items(self.expr, ")")
                 if len(args) != FUNCTIONS[tok.text]:
                     raise ModelTypeError(
                         f"{tok.text} expects {FUNCTIONS[tok.text]} argument(s), "
-                        f"got {len(args)}", tok.line, tok.col)
-                return Call(tok.text, tuple(args), pos=(tok.line, tok.col))
-            return Var(tok.text, pos=(tok.line, tok.col))
-        if tok.kind == "OP" and tok.text == "(":
+                        f"got {len(args)}", *pos)
+                left = Call(tok.text, tuple(args), pos=pos)
+            else:
+                left = Var(tok.text, pos=pos)
+        elif kind == "OP" and tok.text == "(":
             self.i += 1
-            inner = self.expr()
+            left = self.expr()
             self.expect("OP", ")")
-            return inner
-        if tok.kind == "KEYWORD" and tok.text in ("R", "S", "F"):
-            raise ModelTypeError(
-                f"status literal {tok.text!r} used in a real expression",
-                tok.line, tok.col)
-        if tok.kind == "KEYWORD" and tok.text == "if":
-            raise ModelTypeError(
-                "status conditional used in a real expression", tok.line, tok.col)
-        raise ParseError(f"expected an expression, found {tok.text or tok.kind!r}",
-                         tok.line, tok.col)
+        elif kind == "OP" and tok.text == "-":
+            self.i += 1
+            left = Neg(self.expr(_UNARY), pos=pos)
+        elif kind == "KEYWORD" and tok.text in ("R", "S", "F"):
+            raise ModelTypeError(f"status literal {tok.text!r} used in a real expression", *pos)
+        elif kind == "KEYWORD" and tok.text == "if":
+            raise ModelTypeError("status conditional used in a real expression", *pos)
+        else:
+            raise ParseError(f"expected an expression, found {tok.text or kind!r}", *pos)
+        tok = self.tokens[self.i]
+        while tok.kind == "OP" and _BINDING.get(tok.text, -1) >= need:
+            self.i += 1
+            left = Binary(tok.text, left, self.expr(_BINDING[tok.text] + 1),
+                          pos=(tok.line, tok.col))
+            tok = self.tokens[self.i]
+        return left
+
+    def items(self, read: Callable, close: str) -> list:
+        """What read() returns for each item of a comma list, up to close."""
+        found = [read()]
+        while self.at("OP", ","):
+            self.i += 1
+            found.append(read())
+        self.expect("OP", close)
+        return found
 
     def predicate(self) -> Compare:
         left = self.expr()
@@ -904,10 +898,8 @@ def derivative(e, var: str):
 # name in the function's namespace, which holds nothing but the helpers the
 # function uses; no text from the .btm file reaches the source.
 
-# binding strength of an emitted piece of source, loosest first
-_COND, _ADD, _MUL, _UNARY, _ATOM = range(5)
-
-_ARITH = {"+": (" + ", _ADD), "-": (" - ", _ADD), "*": (" * ", _MUL)}
+# an emitted piece of source binds as _BINDING says its expression does
+_ARITH = {"+": " + ", "-": " - ", "*": " * "}
 _COMPARE_SYMBOLS = {"<": " < ", "<=": " <= ", ">": " > ", ">=": " >= "}
 _HELPER_NAMES = {"sin": "_sin", "cos": "_cos", "sqrt": "_sqrt", "abs": "_abs", "dsat": "_dsat"}
 
@@ -992,7 +984,7 @@ class _FunctionSource:
             return text
         mark = len(self.reads)
         if kind is Binary and e.op != "/":
-            symbol, strength = _ARITH[e.op]
+            symbol, strength = _ARITH[e.op], _BINDING[e.op]
             # the right operand binds one level tighter, so a - (b - c) and
             # a + (b + c) keep their grouping
             left, kl = self.real(e.left, strength), self.key
@@ -1155,16 +1147,15 @@ def _status_function(s, sx: Mapping) -> Callable:
     return g.function("status", "x", [*g.prologue(), f"return {result}"])
 
 
-def _comparisons(s) -> list:
-    """The comparisons of a status expression, each then branch before its
-    else branch."""
-    found, stack = [], [s]
+def _status_nodes(s):
+    """The nodes of a status expression in pre-order, each then branch
+    before its else branch: the order of its guards."""
+    stack = [s]
     while stack:
         s = stack.pop()
-        if isinstance(s, IfStatus):
-            found.append(s.cond)
+        yield s
+        if type(s) is IfStatus:
             stack += (s.els, s.then)
-    return found
 
 
 def _guard_function(c: Compare, sx: Mapping) -> Callable:
@@ -1198,22 +1189,10 @@ class _LeafGuards:
 
     def __iter__(self):
         if self.compiled is None:
-            found = _comparisons(self.status)
+            found = [s.cond for s in _status_nodes(self.status) if type(s) is IfStatus]
             self.compiled = tuple(_guard_function(c, self.sx) for c in found)
             self.comparisons.update(zip(self.compiled, found))
         return iter(self.compiled)
-
-
-def _outcomes(s) -> set:
-    """The statuses a folded status expression can give."""
-    found, stack = set(), [s]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, IfStatus):
-            stack += (s.els, s.then)
-        else:
-            found.add(s.value)
-    return found
 
 
 def _walk_function(bt: BehaviorTree) -> Callable:
@@ -1259,7 +1238,8 @@ def _walk_function(bt: BehaviorTree) -> Callable:
             entry[target] = entry[target] & g.known if target in entry else set(g.known)
             return f"n = {target:d}"
 
-        outcomes = _outcomes(guards.status) if inline else tests
+        outcomes = ({s.value for s in _status_nodes(guards.status) if type(s) is StatusLit}
+                    if inline else tests)
         cases = [(tests[status], act(status, target))
                  for status, target in ((Status.SUCCESS, on_success),
                                         (Status.FAILURE, on_failure)) if status in outcomes]
@@ -1534,7 +1514,7 @@ def format_expr(e, parent_prec: int = _COND) -> str:
         inner = f"-{format_expr(e.operand, _COND if nested else _UNARY)}"
         return f"({inner})" if parent_prec >= _UNARY else inner
     if isinstance(e, Binary):
-        prec = _MUL if e.op in "*/" else _ADD
+        prec = _BINDING[e.op]
         left = format_expr(e.left, prec)
         # the right operand binds one level tighter, as in the code
         # generator, so a - (b - c) and a + (b + c) keep their grouping

@@ -63,7 +63,7 @@ def test_validate_reports_control_count_location(tmp_path, capsys):
     assert "line 5" in err
 
 
-@pytest.mark.parametrize("expr", ["(" * 300 + "x0" + ")" * 300, "-" * 1000 + "x0",
+@pytest.mark.parametrize("expr", ["(" * 1000 + "x0" + ")" * 1000, "-" * 1000 + "x0",
                                   " + ".join(["x0"] * 1200)])
 def test_validate_reports_deep_nesting_location(tmp_path, capsys, expr):
     deep = tmp_path / "deep.btm"

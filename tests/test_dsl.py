@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 
@@ -163,6 +164,60 @@ def test_unary_minus_and_parens():
         dsl.Neg(dsl.Num(2.0)))
 
 
+_PYTHON_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+
+
+def _from_python(node):
+    """The dsl tree of a Python expression tree over the same grammar."""
+    if isinstance(node, ast.BinOp):
+        return dsl.Binary(_PYTHON_OPS[type(node.op)], _from_python(node.left),
+                          _from_python(node.right))
+    if isinstance(node, ast.UnaryOp):
+        assert isinstance(node.op, ast.USub)
+        return dsl.Neg(_from_python(node.operand))
+    if isinstance(node, ast.Call):
+        return dsl.Call(node.func.id, tuple(_from_python(a) for a in node.args))
+    if isinstance(node, ast.Name):
+        return dsl.Var(node.id)
+    assert isinstance(node, ast.Constant)
+    return dsl.Num(float(node.value))
+
+
+def _grammar_expr(rng, depth: int) -> str:
+    """Random real-expression text over + - * /, unary minus, calls, x0 and
+    numbers, with parentheses only where chosen at random, so that
+    precedence and associativity decide the grouping."""
+    r = rng.random()
+    if depth == 0 or r < 0.15:
+        return str(rng.choice(["x0", "2", "0.5", "1e-3", "3.25e2", "7"]))
+    if r < 0.3:
+        return "-" + _grammar_expr(rng, depth - 1)
+    if r < 0.4:
+        return f"({_grammar_expr(rng, depth - 1)})"
+    if r < 0.5:
+        func = str(rng.choice(sorted(dsl.FUNCTIONS)))
+        args = ", ".join(_grammar_expr(rng, depth - 1) for _ in range(dsl.FUNCTIONS[func]))
+        return f"{func}({args})"
+    op = str(rng.choice(["+", "-", "*", "/"]))
+    blank = " " if rng.random() < 0.7 else ""
+    return f"{_grammar_expr(rng, depth - 1)}{blank}{op}{blank}{_grammar_expr(rng, depth - 1)}"
+
+
+def test_expressions_parse_as_python_parses_them():
+    """Python's grammar has the same precedence and associativity over
+    these operators: each tree equals the one ast.parse builds, and
+    format_model gives it back."""
+    rng = np.random.default_rng(30)
+    for _ in range(1000):
+        text = _grammar_expr(rng, 6)
+        m = dsl.parse(MINI.replace("u = [1.0]", f"u = [{text}]"))
+        want = _from_python(ast.parse(text, mode="eval").body)
+        assert m.nodes[0].controls == (want,), text
+        canonical = dsl.format_model(m)
+        assert dsl.parse(canonical) == m, text
+        assert dsl.format_model(dsl.parse(canonical)) == canonical, text
+
+
 def test_signed_const():
     m = dsl.parse(MINI.replace("control 1;", "control 1;\n  const c = -2.5;"))
     assert m.constants == (("c", -2.5),)
@@ -221,6 +276,14 @@ BAD = [
     ('model "m" {\n  state 1;\n  control 1;\n  plant { dx0 = 0.0; }\n'
      '  leaf seq { u = [0.0]; status = R; }\n  root = seq;\n}',
      ParseError, 5, 8),
+    # a dimension larger than the file's token count, which no file can
+    # define; tools/output_digest.py's parse/dimensions line reads these at 1e6
+    ('model "m" {\n  state 1e9;\n  control 1;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     ParseError, 2, 9),
+    ('model "m" {\n  state 1;\n  control 1e9;\n  plant { dx0 = 0.0; }\n'
+     '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
+     ParseError, 3, 11),
     # the rows below are also tools/output_digest.py's PARSE_ERROR_CASES
     ('model "m" {\n  state 1;\n  control 1;\n  x0 = 1.0;\n  plant { dx0 = 0.0; }\n'
      '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}',
@@ -1134,7 +1197,7 @@ def test_guards_give_each_comparison_and_its_gradient(index):
     for i in lowered.bt.leaf_ids:
         behavior = lowered.bt.behavior(i)
         folded = dsl.fold_constants(decls[behavior.label].status, consts)
-        comparisons = dsl._comparisons(folded)
+        comparisons = [s.cond for s in dsl._status_nodes(folded) if type(s) is dsl.IfStatus]
         guards = list(behavior.guards)
         assert len(guards) == len(comparisons)
         for c, guard in zip(comparisons, guards):
@@ -1247,11 +1310,12 @@ def test_long_chains_compile_and_deep_nesting_is_a_model_error():
 
 DEEP_OK = {  # name: (expression, its value at x0 = 0.5)
     "220 parentheses": ("(" * 220 + "x0" + ")" * 220, 0.5),
+    "300 parentheses": ("(" * 300 + "x0" + ")" * 300, 0.5),
     "400 unary minuses": ("-" * 400 + "x0", 0.5),
     "900-term chain": (" + ".join(["x0"] * 900), 450.0),
 }
 DEEP_BAD = {
-    "300 parentheses": "(" * 300 + "x0" + ")" * 300,
+    "1000 parentheses": "(" * 1000 + "x0" + ")" * 1000,
     "1000 unary minuses": "-" * 1000 + "x0",
     "1200-term chain": " + ".join(["x0"] * 1200),
     "1200-term chain in a status": "if " + " + ".join(["x0"] * 1200) + " > 0.0 then S else R",

@@ -90,7 +90,14 @@ one per output:
   (LEX_CASES);
 - parse/errors: the type, text, line and column of the error `dsl.parse`
   raises on each of the malformed models PARSE_ERROR_CASES, or "ok" when
-  one parses.
+  one parses;
+- parse/dimensions: the same for DIMENSION_CASES, models that declare a
+  state or control dimension of 1e6, more than their text can define;
+- parse/deep/<name>: for each expression of DEEP_CASES, nested near the
+  parser's and the validator's limits, `format_model` of a model holding
+  it, or the type, text and line of the error `dsl.parse` raises, without
+  the column, which for a recursion-limit error depends on the caller's
+  stack.
 
 To show that a change keeps its outputs, run this on the change and on its
 parent, on the same host, and diff the two manifests.  The digests are not
@@ -180,6 +187,28 @@ PARSE_ERROR_CASES = [
     _HEAD + _PLANT + '  leaf a { u = [if x0 > 0.0 then S else R]; status = R; }\n' + _ROOT,
     _HEAD + '  plant { dx0 = ; }\n' + _LEAF + _ROOT,  # no expression
 ]
+
+
+# a dimension the file cannot define, as in tests/test_dsl.py BAD there at 1e9;
+# 1e6 here, since this tool also runs on older checkouts, which build a name
+# per dimension before they check the plant (about 100 MB at 1e6)
+DIMENSION_CASES = [
+    _HEAD.replace("state 1;", "state 1e6;") + _PLANT + _LEAF + _ROOT,
+    _HEAD.replace("control 1;", "control 1e6;") + _PLANT + _LEAF + _ROOT,
+]
+
+# tests/test_dsl.py DEEP_OK and DEEP_BAD: name -> a leaf's control, or its
+# status when it starts with "if"
+DEEP_CASES = {
+    "220_parentheses": "(" * 220 + "x0" + ")" * 220,
+    "300_parentheses": "(" * 300 + "x0" + ")" * 300,
+    "400_unary_minuses": "-" * 400 + "x0",
+    "900_term_chain": " + ".join(["x0"] * 900),
+    "1000_parentheses": "(" * 1000 + "x0" + ")" * 1000,
+    "1000_unary_minuses": "-" * 1000 + "x0",
+    "1200_term_chain": " + ".join(["x0"] * 1200),
+    "1200_term_chain_in_a_status": "if " + " + ".join(["x0"] * 1200) + " > 0.0 then S else R",
+}
 
 
 def sha(text: str) -> str:
@@ -541,14 +570,28 @@ def lex_digests() -> list:
 def parse_digests() -> list:
     from ctbt import dsl
 
-    rows = []
-    for source in PARSE_ERROR_CASES:
+    lines = []
+    for cases, name in ((PARSE_ERROR_CASES, "parse/errors"),
+                        (DIMENSION_CASES, "parse/dimensions")):
+        rows = []
+        for source in cases:
+            try:
+                dsl.parse(source)
+                rows.append("ok")
+            except dsl.ModelError as err:
+                rows.append(repr((type(err).__name__, str(err), err.line, err.col)))
+        lines.append((sha("\n".join(rows)), name))
+    for name, expr in DEEP_CASES.items():
+        leaf = (f"u = [1.0]; status = {expr};" if expr.startswith("if ")
+                else f"u = [{expr}]; status = if x0 >= 1.0 then S else R;")
         try:
-            dsl.parse(source)
-            rows.append("ok")
+            text = dsl.format_model(dsl.parse(
+                'model "mini" {\n  state 1;\n  control 1;\n  plant { dx0 = u0; }\n'
+                f"  leaf go {{ {leaf} }}\n  root = go;\n}}\n"))
         except dsl.ModelError as err:
-            rows.append(repr((type(err).__name__, str(err), err.line, err.col)))
-    return [(sha("\n".join(rows)), "parse/errors")]
+            text = repr((type(err).__name__, err.message, err.line))
+        lines.append((sha(text), f"parse/deep/{name}"))
+    return lines
 
 
 def demo_digests(root: Path) -> list:
