@@ -199,10 +199,22 @@ class BehaviorTree:
         spans: dict = {}  # node id -> (first, stop) of its rows, then of its composites
         rows = []  # left to right; a jump target is the node whose last row it follows
         composites = []  # composite ids in post-order
-
-        def collect(node: BtNode, up, on_success, on_failure):
-            """Lay out node's subtree; its own status jumps past the last
-            row of on_success or on_failure, a node that encloses it."""
+        # pre-order on an explicit stack of (node, parent id, on_success,
+        # on_failure): node's own status jumps past the last row of
+        # on_success or on_failure, a node that encloses it.  A composite
+        # pushes its exit frame (exit_, node, first row, first composite)
+        # under its children, so the frame pops once its subtree is laid out.
+        exit_ = object()
+        stack = [(root, None, root, root)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, up, on_success, on_failure = pop()
+            if node is exit_:  # up's subtree is laid out
+                i = up.node_id
+                children[i] = tuple([c.node_id for c in up.children])
+                composites.append(i)
+                spans[i] = (on_success, len(rows), on_failure, len(composites))
+                continue
             kind = _kind(node)  # before any field of node is read
             i = node.node_id
             if i in nodes:
@@ -211,20 +223,19 @@ class BehaviorTree:
             first, cfirst = len(rows), len(composites)
             if kind == "leaf":
                 children[i] = ()
+                spans[i] = (first, first + 1, cfirst, cfirst)
                 rows.append((node.behavior.metadata, on_success, on_failure, i))
-            elif not node.children:
+                continue
+            if not node.children:
                 raise ValueError(f"composite {i} has no children")
+            *init, last = node.children
+            push((exit_, node, first, cfirst))
+            push((last, i, on_success, on_failure))
+            # each earlier child's gate status goes on to its next sibling
+            if kind == "seq":
+                stack += [(c, i, c, on_failure) for c in reversed(init)]
             else:
-                *init, last = node.children
-                for c in init:  # c's gate status goes on to the next sibling
-                    collect(c, i, c if kind == "seq" else on_success,
-                            c if kind == "fal" else on_failure)
-                collect(last, i, on_success, on_failure)
-                children[i] = tuple(c.node_id for c in node.children)
-                composites.append(i)
-            spans[i] = (first, len(rows), cfirst, len(composites))
-
-        collect(root, None, root, root)
+                stack += [(c, i, on_success, c) for c in reversed(init)]
         if root.node_id != 0:
             raise ValueError("root node must have id 0")
         ids = range(len(nodes))

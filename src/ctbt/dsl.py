@@ -617,31 +617,11 @@ def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
                         f"node {child!r} is attached to the tree twice", *pos)
                 referenced[child] = pos
 
-    # cap the tree's depth, walking it from the root on an explicit stack;
-    # the check above makes the part reachable from the root a tree, so the
-    # walk ends
-    stack = [(m.root, 1)]
-    while stack:
-        name, depth = stack.pop()
-        d = decls[name]
-        if isinstance(d, CompositeDecl):
-            if depth == _MAX_TREE_DEPTH:
-                raise ModelTypeError(
-                    f"tree nests more than {_MAX_TREE_DEPTH} levels deep",
-                    *d.child_positions[0])
-            stack += [(child, depth + 1) for child in d.children]
-
     return ModelFile(
         name=m.name, state_dim=m.state_dim, control_dim=m.control_dim,
         constants=m.constants, plant=tuple(plant_entries), nodes=m.nodes,
         root=m.root)
 
-
-# Levels a model tree may have, root to deepest leaf: lower takes two Python
-# frames per level and BehaviorTree's one layout walk one (delegation and the
-# region algebra are flat loops), and 200 levels leave over half of Python's
-# default recursion limit of 1000 to their callers.
-_MAX_TREE_DEPTH = 200
 
 # Nesting levels an expression may have: lowering and formatting walk it
 # recursively, about one Python frame per level, under Python's default
@@ -1394,7 +1374,7 @@ class LoweredModel:
 def lower(m: ModelFile) -> LoweredModel:
     """Compile a parsed model into a BehaviorTree plus Plant.
 
-    Node ids are assigned depth-first from the root, matching the textbook
+    Node ids are assigned in pre-order from the root, matching the textbook
     figures.  Constants are folded, then the plant field, every leaf
     controller and every leaf status become one generated function each.
     """
@@ -1408,12 +1388,12 @@ def lower(m: ModelFile) -> LoweredModel:
     steps = _ClosedLoopSteps(plant_field, field_exprs, sx, su)
     plant = Plant(m.state_dim, m.control_dim, plant_field, steps)
 
-    counter = [0]
-
-    def build(name: str):
-        decl = decls[name]
-        nid = counter[0]
-        counter[0] += 1
+    # names in pre-order from the root, which _validate makes a tree, so
+    # the walk ends; a node's id is its place in that order.  Leaves are
+    # built as they are reached, each composite after its children.
+    order, built, stack = [], {}, [m.root]
+    while stack:
+        decl = decls[stack.pop()]
         if isinstance(decl, LeafDecl):
             if len(decl.controls) != m.control_dim:
                 raise _ControlCountMismatch(
@@ -1427,16 +1407,16 @@ def lower(m: ModelFile) -> LoweredModel:
             behavior = LeafBehavior(
                 controller=controller, metadata=metadata, label=decl.name,
                 guards=_LeafGuards(status, metadata, sx, steps.comparisons))
-            return Leaf(nid, behavior)
-        children = tuple(build(child) for child in decl.children)
-        cls = Sequence if decl.kind == "seq" else Fallback
-        return cls(nid, children)
-
-    root = build(m.root)
-    # build refers to itself; unbinding it lets reference counting free
-    # the closure, instead of the cycle collector
-    del build
-    bt = BehaviorTree(root, state_dim=m.state_dim)
+            built[decl.name] = Leaf(len(order), behavior)
+        else:
+            stack += reversed(decl.children)
+        order.append(decl)
+    for nid in reversed(range(len(order))):
+        decl = order[nid]
+        if isinstance(decl, CompositeDecl):
+            cls = Sequence if decl.kind == "seq" else Fallback
+            built[decl.name] = cls(nid, tuple(built[c] for c in decl.children))
+    bt = BehaviorTree(built[m.root], state_dim=m.state_dim)
     return LoweredModel(name=m.name, bt=bt, plant=plant, model=m)
 
 

@@ -345,7 +345,7 @@ class _Integrator:
         k = 0
         while k < n_steps and not self.done:
             t, h = k * dt, dt  # the rest of grid step k: from t, h long
-            while True:
+            while h > _MIN_SPAN and not self.done:
                 if self.slide is not None:
                     # a slide stretch: while the walk stays Running in the
                     # pair, the slide step, x and its walk stay in locals, and
@@ -374,8 +374,6 @@ class _Integrator:
                         elif walk[0] is not running:
                             self.note_status(t1, walk[0])
                         break
-                if h <= _MIN_SPAN or self.done:
-                    break
                 # a steady stretch: while the walk holds, grid step after grid
                 # step, the step, (status, leaf) and x stay in locals; the last
                 # grid step of the run ends the stretch like a change does
@@ -413,10 +411,7 @@ class _Integrator:
                     self.x = x_try
                     break
                 self.x = x
-                left = self.regular_span(t, h, (k + 1) * dt, x_try, walk, step)
-                if left is None:
-                    break
-                t, h = left
+                t, h = self.regular_span(t, h, (k + 1) * dt, x_try, walk, step)
             t1 = float((k + 1) * dt)
             if not self.done and samples[-1].t < t1 - _MIN_SPAN:
                 samples.append(new(Sample, (t1, self.x, self.leaf, self.status)))
@@ -425,11 +420,11 @@ class _Integrator:
 
     # ---- regular mode
 
-    def regular_span(self, t: float, h: float, end: float, x_try, walk, step) -> Optional[tuple]:
+    def regular_span(self, t: float, h: float, end: float, x_try, walk, step) -> tuple:
         """Locate the first change of (status, leaf) in the step h from t to
         x_try = step(self.x, h), which walks to walk.  Returns the (t, h) left
-        after it, or None once the grid step is done; a slide entered at t
-        gets end - t, end the grid time that ends the step."""
+        after it; a slide entered at t gets end - t, end the grid time that
+        ends the step."""
         leaf, status = self.leaf, self.status
         # the bracket keeps the probe state at lo and the walk at hi
         lo, hi = 0.0, h
@@ -455,8 +450,7 @@ class _Integrator:
             self.event(t_event, "Switch", self.x, **{"from": leaf, "to": lf_new})
             self.switch_log.append((t_event, leaf, lf_new))
             if self.chatter_check(t_event, x_lo):
-                remaining = end - t_event
-                return (t_event, remaining) if remaining > _MIN_SPAN and not self.done else None
+                return t_event, end - t_event
         if st_new != status:
             self.note_status(t_event, st_new)  # may end the run
         return t_event, h - hi

@@ -19,7 +19,7 @@ from ctbt.core import (
     Status,
     UnknownNodeKind,
 )
-from ctbt.regions import composed_status
+from ctbt.regions import check_partition, composed_status
 
 
 def const_leaf(nid, u, status, label=""):
@@ -292,6 +292,34 @@ def test_tree_validation_errors():
         BehaviorTree(Sequence(0, ("widget",)), 1)
     with pytest.raises(UnknownNodeKind, match="None"):
         BehaviorTree(None, 1)
+    # of two faults, the first in pre-order is raised, whatever the ids: a
+    # reused id deep in the left subtree before a childless composite on
+    # its right, and after one on its left
+    reused = Sequence(5, (Fallback(2, (const_leaf(4, 0, Status.RUNNING),
+                                       const_leaf(4, 0, Status.RUNNING))),))
+    childless, first = Fallback(1, ()), const_leaf(3, 0, Status.RUNNING)
+    with pytest.raises(ValueError, match="node id 4 used twice"):
+        BehaviorTree(Sequence(0, (first, reused, childless)), 1)
+    with pytest.raises(ValueError, match="composite 1 has no children"):
+        BehaviorTree(Sequence(0, (first, childless, reused)), 1)
+
+
+def test_deep_chain_lays_out_and_walks():
+    """No walk over a tree recurses: a leaf under 5,000 one-child Sequences
+    lays out, and resolve, status(0, x) and the region algebra agree on it."""
+    levels = 5000
+    node = slab_leaf(levels, 0.0, Status.SUCCESS, Status.RUNNING)
+    for i in reversed(range(levels)):
+        node = Sequence(i, (node,))
+    bt = BehaviorTree(node, 1)
+    assert bt._spans[0] == (0, 1, 0, levels)
+    for v in (-1.0, 0.0, 1.0):
+        status = Status.SUCCESS if v < 0.0 else Status.RUNNING
+        assert bt.resolve((v,)) == (status, levels)
+        assert bt.status(0, (v,)) is status
+        assert composed_status(bt, 0, (v,)) is status
+    report = check_partition(bt, np.array([[-1.0], [0.0], [1.0]]))
+    assert report.passed and report.samples_tested == 3
 
 
 def test_leaf_root_tree():

@@ -504,12 +504,22 @@ LATE_ERRORS = [
      5, 8),
     (MINI.replace("u = [1.0]", "u = [sqrt(0.0 - 1.0)]"), 5, 18),
     (MINI.replace("u = [1.0]", f"u = [{DEEP}]"), 5, 21),
+    # two leaves with the wrong control count: c, declared after a, is
+    # lowered first, since leaves are lowered in pre-order from the root
+    (MINI.replace("  leaf go { u = [1.0]; status = if x0 >= 1.0 then S else R; }\n"
+                  "  root = go;\n",
+                  "  leaf a { u = [0.0, 1.0]; status = R; }\n"
+                  "  leaf b { u = [0.0]; status = R; }\n"
+                  "  leaf c { u = [0.0, 1.0]; status = R; }\n"
+                  "  fal inner = [b, c];\n  seq outer = [inner, a];\n  root = outer;\n"),
+     7, 8),
 ]
 
 
 @pytest.mark.parametrize("source,line,col", LATE_ERRORS,
                          ids=["const-collision", "no-plant", "missing-derivative",
-                              "control-count", "constant-domain", "deep-nesting"])
+                              "control-count", "constant-domain", "deep-nesting",
+                              "control-count-first-in-pre-order"])
 def test_every_model_error_has_a_position(source, line, col):
     with pytest.raises(dsl.ModelError) as e:
         dsl.lower(dsl.parse(source))
@@ -521,6 +531,26 @@ def test_lower_control_dimension_checked():
     from ctbt.core import DimensionMismatch
     with pytest.raises(DimensionMismatch):
         dsl.lower(dsl.parse(src))
+
+
+def test_lowering_leaves_nothing_for_the_cycle_collector():
+    """A lowered tree is freed by reference counting alone: no layout or
+    lowering walk keeps a closure that refers to itself."""
+    import gc
+
+    texts = [text for text, _ in bench_workloads().WORKLOADS["region_audit"].bank().values()]
+    models = [dsl.parse(text) for text in texts]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        lowered = [dsl.lower(m) for m in models]
+        assert len(lowered) == 40
+        del lowered
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------- generated code
@@ -1366,21 +1396,17 @@ def _nested_seqs(levels: int) -> str:
     return "\n".join(lines + [f"  root = {child};", "}"]) + "\n"
 
 
-def test_tree_at_the_depth_cap_lowers_resolves_integrates_and_partitions():
-    levels = dsl._MAX_TREE_DEPTH
+def test_deep_tree_lowers_resolves_integrates_and_partitions():
+    """No walk over a tree recurses, so a tree's depth has no cap: one
+    leaf under 1,999 one-child Sequences loads, walks, integrates and
+    partitions."""
+    levels = 2000
     lowered = dsl.lower(dsl.parse(_nested_seqs(levels)))
     bt = lowered.bt
     assert bt.resolve((1.0,)) == (Status.RUNNING, levels - 1)
     traj = integrate(lowered.plant, bt, (1.0,), IntegratorConfig(dt=0.01, t_end=3.0))
     assert traj.samples[-1].status is Status.SUCCESS
     assert check_partition(bt, uniform_points([(-1.0, 1.0)], 50, seed=1)).passed
-
-
-def test_tree_past_the_depth_cap_is_a_positioned_model_error():
-    with pytest.raises(ModelTypeError, match="tree nests more than") as e:
-        dsl.parse(_nested_seqs(dsl._MAX_TREE_DEPTH + 1))
-    # the reference that crosses the cap: the leaf under the deepest seq
-    assert (e.value.line, e.value.col) == (6, 13)
 
 
 # ------------------------------------------------------ generated delegation walk
@@ -1489,11 +1515,12 @@ def _deep_chain(levels: int) -> str:
     return "\n".join(lines + [f"  root = {child};", "}"]) + "\n"
 
 
-def test_generated_walk_of_trees_at_the_depth_cap(hot):
+def test_generated_walk_of_deep_trees(hot):
     """Python allows 100 levels of indentation; the walk's nesting does
     not grow with the tree's depth, so a tree that lowers also walks: one
-    leaf under 199 one-child Sequences, and a leaf at each of 200 levels."""
-    for text in (_nested_seqs(dsl._MAX_TREE_DEPTH), _deep_chain(dsl._MAX_TREE_DEPTH)):
+    leaf under 1,999 one-child Sequences, and a leaf at each of 2,000
+    levels."""
+    for text in (_nested_seqs(2000), _deep_chain(2000)):
         bt = dsl.lower(dsl.parse(text)).bt
         _assert_walks_agree(bt, [(v,) for v in np.linspace(-1.5, 2.5, 401).tolist()])
 

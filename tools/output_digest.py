@@ -97,7 +97,13 @@ one per output:
   parser's and the validator's limits, `format_model` of a model holding
   it, or the type, text and line of the error `dsl.parse` raises, without
   the column, which for a recursion-limit error depends on the caller's
-  stack.
+  stack;
+- tree/deep/<shape>: for each 2,000-level tree of DEEP_TREES, one leaf
+  under one-child seqs (`nested_seqs`) and a leaf at every level of a
+  seq/fal chain (`chain`), `check_partition(...).to_dict()` on 50 seeded
+  points and `to_json` of an integrate run from x0 = 1, or, for a checkout
+  that rejects the model, the type, text and line of the error, as for
+  parse/deep.
 
 To show that a change keeps its outputs, run this on the change and on its
 parent, on the same host, and diff the two manifests.  The digests are not
@@ -209,6 +215,36 @@ DEEP_CASES = {
     "1200_term_chain": " + ".join(["x0"] * 1200),
     "1200_term_chain_in_a_status": "if " + " + ".join(["x0"] * 1200) + " > 0.0 then S else R",
 }
+
+
+def _nested_seqs(levels: int) -> str:
+    """One leaf under levels - 1 one-child seqs (tests/test_dsl.py holds the
+    same model)."""
+    lines = ['model "deep" {', "  state 1;", "  control 1;", "  plant { dx0 = u0; }",
+             "  leaf bottom { u = [-1.0]; status = if x0 > 0.0 then R else S; }"]
+    child = "bottom"
+    for k in range(levels - 1):
+        lines.append(f"  seq s{k} = [{child}];")
+        child = f"s{k}"
+    return "\n".join(lines + [f"  root = {child};", "}"]) + "\n"
+
+
+def _deep_chain(levels: int) -> str:
+    """A leaf at each of levels levels: composite k holds composite k - 1 and
+    leaf k, fals and seqs in turn (tests/test_dsl.py holds the same model)."""
+    lines = ['model "chain" {', "  state 1;", "  control 1;", "  plant { dx0 = u0; }"]
+    for k in range(levels):
+        lines.append(f"  leaf l{k} {{ u = [1.0]; status = if x0 < {k * 0.01 - 1.0!r} then R "
+                     f"else if x0 < {k * 0.01!r} then {'SF'[k % 2]} else {'FS'[k % 2]}; }}")
+    child = "l0"
+    for k in range(1, levels):
+        lines.append(f"  {('seq', 'fal')[k % 2]} c{k} = [{child}, l{k}];")
+        child = f"c{k}"
+    return "\n".join(lines + [f"  root = {child};", "}"]) + "\n"
+
+
+# shape -> .btm text of a tree 2,000 levels deep
+DEEP_TREES = {"nested_seqs": _nested_seqs(2000), "chain": _deep_chain(2000)}
 
 
 def sha(text: str) -> str:
@@ -594,6 +630,24 @@ def parse_digests() -> list:
     return lines
 
 
+def tree_digests() -> list:
+    from ctbt import IntegratorConfig, check_partition, dsl, integrate, uniform_points
+
+    lines = []
+    for shape, source in DEEP_TREES.items():
+        try:
+            model = dsl.lower(dsl.parse(source))
+        except dsl.ModelError as err:
+            text = repr((type(err).__name__, err.message, err.line))
+        else:
+            report = check_partition(model.bt, uniform_points([(-1.0, 1.0)], 50, seed=1))
+            run = integrate(model.plant, model.bt, [1.0], IntegratorConfig(dt=0.01, t_end=3.0),
+                            model_name=shape)
+            text = json.dumps(report.to_dict()) + "\n" + run.to_json()
+        lines.append((sha(text), f"tree/deep/{shape}"))
+    return lines
+
+
 def demo_digests(root: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
@@ -623,7 +677,7 @@ def main(argv=None) -> int:
     lines = (bank_digests(workloads) + batch_digests() + grid_digests()
              + region_digests(workloads) + impure_digests() + cli_digests()
              + boundary_digests() + slide_digests() + demo_digests(root) + lex_digests()
-             + parse_digests())
+             + parse_digests() + tree_digests())
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
