@@ -1097,9 +1097,10 @@ class _FunctionSource:
         self.source = source
         try:
             code = _compiled(source, name)
-        except (SyntaxError, RecursionError) as err:
+        except (SyntaxError, RecursionError, MemoryError) as err:
             # Python caps the nesting depth of one expression (200 open
-            # parentheses in the tokenizer); blame the most deeply nested one
+            # parentheses in the tokenizer, and its parser's stack, which
+            # overflows as a MemoryError); blame the most deeply nested one
             _, pos = max(self.tops, key=lambda top: max(
                 accumulate((c == "(") - (c == ")") for c in top[0])))
             raise ModelTypeError(

@@ -23,13 +23,13 @@ the step and the walk are pure functions of the state (LeafBehavior,
 Plant) and the plant is autonomous, so every later grid step would give
 the same state and walk, and the stretch writes the samples left to
 t_end at once and ends at the run's last grid step.  Otherwise
-regular_span locates the change by bisecting the step length down to
+regular_span locates the change by halving the step length down to
 event_tol, each probe stepped to and walked once, and hands the rest of
 the step back; it records the last probe only when its time is before the
-event's.  Every bisection here also stops when
-no float lies between its bracket's ends, so a tolerance below the float
-spacing ends at float resolution.  A walk's status that the run takes as
-its own (at the start, at a located event, after a slide step) must be a
+event's.  One locator, _bisect, halves every bracket here, and it stops
+when no float lies between the bracket's ends, so a tolerance below the
+float spacing ends at float resolution.  A walk's status that the run
+takes as its own (at the start, at a located event, after a slide step) must be a
 Status, else the run raises ExecutionError.  If the recent switches toggle
 between exactly two leaves faster than the step rate, the integrator
 declares a sliding mode on g = 0 for the separating guard, the first leaf guard
@@ -42,12 +42,13 @@ combination that cancels the normal component, one RK4 step of that
 blend whose first stage is those two fields, and Newton steps back onto
 g = 0, and returns the state, or None when the coefficient lets go: the
 plant's generated slide step for a lowered pair, else _guarded_slide.
-With no separating guard the step is the cloud route's: the normal comes
-from the recent crossing points (SVD; the field difference while they are
-degenerate) and the projection bisects along it; only this route and the
-boundary tools at the end call numpy.  `run` steps a bound slide in a
-slide stretch, as it steps regular mode, and walks each landed state
-once.  The stretch ends when the step returns None (the slide exits at
+With no separating guard the step is the cloud route's, _cloud_slide: the
+normal comes from the recent crossing points (SVD; the field difference
+while they are degenerate) and the pull-back bisects along it; only this
+route and the boundary tools at the end call numpy.  Each route's step
+captures only its inputs, never the run, so a run is freed without the
+cycle collector.  `run` steps a bound slide in a slide stretch, as it
+steps regular mode, and walks each landed state once.  The stretch ends when the step returns None (the slide exits at
 the step's start and regular mode takes the step), when the walk leaves
 the pair (the slide exits at the step's end), when the root is not
 Running, or at the run's last grid step.  So a slide ends when the
@@ -272,6 +273,92 @@ def _guarded_slide(field, ca, cb, guard):
     return slide
 
 
+def _bisect(stays, hi: float, tol: float, scale: float = 1.0) -> tuple:
+    """(lo, hi), the bracket [0, hi] halved while (hi - lo)*scale > tol: lo
+    moves to mid where stays(mid), else hi does.  It also stops when no float
+    lies between lo and hi, so a tol below their spacing ends at float
+    resolution, with hi == math.nextafter(lo, hi)."""
+    lo = 0.0
+    while (hi - lo) * scale > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is down to float resolution
+            break
+        if stays(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _cloud_slide(field, ca, cb, resolve, pair, x):
+    """slide(x, h, t, tol) of the pair with controllers ca, cb on the cloud
+    route, where no leaf guard separates them: the blended step's state
+    pulled back (_pull_back) along the normal of the pair's crossing points,
+    x the first (_cloud_normal), or None when the weight lets go."""
+    points = deque([x], maxlen=8)
+    blend = _rk4_blend(field, ca, cb)
+
+    def slide(x, h, t, tol):
+        va, vb = field(x, ca(x)), field(x, cb(x))
+        pa, pb = np.array(va, dtype=float), np.array(vb, dtype=float)
+        n = _cloud_normal(points, pb - pa, tol)
+        scale = max(1.0, float(np.linalg.norm(pa)), float(np.linalg.norm(pb)))
+        w = _filippov_weight(float(n @ pb), float(n @ (pb - pa)), scale, t)
+        if w is None:
+            return None
+        x = blend(x, h, w, va, vb)
+        check_finite(x)
+        return _pull_back(x, n, pair, resolve, points, tol)
+
+    return slide
+
+
+def _cloud_normal(points, field_diff, tol) -> np.ndarray:
+    """Unit normal of the sliding surface: the least-variance direction of
+    the recent crossing points, or, while the cloud is still degenerate
+    (right after entry), the difference of the two vector fields."""
+    if len(points[0]) == 1:
+        return np.array([1.0])
+    pts = np.array(points)
+    if len(pts) >= 2:
+        centered = pts - pts.mean(axis=0)
+        # demand spread well above the projection jitter, else the SVD
+        # would fit noise normal to the surface
+        if float(np.max(np.abs(centered))) > 10.0 * tol:
+            return np.linalg.svd(centered, full_matrices=True)[2][-1]
+    norm = float(np.linalg.norm(field_diff))
+    if norm < 1e-12:
+        raise ZeroDenominatorInSliding(
+            "cannot estimate a surface normal: identical fields and "
+            "degenerate crossing cloud")
+    return field_diff / norm
+
+
+def _pull_back(x, n, pair, resolve, points, tol) -> tuple:
+    """x pulled back onto the pair's switching surface along +-n by
+    bisection and kept as a crossing point; x itself when it is outside the
+    pair or no state of the other leaf lies along +-n within 1e6.  The
+    run's walk at the point decides whether the slide holds."""
+    here = resolve(x)[1]
+    if here not in pair:
+        return x
+    other = pair[0] if here == pair[1] else pair[1]
+    n = n.tolist()
+    step = tol
+    for _ in range(60):
+        sign = next((s for s in (1.0, -1.0) if resolve(_along(x, s * step, n))[1] == other),
+                    None)
+        if sign is not None or step * 2.0 > 1e6:
+            break
+        step *= 2.0
+    if sign is None:
+        return x
+    lo = _bisect(lambda s: resolve(_along(x, sign * s, n))[1] == here, step, tol)[0]
+    projected = _along(x, sign * lo, n)
+    points.append(projected)
+    return projected
+
+
 class _Integrator:
     def __init__(self, plant: Plant, bt: BehaviorTree, x0, cfg: IntegratorConfig,
                  model_name: str):
@@ -425,20 +512,18 @@ class _Integrator:
         x_try = step(self.x, h), which walks to walk.  Returns the (t, h) left
         after it; a slide entered at t gets end - t, end the grid time that
         ends the step."""
-        leaf, status = self.leaf, self.status
-        # the bracket keeps the probe state at lo and the walk at hi
-        lo, hi = 0.0, h
-        x_lo, x_hi, walk_hi = self.x, x_try, walk
-        while hi - lo > self.cfg.event_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # the bracket is down to float resolution
-                break
-            x_mid = step(self.x, mid)
-            walk = self.bt.resolve(x_mid)
-            if walk == (status, leaf):
-                lo, x_lo = mid, x_mid
-            else:
-                hi, x_hi, walk_hi = mid, x_mid, walk
+        status, leaf = current = self.status, self.leaf
+        x, resolve = self.x, self.bt.resolve
+        at = {True: (x, current), False: (x_try, walk)}  # the last probe on each side
+
+        def stays(s):
+            x_s = step(x, s)
+            walk_s = resolve(x_s)
+            at[walk_s == current] = (x_s, walk_s)
+            return walk_s == current
+
+        lo, hi = _bisect(stays, h, self.cfg.event_tol)
+        x_lo, (x_hi, walk_hi) = at[True][0], at[False]
         if lo > 0.0 and t + lo < t + hi:  # a bracket at float resolution has one time
             self.record(t + lo, x_lo, leaf, status)
         t_event = t + hi
@@ -473,7 +558,7 @@ class _Integrator:
         ca, cb = (self.bt.nodes[i].behavior.controller for i in pair)
         # the plant's own slide step for its field, ca, cb and the guard, else
         # the Python route; with no guard, the cloud route
-        step = self.cloud_slide(pair, ca, cb) if guard is None else (
+        step = _cloud_slide(field, ca, cb, self.bt.resolve, pair, self.x) if guard is None else (
             self.plant.steps.get((field, ca, cb, guard)) or _guarded_slide(field, ca, cb, guard))
         self.slide = (pair, step)
         self.event(t_now, "SlideEnter", self.x, pair=list(pair))
@@ -494,91 +579,6 @@ class _Integrator:
     def exit_slide(self, t: float) -> None:
         self.event(t, "SlideExit", self.x, to=self.leaf)
         self.slide = None
-
-    def cloud_slide(self, pair, ca, cb):
-        """slide(x, h, t, tol) of the pair with controllers ca, cb on the
-        cloud route: the blended step's state as project_to_surface leaves
-        it, or None when the weight lets go."""
-        field, points = self.plant.field, deque([self.x], maxlen=8)
-        blend = _rk4_blend(field, ca, cb)
-
-        def slide(x, h, t, tol):
-            va, vb = field(x, ca(x)), field(x, cb(x))
-            pa, pb = np.array(va, dtype=float), np.array(vb, dtype=float)
-            n = self.surface_normal(points, pb - pa)
-            scale = max(1.0, float(np.linalg.norm(pa)), float(np.linalg.norm(pb)))
-            w = _filippov_weight(float(n @ pb), float(n @ (pb - pa)), scale, t)
-            if w is None:
-                return None
-            x = blend(x, h, w, va, vb)
-            check_finite(x)
-            return self.project_to_surface(x, n, pair, points)
-
-        return slide
-
-    def surface_normal(self, points, field_diff) -> np.ndarray:
-        """Unit normal of the sliding surface at the current point, on the
-        cloud route.
-
-        Estimated as the least-variance direction of the recent crossing
-        points; while the cloud is still degenerate (right after entry) the
-        difference of the two vector fields stands in for it.
-        """
-        dim = len(self.x)
-        if dim == 1:
-            return np.array([1.0])
-        pts = np.array(points)
-        if len(pts) >= 2:
-            centered = pts - pts.mean(axis=0)
-            spread = float(np.max(np.abs(centered)))
-            # demand spread well above the projection jitter, else the SVD
-            # would fit noise normal to the surface
-            if spread > 10.0 * self.cfg.event_tol:
-                _, _, vt = np.linalg.svd(centered, full_matrices=True)
-                return vt[-1]
-        norm = float(np.linalg.norm(field_diff))
-        if norm < 1e-12:
-            raise ZeroDenominatorInSliding(
-                "cannot estimate a surface normal: identical fields and "
-                "degenerate crossing cloud")
-        return field_diff / norm
-
-    def project_to_surface(self, x, n, pair, points) -> tuple:
-        """Pull x back onto the switching surface of the pair along +-n by
-        bisection, on the cloud route, and keep the point as a crossing
-        point.
-
-        Returns the projected point, or x itself when x is outside the pair
-        or no state of the other leaf of the pair lies along +-n within
-        1e6; the run's walk at the point decides whether the slide holds.
-        """
-        cfg = self.cfg
-        here = self.bt.resolve(x)[1]
-        if here not in pair:
-            return x
-        other = pair[0] if here == pair[1] else pair[1]
-        n = n.tolist()
-        step = cfg.event_tol
-        for _ in range(60):
-            sign = next((s for s in (1.0, -1.0)
-                         if self.bt.resolve(_along(x, s * step, n))[1] == other), None)
-            if sign is not None or step * 2.0 > 1e6:
-                break
-            step *= 2.0
-        if sign is None:  # no state of the other leaf along +-n within 1e6
-            return x
-        lo, hi = 0.0, step
-        while hi - lo > cfg.event_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # the bracket is down to float resolution
-                break
-            if self.bt.resolve(_along(x, sign * mid, n))[1] == here:
-                lo = mid
-            else:
-                hi = mid
-        projected = _along(x, sign * lo, n)
-        points.append(projected)
-        return projected
 
 
 def integrate(plant: Plant, bt: BehaviorTree, x0,
@@ -693,15 +693,8 @@ def sample_boundary_pairs(bt: BehaviorTree, box, count: int, seed: int) -> list:
             continue
         seg = _along(b, -1.0, a)
         length = float(np.linalg.norm(seg))
-        lo, hi = 0.0, 1.0
-        while (hi - lo) * length > _BOUNDARY_TOL:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # the bracket is down to float resolution
-                break
-            if bt.resolve(_along(a, mid, seg))[1] == la:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lambda s: bt.resolve(_along(a, s, seg))[1] == la, 1.0,
+                         _BOUNDARY_TOL, length)
         xa = _along(a, lo, seg)
         xb = _along(a, hi, seg)
         if bt.resolve(xa)[1] != bt.resolve(xb)[1]:

@@ -64,14 +64,16 @@ def test_validate_reports_control_count_location(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("expr", ["(" * 1000 + "x0" + ")" * 1000, "-" * 1000 + "x0",
-                                  " + ".join(["x0"] * 1200)])
+                                  " + ".join(["x0"] * 1200),
+                                  pytest.param("1.0 / (" * 250 + "x0" + ")" * 250,
+                                               id="250_nested_divisions")])
 def test_validate_reports_deep_nesting_location(tmp_path, capsys, expr):
     deep = tmp_path / "deep.btm"
     deep.write_text('model "deep" {\n  state 1;\n  control 1;\n  plant { dx0 = u0; }\n'
                     f'  leaf a {{ u = [{expr}]; status = R; }}\n  root = a;\n}}\n')
     code, out, err = run(capsys, "validate", str(deep))
     assert code == 1
-    assert "line 5" in err and "Traceback" not in err
+    assert err.startswith("error: ") and "line 5" in err and "Traceback" not in err
 
 
 def test_validate_missing_file(capsys):

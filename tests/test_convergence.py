@@ -178,6 +178,10 @@ def test_longest_chain_matches_brute_force(seed):
     assert got_w == pytest.approx(want_w)
 
 
+def test_longest_chain_of_an_empty_graph():
+    assert longest_chain(graph_of([], nodes=[]), {}) == (0, 0.0)
+
+
 def test_longest_chain_rejects_cycles():
     with pytest.raises(ValueError):
         longest_chain(graph_of([(1, 2), (2, 1)]), {})
@@ -217,6 +221,15 @@ def test_lambda_scan_flags_backward_handoff():
     cert = certify(runs)
     assert not cert.passed
     assert len(cert.lambda_violations) == 1
+
+
+def test_certificate_dict_lists_each_lambda_violation():
+    runs = [traj([samp(0.0, 1), samp(1.0, 2), samp(2.0, 1, x=(0.5,)), samp(3.0, 1, "S")],
+                 [switch(1.0, 1, 2)])]
+    cert = certify(runs)
+    assert cert.to_dict()["lambda_violations"] == [
+        {"trajectory": 0, "t": 2.0, "kind": "order", "from": 2, "to": 1, "x": [0.5]}]
+    assert json.loads(cert.to_json())["lambda_violations"] == cert.to_dict()["lambda_violations"]
 
 
 def test_lambda_scan_flags_root_failure_once():

@@ -322,6 +322,13 @@ def test_deep_chain_lays_out_and_walks():
     assert report.passed and report.samples_tested == 3
 
 
+def test_behavior_of_a_composite_is_an_error():
+    bt = thermostat_bt()
+    assert bt.behavior(3).label == "heat"
+    with pytest.raises(ValueError, match="^node 1 is not a leaf$"):
+        bt.behavior(1)
+
+
 def test_leaf_root_tree():
     bt = BehaviorTree(slab_leaf(0, 0.0, Status.RUNNING, Status.SUCCESS), state_dim=1)
     assert bt.active_leaf([-1.0]) == 0

@@ -1378,11 +1378,36 @@ def test_too_deep_models_are_positioned_model_errors(name):
 
 
 def test_deep_division_chain_is_a_positioned_model_error():
-    """A division takes two frames per level in code generation."""
+    """A division takes two frames per level in code generation, so the
+    flat 800-term chain, which nests its dividends, runs out of recursion
+    there, before any source is compiled."""
     chain = " / ".join(["x0"] * 800)
-    with pytest.raises(ModelTypeError, match="nests too deeply") as e:
+    with pytest.raises(ModelTypeError, match="^expression nests too deeply to compile") as e:
         dsl.lower(dsl.parse(_deep(chain)))
     assert e.value.line == 5
+
+
+def _nested_divisions(levels: int) -> str:
+    return "1.0 / (" * levels + "x0" + ")" * levels
+
+
+@pytest.mark.parametrize("expr, at, message", [
+    (_nested_divisions(250), "/", "a controller expression nests too deeply to compile"),
+    ("if " + _nested_divisions(250) + " > 0.0 then S else R", "if ",
+     "a status expression nests too deeply to compile"),
+    (_nested_divisions(360), "/", "expression nests too deeply to compile"),
+], ids=["control_250", "status_250", "control_360"])
+def test_nested_divisions_are_positioned_model_errors(expr, at, message):
+    """A division by a non-constant is a zero test in the generated source:
+    250 nested ones overflow Python's parser stack, a MemoryError from
+    compile, and 360 run out of recursion in code generation, three frames
+    per divisor, before any compile."""
+    text = _deep(expr)
+    with pytest.raises(ModelTypeError) as e:
+        dsl.lower(dsl.parse(text))
+    col = text.splitlines()[4].index(at) + 1
+    assert str(e.value) == f"{message} at line 5, column {col}"
+    assert (e.value.line, e.value.col) == (5, col)
 
 
 def _nested_seqs(levels: int) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -402,6 +403,22 @@ def _cloud_copy(bt):
         return type(node)(node.node_id, tuple(rebuilt(c) for c in node.children))
 
     return BehaviorTree(rebuilt(bt.root), state_dim=bt.state_dim)
+
+
+def test_a_cloud_slide_leaves_no_cyclic_garbage():
+    """The cloud route's slide step closes over its inputs, not over the
+    run, so a run that ends in a slide is freed by reference counting."""
+    model = dsl.load(dsl.bundled_model_dir() / "thermostat.btm")
+    bt = _cloud_copy(model.bt)
+    gc.collect()
+    gc.disable()
+    try:
+        run = integrate(model.plant, bt, [18.0], IntegratorConfig(dt=0.01, t_end=5.0))
+        assert run.events_of("SlideEnter") and not run.events_of("SlideExit")
+        del run
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("x0", [(-1.0, -1.2), (-1.427292888764039, -1.386695002795886),
@@ -1292,6 +1309,23 @@ def test_bisection_stops_at_float_resolution(name):
     assert done.returncode == 0, done.stderr
 
 
+def test_the_locator_halves_to_its_width_or_to_float_resolution():
+    probes = []
+
+    def stays(s):
+        probes.append(s)
+        return s < 0.3
+
+    lo, hi = executor._bisect(stays, 1.0, 1e-300)  # below the float spacing at 0.3
+    assert lo < 0.3 <= hi and hi == math.nextafter(lo, hi)
+    assert lo in probes and hi in probes
+    # the width test scales the bracket: (hi - lo)*1e6 <= 1e-6 < 2*(hi - lo)*1e6
+    lo, hi = executor._bisect(stays, 1.0, 1e-6, 1e6)
+    assert lo < 0.3 <= hi and (hi - lo) * 1e6 <= 1e-6 < 2.0 * (hi - lo) * 1e6
+    # an event at the bracket's start ends on the first float past it
+    assert executor._bisect(lambda s: False, 1.0, 0.0) == (0.0, math.nextafter(0.0, 1.0))
+
+
 def test_sample_times_increase_when_a_bracket_ends_at_float_resolution():
     """With event_tol 1e-19 each bisection of a thermostat switch ends at
     float resolution, where the last probe and the event have one time:
@@ -1406,6 +1440,13 @@ def test_transversality_flags_grazing():
     bt2 = switch_bt(gate, lambda x: (1.0, 1.0), lambda x: (1.0, 1.0), dim=2)
     report2 = check_transversality(plant, bt2, pairs)
     assert report2.fraction == 1.0
+
+
+def test_transversality_fails_pairs_that_straddle_no_surface():
+    # a pair of one point, and a pair inside heat's region, then a crossing
+    report = check_transversality(thermostat_plant(), thermostat_bt(),
+                                  [([20.0], [20.0]), ([19.0], [19.5]), ([20.9], [21.1])])
+    assert (report.total, report.ok, report.failures) == (3, 1, (0, 1))
 
 
 def test_boundary_sampler_properties():

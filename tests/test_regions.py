@@ -112,6 +112,15 @@ def test_kitchen_partition_report_passes():
     assert report.to_dict()["passed"] is True
 
 
+@pytest.mark.parametrize("build, point", [(thermostat_bt, [22.0]), (kitchen_bt, [0.5, -0.5])],
+                         ids=["thermostat", "kitchen"])
+def test_one_flat_point_is_a_batch_of_one(build, point):
+    bt = build()
+    report = check_partition(bt, point)
+    assert report.samples_tested == 1 and report.passed
+    assert report.to_dict() == check_partition(bt, [point]).to_dict()
+
+
 def test_partition_and_owner_equivalence_on_random_trees():
     for seed, permute_ids in itertools.product(range(20), (False, True)):
         bt = random_bt(seed, permute_ids=permute_ids)

@@ -98,6 +98,11 @@ one per output:
   it, or the type, text and line of the error `dsl.parse` raises, without
   the column, which for a recursion-limit error depends on the caller's
   stack;
+- lower/too_complex: the type, text, line and column of the error that
+  `dsl.lower` raises on TOO_COMPLEX_CASES, a control and a status of 250
+  nested divisions, whose generated source overflows Python's parser
+  stack, or "ok" when one lowers; an older checkout's bare MemoryError is
+  digested the same way;
 - tree/deep/<shape>: for each 2,000-level tree of DEEP_TREES, one leaf
   under one-child seqs (`nested_seqs`) and a leaf at every level of a
   seq/fal chain (`chain`), `check_partition(...).to_dict()` on 50 seeded
@@ -201,6 +206,15 @@ PARSE_ERROR_CASES = [
 DIMENSION_CASES = [
     _HEAD.replace("state 1;", "state 1e6;") + _PLANT + _LEAF + _ROOT,
     _HEAD.replace("control 1;", "control 1e6;") + _PLANT + _LEAF + _ROOT,
+]
+
+# a control and a status of 250 nested divisions: each division by a
+# non-constant is a zero test in the generated source
+_NESTED_DIVISION = "1.0 / (" * 250 + "x0" + ")" * 250
+TOO_COMPLEX_CASES = [
+    _HEAD + _PLANT + f"  leaf a {{ u = [{_NESTED_DIVISION}]; status = R; }}\n" + _ROOT,
+    _HEAD + _PLANT + f"  leaf a {{ u = [0.0]; status = if {_NESTED_DIVISION} > 0.0 "
+    "then S else R; }\n" + _ROOT,
 ]
 
 # tests/test_dsl.py DEEP_OK and DEEP_BAD: name -> a leaf's control, or its
@@ -630,6 +644,20 @@ def parse_digests() -> list:
     return lines
 
 
+def lower_digests() -> list:
+    from ctbt import dsl
+
+    rows = []
+    for source in TOO_COMPLEX_CASES:
+        try:
+            dsl.lower(dsl.parse(source))
+            rows.append("ok")
+        except (dsl.ModelError, MemoryError) as err:  # an older checkout's is bare
+            rows.append(repr((type(err).__name__, str(err), getattr(err, "line", None),
+                              getattr(err, "col", None))))
+    return [(sha("\n".join(rows)), "lower/too_complex")]
+
+
 def tree_digests() -> list:
     from ctbt import IntegratorConfig, check_partition, dsl, integrate, uniform_points
 
@@ -677,7 +705,7 @@ def main(argv=None) -> int:
     lines = (bank_digests(workloads) + batch_digests() + grid_digests()
              + region_digests(workloads) + impure_digests() + cli_digests()
              + boundary_digests() + slide_digests() + demo_digests(root) + lex_digests()
-             + parse_digests() + tree_digests())
+             + parse_digests() + lower_digests() + tree_digests())
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
