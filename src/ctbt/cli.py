@@ -257,12 +257,13 @@ def _add_common(p, x0_required=False, want_x0=True):
 
 
 def _add_integration(p):
-    p.add_argument("--dt", type=float, default=0.001,
-                   help="integration step (default 0.001)")
-    p.add_argument("--t-end", type=float, default=30.0,
-                   help="time horizon (default 30)")
-    p.add_argument("--event-tol", type=float, default=1e-6,
-                   help="event bisection tolerance (default 1e-6)")
+    defaults = IntegratorConfig()
+    p.add_argument("--dt", type=float, default=defaults.dt,
+                   help="integration step (default %(default)g)")
+    p.add_argument("--t-end", type=float, default=defaults.t_end,
+                   help="time horizon (default %(default)g)")
+    p.add_argument("--event-tol", type=float, default=defaults.event_tol,
+                   help="event bisection tolerance (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

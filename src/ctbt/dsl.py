@@ -236,16 +236,15 @@ class Token(NamedTuple):
         return (self.line, self.col)
 
 
-# A match is the layout (blanks, comments) before a token, then one alternative
-# per token class, tried in order; the lower-case classes are line ends or
-# errors.  The token is optional: layout that ends the source matches alone
-# and never backtracks into a token.  Digits are ASCII only.
+# On one line of the source, a match is the layout (blanks, comments) before a
+# token, then one alternative per token class, tried in order; the lower-case
+# classes are errors.  The token is optional: layout that ends the line matches
+# alone and never backtracks into a token.  Digits are ASCII only.
 _LEXEME = re.compile(r"""
-    (?:[ \t\r]+|\#[^\n]*)*
-    (?:(?P<newline>\n)
-      | (?P<malformed>[0-9]+(?:\.(?![0-9])|(?:\.[0-9]+)?[eE](?![+-]?[0-9])))
+    (?:[ \t\r]+|\#.*)*
+    (?:(?P<malformed>[0-9]+(?:\.(?![0-9])|(?:\.[0-9]+)?[eE](?![+-]?[0-9])))
       | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-      | (?P<STRING>"[^"\n]*")
+      | (?P<STRING>"[^"]*")
       | (?P<unterminated>")
       | (?P<IDENT>[^\W\d]\w*)
       | (?P<OP><=|>=|[<>=+\-*/()\[\]{},;])
@@ -259,31 +258,27 @@ _LEX_ERRORS = {"malformed": "malformed number", "unterminated": "unterminated st
 
 def tokenize(source: str) -> list:
     tokens = []
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(source):
-        kind = m.lastgroup
-        if kind is None:  # layout up to the end of the source
-            continue
-        start = m.start(kind)
-        if kind == "newline":
-            line, line_start = line + 1, start + 1
-            continue
-        text, col, value = m[kind], start - line_start + 1, 0.0
-        if kind == "IDENT":
-            if text in KEYWORDS:
-                kind = "KEYWORD"
-            elif not (text[0].isalpha() or text[0] == "_"):
-                kind, text = "unexpected", text[0]  # a numeral such as '²'
-        elif kind == "NUMBER":
-            value = float(text)
-            if value == math.inf:
-                raise LexError("number out of range", line, col)
-        elif kind == "STRING":
-            text = text[1:-1]
-        if kind in _LEX_ERRORS:
-            raise LexError(_LEX_ERRORS[kind].format(text), line, col)
-        tokens.append(_new_token((kind, text, line, col, value)))
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
+    for line, row in enumerate(source.split("\n"), 1):
+        for m in _LEXEME.finditer(row):
+            kind = m.lastgroup
+            if kind is None:  # layout up to the end of the line
+                continue
+            text, col, value = m[kind], m.start(kind) + 1, 0.0
+            if kind == "IDENT":
+                if text in KEYWORDS:
+                    kind = "KEYWORD"
+                elif not (text[0].isalpha() or text[0] == "_"):
+                    kind, text = "unexpected", text[0]  # a numeral such as '²'
+            elif kind == "NUMBER":
+                value = float(text)
+                if value == math.inf:
+                    raise LexError("number out of range", line, col)
+            elif kind == "STRING":
+                text = text[1:-1]
+            if kind in _LEX_ERRORS:
+                raise LexError(_LEX_ERRORS[kind].format(text), line, col)
+            tokens.append(_new_token((kind, text, line, col, value)))
+    tokens.append(Token("EOF", "", line, len(row) + 1))
     return tokens
 
 

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from ctbt import dsl
+from ctbt import cli, dsl
 from ctbt.cli import main
+from ctbt.executor import IntegratorConfig
 
 
 def run(capsys, *argv):
@@ -202,6 +203,24 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
     assert code == 1 and out == ""
     assert err.startswith(f"error: could not parse {flag} ")
     assert "finite numbers" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["regions", "pendulum.btm", "--box", "0:1:2,0:1"],
+     "bad --box interval '0:1:2': expected lo:hi"),
+    (["check-partition", "pendulum.btm", "--seed", "1", "--box", "1:0,0:1"],
+     "bad --box interval '1:0': need lo < hi"),
+    (["certify", "pendulum.btm", "--exclude", "0,0"],
+     "bad --exclude '0,0': expected center:radius"),
+    (["certify", "pendulum.btm", "--exclude", "0:1"],
+     "--exclude center has 1 components but the model's state dimension is 2"),
+    (["certify", "pendulum.btm", "--exclude", "0,0:0"],
+     "--exclude radius must be positive"),
+], ids=["box-three-bounds", "box-reversed", "exclude-no-radius",
+        "exclude-short-center", "exclude-zero-radius"])
+def test_malformed_box_and_exclude_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "certify"])
@@ -412,7 +431,8 @@ def test_certify_count_below_one_is_a_usage_error(capsys, count):
 @pytest.mark.parametrize("argv", [
     ["check-partition", "thermostat.btm", "--seed", "-1", "--box", "19:23"],
     ["certify", "pendulum.btm", "--inits", "random", "--count", "4", "--seed", "-3"],
-], ids=["check-partition", "certify"])
+    ["check-partition", "pendulum.btm", "--seed", "abc"],
+], ids=["check-partition", "certify", "not-a-number"])
 def test_negative_seed_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -450,6 +470,14 @@ def test_no_arguments_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "pendulum.btm", "--x0", "0,0"],
+    ["certify", "pendulum.btm"],
+], ids=["simulate", "certify"])
+def test_integration_flags_default_to_integrator_config(argv):
+    assert cli._config(cli.build_parser().parse_args(argv)) == IntegratorConfig()
 
 
 def test_help_exits_zero(capsys):

@@ -86,8 +86,8 @@ one per output:
   checks that the two are equal;
 - demo/<file>: exit code and stdout of every script in demos/;
 - lex/layout_edges: the tokens `dsl.tokenize` makes, or the type, text,
-  line and column of its error, on sources at the edges of layout
-  (LEX_CASES);
+  line and column of its error, on sources at the edges of layout and of
+  lines (LEX_CASES);
 - parse/errors: the type, text, line and column of the error `dsl.parse`
   raises on each of the malformed models PARSE_ERROR_CASES, or "ok" when
   one parses;
@@ -175,6 +175,12 @@ LEX_CASES = [
     '   "name"',  # a string after blanks
     "x\u00b2",
     "1e400",
+    "a\rb = 1;",  # a lone carriage return inside a line
+    'x = "ab\ny;\nz',  # an unterminated string at a line end, more lines after
+    "x = 3.\ny;",  # a malformed number at a line end
+    "a;\nb;\nc # ends the last line",
+    "a;\n\n",  # the source ends in two newlines
+    "a;\n\t\tb\t= 1;",  # tab-indented tokens on line 2
 ]
 
 
