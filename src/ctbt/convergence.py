@@ -18,7 +18,9 @@ certificate rather than silently vanishing.
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Status
@@ -38,16 +40,29 @@ class EmptyBatch(ValueError):
 
 @dataclass(frozen=True)
 class PreparesGraph:
+    """Each node's sorted successors are tabled once, when the graph is
+    made, and every walk reads that table, so later edits to edges are not
+    seen.  An edge with an end outside nodes is a ValueError."""
+
     nodes: tuple  # sorted leaf ids observed in any sample
     edges: dict  # (from leaf, to leaf) -> switch count
     terminal_counts: dict  # leaf -> {status value: count of runs ending there}
 
+    def __post_init__(self):
+        succ = {n: [] for n in self.nodes}
+        for edge in self.edges:
+            a, b = edge
+            if a not in succ or b not in succ:
+                raise ValueError(f"PreparesGraph edge {edge!r} has an end outside "
+                                 f"its nodes {self.nodes!r}")
+            succ[a].append(b)
+        object.__setattr__(self, "_succ", {n: tuple(sorted(s)) for n, s in succ.items()})
+
     def successors(self, i: int) -> tuple:
-        return tuple(sorted(j for (a, j) in self.edges if a == i))
+        return self._succ.get(i, ())
 
     def sinks(self) -> tuple:
-        withsucc = {a for (a, _b) in self.edges}
-        return tuple(n for n in self.nodes if n not in withsucc)
+        return tuple(n for n in self.nodes if not self._succ[n])
 
 
 @dataclass(frozen=True)
@@ -72,74 +87,57 @@ def build_prepares_graph(runs) -> PreparesGraph:
     models = {t.meta.get("model", "") for t in trajs}
     if len(models) > 1:
         raise MixedModels(f"trajectories from different models: {sorted(models)}")
-    nodes = set()
-    edges: dict = {}
-    terminal: dict = {}
-    for traj in trajs:
-        for s in traj.samples:
-            nodes.add(s.leaf)
-        for e in traj.events:
-            if e.kind == "Switch":
-                key = (e.info["from"], e.info["to"])
-                edges[key] = edges.get(key, 0) + 1
-        last = traj.samples[-1]
-        terminal.setdefault(last.leaf, {})
-        label = last.status.value
-        terminal[last.leaf][label] = terminal[last.leaf].get(label, 0) + 1
-    return PreparesGraph(nodes=tuple(sorted(nodes)), edges=edges,
+    nodes = {s.leaf for traj in trajs for s in traj.samples}
+    edges = Counter((e.info["from"], e.info["to"])
+                    for traj in trajs for e in traj.events if e.kind == "Switch")
+    ends = Counter((traj.samples[-1].leaf, traj.samples[-1].status.value) for traj in trajs)
+    terminal = {leaf: {} for leaf, _label in ends}
+    for (leaf, label), count in ends.items():
+        terminal[leaf][label] = count
+    return PreparesGraph(nodes=tuple(sorted(nodes)), edges=dict(edges),
                          terminal_counts=terminal)
 
 
 def check_acyclic(graph: PreparesGraph):
-    """Kahn's algorithm with deterministic tie-breaking.
+    """Kahn's algorithm, taking the smallest ready node first.
 
     Returns (True, topological order) or (False, cycle witness).
     """
-    indeg = {n: 0 for n in graph.nodes}
-    for (_a, b) in graph.edges:
+    indeg = dict.fromkeys(graph.nodes, 0)
+    for _a, b in graph.edges:
         indeg[b] += 1
-    ready = sorted(n for n, d in indeg.items() if d == 0)
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        n = ready.pop(0)
+        n = heapq.heappop(ready)
         order.append(n)
         for m in graph.successors(n):
             indeg[m] -= 1
             if indeg[m] == 0:
-                ready.append(m)
-        ready.sort()
+                heapq.heappush(ready, m)
     if len(order) == len(graph.nodes):
         return True, tuple(order)
-    # trim until every leftover node keeps a successor, then walk to a repeat
-    core = {n for n in graph.nodes if n not in set(order)}
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(core):
-            if not any(j in core for j in graph.successors(n)):
-                core.remove(n)
-                changed = True
-    start = min(core)
-    walk = [start]
-    seen = {start: 0}
-    while True:
-        nxt = min(j for j in graph.successors(walk[-1]) if j in core)
-        if nxt in seen:
-            return False, tuple(walk[seen[nxt]:])
-        seen[nxt] = len(walk)
-        walk.append(nxt)
+    # trim until every leftover node keeps a successor, then follow the
+    # smallest successors from the smallest node to the first repeat
+    core = set(graph.nodes).difference(order)
+    while dead := {n for n in core if core.isdisjoint(graph.successors(n))}:
+        core -= dead
+    walk, seen, n = [], {}, min(core)
+    while n not in seen:
+        seen[n] = len(walk)
+        walk.append(n)
+        n = next(m for m in graph.successors(n) if m in core)
+    return False, tuple(walk[seen[n]:])
 
 
 def reachable_sets(graph: PreparesGraph) -> dict:
     """Reflexive transitive closure: leaf -> frozenset of reachable leaves."""
-    succ = {n: graph.successors(n) for n in graph.nodes}
     out = {}
     for n in graph.nodes:
-        seen = {n}
-        stack = [n]
+        seen, stack = {n}, [n]
         while stack:
-            cur = stack.pop()
-            for m in succ.get(cur, ()):
+            for m in graph.successors(stack.pop()):
                 if m not in seen:
                     seen.add(m)
                     stack.append(m)
@@ -185,27 +183,15 @@ def dwell_times(runs) -> dict:
     extend a stint.
     """
     best: dict = {}
-
-    def close(cur_leaf, start, end):
-        if cur_leaf is not None:
-            best[cur_leaf] = max(best.get(cur_leaf, 0.0), end - start)
-
-    for run in runs:
-        if not isinstance(run, Trajectory):
-            continue
-        cur_leaf = None
-        start = 0.0
-        for s in run.samples:
-            if s.status is Status.SUCCESS:
-                close(cur_leaf, start, s.t)
-                cur_leaf = None
-                continue
-            if s.leaf != cur_leaf:
-                close(cur_leaf, start, s.t)
-                cur_leaf = s.leaf
-                start = s.t
-        if cur_leaf is not None:
-            close(cur_leaf, start, run.samples[-1].t)
+    for run in _assessed(runs):
+        leaf, start = None, 0.0
+        # the last sample ends the run's last stint as a success sample would
+        ends = [s._replace(status=Status.SUCCESS) for s in run.samples[-1:]]
+        for s in (*run.samples, *ends):
+            if s.leaf != leaf or s.status is Status.SUCCESS:
+                if leaf is not None:
+                    best[leaf] = max(best.get(leaf, 0.0), s.t - start)
+                leaf, start = (None if s.status is Status.SUCCESS else s.leaf), s.t
     return best
 
 
@@ -220,9 +206,7 @@ def longest_chain(graph: PreparesGraph, weights: dict):
         succs = graph.successors(n)
         count[n] = 1 + max((count[m] for m in succs), default=0)
         total[n] = weights.get(n, 0.0) + max((total[m] for m in succs), default=0.0)
-    if not count:
-        return 0, 0.0
-    return max(count.values()), max(total.values())
+    return max(count.values(), default=0), max(total.values(), default=0.0)
 
 
 @dataclass
@@ -291,22 +275,15 @@ def certify(runs) -> ConvergenceCertificate:
     acyclic, order_or_cycle = check_acyclic(graph)
     violations = check_lambda_invariance(graph, runs)
     dwell = dwell_times(runs)
-    if acyclic:
-        chain_n, settle = longest_chain(graph, dwell)
-        topo, cycle = order_or_cycle, ()
-    else:
-        chain_n, settle = None, None
-        topo, cycle = (), order_or_cycle
-    all_success = all(
-        t.samples[-1].status is Status.SUCCESS for t in trajs)
-    sinks_terminal = all(
-        s in graph.terminal_counts for s in graph.sinks())
+    chain_n, settle = longest_chain(graph, dwell) if acyclic else (None, None)
+    all_success = all(t.samples[-1].status is Status.SUCCESS for t in trajs)
+    sinks_terminal = all(s in graph.terminal_counts for s in graph.sinks())
     passed = (acyclic and not violations and not failures
               and all_success and sinks_terminal)
-    model = trajs[0].meta.get("model", "")
     return ConvergenceCertificate(
-        model=model, graph=graph, acyclic=acyclic,
-        topological_order=topo, cycle=cycle,
+        model=trajs[0].meta.get("model", ""), graph=graph, acyclic=acyclic,
+        topological_order=order_or_cycle if acyclic else (),
+        cycle=() if acyclic else order_or_cycle,
         lambda_violations=violations, dwell=dwell,
         chain_length=chain_n, settle_time_bound=settle,
         assessed=len(trajs), unassessed=failures,

@@ -1418,7 +1418,7 @@ def lower(m: ModelFile) -> LoweredModel:
 
 def load(path) -> LoweredModel:
     """Lower the model file at path; a byte that is not UTF-8 is a LexError."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         source = fh.read()
     if bad := re.search("[\udc80-\udcff]", source):  # surrogateescape's bad bytes
         at = bad.start()

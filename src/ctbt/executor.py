@@ -120,6 +120,10 @@ class IntegratorConfig:
         if self.dt <= _MIN_SPAN:  # run would never step
             raise ValueError(f"IntegratorConfig.dt must be finite and > {_MIN_SPAN!r}, "
                              f"got {self.dt!r}")
+        steps = round(self.t_end / self.dt)  # run's grid steps; the last must end at t_end
+        if abs(steps * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
+            raise ValueError(f"IntegratorConfig.t_end must be a whole number of dt steps, "
+                             f"got t_end={self.t_end!r} and dt={self.dt!r}")
 
 
 class Sample(NamedTuple):

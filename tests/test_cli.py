@@ -105,6 +105,18 @@ def test_a_model_file_that_is_not_utf8_names_its_first_bad_byte(tmp_path, capsys
     with pytest.raises(dsl.LexError) as info:
         dsl.load(bad)
     assert (info.value.line, info.value.col) == (3, 8)
+    bad.write_bytes(b"\xef\xbb\xbf" + bad.read_bytes())  # a byte-order mark moves no column
+    assert run(capsys, "validate", str(bad))[2] == err
+
+
+def test_a_model_file_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    plain = dsl.bundled_model_dir() / "thermostat.btm"
+    marked = tmp_path / "thermostat.btm"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert dsl.format_model(dsl.load(marked).model) == dsl.format_model(dsl.load(plain).model)
+    code, out, err = run(capsys, "validate", str(marked))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "validate", str(plain))[1]
 
 
 def test_output_to_a_directory_is_an_error_line(tmp_path, capsys):

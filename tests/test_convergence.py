@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,38 @@ def test_cycle_witness_with_dangling_branch():
     ok, cycle = check_acyclic(g)
     assert not ok
     assert set(cycle) == {1, 2}
+
+
+# graph edges -> check_acyclic's exact result; the witness walk starts at the
+# smallest node left after trimming and takes the smallest successor left
+EXACT_CASES = {
+    "two_disjoint_cycles": (
+        [(7, 8), (8, 7), (3, 5), (5, 4), (4, 3), (0, 7)], (False, (3, 5, 4))),
+    "cycle_with_dangling_branches_on_both_sides": (
+        [(0, 4), (9, 4), (4, 6), (6, 4), (6, 1), (1, 2), (4, 3)], (False, (4, 6))),
+    "self_loop_reached_from_a_chain": (
+        [(8, 9), (9, 8), (9, 1), (1, 2), (2, 5), (5, 5), (0, 1)], (False, (5,))),
+    "long_cycle_entered_away_from_its_smallest_node": (
+        [(10, 6), (2, 8), (8, 4), (4, 6), (6, 2), (2, 11), (4, 0), (0, 12)],
+        (False, (2, 8, 4, 6))),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_cycle_witness_is_exact(name):
+    edges, want = EXACT_CASES[name]
+    assert check_acyclic(graph_of(edges)) == want
+
+
+def test_topological_order_takes_the_smallest_ready_node_first():
+    g = graph_of([(5, 0), (5, 1), (2, 1), (0, 3), (1, 3), (4, 6)], nodes=range(8))
+    assert check_acyclic(g) == (True, (2, 4, 5, 0, 1, 3, 6, 7))
+
+
+@pytest.mark.parametrize("edge", [(1, 9), (9, 1), (9, 9)])
+def test_graph_rejects_an_edge_with_an_end_outside_its_nodes(edge):
+    with pytest.raises(ValueError, match=re.escape(f"PreparesGraph edge {edge!r}")):
+        PreparesGraph(nodes=(1, 2), edges={(1, 2): 1, edge: 1}, terminal_counts={})
 
 
 def test_isolated_node_is_its_own_chain():

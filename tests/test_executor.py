@@ -1175,6 +1175,27 @@ def test_config_rejects_bad_steps_and_horizons(field, value):
         IntegratorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("dt", [0.6, 0.3, 0.7, 0.4])
+def test_config_rejects_a_horizon_off_its_grid(dt, capsys):
+    """run takes round(t_end / dt) grid steps, so t_end = 1 at dt = 0.6 would
+    end at 1.2 and at dt = 0.3 at 0.9."""
+    with pytest.raises(ValueError, match=r"IntegratorConfig.t_end must be a whole number "
+                                         rf"of dt steps, got t_end=1.0 and dt={dt}"):
+        IntegratorConfig(dt=dt, t_end=1.0)
+    from ctbt.cli import main
+    assert main(["simulate", "thermostat", "--x0", "19", "--dt", str(dt), "--t-end", "1"]) == 1
+    assert "whole number of dt steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt, t_end", [
+    (0.004, 60.0), (0.001, 0.011), (0.02 / 64, 1.0), (1, 3), (0.5, 0.0),
+    (0.1, 0.3), (0.1, 2.3),  # 3 and 23 steps of 0.1 overshoot by an ulp or two
+])
+def test_config_accepts_a_horizon_on_its_grid(dt, t_end):
+    cfg = IntegratorConfig(dt=dt, t_end=t_end)
+    assert (cfg.dt, cfg.t_end) == (dt, t_end)
+
+
 def test_config_accepts_a_zero_horizon():
     traj = thermostat_run(SETPOINT - 2.0, t_end=0.0)
     assert [s.t for s in traj.samples] == [0.0]

@@ -108,7 +108,11 @@ one per output:
   seq/fal chain (`chain`), `check_partition(...).to_dict()` on 50 seeded
   points and `to_json` of an integrate run from x0 = 1, or, for a checkout
   that rejects the model, the type, text and line of the error, as for
-  parse/deep.
+  parse/deep;
+- certify/graphs: `check_acyclic`, `reachable_sets` and `longest_chain`
+  (or the type and text of its error) on each hand-built graph of
+  CERTIFY_GRAPHS, and `certify(...).to_json()` on three hand-built
+  batches: a 2-cycle, a lambda violation and a failed run.
 
 To show that a change keeps its outputs, run this on the change and on its
 parent, on the same host, and diff the two manifests.  The digests are not
@@ -265,6 +269,23 @@ def _deep_chain(levels: int) -> str:
 
 # shape -> .btm text of a tree 2,000 levels deep
 DEEP_TREES = {"nested_seqs": _nested_seqs(2000), "chain": _deep_chain(2000)}
+
+
+# name -> (nodes, edges) of a hand-built prepares graph, each edge seen once;
+# tests/test_convergence.py EXACT_CASES holds the cyclic ones
+CERTIFY_GRAPHS = {
+    "two_disjoint_cycles": (
+        (0, 3, 4, 5, 7, 8), [(7, 8), (8, 7), (3, 5), (5, 4), (4, 3), (0, 7)]),
+    "cycle_with_dangling_branches_on_both_sides": (
+        (0, 1, 2, 3, 4, 6, 9), [(0, 4), (9, 4), (4, 6), (6, 4), (6, 1), (1, 2), (4, 3)]),
+    "self_loop_reached_from_a_chain": (
+        (0, 1, 2, 5, 8, 9), [(8, 9), (9, 8), (9, 1), (1, 2), (2, 5), (5, 5), (0, 1)]),
+    "long_cycle_entered_away_from_its_smallest_node": (
+        (0, 2, 4, 6, 8, 10, 11, 12),
+        [(10, 6), (2, 8), (8, 4), (4, 6), (6, 2), (2, 11), (4, 0), (0, 12)]),
+    "acyclic_ties": (tuple(range(8)), [(5, 0), (5, 1), (2, 1), (0, 3), (1, 3), (4, 6)]),
+    "empty": ((), []),
+}
 
 
 def sha(text: str) -> str:
@@ -682,6 +703,43 @@ def tree_digests() -> list:
     return lines
 
 
+def certify_digests() -> list:
+    from ctbt.convergence import (PreparesGraph, certify, check_acyclic, longest_chain,
+                                  reachable_sets)
+    from ctbt.core import Status
+    from ctbt.executor import Event, FailedRun, Sample, Trajectory
+
+    def run(path, switches=(), status="S"):
+        """A run through the leaves of path, one sample a second, ending in
+        status, with a Switch event for each (t, from, to) of switches."""
+        samples = [Sample(float(k), (0.5 * k,), leaf, Status.RUNNING)
+                   for k, leaf in enumerate(path)]
+        samples[-1] = samples[-1]._replace(status=Status(status))
+        events = [Event(t, "Switch", (0.0,), {"from": a, "to": b}) for t, a, b in switches]
+        return Trajectory(meta={"model": "toy"}, samples=samples, events=events)
+
+    batches = {
+        "two_cycle": [run([1, 2, 1], [(1.0, 1, 2), (2.0, 2, 1)]),
+                      run([2, 2, 1], [(2.0, 2, 1)])],
+        "lambda_violation": [run([1, 1, 2], [(2.0, 1, 2)]),
+                             run([2, 1, 1, 2], [(3.0, 1, 2)]),  # 2 -> 1 with no switch
+                             run([1, 1], status="F")],
+        "failed_run": [run([3, 3, 4], [(2.0, 3, 4)]),
+                       FailedRun(1, (float("nan"),), "NonFiniteState", "diverged")],
+    }
+    rows = []
+    for name, (nodes, edges) in CERTIFY_GRAPHS.items():
+        graph = PreparesGraph(nodes=nodes, edges={e: 1 for e in edges}, terminal_counts={})
+        try:
+            chain = longest_chain(graph, {n: 0.25 * n + 1.0 for n in nodes})
+        except ValueError as err:
+            chain = (type(err).__name__, str(err))
+        reach = sorted((n, sorted(r)) for n, r in reachable_sets(graph).items())
+        rows.append(repr((name, check_acyclic(graph), reach, chain)))
+    rows += [f"{name}\n{certify(runs).to_json()}" for name, runs in batches.items()]
+    return [(sha("\n".join(rows)), "certify/graphs")]
+
+
 def demo_digests(root: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
@@ -711,7 +769,7 @@ def main(argv=None) -> int:
     lines = (bank_digests(workloads) + batch_digests() + grid_digests()
              + region_digests(workloads) + impure_digests() + cli_digests()
              + boundary_digests() + slide_digests() + demo_digests(root) + lex_digests()
-             + parse_digests() + lower_digests() + tree_digests())
+             + parse_digests() + lower_digests() + tree_digests() + certify_digests())
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
