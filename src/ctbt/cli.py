@@ -70,7 +70,10 @@ def _parse_box(text, state_dim: int) -> list:
     if len(box) != state_dim:
         raise CliError(f"--box has {len(box)} intervals "
                        f"but the model's state dimension is {state_dim}")
-    return box
+    try:
+        return regions._finite_box(box)  # the samplers' own check, before they run
+    except ValueError as err:
+        raise CliError(str(err)) from None
 
 
 def _parse_exclude(text: str, state_dim: int) -> tuple:

@@ -284,10 +284,27 @@ def tokenize(source: str) -> list:
 
 # --------------------------------------------------------------------- parser
 
+# Nesting levels an expression may have: lowering and formatting walk it
+# recursively, about one Python frame per level, under Python's default
+# recursion limit of 1000.  The parser stops at the first node it builds
+# higher than that (a number, variable or status literal is 1 high).
+_MAX_DEPTH = 900
+
+
+def _within_depth(height: int, pos) -> int:
+    """The height of a node just built at pos, unless it passes _MAX_DEPTH."""
+    if height > _MAX_DEPTH:
+        raise ModelTypeError(f"expression nests more than {_MAX_DEPTH} levels deep", *pos)
+    return height
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.height = 0  # of the expression read last
+        self.reads: dict = {}  # position of a plant target or leaf name -> the Vars it reads
+        self.reading: list = []  # where expr() records each Var it builds
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -377,7 +394,7 @@ class _Parser:
             plant=tuple(plant_entries),
             nodes=tuple(nodes),
             root=root.text,
-        ), root_pos=root.pos, plant_pos=plant_tok.pos, positions=seen)
+        ), root_pos=root.pos, plant_pos=plant_tok.pos, positions=seen, reads=self.reads)
 
     def const_decl(self, seen):
         self.advance()
@@ -415,6 +432,7 @@ class _Parser:
         while not self.at("OP", "}"):
             target = self.expect("IDENT")
             self.expect("OP", "=")
+            self.reading = self.reads[target.pos] = []
             expr = self.expr()
             self.expect("OP", ";")
             entries.append((target, expr))
@@ -426,6 +444,7 @@ class _Parser:
     def leaf_decl(self, seen):
         self.advance()
         name = self.name_token(seen, "leaf")
+        self.reading = self.reads[name.pos] = []
         self.expect("OP", "{")
         self.expect("KEYWORD", "u")
         self.expect("OP", "=")
@@ -475,7 +494,7 @@ class _Parser:
         kind, pos = tok.kind, (tok.line, tok.col)
         if kind == "NUMBER":
             self.i += 1
-            left = Num(tok.value, pos=pos)
+            left, height = Num(tok.value, pos=pos), 1
         elif kind == "IDENT":
             self.i += 1
             after = self.tokens[self.i]
@@ -487,15 +506,18 @@ class _Parser:
                         f"{tok.text} expects {FUNCTIONS[tok.text]} argument(s), "
                         f"got {len(args)}", *pos)
                 left = Call(tok.text, tuple(args), pos=pos)
+                height = _within_depth(self.height + 1, pos)
             else:
-                left = Var(tok.text, pos=pos)
+                left, height = Var(tok.text, pos=pos), 1
+                self.reading.append(left)
         elif kind == "OP" and tok.text == "(":
             self.i += 1
-            left = self.expr()
+            left, height = self.expr(), self.height
             self.expect("OP", ")")
         elif kind == "OP" and tok.text == "-":
             self.i += 1
             left = Neg(self.expr(_UNARY), pos=pos)
+            height = _within_depth(self.height + 1, pos)
         elif kind == "KEYWORD" and tok.text in ("R", "S", "F"):
             raise ModelTypeError(f"status literal {tok.text!r} used in a real expression", *pos)
         elif kind == "KEYWORD" and tok.text == "if":
@@ -507,41 +529,49 @@ class _Parser:
             self.i += 1
             left = Binary(tok.text, left, self.expr(_BINDING[tok.text] + 1),
                           pos=(tok.line, tok.col))
+            height = _within_depth(max(height, self.height) + 1, left.pos)
             tok = self.tokens[self.i]
+        self.height = height
         return left
 
     def items(self, read: Callable, close: str) -> list:
-        """What read() returns for each item of a comma list, up to close."""
-        found = [read()]
+        """What read() returns for each item of a comma list, up to close;
+        self.height is then the highest of the expressions read."""
+        found, height = [read()], self.height
         while self.at("OP", ","):
             self.i += 1
             found.append(read())
+            height = max(height, self.height)
         self.expect("OP", close)
+        self.height = height
         return found
 
     def predicate(self) -> Compare:
         left = self.expr()
-        tok = self.peek()
+        height, tok = self.height, self.peek()
         if not (tok.kind == "OP" and tok.text in COMPARATORS):
             raise ModelTypeError(
                 "expected a comparison between real expressions",
                 tok.line, tok.col)
         self.advance()
         right = self.expr()
+        self.height = _within_depth(max(height, self.height) + 1, tok.pos)
         return Compare(tok.text, left, right, pos=tok.pos)
 
     def status_expr(self) -> StatusExpr:
         tok = self.peek()
         if tok.kind == "KEYWORD" and tok.text in ("R", "S", "F"):
             self.advance()
+            self.height = 1
             return StatusLit(Status(tok.text), pos=tok.pos)
         if tok.kind == "KEYWORD" and tok.text == "if":
             self.advance()
-            cond = self.predicate()
+            cond, height = self.predicate(), self.height
             self.expect("KEYWORD", "then")
-            then = self.status_expr()
+            then, height = self.status_expr(), max(height, self.height)
             self.expect("KEYWORD", "else")
             els = self.status_expr()
+            self.height = _within_depth(max(height, self.height) + 1, tok.pos)
             return IfStatus(cond, then, els, pos=tok.pos)
         raise ModelTypeError(
             f"expected a status expression (R, S, F or if-then-else), "
@@ -559,7 +589,7 @@ def parse(source: str) -> ModelFile:
 
 # ------------------------------------------------------- semantic validation
 
-def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
+def _validate(m: ModelFile, root_pos, plant_pos, positions, reads) -> ModelFile:
     state_vars = {f"x{k}": k for k in range(m.state_dim)}
     control_vars = {f"u{k}": k for k in range(m.control_dim)}
     # positions holds every declared constant and node name, each once
@@ -569,31 +599,35 @@ def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
     consts = dict(m.constants)
     decls = {d.name: d for d in m.nodes}
 
+    def check_reads(at, in_plant: bool) -> None:  # in source order, as the parser read them
+        for var in reads[at]:
+            if var.name in control_vars and not in_plant:
+                raise UndeclaredIdentifier(f"control variable {var.name!r} is only "
+                                           "available in plant equations", *var.pos)
+            if not (var.name in state_vars or var.name in control_vars or var.name in consts):
+                raise UndeclaredIdentifier(f"undeclared identifier {var.name!r}", *var.pos)
+
     # plant: exactly one derivative per state variable, d-prefixed targets
-    seen_targets = {}
-    plant_entries = []
+    plant = {}  # state variable -> its derivative
     for target, expr in m.plant:
         if not target.text.startswith("d") or target.text[1:] not in state_vars:
             raise UndeclaredIdentifier(
                 f"plant target {target.text!r} is not d<state var>",
                 target.line, target.col)
         var = target.text[1:]
-        if var in seen_targets:
+        if var in plant:
             raise DuplicateDefinition(
                 f"derivative of {var!r} defined twice", target.line, target.col)
-        seen_targets[var] = (target, expr)
-        _check_expr(expr, state_vars, control_vars, consts, allow_control=True)
-        plant_entries.append((var, expr))
+        check_reads(target.pos, in_plant=True)
+        plant[var] = expr
     for var in state_vars:
-        if var not in seen_targets:
+        if var not in plant:
             raise ParseError(f"plant never defines d{var}", *plant_pos)
-    plant_entries.sort(key=lambda pair: state_vars[pair[0]])
 
     # leaves and composites
     for d in m.nodes:
         if isinstance(d, LeafDecl):
-            for e in (*d.controls, d.status):
-                _check_expr(e, state_vars, control_vars, consts, allow_control=False)
+            check_reads(d.pos, in_plant=False)
         else:
             for child, pos in zip(d.children, d.child_positions):
                 if child not in decls:
@@ -614,44 +648,8 @@ def _validate(m: ModelFile, root_pos, plant_pos, positions) -> ModelFile:
 
     return ModelFile(
         name=m.name, state_dim=m.state_dim, control_dim=m.control_dim,
-        constants=m.constants, plant=tuple(plant_entries), nodes=m.nodes,
-        root=m.root)
-
-
-# Nesting levels an expression may have: lowering and formatting walk it
-# recursively, about one Python frame per level, under Python's default
-# recursion limit of 1000.
-_MAX_DEPTH = 900
-
-
-def _check_expr(e, sx, su, consts, allow_control: bool) -> None:
-    """Check the names of a real or status expression and cap its nesting.
-
-    Walks an explicit stack in source order, so it cannot overflow itself."""
-    stack = [(e, 1)]
-    while stack:
-        e, depth = stack.pop()
-        if depth > _MAX_DEPTH:
-            raise ModelTypeError(
-                f"expression nests more than {_MAX_DEPTH} levels deep", *e.pos)
-        kids, kind = (), type(e)
-        if kind is Var:
-            if e.name in su and not allow_control:
-                raise UndeclaredIdentifier(
-                    f"control variable {e.name!r} is only available in plant "
-                    "equations", *e.pos)
-            if not (e.name in sx or e.name in su or e.name in consts):
-                raise UndeclaredIdentifier(f"undeclared identifier {e.name!r}", *e.pos)
-        elif kind is Binary or kind is Compare:
-            kids = (e.right, e.left)
-        elif kind is Neg:
-            kids = (e.operand,)
-        elif kind is Call:
-            kids = e.args[::-1]
-        elif kind is IfStatus:
-            kids = (e.els, e.then, e.cond)
-        for k in kids:  # last to first, so that they pop in source order
-            stack.append((k, depth + 1))
+        constants=m.constants, plant=tuple((var, plant[var]) for var in state_vars),
+        nodes=m.nodes, root=m.root)
 
 
 # ---------------------------------------------------- evaluation and folding
@@ -772,6 +770,15 @@ def fold_constants(e, consts: Mapping):
             return e
         return IfStatus(cond, then, els, pos=e.pos)
     raise ModelTypeError(f"cannot fold {e!r}")
+
+
+def _folded(e, consts: Mapping):
+    """fold_constants(e, consts), with the error _FunctionSource.top gives
+    an expression too deep to walk."""
+    try:
+        return fold_constants(e, consts)
+    except RecursionError:
+        raise ModelTypeError("expression nests too deeply to compile", *e.pos) from None
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
@@ -1379,7 +1386,7 @@ def lower(m: ModelFile) -> LoweredModel:
     su = {f"u{k}": k for k in range(m.control_dim)}
     decls = {d.name: d for d in m.nodes}
 
-    field_exprs = [fold_constants(e, consts) for _, e in m.plant]
+    field_exprs = [_folded(e, consts) for _, e in m.plant]
     plant_field = _tuple_function("field", "x, u", field_exprs, sx, su)
     steps = _ClosedLoopSteps(plant_field, field_exprs, sx, su)
     plant = Plant(m.state_dim, m.control_dim, plant_field, steps)
@@ -1395,10 +1402,10 @@ def lower(m: ModelFile) -> LoweredModel:
                 raise _ControlCountMismatch(
                     f"leaf {decl.name!r} defines {len(decl.controls)} control "
                     f"component(s), model declares {m.control_dim}", *decl.pos)
-            controls = [fold_constants(e, consts) for e in decl.controls]
+            controls = [_folded(e, consts) for e in decl.controls]
             controller = _tuple_function("controller", "x", controls, sx, {})
             steps.controls[controller] = controls
-            status = fold_constants(decl.status, consts)
+            status = _folded(decl.status, consts)
             metadata = _status_function(status, sx)
             behavior = LeafBehavior(
                 controller=controller, metadata=metadata, label=decl.name,
@@ -1498,7 +1505,10 @@ def format_expr(e, parent_prec: int = _COND) -> str:
         text = f"{left} {e.op} {right}"
         return f"({text})" if parent_prec > prec else text
     if isinstance(e, Call):
-        return f"{e.func}({', '.join(format_expr(a) for a in e.args)})"
+        args = []
+        for a in e.args:  # a loop, not a generator: one frame per nesting level
+            args.append(format_expr(a))
+        return f"{e.func}({', '.join(args)})"
     raise ModelTypeError(f"cannot format {e!r}")
 
 

@@ -44,8 +44,9 @@ g = 0, and returns the state, or None when the coefficient lets go: the
 plant's generated slide step for a lowered pair, else _guarded_slide.
 With no separating guard the step is the cloud route's, _cloud_slide: the
 normal comes from the recent crossing points (SVD; the field difference
-while they are degenerate) and the pull-back bisects along it; only this
-route and the boundary tools at the end call numpy.  Each route's step
+while they are degenerate) and the pull-back bisects along it.  Numpy is
+called only by this route, by batch_integrate to read the start of a
+failed run, and by the boundary tools at the end.  Each route's step
 captures only its inputs, never the run, so a run is freed without the
 cycle collector.  `run` steps a bound slide in a slide stretch, as it
 steps regular mode, and walks each landed state once.  The stretch ends when the step returns None (the slide exits at

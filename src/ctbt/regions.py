@@ -409,11 +409,14 @@ def region_csv(bt: BehaviorTree, points) -> str:
 
 
 def _finite_box(box: Seq) -> list:
-    """box as [(lo, hi), ...] floats; a non-finite bound is a ValueError."""
+    """box as [(lo, hi), ...] floats; a non-finite bound, or a width hi - lo
+    past the float range, is a ValueError."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     for axis, bounds in enumerate(box):
         if not all(map(math.isfinite, bounds)):
             raise ValueError(f"box axis {axis} has a non-finite bound: {bounds!r}")
+        if not math.isfinite(bounds[1] - bounds[0]):
+            raise ValueError(f"box axis {axis} is wider than the float range: {bounds!r}")
     return box
 
 

@@ -228,8 +228,15 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
      "--exclude center has 1 components but the model's state dimension is 2"),
     (["certify", "pendulum.btm", "--exclude", "0,0:0"],
      "--exclude radius must be positive"),
+    (["check-partition", "thermostat", "--seed", "1", "--samples", "3", "--box=-1e308:1e308"],
+     "box axis 0 is wider than the float range: (-1e+308, 1e+308)"),
+    (["regions", "thermostat", "--box=-1e308:1e308", "--grid", "3"],
+     "box axis 0 is wider than the float range: (-1e+308, 1e+308)"),
+    (["certify", "thermostat", "--inits", "random", "--seed", "1", "--box=-1e308:1e308"],
+     "box axis 0 is wider than the float range: (-1e+308, 1e+308)"),
 ], ids=["box-three-bounds", "box-reversed", "exclude-no-radius",
-        "exclude-short-center", "exclude-zero-radius"])
+        "exclude-short-center", "exclude-zero-radius", "partition-box-too-wide",
+        "regions-box-too-wide", "certify-box-too-wide"])
 def test_malformed_box_and_exclude_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

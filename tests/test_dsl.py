@@ -341,6 +341,47 @@ def test_names_colliding_with_model_variables(decl, col):
     assert (e.value.line, e.value.col) == (6, col)
 
 
+@pytest.mark.parametrize("status, name, message", [
+    ("if x0 + ghost > 1.0 then S else R", "ghost", "undeclared identifier 'ghost'"),
+    ("if x0 > 1.0 then S else if u0 < 0.0 then F else R", "u0",
+     "control variable 'u0' is only available in plant equations"),
+], ids=["undeclared", "control"])
+def test_names_read_in_a_status_are_reported_where_they_are_read(status, name, message):
+    src = MINI.replace("if x0 >= 1.0 then S else R", status)
+    with pytest.raises(UndeclaredIdentifier) as e:
+        dsl.parse(src)
+    col = src.splitlines()[4].index(name) + 1
+    assert str(e.value) == f"{message} at line 5, column {col}"
+    assert (e.value.line, e.value.col) == (5, col)
+
+
+_TWO_HEAD = 'model "m" {\n  state 1;\n  control 1;\n'
+_LEAF_ROOT = '  leaf a { u = [0.0]; status = R; }\n  root = a;\n}'
+_GHOST_LEAF = '  leaf a { u = [x0 * ghost]; status = R; }\n'
+_UNKNOWN_CHILD = '  seq s = [a, nowhere];\n'
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    (_TWO_HEAD + '  plant { dx0 = x0 + ghost; dq = 0.0; }\n' + _LEAF_ROOT,
+     "undeclared identifier 'ghost'", 4, 22),
+    (_TWO_HEAD + '  plant { dq = 0.0; dx0 = x0 + ghost; }\n' + _LEAF_ROOT,
+     "plant target 'dq' is not d<state var>", 4, 11),
+    (_TWO_HEAD + '  plant { dx0 = 0.0; }\n' + _GHOST_LEAF + _UNKNOWN_CHILD + '  root = s;\n}',
+     "undeclared identifier 'ghost'", 5, 22),
+    (_TWO_HEAD + '  plant { dx0 = 0.0; }\n' + _UNKNOWN_CHILD + _GHOST_LEAF + '  root = s;\n}',
+     "unknown node 'nowhere'", 5, 15),
+], ids=["name-then-target", "target-then-name", "leaf-then-composite",
+        "composite-then-leaf"])
+def test_of_two_errors_in_different_declarations_the_first_checked_is_reported(
+        source, message, line, col):
+    """The plant's equations are checked in order, each target before the
+    names it reads, then the leaves and composites in declaration order."""
+    with pytest.raises(UndeclaredIdentifier) as e:
+        dsl.parse(source)
+    assert str(e.value) == f"{message} at line {line}, column {col}"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_root_names_unknown_node():
     src = MINI.replace("root = go;", "root = nope;")
     with pytest.raises(UndeclaredIdentifier):
@@ -1375,6 +1416,46 @@ def test_too_deep_models_are_positioned_model_errors(name):
     with pytest.raises(ModelTypeError, match="nests") as e:
         dsl.parse(_deep(DEEP_BAD[name]))
     assert e.value.line == 5 and e.value.col > 1
+
+
+def test_depth_error_names_the_first_node_past_the_cap_before_later_errors():
+    """The parser gives each node its height as it builds it, and a chain
+    folds left, so its k-th '+' is k + 1 levels high: the 900th '+' is the
+    first node past the 900-level cap.  The error is raised there, before
+    the missing ';' after the root further down."""
+    chain = " + ".join(["x0"] * 1200)
+    text = _deep(chain).replace("root = go;", "root = go")
+    with pytest.raises(ModelTypeError) as e:
+        dsl.parse(text)
+    col = 4516  # the '+' after term 900 of the chain, which starts at column 18
+    assert text.splitlines()[4][:col].count("+") == 900
+    assert str(e.value) == f"expression nests more than 900 levels deep at line 5, column {col}"
+
+
+def test_calls_nested_as_deep_as_parse_reads_format_and_parse_back():
+    """format_expr takes one frame per nesting level, as the parser's
+    descent does, so format_model formats every model parse accepts."""
+    nested = "sin(" * 450 + "x0" + ")" * 450
+    text = dsl.format_model(dsl.parse(_deep(nested)))
+    assert nested in text
+    assert dsl.format_model(dsl.parse(text)) == text
+
+
+def test_lowering_from_deep_in_the_stack_is_never_a_bare_recursion_error():
+    """Constant folding recurses once per level too; where it runs out of
+    stack, lower raises the positioned error code generation raises."""
+    model = dsl.parse(_deep(" + ".join(["x0"] * 900)))
+
+    def lower_at(depth):
+        return dsl.lower(model) if depth == 0 else lower_at(depth - 1)
+
+    try:
+        lowered = lower_at(150)
+    except ModelTypeError as e:
+        assert str(e).startswith("expression nests too deeply to compile at line 5, column ")
+        assert e.line == 5
+    else:
+        assert lowered.bt.behavior(0).controller((0.5,)) == (450.0,)
 
 
 def test_deep_division_chain_is_a_positioned_model_error():

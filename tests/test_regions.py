@@ -389,6 +389,20 @@ def test_samplers_reject_non_finite_bounds(sample, box, axis):
         sample(box)
 
 
+@pytest.mark.parametrize("sample", [
+    lambda box: uniform_points(box, 3, seed=0),
+    lambda box: grid_points(box, 3),
+], ids=["uniform", "grid"])
+def test_samplers_reject_a_box_wider_than_the_float_range(sample):
+    """hi - lo of finite bounds can overflow; such an axis is named, where
+    the samplers would make inf and NaN points with a numpy warning."""
+    with pytest.raises(ValueError) as e:
+        sample([(0.0, 1.0), (-1e308, 1e308)])
+    assert str(e.value) == "box axis 1 is wider than the float range: (-1e+308, 1e+308)"
+    inside = sample([(-8e307, 8e307)])  # a width of 1.6e308 is in range
+    assert ((-8e307 <= inside) & (inside <= 8e307)).all()
+
+
 # ---------------------------------------------------------------------------
 # The region route against a per-point reference.  The reference applies
 # the paper's definitions literally, one point and one node at a time: a

@@ -93,9 +93,16 @@ one per output:
   one parses;
 - parse/dimensions: the same for DIMENSION_CASES, models that declare a
   state or control dimension of 1e6, more than their text can define;
+- parse/random: for each of RANDOM_MODELS models made by one to three
+  seeded token edits (replace a word or number, delete a token, or insert
+  an item of RANDOM_EDITS) of a bundled model or of one of the first
+  region_audit bank trees, `format_model` of the parsed model, or the
+  type, text, line and column of the error `dsl.parse` raises; no edit
+  nests an expression near the 900-level cap, so every parser that checks
+  the same rules prints the same line;
 - parse/deep/<name>: for each expression of DEEP_CASES, nested near the
-  parser's and the validator's limits, `format_model` of a model holding
-  it, or the type, text and line of the error `dsl.parse` raises, without
+  parser's recursion limit and the 900-level cap, `format_model` of a
+  model holding it, or the type, text and line of the error `dsl.parse` raises, without
   the column, which for a recursion-limit error depends on the caller's
   stack;
 - lower/too_complex: the type, text, line and column of the error that
@@ -129,6 +136,8 @@ import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -208,6 +217,36 @@ PARSE_ERROR_CASES = [
     _HEAD + _PLANT + '  leaf a { u = [if x0 > 0.0 then S else R]; status = R; }\n' + _ROOT,
     _HEAD + '  plant { dx0 = ; }\n' + _LEAF + _ROOT,  # no expression
 ]
+
+
+# what a random edit may put in a word's place or before a token: names,
+# some undeclared, a control (undeclared in a leaf), node names, numbers,
+# status literals, keywords, brackets, operators and calls
+RANDOM_EDITS = (
+    "ghost", "x9", "u0", "u1", "x0", "x1", "T", "l0", "l1", "heater_on", "sin", "2.5",
+    "0.0", "R", "S", "F", "if", "then", "else", "const", "leaf", "seq", "fal", "root",
+    "status", "u", "(", ")", "[", "]", "{", "}", ";", ",", "=", "+", "-", "*", "/", "<",
+    ">=", "sin(", "sat(",
+)
+RANDOM_MODELS = 2000
+RANDOM_BANK_TREES = 4  # the first trees of the region_audit bank, 3 leaves each
+# a token of the models edited: a string, a number, a word, or one character
+_EDIT_TOKEN = re.compile(r'"[^"\n]*"|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|\w+|<=|>=|\S')
+
+
+def random_models(bases: list) -> list:
+    """RANDOM_MODELS texts, the k-th made from bases[k % len(bases)] by one
+    edit, or by two or three, each drawn by random.Random(k)."""
+    texts = []
+    for k in range(RANDOM_MODELS):
+        rng, text = random.Random(k), bases[k % len(bases)]
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            op, item = rng.randrange(3), rng.choice(RANDOM_EDITS)
+            tok = rng.choice([t for t in _EDIT_TOKEN.finditer(text) if op or t[0][0].isalnum()])
+            new = (item, "", f"{item} {tok[0]}")[op]  # replace a word, delete, insert
+            text = text[:tok.start()] + new + text[tok.end():]
+        texts.append(text)
+    return texts
 
 
 # a dimension the file cannot define, as in tests/test_dsl.py BAD there at 1e9;
@@ -671,6 +710,22 @@ def parse_digests() -> list:
     return lines
 
 
+def random_parse_digests(workloads) -> list:
+    from ctbt import dsl
+
+    bank = workloads.WORKLOADS["region_audit"].bank()
+    bases = [path.read_text(encoding="utf-8")
+             for path in sorted(dsl.bundled_model_dir().glob("*.btm"))]
+    bases += [text for text, _ in list(bank.values())[:RANDOM_BANK_TREES]]
+    rows = []
+    for source in random_models(bases):
+        try:
+            rows.append(dsl.format_model(dsl.parse(source)))
+        except dsl.ModelError as err:
+            rows.append(repr((type(err).__name__, str(err), err.line, err.col)))
+    return [(sha("\n".join(rows)), "parse/random")]
+
+
 def lower_digests() -> list:
     from ctbt import dsl
 
@@ -769,7 +824,8 @@ def main(argv=None) -> int:
     lines = (bank_digests(workloads) + batch_digests() + grid_digests()
              + region_digests(workloads) + impure_digests() + cli_digests()
              + boundary_digests() + slide_digests() + demo_digests(root) + lex_digests()
-             + parse_digests() + lower_digests() + tree_digests() + certify_digests())
+             + parse_digests() + random_parse_digests(workloads) + lower_digests()
+             + tree_digests() + certify_digests())
     for digest, name in lines:
         print(f"{digest}  {name}")
     return 0
