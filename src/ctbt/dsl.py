@@ -28,7 +28,9 @@ offending token.
 lower() folds constants and compiles the plant field, each leaf controller
 and each leaf status to one flat generated Python function (see "code
 generation" below), each distinct source compiled once per process;
-evaluate_expr is the reference interpreter they match bit for bit.  Every
+evaluate_expr is the reference interpreter they match bit for bit.  A
+subexpression 32 levels down (_SPILL) becomes a call of a helper function
+generated for it, so every expression parse() accepts compiles.  Every
 comparison left op right in a leaf status becomes a guard,
 g = left - right with its gradient from derivative(), compiled when a
 slide first reads it and kept in LeafBehavior.guards.  Each leaf also gets
@@ -47,7 +49,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate
 from pathlib import Path
 from types import FunctionType
 from typing import Callable, Mapping, NamedTuple, Union
@@ -284,10 +285,12 @@ def tokenize(source: str) -> list:
 
 # --------------------------------------------------------------------- parser
 
-# Nesting levels an expression may have: lowering and formatting walk it
-# recursively, about one Python frame per level, under Python's default
-# recursion limit of 1000.  The parser stops at the first node it builds
-# higher than that (a number, variable or status literal is 1 high).
+# Nesting levels an expression may have, the one cap on them: constant
+# folding, derivative and formatting walk a chain of binary operators in a
+# loop and any other nesting recursively, about one Python frame per level,
+# under Python's default recursion limit of 1000; code generation nests at
+# most _SPILL levels.  The parser stops at the first node it builds higher
+# than that (a number, variable or status literal is 1 high).
 _MAX_DEPTH = 900
 
 
@@ -731,16 +734,23 @@ def fold_constants(e, consts: Mapping):
         if e.name in consts:
             return Num(float(consts[e.name]), pos=e.pos)
         return e
-    if kind is Binary:
-        left = fold_constants(e.left, consts)
-        right = fold_constants(e.right, consts)
-        if type(left) is Num and type(right) is Num:
-            if e.op == "/" and right.value == 0.0:
-                raise DivisionByZero("division by zero in constant expression", *e.pos)
-            return Num(evaluate_expr(Binary(e.op, left, right, pos=e.pos), {}), pos=e.pos)
-        if left is e.left and right is e.right:
-            return e
-        return Binary(e.op, left, right, pos=e.pos)
+    if kind is Binary:  # a chain folds left, as the parser builds it: its spine in a loop
+        spine = []
+        while type(e) is Binary:
+            spine.append(e)
+            e = e.left
+        left = fold_constants(e, consts)
+        for e in reversed(spine):
+            right = fold_constants(e.right, consts)
+            if type(left) is Num and type(right) is Num:
+                if e.op == "/" and right.value == 0.0:
+                    raise DivisionByZero("division by zero in constant expression", *e.pos)
+                left = Num(evaluate_expr(Binary(e.op, left, right, pos=e.pos), {}), pos=e.pos)
+            elif left is not e.left or right is not e.right:
+                left = Binary(e.op, left, right, pos=e.pos)
+            else:
+                left = e
+        return left
     if kind is Neg:
         inner = fold_constants(e.operand, consts)
         if type(inner) is Num:
@@ -773,8 +783,8 @@ def fold_constants(e, consts: Mapping):
 
 
 def _folded(e, consts: Mapping):
-    """fold_constants(e, consts), with the error _FunctionSource.top gives
-    an expression too deep to walk."""
+    """fold_constants(e, consts), with a positioned error where the
+    caller's stack is too deep to walk e."""
     try:
         return fold_constants(e, consts)
     except RecursionError:
@@ -824,18 +834,26 @@ def derivative(e, var: str):
         return _ONE if e.name == var else _ZERO
     if isinstance(e, Neg):
         return _negate(derivative(e.operand, var), e.pos)
+    if isinstance(e, Binary):  # a chain folds left: its spine in a loop
+        spine = []
+        while isinstance(e, Binary):
+            spine.append(e)
+            e = e.left
+        da = derivative(e, var)
+        for e in reversed(spine):
+            a, b, pos = e.left, e.right, e.pos
+            db = derivative(b, var)
+            if e.op in "+-":
+                da = _arith(e.op, da, db, pos)
+            elif e.op == "*":
+                da = _arith("+", _arith("*", da, b, pos), _arith("*", a, db, pos), pos)
+            elif _is(db, 0.0):
+                da = _arith("/", da, b, pos)
+            else:
+                da = _arith("/", _arith("-", _arith("*", da, b, pos), _arith("*", a, db, pos),
+                                        pos), _arith("*", b, b, pos), pos)
+        return da
     pos = e.pos
-    if isinstance(e, Binary):
-        a, b = e.left, e.right
-        da, db = derivative(a, var), derivative(b, var)
-        if e.op in "+-":
-            return _arith(e.op, da, db, pos)
-        if e.op == "*":
-            return _arith("+", _arith("*", da, b, pos), _arith("*", a, db, pos), pos)
-        if _is(db, 0.0):
-            return _arith("/", da, b, pos)
-        return _arith("/", _arith("-", _arith("*", da, b, pos), _arith("*", a, db, pos), pos),
-                      _arith("*", b, b, pos), pos)
     a, da = e.args[0], derivative(e.args[0], var)
     if e.func == "sat":
         dlimit = derivative(e.args[1], var)
@@ -874,6 +892,16 @@ def derivative(e, var: str):
 # within a model and across models: _compiled compiles each distinct source
 # once per process, and each function gets its own copy of the code.
 #
+# Python compiles one expression only so deep.  real() and status() count
+# the levels they have open below the whole expression and emit a node
+# _SPILL levels down as a call _hN(x0.., u0..) of a helper function that
+# returns its value; top() generates the helper next, from a
+# _FunctionSource that shares this one's namespace, constants and helpers,
+# so a helper spills in turn.  The call stands where the node stood: the
+# node runs on the same paths, in the same order, with the same floats and
+# errors.  A helper computes every value it needs; its caller may reuse
+# only the call's.
+#
 # The source text holds only what the generator makes itself: integer
 # indices and positions, operator symbols from the fixed tables below, and
 # names it creates.  Every number (inf, nan and -0.0 included) is bound by
@@ -883,6 +911,7 @@ def derivative(e, var: str):
 # an emitted piece of source binds as _BINDING says its expression does
 _ARITH = {"+": " + ", "-": " - ", "*": " * "}
 _COMPARE_SYMBOLS = {"<": " < ", "<=": " <= ", ">": " > ", ">=": " >= "}
+_SPILL = 32  # levels below a whole expression where a helper function takes over
 _HELPER_NAMES = {"sin": "_sin", "cos": "_cos", "sqrt": "_sqrt", "abs": "_abs", "dsat": "_dsat"}
 
 
@@ -922,7 +951,9 @@ class _FunctionSource:
         self.known: set = set()  # numbers of the values computed on every path to here
         self.reads: list = []  # numbers of the values read from their locals
         self.key = None  # key of the expression real() emitted last
-        self.tops: list = []  # (source, position) of each whole expression
+        self.depth = 0  # levels real and status have open below the whole expression
+        self.spilled: dict = {}  # id of each node a helper computes -> (its name, the node)
+        self.pending: list = []  # (name, node) of each helper not yet generated
         self.source = ""
 
     def helper(self, name: str, value) -> str:
@@ -964,6 +995,10 @@ class _FunctionSource:
             else:
                 raise UnboundIdentifier(f"unbound identifier {e.name!r}", *e.pos)
             return text
+        depth = self.depth
+        if depth == _SPILL:
+            return self.spill(e)
+        self.depth = depth + 1
         mark = len(self.reads)
         if kind is Binary and e.op != "/":
             symbol, strength = _ARITH[e.op], _BINDING[e.op]
@@ -988,7 +1023,28 @@ class _FunctionSource:
             text, strength, key = f"{fn}({', '.join(args)})", _ATOM, tuple(key)
         else:
             raise ModelTypeError(f"cannot compile {e!r} as a real expression")
+        self.depth = depth
         return self.value(key, text if strength >= need else f"({text})", mark)
+
+    def arguments(self, state: str) -> str:
+        """state0.., then the controls u0.. an expression here may read."""
+        return ", ".join([*(f"{state}{k:d}" for k in range(len(self.sx))),
+                          *(f"u{j:d}" for j in range(len(self.su)))])
+
+    def spill(self, e) -> str:
+        """Source of a call of the one helper function for the node e, with
+        the state and controls here; self.key is then the call's."""
+        entry = self.spilled.get(id(e))
+        if entry is None:  # the table holds the node, so its id stays its own
+            entry = self.spilled[id(e)] = (f"_h{len(self.spilled):d}", e)
+            self.pending.append(entry)
+        name = entry[0]
+        self.uses_state = True
+        self.controls_used.update(self.su.values())
+        call = f"{name}({self.arguments(self.state)})"
+        if type(e) is IfStatus:
+            return call
+        return self.value((name, self.state, self.controls_set), call, len(self.reads))
 
     def value(self, key, text: str, mark: int) -> str:
         """text between the markers of key's number, or the local that holds
@@ -1055,6 +1111,10 @@ class _FunctionSource:
         """Source of a folded status expression, parenthesized like real."""
         if type(s) is StatusLit:  # _R, _S or _F
             return self.helper(f"_{s.value.value}", s.value)
+        depth = self.depth
+        if depth == _SPILL:
+            return self.spill(s)
+        self.depth = depth + 1
         c = s.cond
         test = f"{self.real(c.left, _ADD)}{_COMPARE_SYMBOLS[c.op]}{self.real(c.right, _ADD)}"
         # each branch runs only past the test; a literal computes nothing
@@ -1063,19 +1123,24 @@ class _FunctionSource:
         then = self.status(s.then, _ADD)
         self.known = set(known) if type(s.els) is IfStatus else known
         els = self.status(s.els)
-        self.known = known
+        self.known, self.depth = known, depth
         text = f"{then} if {test} else {els}"
         return text if need == _COND else f"({text})"
 
+    def expression(self, e) -> str:
+        """Source of a real or status expression."""
+        return (self.status if isinstance(e, (StatusLit, IfStatus)) else self.real)(e)
+
     def top(self, e) -> str:
-        """Source of one whole real or status expression of the function."""
-        generate = self.status if isinstance(e, (StatusLit, IfStatus)) else self.real
-        try:
-            text = generate(e)
-        except RecursionError:  # a division takes two frames per level
-            raise ModelTypeError(
-                "expression nests too deeply to compile", *e.pos) from None
-        self.tops.append((text, e.pos))
+        """Source of one whole real or status expression of the function,
+        with every helper function it calls bound in the namespace."""
+        text = self.expression(e)
+        while self.pending:
+            name, node = self.pending.pop()
+            h = _FunctionSource(self.sx, self.su)
+            h.ns, h.constants, h.spilled, h.pending = (
+                self.ns, self.constants, self.spilled, self.pending)
+            self.ns[name] = h.function(name, h.arguments("x"), [f"return {h.expression(node)}"])
         return text
 
     def prologue(self) -> list:
@@ -1097,16 +1162,7 @@ class _FunctionSource:
         for end in "\x01\x02":  # what is left is the markers \x01N\x01, \x02N\x02 no read needs
             source = "".join(source.split(end)[::2])
         self.source = source
-        try:
-            code = _compiled(source, name)
-        except (SyntaxError, RecursionError, MemoryError) as err:
-            # Python caps the nesting depth of one expression (200 open
-            # parentheses in the tokenizer, and its parser's stack, which
-            # overflows as a MemoryError); blame the most deeply nested one
-            _, pos = max(self.tops, key=lambda top: max(
-                accumulate((c == "(") - (c == ")") for c in top[0])))
-            raise ModelTypeError(
-                f"a {name} expression nests too deeply to compile", *pos) from err
+        code = _compiled(source, name)
         # a copy per function: functions that share one code object share
         # its inline caches, which thrash over different namespaces
         return FunctionType(code.replace(), self.ns, name)
@@ -1250,13 +1306,15 @@ def _rk4_lines(g: _FunctionSource, derivatives, control_sets, weigh=None) -> tup
     x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).  A value repeated within a stage,
     across the two sets of a blend too, is computed once; none read from
     y0.. or u0.. is reused past a reassignment of those locals."""
-    n = range(len(g.sx))
+    n, su = range(len(g.sx)), g.su
     half, two, six = g.constant(0.5), g.constant(2.0), g.constant(6.0)
     body = [f"{_tuple_items([f'x{i:d}' for i in n])} = x", f"h2 = {half} * h"]
     blend = len(control_sets) == 2
     for stage, along in ((1, "h2"), (2, "h2"), (3, "h"), (4, None)):
         for part, controls in zip(("a", "b") if blend else ("",), control_sets):
+            g.su = {}  # a control expression reads no control, as in the controller
             body += [f"u{j:d} = {g.top(e)}" for j, e in enumerate(controls)]
+            g.su = su
             g.assign("u")
             body += [f"k{part}{stage:d}_{i:d} = {g.top(e)}" for i, e in zip(n, derivatives)]
         if blend:
@@ -1497,13 +1555,17 @@ def format_expr(e, parent_prec: int = _COND) -> str:
         inner = f"-{format_expr(e.operand, _COND if nested else _UNARY)}"
         return f"({inner})" if parent_prec >= _UNARY else inner
     if isinstance(e, Binary):
-        prec = _BINDING[e.op]
-        left = format_expr(e.left, prec)
-        # the right operand binds one level tighter, as in the code
+        # a chain folds left, as the parser builds it: its spine in a loop,
+        # down to the first left operand that binds looser than its parent.
+        # The right operand binds one level tighter, as in the code
         # generator, so a - (b - c) and a + (b + c) keep their grouping
-        right = format_expr(e.right, prec + 1)
-        text = f"{left} {e.op} {right}"
-        return f"({text})" if parent_prec > prec else text
+        rights, node, prec = [], e, _BINDING[e.op]
+        while isinstance(node, Binary) and _BINDING[node.op] >= prec:
+            prec = _BINDING[node.op]
+            rights.append(f" {node.op} {format_expr(node.right, prec + 1)}")
+            node = node.left
+        text = format_expr(node, prec) + "".join(reversed(rights))
+        return f"({text})" if parent_prec > _BINDING[e.op] else text
     if isinstance(e, Call):
         args = []
         for a in e.args:  # a loop, not a generator: one frame per nesting level

@@ -69,12 +69,51 @@ def test_validate_reports_control_count_location(tmp_path, capsys):
                                   pytest.param("1.0 / (" * 250 + "x0" + ")" * 250,
                                                id="250_nested_divisions")])
 def test_validate_reports_deep_nesting_location(tmp_path, capsys, expr):
+    """Nesting past what parse accepts is an error line at its position.
+    250 nested divisions parse, so they validate, and the controller
+    lowered from them evaluates as evaluate_expr does."""
     deep = tmp_path / "deep.btm"
     deep.write_text('model "deep" {\n  state 1;\n  control 1;\n  plant { dx0 = u0; }\n'
                     f'  leaf a {{ u = [{expr}]; status = R; }}\n  root = a;\n}}\n')
     code, out, err = run(capsys, "validate", str(deep))
-    assert code == 1
-    assert err.startswith("error: ") and "line 5" in err and "Traceback" not in err
+    if not expr.startswith("1.0 / ("):
+        assert code == 1
+        assert err.startswith("error: ") and "line 5" in err and "Traceback" not in err
+        return
+    assert code == 0 and json.loads(out)["ok"] is True and err == ""
+    model = dsl.load(deep)
+    (control,) = model.model.nodes[0].controls
+    for x0 in (0.5, -3.0, 0.0):
+        env = {"x0": x0}
+        try:
+            want = (dsl.evaluate_expr(control, env),)
+        except dsl.DivisionByZero as e:
+            want = str(e)
+        try:
+            got = model.bt.behavior(0).controller((x0,))
+        except dsl.DivisionByZero as e:
+            got = str(e)
+        assert got == want
+
+
+def test_a_guard_nested_150_deep_simulates(tmp_path, capsys):
+    """The bundled thermostat with its check written as sin( 150 deep
+    around x0 - T: the guard lowers at the first slide, and the run slides
+    at the setpoint to the end."""
+    text = (dsl.bundled_model_dir() / "thermostat.btm").read_text(encoding="utf-8")
+    check = "status = if x0 > T then S else F;"
+    assert check in text
+    deep = tmp_path / "deep_thermo.btm"
+    deep.write_text(text.replace(
+        check, "status = if " + "sin(" * 150 + "x0 - T" + ")" * 150 + " > 0.0 then S else F;"))
+    assert run(capsys, "validate", str(deep))[0] == 0
+    code, out, err = run(capsys, "simulate", str(deep), "--x0", "20", "--dt", "0.1",
+                         "--t-end", "3")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["samples"][-1]["t"] == 3.0
+    assert "SlideEnter" in [e["kind"] for e in doc["events"]]
+    assert all(s["x"] == [21.0] for s in doc["samples"] if s["t"] >= 1.1)
 
 
 def test_validate_missing_file(capsys):

@@ -105,11 +105,19 @@ one per output:
   model holding it, or the type, text and line of the error `dsl.parse` raises, without
   the column, which for a recursion-limit error depends on the caller's
   stack;
-- lower/too_complex: the type, text, line and column of the error that
-  `dsl.lower` raises on TOO_COMPLEX_CASES, a control and a status of 250
-  nested divisions, whose generated source overflows Python's parser
-  stack, or "ok" when one lowers; an older checkout's bare MemoryError is
-  digested the same way;
+- lower/too_complex: for TOO_COMPLEX_CASES, a control and a status of 250
+  nested divisions, more than Python compiles as one expression, the
+  outcomes of the lowered controller, status and guards at x0 = 0.5, -3.0
+  and 0.0 (as for lower/spill), or the type, text, line and column of the error
+  `dsl.lower` raises; an older checkout's bare MemoryError is digested the
+  same way;
+- lower/spill: for each of SPILL_MODELS seeded random models, whose
+  control and comparison sides nest 30 to 60 levels of sat, sin, cos, abs,
+  sgn, sqrt of abs, division, product and negation, the outcomes of the lowered
+  controller, status and guard at five states: the value, or the type
+  and text of the error; or the type, text, line and column of the error
+  `dsl.lower` raises.  Every checkout compiles them, inline or through
+  helper functions, so they all print the same line;
 - tree/deep/<shape>: for each 2,000-level tree of DEEP_TREES, one leaf
   under one-child seqs (`nested_seqs`) and a leaf at every level of a
   seq/fal chain (`chain`), `check_partition(...).to_dict()` on 50 seeded
@@ -265,6 +273,34 @@ TOO_COMPLEX_CASES = [
     _HEAD + _PLANT + f"  leaf a {{ u = [0.0]; status = if {_NESTED_DIVISION} > 0.0 "
     "then S else R; }\n" + _ROOT,
 ]
+
+SPILL_MODELS = 300
+# a level of a spill model's expression around {0}, the level below, beside {1}
+_SPILL_LEVELS = ("sat({0}, {1})", "sin({0})", "cos({0})", "abs({0})", "sgn({0})", "sqrt(abs({0}))",
+                 "{1} / ({0})", "({0}) / ({1})", "{1} * ({0})", "-({0})")
+_SPILL_TERMS = ("x0", "x1", "0.5", "1.5", "x1 - 0.25")
+SPILL_STATES = [(0.5, -0.25), (-1.0, 0.25), (0.0, 0.0), (2.0, 1.5), (-0.3, -2.0)]
+
+
+def spill_models() -> list:
+    """SPILL_MODELS texts, the k-th drawn by random.Random(k): one leaf
+    whose control and the two sides of whose comparison nest 30 to 60
+    levels each."""
+    texts = []
+    for k in range(SPILL_MODELS):
+        rng = random.Random(k)
+        sides = []
+        for _ in range(3):
+            text = rng.choice(("x0", "x1"))
+            for _ in range(rng.randint(30, 60)):
+                text = rng.choice(_SPILL_LEVELS).format(text, rng.choice(_SPILL_TERMS))
+            sides.append(text)
+        texts.append('model "spill" {\n  state 2;\n  control 1;\n'
+                     '  plant { dx0 = u0; dx1 = 0.0; }\n'
+                     f"  leaf a {{ u = [{sides[0]}]; status = if {sides[1]} > {sides[2]} "
+                     "then S else F; }\n  root = a;\n}\n")
+    return texts
+
 
 # tests/test_dsl.py DEEP_OK and DEEP_BAD: name -> a leaf's control, or its
 # status when it starts with "if"
@@ -726,18 +762,33 @@ def random_parse_digests(workloads) -> list:
     return [(sha("\n".join(rows)), "parse/random")]
 
 
-def lower_digests() -> list:
+def lowered_outcomes(source: str, states) -> str:
+    """The outcome of every leaf's controller, status and guards at each
+    state, or the error lowering raises."""
     from ctbt import dsl
 
-    rows = []
-    for source in TOO_COMPLEX_CASES:
+    def outcome(fn, x):
         try:
-            dsl.lower(dsl.parse(source))
-            rows.append("ok")
-        except (dsl.ModelError, MemoryError) as err:  # an older checkout's is bare
-            rows.append(repr((type(err).__name__, str(err), getattr(err, "line", None),
-                              getattr(err, "col", None))))
-    return [(sha("\n".join(rows)), "lower/too_complex")]
+            return fn(x)
+        except (ValueError, ArithmeticError) as err:
+            return (type(err).__name__, str(err))
+
+    try:
+        model = dsl.lower(dsl.parse(source))
+        behaviors = [model.bt.behavior(i) for i in model.bt.leaf_ids]
+        guards = [list(b.guards) for b in behaviors]
+    except (dsl.ModelError, MemoryError) as err:  # an older checkout's is bare
+        return repr((type(err).__name__, str(err), getattr(err, "line", None),
+                     getattr(err, "col", None)))
+    return repr([(outcome(b.controller, x), outcome(b.metadata, x),
+                  [outcome(g, x) for g in gs])
+                 for b, gs in zip(behaviors, guards) for x in states])
+
+
+def lower_digests() -> list:
+    rows = [lowered_outcomes(source, [(0.5,), (-3.0,), (0.0,)]) for source in TOO_COMPLEX_CASES]
+    spills = [lowered_outcomes(source, SPILL_STATES) for source in spill_models()]
+    return [(sha("\n".join(rows)), "lower/too_complex"), (sha("\n".join(spills)), "lower/spill")]
 
 
 def tree_digests() -> list:
