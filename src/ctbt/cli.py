@@ -173,6 +173,9 @@ def cmd_check_partition(args) -> int:
     box = _parse_box(args.box, model.bt.state_dim)
     pts = regions.uniform_points(box, args.samples, args.seed)
     report = regions.check_partition(model.bt, pts)
+    if args.stats:
+        print("stats: " + " ".join(f"{k}={v}" for k, v in report.stats.items()),
+              file=sys.stderr)
     doc = {
         "model": model.name,
         "box": [list(b) for b in box],
@@ -305,6 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default -1:1 per axis)")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="print the audit's points, leaf status evaluations "
+                        "and delegation walks on stderr")
     p.set_defaults(func=cmd_check_partition)
 
     p = sub.add_parser("certify",

@@ -19,17 +19,18 @@ delegates to at x.
 
 Every region here is a set of sample indices: a Python int whose bit p is
 set when point p of the batch lies in the region.  One function,
-_region_masks, evaluates the leaves' metadata at every point and then
-builds each composite's Running, Success and Failure sets from its
-children's by set algebra, the way the paper defines them; every query,
-down to the one-point composed_status, reads its statuses from there and
-never from core's delegation walk, so the two routes stay independently
-testable.  They share only the tree's layout, which BehaviorTree builds:
-the leaves left to right, the composites in post-order, each node's slice
-of both, its kind and its children.  Influence, pathways and operating
-regions compose one level at a time, so a second function, _node_regions,
-gives every node's from those sets in one walk, parents first, and reads
-no uncle list.
+_region_masks, builds each composite's Running, Success and Failure sets
+from its children's by set algebra, the way the paper defines them, in one
+pass down the tree that hands each node its influence region, the only
+points where its status can reach a composite's sets; a leaf's metadata is
+called there and nowhere else.  Every query, down to the one-point
+composed_status, reads its statuses from there and never from core's
+delegation walk, so the two routes stay independently testable.  They
+share only the tree's layout, which BehaviorTree builds: each node's kind
+and children and the composites in post-order.  Influence, pathways and
+operating regions compose one level at a time, so a second function,
+_node_regions, gives every node's from those sets in one walk, parents
+first, and reads no uncle list.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence as Seq
 
 import numpy as np
@@ -71,85 +71,76 @@ _STATUSES = (Status.RUNNING, Status.SUCCESS, Status.FAILURE)
 # to pass on.  The other index that is not Running is the composite's exit.
 _GATE = {"seq": 1, "fal": 2}
 _EXIT = {"seq": 2, "fal": 1}
-# Leaf statuses are coded by identity as their _STATUSES index, any other
-# value as _MALFORMED; _BITS[k] translates code k to "1", the rest to "0".
-_MALFORMED = 3
-_BITS = tuple(b"0" * k + b"1" + b"0" * (255 - k) for k in range(4))
 
 
-def _region_masks(bt: BehaviorTree, states: list, i: int = 0, walk: bool = False):
-    """Running, Success and Failure masks of every node in i's subtree.
+def _region_masks(bt: BehaviorTree, states: list, i: int = 0) -> tuple:
+    """(masks, evals): the Running, Success and Failure masks of every node
+    and the number of leaf statuses evaluated.
 
-    Returns (masks, walks): masks[j] = [running, success, failure] for each
-    node j of the subtree (None elsewhere), bit p set when states[p] lies
-    in that region of j; walks[p] = bt.resolve(states[p]) when walk is set,
-    else walks is empty.
+    masks[j] = [running, success, failure], bit p set when states[p] lies
+    in that region of j; a node outside i's subtree, or that no point
+    reaches, has three empty masks.
 
-    Metadata is called point by point: the subtree's leaves left to right,
-    then the delegation walk if asked.  Only then is the algebra applied,
-    composites in post-order: for each child in turn, the child's Running
-    region and its exit region (Failure under a Sequence, Success under a
-    Fallback) within the points that passed every earlier child's gate
-    join the composite's, and the passed set shrinks to the child's gate
-    region; what passes every child is the composite's gate region.
-    Exactly one of the three regions must hold, so a consulted child status
-    that is not a Status raises AssertionError.  When several points have
-    one, the error names the lowest-index such point and, at it, the first
-    composite in post-order, as composed_status at that point alone would.
+    One pass down i's subtree on an explicit stack: each composite hands
+    each child in turn the points that passed its earlier children's gates
+    (Success under a Sequence, Failure under a Fallback), the child's
+    influence region within the subtree, and folds the child's masks into
+    its own: the child's Running region and its exit region (Failure under
+    a Sequence, Success under a Fallback) join the composite's, and the
+    passed set shrinks to the child's gate region; what passes every child
+    is the composite's gate region.  A leaf's metadata is called only on
+    the points handed to it, in ascending order, so the leaves are called
+    in tree order and never where no composite would consult them.
+    Exactly one of the three regions must hold, so a leaf status that is
+    not a Status raises AssertionError.  At one point only one such status
+    can be reached, for no point passes it; when several points have one,
+    the error names the lowest-index point and the leaf's parent, as
+    composed_status at that point alone would.
     """
-    kinds, children = bt.kinds, bt.tree.children
-    first, stop, cfirst, cstop = bt._spans[i]
-    leaves = bt._rows[first:stop]
-    metadata = [row[0] for row in leaves]
-    rows, walks = [], []
-    for x in states:
-        rows.append([m(x) for m in metadata])
-        if walk:
-            walks.append(bt.resolve(x))
-    n, full = len(states), (1 << len(states)) - 1
+    kinds, children, nodes = bt.kinds, bt.tree.children, bt.nodes
     run, succ, fail = _STATUSES
-    masks = [None] * len(bt.nodes)
-    malformed = {}  # leaf id -> points where its status is not a Status
-    codes = bytes([0 if v is run else 1 if v is succ else 2 if v is fail else _MALFORMED
-                   for v in chain.from_iterable(zip(*rows))])[::-1]
-    run_plane = int(codes.translate(_BITS[0]), 2)
-    succ_plane = int(codes.translate(_BITS[1]), 2)
-    fail_plane = int(codes.translate(_BITS[2]), 2)
-    bad_plane = int(codes.translate(_BITS[_MALFORMED]), 2) if _MALFORMED in codes else 0
-    for k, (_, _, _, leaf) in enumerate(leaves):
-        shift = k * n
-        masks[leaf] = [run_plane >> shift & full, succ_plane >> shift & full,
-                       fail_plane >> shift & full]
-        if bad_plane >> shift & full:
-            malformed[leaf] = bad_plane >> shift & full
-    error = None  # (point, composite, child) of the first malformed status consulted
-    for j in bt._composites[cfirst:cstop]:
-        gate, exit_ = _GATE[kinds[j]], _EXIT[kinds[j]]
-        passed, running, exits = full, 0, 0
-        for c in children[j]:
-            hit = malformed.get(c, 0) & passed if malformed else 0
-            if hit:
-                p = (hit & -hit).bit_length() - 1  # its lowest point
-                if error is None or p < error[0]:
-                    error = (p, j, c)
-            m = masks[c]
-            running |= m[0] & passed
-            exits |= m[exit_] & passed
-            passed &= m[gate]
-            if not passed:
+    masks = [(0, 0, 0)] * len(nodes)
+    opened = []  # [composite, gate, exit, children left, passed, running, exits]
+    node, reach, evals, error = i, (1 << len(states)) - 1, 0, None
+    while node is not None:
+        while kinds[node] != "leaf":  # open composites down to node's first leaf
+            kids = iter(children[node])
+            opened.append([node, _GATE[kinds[node]], _EXIT[kinds[node]], kids, reach, 0, 0])
+            node = next(kids)
+        metadata, r, s, f = nodes[node].behavior.metadata, 0, 0, 0
+        for p in _points(reach):
+            v = metadata(states[p])
+            if v is succ:
+                s |= 1 << p
+            elif v is fail:
+                f |= 1 << p
+            elif v is run:
+                r |= 1 << p
+            elif opened and (error is None or p < error[0]):
+                error = (p, opened[-1][0], v)
+        evals += reach.bit_count()
+        masks[node] = m = (r, s, f)
+        # fold the node into its parent, which hands the points that pass
+        # it to its next child or, with none left, is folded in turn
+        node = None
+        while opened:
+            frame = opened[-1]
+            j, gate, exit_, kids, passed, running, exits = frame
+            running, exits, passed = running | m[0], exits | m[exit_], m[gate]
+            node = next(kids, None) if passed else None
+            if node is not None:
+                frame[4:], reach = (passed, running, exits), passed
                 break
-        out = [running, 0, 0]
-        out[gate], out[exit_] = passed, exits
-        masks[j] = out
+            opened.pop()
+            m = [running, 0, 0]
+            m[gate], m[exit_] = passed, exits
+            masks[j] = m
     if error is not None:
-        p, j, c = error
-        x = states[p]
+        p, j, v = error
         raise AssertionError(
             f"composed regions of node {j} do not partition at "
-            f"{tuple(float(v) for v in x)!r}: child status "
-            f"{rows[p][bt._spans[c][0] - first]!r}"
-        )
-    return masks, walks
+            f"{tuple(float(c) for c in states[p])!r}: child status {v!r}")
+    return masks, evals
 
 
 def _node_regions(bt: BehaviorTree, masks: list, full: int) -> tuple:
@@ -219,36 +210,37 @@ def _point_regions(bt: BehaviorTree, x) -> tuple:
     return _node_regions(bt, _point_masks(bt, x), 1)
 
 
-# Points per _region_masks call in the batch audits.  A call holds every
-# leaf status of its points (about 1 KB per point at 44 leaves) and shifts
-# bit planes whose width is points times leaves, so a run bounds both; the
-# region_audit bench's 256 points per tree are one run.
+# Points per _region_masks call in the batch audits.  A mask is as wide as
+# its run, and every |= 1 << p copies it, so a run bounds the cost of each
+# status a leaf answers; the region_audit bench's 256 points per tree are
+# one run.
 _RUN = 4096
 
 
-def _runs(bt: BehaviorTree, states: list, walk: bool = False, grow: bool = False):
-    """(states, owned, walks) of the batch in order, _RUN points at a time,
+def _runs(bt: BehaviorTree, states: list, grow: bool = False):
+    """(states, owned, evals) of the batch in order, _RUN points at a time,
     or with grow set, 1, 2, 4, ... points at a time up to _RUN, so a caller
     that stops early evaluates fewer than twice the points it needed.
 
     owned holds the (leaf id, operating mask) of every leaf, in id order,
-    and walks the run's _region_masks walks.  An error in one run ends the
-    audit there, so it still names the batch's lowest-index malformed
+    and evals the run's leaf statuses evaluated.  An error in one run ends
+    the audit there, so it still names the batch's lowest-index malformed
     point."""
     k, size = 0, 1 if grow else _RUN
     while k < len(states):
         run = states[k:k + size]
-        masks, walks = _region_masks(bt, run, walk=walk)
+        masks, evals = _region_masks(bt, run)
         operating = _node_regions(bt, masks, (1 << len(run)) - 1)[1]
-        yield run, [(leaf, operating[leaf]) for leaf in bt.leaf_ids], walks
+        yield run, [(leaf, operating[leaf]) for leaf in bt.leaf_ids], evals
         k, size = k + size, min(2 * size, _RUN)
 
 
 def composed_status(bt: BehaviorTree, i: int, x) -> Status:
     """Status of composite i at x computed from the closed-form region algebra.
 
-    Independent of core's delegation walk: every leaf of i's subtree is
-    evaluated and the Sequence/Fallback region formulas are applied literally
+    Independent of core's delegation walk: each leaf of i's subtree inside
+    its influence region within the subtree is evaluated and the
+    Sequence/Fallback region formulas are applied literally
     (Success of a Sequence is the intersection of child Successes; its
     Running/Failure regions are unions of child regions gated by all earlier
     Successes; dual for Fallback).  Exactly one of the three must hold.
@@ -323,13 +315,16 @@ class RegionReport:
     disjointness_violations: (x, owner ids) where two or more leaf operating
     regions claimed x.  coverage_violations: x owned by no leaf.
     equivalence_violations: (x, active leaf, region owner) where the unique
-    owner disagrees with tick's delegation.
+    owner disagrees with tick's delegation.  stats counts what the audit
+    did, outside to_dict and equality: points, leaf_evals (leaf statuses the
+    region route evaluated) and walks (delegation walks).
     """
 
     samples_tested: int = 0
     disjointness_violations: list = field(default_factory=list)
     coverage_violations: list = field(default_factory=list)
     equivalence_violations: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -359,25 +354,29 @@ def check_partition(bt: BehaviorTree, points) -> RegionReport:
     """Audit disjointness, coverage, and agreement with tick over samples.
 
     The region route (status algebra, influence and pathways) and the
-    delegation route (tick) are computed independently per point.  Violations
-    are sorted canonically so reports are reproducible regardless of
-    evaluation order.
+    delegation route (tick) are computed independently: the masks of a run
+    of points, then a walk per point.  Violations are sorted canonically so
+    reports are reproducible regardless of evaluation order.
     """
     states = _states(bt, points)
     report = RegionReport(samples_tested=len(states))
-    for run, owned, walks in _runs(bt, states, walk=True):
+    evals = 0
+    for run, owned, run_evals in _runs(bt, states):
+        evals += run_evals
         sole, shared, covered = _sole_owner(owned, len(run))
         for p in _points(shared):
             report.disjointness_violations.append(
                 (run[p], tuple(leaf for leaf, mask in owned if mask >> p & 1)))
         for p in _points(~covered & ((1 << len(run)) - 1)):
             report.coverage_violations.append(run[p])
-        for x, owner, (_, active) in zip(run, sole, walks):
+        for x, owner in zip(run, sole):
+            active = bt.resolve(x)[1]
             if owner >= 0 and owner != active:
                 report.equivalence_violations.append((x, active, owner))
     report.disjointness_violations.sort()
     report.coverage_violations.sort()
     report.equivalence_violations.sort()
+    report.stats.update(points=len(states), leaf_evals=evals, walks=len(states))
     return report
 
 
@@ -387,9 +386,10 @@ def region_table(bt: BehaviorTree, points) -> list:
     A root status that is not a Status, which a root leaf can answer, is a
     ValueError naming the lowest-index such point and that leaf."""
     rows = []
-    for run, owned, walks in _runs(bt, _states(bt, points), walk=True):
+    for run, owned, _ in _runs(bt, _states(bt, points)):
         sole = _sole_owner(owned, len(run))[0]
-        for x, owner, (status, leaf) in zip(run, sole, walks):
+        for x, owner in zip(run, sole):
+            status, leaf = bt.resolve(x)
             if not isinstance(status, Status):
                 raise ValueError(f"root status at {x!r} is not a Status: "
                                  f"leaf {leaf} answers {status!r}")

@@ -342,9 +342,10 @@ def test_regions_point_query_after_gate(capsys):
 
 
 def test_regions_point_query_evaluates_each_leaf_once(capsys, monkeypatch):
-    """One region evaluation and one delegation walk per state: at (0, 0) the
-    three kitchen leaves once each and the walk's first leaf (14 calls when
-    every leaf's influence was a tree evaluation of its own)."""
+    """One region evaluation and one delegation walk per state: at (0, 0)
+    the first kitchen leaf, the only one whose influence region holds it,
+    and the walk's first leaf (14 calls when every leaf's influence was a
+    tree evaluation of its own, 4 when every leaf was evaluated)."""
     import dataclasses
 
     from ctbt import cli, dsl
@@ -366,7 +367,7 @@ def test_regions_point_query_evaluates_each_leaf_once(capsys, monkeypatch):
     plain = run(capsys, "regions", "kitchen_lamp.btm", "--x0", "0,0")
     monkeypatch.setattr(cli, "_load", load)
     assert run(capsys, "regions", "kitchen_lamp.btm", "--x0", "0,0") == plain
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_regions_grid_csv(capsys):
@@ -396,6 +397,23 @@ def test_check_partition_kitchen(capsys):
     assert doc["report"]["passed"] is True
     assert doc["report"]["samples_tested"] == 400
     assert doc["seed"] == 5
+
+
+def test_check_partition_stats_go_to_stderr(capsys):
+    """--stats prints the audit's counters on stderr and leaves stdout as
+    it is without the flag."""
+    from ctbt import dsl, regions
+
+    argv = ["check-partition", "kitchen_lamp.btm", "--box=-2:2,-2:2", "--samples", "400",
+            "--seed", "5"]
+    plain = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--stats")
+    assert (code, out) == plain[:2] and plain[2] == ""
+    bt = dsl.load(dsl.resolve_model_path("kitchen_lamp.btm")).bt
+    points = regions.uniform_points([(-2, 2), (-2, 2)], 400, 5)
+    evals = sum(influence for x in points for _, influence, _ in regions.leaf_memberships(bt, x))
+    assert 400 < evals < 3 * 400
+    assert err == f"stats: points=400 leaf_evals={evals} walks=400\n"
 
 
 def test_check_partition_requires_seed(capsys):

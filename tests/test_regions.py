@@ -243,7 +243,8 @@ def test_root_operating_region_is_everywhere():
 
 def test_leaf_memberships_answer_the_point_queries_in_one_evaluation():
     """Every leaf's influence and operating membership, as the per-node
-    queries give them, from one call of each leaf's metadata per state."""
+    queries give them, from one call of the metadata of each leaf whose
+    influence region holds the state."""
     for seed in range(6):
         bt = random_bt(seed)
         for x in uniform_points([(-3, 3), (-3, 3)], 40, seed=seed):
@@ -251,17 +252,9 @@ def test_leaf_memberships_answer_the_point_queries_in_one_evaluation():
                 (i, in_influence_region(bt, i, x), in_operating_region(bt, i, x))
                 for i in bt.leaf_ids]
     calls = []
-
-    def copy(node):
-        if isinstance(node, Leaf):
-            b = node.behavior
-            return Leaf(node.node_id, LeafBehavior(
-                b.controller, lambda x, m=b.metadata: calls.append(x) or m(x), b.label))
-        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
-
-    bt = BehaviorTree(copy(kitchen_bt().root), state_dim=2)
+    bt = _counted_copy(kitchen_bt(), calls)
     assert leaf_memberships(bt, (1.5, 0.0)) == [(1, True, False), (3, True, True), (4, False, False)]
-    assert len(calls) == len(bt.leaf_ids)
+    assert calls == [1, 3]  # lamp A's Running keeps leaf 4 out
 
 
 def test_region_table_names_a_root_status_that_is_not_a_status():
@@ -279,12 +272,15 @@ def test_region_table_names_a_root_status_that_is_not_a_status():
 
 
 def test_impure_metadata_is_caught_and_sorted():
-    """A stateful predicate breaks the purity contract; the audit records it."""
-    flip = {"v": False}
+    """A stateful predicate breaks the purity contract; the audit records it.
+    The region route asks the first leaf at all 40 points, then each walk
+    asks it again, 40 calls later: a period of 3 calls, unlike one of 2,
+    gives the two routes different answers."""
+    calls = [0]
 
     def toggling(x):
-        flip["v"] = not flip["v"]
-        return Status.SUCCESS if flip["v"] else Status.FAILURE
+        calls[0] += 1
+        return Status.FAILURE if calls[0] % 3 == 0 else Status.SUCCESS
 
     bad = Leaf(1, LeafBehavior(lambda x: (0.0,), toggling, "toggler"))
     steady = Leaf(2, LeafBehavior(
@@ -414,13 +410,15 @@ BATCH_SIZES = (1, 63, 64, 65, 257)  # across the 64-bit word boundaries of a mas
 _GATES = {"seq": Status.SUCCESS, "fal": Status.FAILURE}
 
 
-def _reference_statuses(bt, x) -> dict:
-    """Status of every node at x, leaves evaluated left to right."""
+def _reference_statuses(bt, x, found=None) -> dict:
+    """Status of every node at x, leaves evaluated left to right, or with
+    found (leaf id -> status) given, read from it: None where it has none."""
     out = {}
 
     def visit(node):
         if isinstance(node, Leaf):
-            out[node.node_id] = node.behavior.metadata(x)
+            i = node.node_id
+            out[i] = node.behavior.metadata(x) if found is None else found.get(i)
             return
         for child in node.children:
             visit(child)
@@ -432,11 +430,12 @@ def _reference_statuses(bt, x) -> dict:
     return out
 
 
-def _reference_regions(bt, statuses) -> tuple:
-    """(influence, operating, success pathway, failure pathway) flags per node."""
+def _reference_regions(bt, statuses, nodes=None) -> tuple:
+    """(influence, operating, success pathway, failure pathway) flags per
+    node, of every node or of those in nodes."""
     parent, children, kinds = bt.tree.parent, bt.tree.children, bt.kinds
     influence, operating, success, failure = {}, {}, set(), set()
-    for i in range(len(bt.nodes)):
+    for i in range(len(bt.nodes)) if nodes is None else nodes:
         inside = on_success = on_failure = True
         a = i
         while parent[a] is not None:
@@ -465,21 +464,39 @@ def _reference_owners(bt, x) -> tuple:
     return tuple(i for i in bt.leaf_ids if operating[i])
 
 
+def _leaves_left_to_right(node) -> list:
+    if isinstance(node, Leaf):
+        return [node]
+    return [leaf for child in node.children for leaf in _leaves_left_to_right(child)]
+
+
 def _reference_audit(bt, points) -> tuple:
-    """check_partition's report dict and region_table's rows, point by
-    point in the audit's call order: the leaves, then the delegation walk."""
+    """check_partition's report dict and region_table's rows, in the audit's
+    call order: in each run of regions._RUN points, the leaves left to
+    right, each on the points inside its influence region as the statuses
+    found so far place them, then the delegation walk of each point."""
+    points = [tuple(float(v) for v in x) for x in points]
     report, rows = RegionReport(samples_tested=len(points)), []
-    for x in points:
-        x = tuple(float(v) for v in x)
-        owners = _reference_owners(bt, x)
-        status, active = bt.resolve(x)
-        if len(owners) > 1:
-            report.disjointness_violations.append((x, owners))
-        elif not owners:
-            report.coverage_violations.append(x)
-        elif owners[0] != active:
-            report.equivalence_violations.append((x, active, owners[0]))
-        rows.append((*x, owners[0] if len(owners) == 1 else -1, getattr(status, "value", None)))
+    for k in range(0, len(points), regions._RUN):
+        run = points[k:k + regions._RUN]
+        found = [{} for _ in run]
+        for leaf in _leaves_left_to_right(bt.root):
+            i = leaf.node_id
+            for x, statuses in zip(run, found):
+                if _reference_regions(bt, _reference_statuses(bt, x, statuses), [i])[0][i]:
+                    statuses[i] = leaf.behavior.metadata(x)
+        for x, statuses in zip(run, found):
+            operating = _reference_regions(bt, _reference_statuses(bt, x, statuses))[1]
+            owners = tuple(i for i in bt.leaf_ids if operating[i])
+            status, active = bt.resolve(x)
+            if len(owners) > 1:
+                report.disjointness_violations.append((x, owners))
+            elif not owners:
+                report.coverage_violations.append(x)
+            elif owners[0] != active:
+                report.equivalence_violations.append((x, active, owners[0]))
+            rows.append((*x, owners[0] if len(owners) == 1 else -1,
+                         getattr(status, "value", None)))
     report.disjointness_violations.sort()
     report.coverage_violations.sort()
     report.equivalence_violations.sort()
@@ -616,9 +633,10 @@ def _delegation_visits(node, x) -> tuple:
     return status, visits
 
 
-def test_check_partition_calls_metadata_point_by_point_then_walks():
-    """Per point: every leaf's metadata left to right (not in id order),
-    then the delegation walk; impure-metadata audits depend on this order."""
+def test_check_partition_calls_metadata_leaf_by_leaf_then_walks():
+    """The leaves left to right (not in id order), each on the points of
+    its influence region in ascending order, then the delegation walk of
+    each point; impure-metadata audits depend on this order."""
     log = []
 
     def leaf(i, a, b):
@@ -641,14 +659,14 @@ def test_check_partition_calls_metadata_point_by_point_then_walks():
         return walk(x)
 
     bt.resolve = logged_walk
-    points = uniform_points([(-2, 2), (-2, 2)], 65, seed=3)
+    points = [tuple(x) for x in uniform_points([(-2, 2), (-2, 2)], 65, seed=3).tolist()]
+    expected = [(i, x) for i in (6, 2, 5, 7, 3) for x in points if in_influence_region(bt, i, x)]
+    for x in points:
+        expected += [("walk", x)] + [(i, x) for i in _delegation_visits(root, x)[1]]
+    log.clear()
     check_partition(bt, points)
-    calls, expected = list(log), []
-    for x in points.tolist():
-        x = tuple(x)
-        expected += [(i, x) for i in (6, 2, 5, 7, 3)] + [("walk", x)]
-        expected += [(i, x) for i in _delegation_visits(root, x)[1]]
-    assert calls == expected
+    assert log == expected
+    assert sum(i != "walk" for i, _ in expected) < 5 * 65  # some leaves go unasked
 
 
 def test_auditing_a_bank_tree_compiles_no_walk(monkeypatch):
@@ -672,33 +690,35 @@ def test_auditing_a_bank_tree_compiles_no_walk(monkeypatch):
 
 def test_subsystem_leaves_stops_soon_after_every_leaf_is_witnessed():
     """A batch whose first point witnesses every leaf costs one metadata
-    call per leaf; one whose last leaf is witnessed at point p costs fewer
-    than 2 (p + 1) calls per leaf, not one per point of the batch."""
+    call per leaf; one whose last leaf is witnessed at point p costs the
+    first leaf fewer than 2 (p + 1) calls, not one per point of the batch."""
     calls = []
 
-    def counted(status_of):
+    def counted(i, status_of):
         def metadata(x):
-            calls.append(x)
+            calls.append(i)
             return status_of(x)
 
         return metadata
 
     lone = BehaviorTree(Leaf(0, LeafBehavior(
-        lambda x: (0.0,), counted(lambda x: Status.RUNNING))), state_dim=1)
+        lambda x: (0.0,), counted(0, lambda x: Status.RUNNING))), state_dim=1)
     out = subsystem_leaves(lone, [[0.0]] * 5000)
     assert (out.witnessed, out.samples_tested, len(calls)) == (frozenset({0}), 5000, 1)
-    # leaf 1 owns x < 0, leaf 2 the rest; only point p has x >= 0
+    # leaf 1 owns x < 0, leaf 2 the rest; only point p has x >= 0, and only
+    # there does leaf 1 fail, which puts p in leaf 2's influence region
     two = BehaviorTree(Fallback(0, (
         Leaf(1, LeafBehavior(lambda x: (0.0,), counted(
-            lambda x: Status.RUNNING if x[0] < 0 else Status.FAILURE))),
-        Leaf(2, LeafBehavior(lambda x: (0.0,), counted(lambda x: Status.RUNNING))))),
+            1, lambda x: Status.RUNNING if x[0] < 0 else Status.FAILURE))),
+        Leaf(2, LeafBehavior(lambda x: (0.0,), counted(2, lambda x: Status.RUNNING))))),
         state_dim=1)
     for p in (1, 5, 6, 7, 100, 5000):
         calls.clear()
         points = [[-1.0]] * 6000
         points[p] = [1.0]
         assert subsystem_leaves(two, points).witnessed == frozenset({1, 2})
-        assert p + 1 <= len(calls) / 2 < 2 * (p + 1), p
+        assert p + 1 <= calls.count(1) < 2 * (p + 1), p
+        assert calls.count(2) == 1, p
 
 
 def _switching_leaf(i, bad_at, fallback_status):
@@ -750,3 +770,123 @@ def test_malformed_statuses_at_two_composites_name_the_earlier_point():
         pytest.raises(AssertionError, check_partition, bt, [[0.1]]).value)
     assert "node 1 do not partition at (0.5,)" in str(
         pytest.raises(AssertionError, check_partition, bt, [[0.5]]).value)
+
+
+def _counted_copy(bt, calls) -> BehaviorTree:
+    """bt with every leaf's metadata appending its leaf id to calls."""
+    def copy(node):
+        if isinstance(node, Leaf):
+            b = node.behavior
+            return Leaf(node.node_id, LeafBehavior(
+                b.controller, lambda x, i=node.node_id, m=b.metadata: calls.append(i) or m(x),
+                b.label))
+        return type(node)(node.node_id, tuple(copy(c) for c in node.children))
+
+    return BehaviorTree(copy(bt.root), state_dim=bt.state_dim)
+
+
+@pytest.mark.parametrize("permute_ids", [False, True], ids=["dfs-ids", "permuted-ids"])
+def test_audits_ask_each_leaf_only_inside_its_influence_region(permute_ids):
+    """check_partition and region_table call each leaf's metadata once at
+    every point of its influence region, as in_influence_region answers,
+    and then once at every point whose delegation walk visits it; the
+    report's stats count the first calls, the points and the walks."""
+    calls = []
+    for seed in range(8):
+        bt = random_bt(seed, permute_ids=permute_ids)
+        points = [tuple(x) for x in uniform_points([(-3, 3), (-3, 3)], 65, seed=[seed, 3]).tolist()]
+        inside = {i: sum(in_influence_region(bt, i, x) for x in points) for i in bt.leaf_ids}
+        walked = [i for x in points for i in _delegation_visits(bt.root, x)[1]]
+        counted = _counted_copy(bt, calls)
+        for audit in (check_partition, region_table):
+            calls.clear()
+            out = audit(counted, points)
+            assert {i: calls.count(i) for i in bt.leaf_ids} == {
+                i: inside[i] + walked.count(i) for i in bt.leaf_ids}, seed
+        assert out == region_table(bt, points)
+        report = check_partition(bt, points)
+        assert report.stats == {"points": 65, "leaf_evals": sum(inside.values()), "walks": 65}
+
+
+def test_bank_audit_counts_the_influence_regions_it_evaluates():
+    """On the 44-leaf region_audit bank tree, the audit evaluates 531 leaf
+    statuses over its 256 points, the sizes of the leaves' influence
+    regions summed, where evaluating every leaf everywhere took 11,264.
+    The counters stay out of to_dict and equality."""
+    wl = bench_workloads().WORKLOADS["region_audit"]
+    bt = dsl.lower(dsl.parse(wl.bank()["t9.0"][0])).bt
+    points = wl.points(1, 0, "t9.0")
+    report = check_partition(bt, points)
+    inside = sum(influence for x in points for _, influence, _ in leaf_memberships(bt, x))
+    assert report.stats == {"points": 256, "leaf_evals": inside, "walks": 256}
+    assert inside == 531
+    assert report == RegionReport(samples_tested=256)
+    assert "stats" not in report.to_dict() and "stats" not in repr(report)
+
+
+def _unreached_tree(python: bool, wait_from: float) -> BehaviorTree:
+    """seq(wait, fal(risky, other)) over one state: wait succeeds from
+    x0 = wait_from on, and risky's status at x0 = 0 is "S" (python) or
+    divides by zero (a .btm model)."""
+    if python:
+        def risky(x):
+            return "S" if x[0] == 0.0 else Status.SUCCESS if x[0] > 0.0 else Status.FAILURE
+
+        def leaf(i, metadata):
+            return Leaf(i, LeafBehavior(lambda x: (0.0,), metadata, f"leaf{i}"))
+
+        return BehaviorTree(Sequence(0, (
+            leaf(1, lambda x: Status.SUCCESS if x[0] >= wait_from else Status.RUNNING),
+            Fallback(2, (leaf(3, risky), leaf(4, lambda x: Status.RUNNING))))), state_dim=1)
+    return dsl.lower(dsl.parse(f"""model "unreached" {{
+  state 1;
+  control 1;
+  plant {{
+    dx0 = u0;
+  }}
+  leaf wait {{
+    u = [1.0];
+    status = if x0 >= {wait_from!r} then S else R;
+  }}
+  leaf risky {{
+    u = [0.0];
+    status = if 1.0 / x0 > 0.0 then S else F;
+  }}
+  leaf other {{
+    u = [-1.0];
+    status = R;
+  }}
+  fal either = [risky, other];
+  seq both = [wait, either];
+  root = both;
+}}
+""")).bt
+
+
+@pytest.mark.parametrize("python, error, message", [
+    (True, AssertionError, r"^composed regions of node 2 do not partition at \(0\.0,\): "
+                           r"child status 'S'$"),
+    (False, dsl.DivisionByZero, r"^division by zero at line 13, column 21$"),
+], ids=["not-a-status", "division-by-zero"])
+def test_a_status_outside_its_influence_region_is_never_asked_for(python, error, message):
+    """A leaf whose status is not a Status, or whose metadata raises, only
+    where its parent is never reached is not called there: the audits and
+    the root's composed status pass.  Evaluated from its parent, the same
+    point is inside the leaf's influence region, so composed_status fails
+    there with the error the audit gives when the parent is reached."""
+    points = [[-0.5], [0.0], [2.0], [0.5]]
+    bt = _unreached_tree(python, wait_from=1.0)
+    report = check_partition(bt, points)
+    assert report.passed and report.stats == {"points": 4, "leaf_evals": 5, "walks": 4}
+    assert [row[-2:] for row in region_table(bt, points)] == [(1, "R"), (1, "R"), (3, "S"), (1, "R")]
+    assert subsystem_leaves(bt, points).witnessed == frozenset({1, 3})
+    assert composed_status(bt, 0, (0.0,)) is Status.RUNNING
+    assert [in_influence_region(bt, 3, x) for x in points] == [False, False, True, False]
+    with pytest.raises(error, match=message):
+        composed_status(bt, 2, (0.0,))
+    reached = _unreached_tree(python, wait_from=-1.0)
+    for audit in (check_partition, region_table, subsystem_leaves):
+        with pytest.raises(error, match=message):
+            audit(reached, points)
+    with pytest.raises(error, match=message):
+        composed_status(reached, 0, (0.0,))

@@ -41,7 +41,14 @@ one per output:
   .to_dict()` of a tree whose metadata toggles on every call, over 257
   points, and the error text of `check_partition` on a tree with a leaf
   status that is not a Status at some points (both depend on the order of
-  metadata calls and on which malformed point is named);
+  metadata calls, the leaves in tree order, each on the points of its
+  influence region, then a delegation walk per point, and on which
+  malformed point is named);
+- region/unreached: `check_partition(...).to_dict()`, or the type and text
+  of its error, on two trees whose leaf answers a status that is not a
+  Status (UNREACHED with "S") or divides by zero (the UNREACHED_BTM model)
+  only where an uncle keeps it from being reached, so that an audit which
+  calls each leaf only inside its influence region passes;
 - cli/...: exit code, stdout and stderr of `ctbt validate`, `validate
   --print`, `check-partition`, `regions --x0`, a `regions` grid and
   `simulate` on the bundled models, and `certify` on two of them;
@@ -527,7 +534,55 @@ def impure_digests() -> list:
         error = "no error"
     except AssertionError as err:
         error = str(err)
-    return [(sha(json.dumps(report.to_dict()) + "\n" + error), "region/impure")]
+    return [(sha(json.dumps(report.to_dict()) + "\n" + error), "region/impure"),
+            (sha(unreached_text(leaf, steady, points)), "region/unreached")]
+
+
+# wait succeeds from x0 = 0.5 on; risky, first under the fallback after it,
+# divides by zero at x0 = 0, where wait is Running
+UNREACHED_BTM = """\
+model "unreached" {
+  state 1;
+  control 1;
+  plant {
+    dx0 = u0;
+  }
+  leaf wait {
+    u = [1.0];
+    status = if x0 >= 0.5 then S else R;
+  }
+  leaf risky {
+    u = [0.0];
+    status = if 1.0 / x0 > 0.0 then S else F;
+  }
+  leaf other {
+    u = [-1.0];
+    status = R;
+  }
+  fal either = [risky, other];
+  seq both = [wait, either];
+  root = both;
+}
+"""
+
+
+def unreached_text(leaf, steady, points) -> str:
+    from ctbt import BehaviorTree, Fallback, Sequence, Status, check_partition, dsl
+
+    def risky(x):  # UNREACHED_BTM's risky, with "S" where wait is Running
+        return "S" if x[0] < 0.5 else Status.SUCCESS if x[0] > 0.75 else Status.FAILURE
+
+    unreached = BehaviorTree(Sequence(0, (
+        leaf(1, lambda x: Status.SUCCESS if x[0] >= 0.5 else Status.RUNNING),
+        Fallback(2, (leaf(3, risky), leaf(4, steady))))), state_dim=1)
+    points = [[0.0]] + points.tolist()
+    out = []
+    for bt in (unreached, dsl.lower(dsl.parse(UNREACHED_BTM)).bt):
+        try:
+            out.append(json.dumps(check_partition(bt, points).to_dict()))
+        except Exception as err:  # an audit that calls risky where it is never reached
+            out.append(f"{type(err).__name__}: {err}")
+    return "\n".join(out)
 
 
 def cli_digests() -> list:
